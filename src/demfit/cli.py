@@ -81,11 +81,6 @@ def _build_parser():
     return parser, subparsers
 
 
-def _load_dataset(prefix):
-    samples, meta = datagen.load_dataset(prefix)
-    return samples, meta
-
-
 def cmd_simulate(args) -> int:
     design = datagen.SimDesign(m=args.m, n=args.n, p=args.p, q=args.q, seed=args.seed)
     samples, truth = datagen.simulate(design)
@@ -96,7 +91,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    samples, meta = _load_dataset(args.data)
+    samples, meta = datagen.load_dataset(args.data)
     p = int(meta.get("p", samples[0].X.shape[1]))
     q = int(meta.get("q", samples[0].Z.shape[1]))
     model = LmmModel(p, q)
@@ -173,7 +168,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    samples, meta = _load_dataset(args.data)
+    samples, meta = datagen.load_dataset(args.data)
     with open(args.theta) as fh:
         theta = diagnostics.theta_from_json(json.load(fh))
     model = LmmModel(theta.p, theta.q)

@@ -7,15 +7,16 @@ fractions, and CSV/JSON emitters for external plotting.
 
 Trace JSON schema (written by `write_trace_json`):
   {
-    "config": {...run configuration...},
+    "config": {...run configuration...},  # a run_scheme trace has gamma 1
     "thetas": [{"beta": [...], "L": [[...]], "tau2": float}, ...],
     "logliks": [float, ...],          # one entry per recorded iteration
     "loglik_exact": bool,             # exact per-iteration values vs cached headers
     "accept_sets": [[int, ...], ...], # fresh workers behind each M step
     "anchor_tags": [[int, ...], ...], # per-worker anchor index into thetas
-    "staleness": [[int, ...], ...],
+    "staleness": [[int, ...], ...],   # staleness[j][k] = j - anchor_tags[j][k];
+                                      # ecme0 records 1 from iteration 1 on
     "wall_times": [float, ...],
-    "messages_sent": int,
+    "messages_sent": int,             # naive_allpairs: K - 1 per E step; ecme0: 0
     "converged": bool,
     "hit_max_iter": bool,
     "final_loglik": float,            # always exact, at the final parameter

@@ -189,11 +189,15 @@ def convert_dat(ratings_path, movies_path, out_path) -> int:
             )
     count = 0
     with open(ratings_path) as fh, open(out_path, "w") as out:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             user, movie, rating, ts = line.rstrip("\n").split("::")
-            bits = "".join(str(g) for g in genres_by_movie[int(movie)])
+            genres = genres_by_movie.get(int(movie))
+            if genres is None:
+                raise ValueError(f"{ratings_path}:{lineno}: movie {int(movie)} "
+                                 f"is not in {movies_path}")
+            bits = "".join(str(g) for g in genres)
             out.write(f"{int(user)},{int(movie)},{float(rating)},{int(ts)},{bits}\n")
             count += 1
     return count

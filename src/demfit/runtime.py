@@ -2,9 +2,14 @@
 
 A single manager gates the M step on a gamma-fraction of fresh worker
 E-step results and keeps the latest copy of every worker's statistics for
-the rest.  The deterministic scheduler serializes completion order so runs
-are exactly reproducible (and single-threaded); the real scheduler uses a
-thread pool and wall-clock completion order.
+the rest.  One manager loop, `run_dem`, serves every algorithm: a
+scheduler decides only where each iteration's fresh E steps come from.
+The deterministic scheduler serializes completion order through the
+transport pool so runs are exactly reproducible (and single-threaded); the
+real scheduler runs the E steps on a thread pool and accepts them in
+wall-clock completion order.  ECME (`run_ecme0`) is the loop with one
+worker and gamma = 1, and the synchronous schemes (`run_scheme`) are
+gamma = 1 over K workers.
 
 Log-likelihood bookkeeping: in the default mode the manager estimates the
 full-data log likelihood from the cached per-subset headers, which are
@@ -16,8 +21,11 @@ the stopping rule only starts comparing at iteration 2.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,6 +78,14 @@ class RunConfig:
             raise ValueError(f"unknown completion policy {self.completion!r}")
         if self.accept_threshold < 1:
             raise ValueError("ceil(gamma * K) must be >= 1")
+        if self.scheduler == "real" and (
+            self.transport != "in_process" or self.completion != "restart"
+            or self.forced_split
+        ):
+            raise ValueError("the real scheduler supports only transport "
+                             "'in_process', completion 'restart' and no forced split")
+        if self.scheme != "asynchronous" and self.gamma < 1.0:
+            raise ValueError(f"scheme {self.scheme!r} requires gamma = 1")
 
     @property
     def accept_threshold(self) -> int:
@@ -77,19 +93,7 @@ class RunConfig:
         return math.ceil(self.gamma * self.K)
 
     def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "gamma": self.gamma,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "seed": self.seed,
-            "scheme": self.scheme,
-            "scheduler": self.scheduler,
-            "transport": self.transport,
-            "exact_loglik_check": self.exact_loglik_check,
-            "forced_split": self.forced_split,
-            "completion": self.completion,
-        }
+        return dataclasses.asdict(self)
 
 
 def deterministic_schedule(
@@ -110,68 +114,120 @@ def _full_loglik(pool, theta, K: int) -> float:
     return math.fsum(pool.loglik(k, theta) for k in range(K))
 
 
+class _SerialScheduler:
+    """Deterministic completion order: the seeded permutation of each
+    iteration says which workers report first, and their E steps run one
+    at a time through the pool."""
+
+    def __init__(self, config: RunConfig, pool):
+        self.config = config
+        self.pool = pool
+        self.in_flight: dict[int, int] = {}  # worker -> anchor tag of a pending E step
+
+    def _order(self, t: int) -> np.ndarray:
+        c = self.config
+        return deterministic_schedule(c.seed, t, c.K, c.forced_split)
+
+    def seed(self, theta0) -> dict:
+        return {k: self.pool.estep(k, theta0, anchor_tag=0) for k in range(self.config.K)}
+
+    def first_order(self):
+        return self._order(1)
+
+    def accept(self, t: int, thetas: list, N: int) -> dict:
+        """Fresh results for iteration t: stale deliveries first, then
+        E steps at thetas[t - 1] in permutation order until N are in."""
+        fresh = {}
+        for k in sorted(self.in_flight):
+            if len(fresh) >= N:
+                break
+            tag = self.in_flight.pop(k)
+            fresh[k] = self.pool.estep(k, thetas[tag], anchor_tag=tag)
+        for k in self._order(t):
+            if k in fresh or k in self.in_flight:
+                continue
+            if len(fresh) < N:
+                fresh[k] = self.pool.estep(k, thetas[t - 1], anchor_tag=t - 1)
+            elif self.config.completion == "finish":
+                self.in_flight[k] = t - 1
+        return fresh
+
+
+class _ThreadedScheduler:
+    """Wall-clock completion order: every worker E-steps at the newest
+    broadcast on a thread pool, the first N completions are accepted and
+    the rest are cancelled, so those workers restart at the next one."""
+
+    def __init__(self, config: RunConfig, pool, executor: ThreadPoolExecutor):
+        self.config = config
+        self.pool = pool
+        self.executor = executor
+
+    def _submit(self, order, theta, anchor_tag: int) -> dict:
+        return {self.executor.submit(self.pool.estep, k, theta, anchor_tag): k
+                for k in order}
+
+    def seed(self, theta0) -> dict:
+        futures = self._submit(range(self.config.K), theta0, 0)
+        return {k: f.result() for f, k in futures.items()}
+
+    def first_order(self):
+        return range(self.config.K)
+
+    def accept(self, t: int, thetas: list, N: int) -> dict:
+        # E steps hold the GIL, so they finish roughly in submission order;
+        # a fixed order would starve the workers submitted last
+        order = deterministic_schedule(self.config.seed, t, self.config.K)
+        pending = self._submit(order, thetas[t - 1], t - 1)
+        fresh = {}
+        for f in as_completed(pending):
+            fresh[pending[f]] = f.result()
+            if len(fresh) == N:
+                break
+        for f in pending:
+            f.cancel()
+        return fresh
+
+
 def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
-    """Asynchronous manager loop over K worker subsets.
+    """Manager loop over K worker subsets.
 
     A synchronous seeding round fills the cache at theta0 so the very first
-    M step already has one E-step result per subset; afterwards each
-    iteration accepts fresh results until the gamma gate is met, reruns the
-    conditional maximization on the combined cache, and broadcasts.
+    M step already has one E-step result per subset (its accept set is the
+    head of the scheduler's iteration-1 order); afterwards each iteration
+    takes the scheduler's fresh results, reruns the conditional
+    maximization on the combined cache, and broadcasts.
     """
     K = len(subsets)
     if K != config.K:
         raise ProtocolError(f"config.K={config.K} but {K} subsets supplied")
-    if config.scheduler == "real":
-        return _run_dem_real(config, model, subsets, theta0)
-
-    pool = make_pool(config.transport, model, subsets)
-    monitor = ConvergenceMonitor(tol=config.tol, max_iter=config.max_iter)
     N = config.accept_threshold
+    monitor = ConvergenceMonitor(tol=config.tol, max_iter=config.max_iter)
     trace = Trace(loglik_exact=config.exact_loglik_check, config=config.to_dict())
-    try:
-        t0 = time.perf_counter()
-        cache = {k: pool.estep(k, theta0, anchor_tag=0) for k in range(K)}
-        anchors = [0] * K
-        trace.thetas.append(theta0)
-        trace.anchor_tags.append(list(anchors))
-        trace.staleness.append([0] * K)
-        L = (
-            _full_loglik(pool, theta0, K)
-            if config.exact_loglik_check
-            else aggregate_stats(cache, K).local_loglik_at_anchor
-        )
-        trace.logliks.append(L)
-        monitor.update(0, L)
-        trace.wall_times.append(time.perf_counter() - t0)
+    with ExitStack() as stack:
+        pool = make_pool(config.transport, model, subsets)
+        stack.callback(pool.close)
+        if config.scheduler == "real":
+            executor = stack.enter_context(ThreadPoolExecutor(max_workers=min(K, 8)))
+            scheduler = _ThreadedScheduler(config, pool, executor)
+        else:
+            scheduler = _SerialScheduler(config, pool)
 
         theta = theta0
-        in_flight: dict[int, int] = {}  # worker -> anchor tag of a pending E step
-        for t in range(1, config.max_iter + 1):
+        for t in range(config.max_iter + 1):
             t0 = time.perf_counter()
-            perm = deterministic_schedule(config.seed, t, K, config.forced_split)
-            accepted = []
-            if t == 1:
+            if t == 0:
+                cache = scheduler.seed(theta0)
+            elif t == 1:
                 # the seeding messages are iteration 1's fresh results
-                accepted = list(perm[:N])
+                accepted = scheduler.first_order()[:N]
             else:
-                for k in sorted(in_flight):
-                    if len(accepted) >= N:
-                        break
-                    tag = in_flight.pop(k)
-                    cache[k] = pool.estep(k, trace.thetas[tag], anchor_tag=tag)
-                    anchors[k] = tag
-                    accepted.append(k)
-                for k in perm:
-                    if k in accepted or k in in_flight:
-                        continue
-                    if len(accepted) < N:
-                        cache[k] = pool.estep(k, theta, anchor_tag=t - 1)
-                        anchors[k] = t - 1
-                        accepted.append(k)
-                    elif config.completion == "finish":
-                        in_flight[k] = t - 1
+                accepted = scheduler.accept(t, trace.thetas, N)
+                cache.update(accepted)
             agg = aggregate_stats(cache, K)
-            theta = model.cm_steps(agg, theta)
+            if t > 0:
+                theta = model.cm_steps(agg, theta)
+                trace.accept_sets.append(sorted(int(k) for k in accepted))
             L = (
                 _full_loglik(pool, theta, K)
                 if config.exact_loglik_check
@@ -179,9 +235,8 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
             )
             trace.thetas.append(theta)
             trace.logliks.append(L)
-            trace.accept_sets.append(sorted(int(k) for k in accepted))
-            trace.anchor_tags.append(list(anchors))
-            trace.staleness.append([t - a for a in anchors])
+            trace.anchor_tags.append(agg.anchor_tags)
+            trace.staleness.append([t - a for a in agg.anchor_tags])
             trace.wall_times.append(time.perf_counter() - t0)
             converged = monitor.update(t, L)
             if converged and (t >= 2 or config.exact_loglik_check):
@@ -190,183 +245,45 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
         else:
             trace.hit_max_iter = True
         trace.final_loglik = _full_loglik(pool, theta, K)
-        trace.messages_sent = pool.messages_sent
-    finally:
-        pool.close()
-    return theta, trace
-
-
-def _run_dem_real(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
-    """Wall-clock ordered variant: workers run on a thread pool and the
-    manager accepts the first gamma-fraction of completions."""
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
-    K = len(subsets)
-    N = config.accept_threshold
-    monitor = ConvergenceMonitor(tol=config.tol, max_iter=config.max_iter)
-    trace = Trace(loglik_exact=config.exact_loglik_check, config=config.to_dict())
-    messages = 0
-    with ThreadPoolExecutor(max_workers=min(K, 8)) as pool:
-        t0 = time.perf_counter()
-        futures = {
-            pool.submit(model.local_estep, theta0, subsets[k], k, 0): k
-            for k in range(K)
-        }
-        cache = {futures[f]: f.result() for f in futures}
-        messages += 2 * K
-        anchors = [0] * K
-        trace.thetas.append(theta0)
-        trace.anchor_tags.append(list(anchors))
-        trace.staleness.append([0] * K)
-        L = math.fsum(cache[k].local_loglik_at_anchor for k in range(K))
-        trace.logliks.append(L)
-        monitor.update(0, L)
-        trace.wall_times.append(time.perf_counter() - t0)
-
-        theta = theta0
-        for t in range(1, config.max_iter + 1):
-            t0 = time.perf_counter()
-            if t == 1:
-                accepted = list(range(N))
-            else:
-                pending = {
-                    pool.submit(model.local_estep, theta, subsets[k], k, t - 1): k
-                    for k in range(K)
-                }
-                accepted = []
-                while len(accepted) < N and pending:
-                    done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-                    for f in done:
-                        k = pending.pop(f)
-                        if len(accepted) < N:
-                            cache[k] = f.result()
-                            anchors[k] = t - 1
-                            accepted.append(k)
-                # remaining workers restart at the next broadcast
-                for f in pending:
-                    f.cancel()
-                messages += 2 * K
-            theta = model.cm_steps(aggregate_stats(cache, K), theta)
-            L = math.fsum(cache[k].local_loglik_at_anchor for k in range(K))
-            if config.exact_loglik_check:
-                L = math.fsum(model.local_loglik(theta, s) for s in subsets)
-            trace.thetas.append(theta)
-            trace.logliks.append(L)
-            trace.accept_sets.append(sorted(accepted))
-            trace.anchor_tags.append(list(anchors))
-            trace.staleness.append([t - a for a in anchors])
-            trace.wall_times.append(time.perf_counter() - t0)
-            converged = monitor.update(t, L)
-            if converged and (t >= 2 or config.exact_loglik_check):
-                trace.converged = True
-                break
-        else:
-            trace.hit_max_iter = True
-        trace.final_loglik = math.fsum(model.local_loglik(theta, s) for s in subsets)
-        trace.messages_sent = messages
+    trace.messages_sent = pool.messages_sent
+    if config.scheme == "naive_allpairs":
+        # each process sends its E-step result to every other process
+        trace.messages_sent = (K + sum(map(len, trace.accept_sets[1:]))) * (K - 1)
     return theta, trace
 
 
 def run_ecme0(config: RunConfig, model: ModelContract, data: Sequence, theta0):
-    """Non-distributed baseline: full E step, conditional maximizations,
-    same stopping rule.  Likelihood ascent is asserted each iteration."""
-    monitor = ConvergenceMonitor(tol=config.tol, max_iter=config.max_iter)
-    trace = Trace(loglik_exact=True, config=config.to_dict() | {"algo": "ecme0"})
-    theta = theta0
-    trace.thetas.append(theta0)
-    trace.anchor_tags.append([0])
-    trace.staleness.append([0])
-    t0 = time.perf_counter()
-    stats = model.local_estep(theta0, data, subset_id=0, anchor_tag=0)
-    L = stats.local_loglik_at_anchor
-    trace.logliks.append(L)
-    monitor.update(0, L)
-    trace.wall_times.append(time.perf_counter() - t0)
-    for t in range(1, config.max_iter + 1):
-        t0 = time.perf_counter()
-        if t > 1:
-            stats = model.local_estep(theta, data, subset_id=0, anchor_tag=t - 1)
-        L_new = stats.local_loglik_at_anchor
+    """Non-distributed baseline: the manager loop with one worker holding
+    all the data and gamma = 1.  Likelihood ascent is asserted over the
+    recorded log likelihoods."""
+    theta, trace = run_dem(
+        dataclasses.replace(config, K=1, gamma=1.0, scheduler="deterministic",
+                            transport="in_process", exact_loglik_check=False),
+        model, [data], theta0,
+    )
+    for t in range(1, len(trace.logliks)):
+        L, L_new = trace.logliks[t - 1], trace.logliks[t]
         if L_new < L - 1e-9 * max(1.0, abs(L)):
             raise AssertionError(
                 f"log likelihood decreased at iteration {t}: {L} -> {L_new}"
             )
-        L = L_new
-        theta = model.cm_steps(stats, theta)
-        trace.thetas.append(theta)
-        trace.logliks.append(L)
-        trace.accept_sets.append([0])
-        trace.anchor_tags.append([t - 1])
-        trace.staleness.append([0])
-        trace.wall_times.append(time.perf_counter() - t0)
-        converged = monitor.update(t, L)
-        if converged and t >= 2:
-            trace.converged = True
-            break
-    else:
-        trace.hit_max_iter = True
-    trace.final_loglik = model.local_loglik(theta, data)
+    trace.loglik_exact = True
+    trace.config = config.to_dict() | {"algo": "ecme0"}
     trace.messages_sent = 0
     return theta, trace
 
 
 def run_scheme(scheme: str, config: RunConfig, model: ModelContract,
                subsets: Sequence, theta0):
-    """Synchronous communication patterns, for protocol comparison.
+    """Synchronous communication patterns, for protocol comparison: the
+    manager loop at gamma = 1.
 
     naive_allpairs: every process sends its E-step result to every other
-    process and computes the update locally (K*(K-1) payloads per
-    iteration); synchronous: manager/worker with gamma = 1 (2K payloads).
+    process and computes the update locally (K*(K-1) payloads per E-step
+    round); synchronous: manager/worker (2K payloads).
     """
-    if scheme == "synchronous":
-        cfg = RunConfig(**{**config.to_dict(), "gamma": 1.0, "scheme": "synchronous"})
-        return run_dem(cfg, model, subsets, theta0)
-    if scheme != "naive_allpairs":
+    if scheme not in ("naive_allpairs", "synchronous"):
         raise ValueError(f"run_scheme only handles schemes 'naive_allpairs' and "
                          f"'synchronous', got {scheme!r}")
-    K = len(subsets)
-    monitor = ConvergenceMonitor(tol=config.tol, max_iter=config.max_iter)
-    trace = Trace(loglik_exact=False, config=config.to_dict() | {"scheme": scheme})
-    theta = theta0
-    cache = {k: model.local_estep(theta0, subsets[k], k, 0) for k in range(K)}
-    trace.messages_sent += K * (K - 1)
-    trace.thetas.append(theta0)
-    trace.anchor_tags.append([0] * K)
-    trace.staleness.append([0] * K)
-    agg = aggregate_stats(cache, K)
-    L = agg.local_loglik_at_anchor
-    trace.logliks.append(L)
-    monitor.update(0, L)
-    trace.wall_times.append(0.0)
-    for t in range(1, config.max_iter + 1):
-        t0 = time.perf_counter()
-        if t > 1:
-            cache = {k: model.local_estep(theta, subsets[k], k, t - 1)
-                     for k in range(K)}
-            trace.messages_sent += K * (K - 1)
-        agg = aggregate_stats(cache, K)
-        # each peer aggregates the same K payloads and updates locally
-        per_peer = [model.cm_steps(agg, theta) for _ in range(K)]
-        for other in per_peer[1:]:
-            if not (
-                np.array_equal(other.beta, per_peer[0].beta)
-                and np.array_equal(other.L, per_peer[0].L)
-                and other.tau2 == per_peer[0].tau2
-            ):
-                raise ProtocolError("peers computed diverging updates")
-        theta = per_peer[0]
-        L = agg.local_loglik_at_anchor
-        trace.thetas.append(theta)
-        trace.logliks.append(L)
-        trace.accept_sets.append(list(range(K)))
-        trace.anchor_tags.append([t - 1] * K)
-        trace.staleness.append([1] * K)
-        trace.wall_times.append(time.perf_counter() - t0)
-        converged = monitor.update(t, L)
-        if converged and t >= 2:
-            trace.converged = True
-            break
-    else:
-        trace.hit_max_iter = True
-    trace.final_loglik = math.fsum(model.local_loglik(theta, s) for s in subsets)
-    return theta, trace
+    return run_dem(dataclasses.replace(config, gamma=1.0, scheme=scheme),
+                   model, subsets, theta0)

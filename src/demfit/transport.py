@@ -16,7 +16,7 @@ import threading
 
 import numpy as np
 
-from .model import ModelContract, SuffStats
+from .model import ModelContract, ProtocolError, SuffStats
 
 MAGIC = b"DEMX1"
 _HEAD = struct.Struct("<BIQ")  # kind, subset_id, iteration
@@ -60,14 +60,19 @@ class InProcessPool:
         self.model = model
         self.subsets = list(subsets)
         self.messages_sent = 0
+        self._count_lock = threading.Lock()  # the real scheduler calls from threads
+
+    def _count(self):
+        with self._count_lock:
+            self.messages_sent += 2  # request out, reply back
 
     def estep(self, k: int, theta, anchor_tag: int) -> SuffStats:
-        self.messages_sent += 2  # theta out, stats back
+        self._count()
         return self.model.local_estep(theta, self.subsets[k], subset_id=k,
                                       anchor_tag=anchor_tag)
 
     def loglik(self, k: int, theta) -> float:
-        self.messages_sent += 2
+        self._count()
         return self.model.local_loglik(theta, self.subsets[k])
 
     def close(self):
@@ -124,21 +129,27 @@ class SocketPool:
         finally:
             conn.close()
 
-    def estep(self, k: int, theta, anchor_tag: int) -> SuffStats:
+    def _rpc(self, k: int, kind: int, reply_kind: int, iteration: int, theta):
+        """Send one request to worker k and return the payload of its reply,
+        which must carry the expected kind, subset id and iteration."""
         conn = self._conns[k]
-        write_frame(conn, KIND_ESTEP_REQ, k, anchor_tag, self.model.pack_theta(theta))
-        kind, subset_id, iteration, payload = read_frame(conn)
-        assert kind == KIND_ESTEP_REP and subset_id == k
+        write_frame(conn, kind, k, iteration, self.model.pack_theta(theta))
+        got = read_frame(conn)
+        expected = (reply_kind, int(k), int(iteration))
+        if got[:3] != expected:
+            raise ProtocolError(
+                f"worker {k}: expected reply (kind, subset, iteration) = "
+                f"{expected}, got {got[:3]}"
+            )
         self.messages_sent += 2
-        return self.model.unpack_stats(payload, subset_id=k, anchor_tag=iteration)
+        return got[3]
+
+    def estep(self, k: int, theta, anchor_tag: int) -> SuffStats:
+        payload = self._rpc(k, KIND_ESTEP_REQ, KIND_ESTEP_REP, anchor_tag, theta)
+        return self.model.unpack_stats(payload, subset_id=k, anchor_tag=anchor_tag)
 
     def loglik(self, k: int, theta) -> float:
-        conn = self._conns[k]
-        write_frame(conn, KIND_LOGLIK_REQ, k, 0, self.model.pack_theta(theta))
-        kind, _, _, payload = read_frame(conn)
-        assert kind == KIND_LOGLIK_REP
-        self.messages_sent += 2
-        return float(payload[0])
+        return float(self._rpc(k, KIND_LOGLIK_REQ, KIND_LOGLIK_REP, 0, theta)[0])
 
     def close(self):
         for conn in self._conns:

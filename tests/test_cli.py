@@ -136,3 +136,21 @@ def test_error_exit_code(tmp_path, capsys):
     assert run(["fit", "--data", tmp_path / "missing", "--algo", "ecme0",
                 "--out", tmp_path / "x"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_ingest_unknown_movie_is_an_error(tmp_path, capsys):
+    movies = tmp_path / "movies.dat"
+    ratings = tmp_path / "ratings.dat"
+    movies.write_text("1::Some Film (1999)::Action\n")
+    ratings.write_text("7::1::4::100\n7::42::3::101\n")
+    assert run(["ingest", "--ratings-dat", ratings, "--movies-dat", movies,
+                "--out", tmp_path / "ml"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "movie 42" in err and ":2:" in err
+
+
+def test_real_scheduler_over_socket_rejected(workspace, capsys):
+    assert run(["fit", "--data", workspace / "data", "--K", 2,
+                "--scheduler", "real", "--transport", "socket",
+                "--out", workspace / "realsock"]) == 1
+    assert "error:" in capsys.readouterr().err

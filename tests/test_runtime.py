@@ -1,3 +1,6 @@
+import socket
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,15 @@ from demfit import (
     run_dem,
     run_ecme0,
     run_scheme,
+)
+from demfit.transport import (
+    KIND_ESTEP_REP,
+    KIND_ESTEP_REQ,
+    KIND_LOGLIK_REP,
+    KIND_LOGLIK_REQ,
+    SocketPool,
+    read_frame,
+    write_frame,
 )
 
 
@@ -52,6 +64,16 @@ def test_config_validation():
         RunConfig(K=4, scheme="bogus")
     with pytest.raises(ValueError):
         RunConfig(K=4, completion="abandon")
+    # settings the real scheduler or a synchronous scheme would ignore
+    for bad in (
+        dict(scheduler="real", transport="socket"),
+        dict(scheduler="real", completion="finish"),
+        dict(scheduler="real", forced_split=True),
+        dict(scheme="synchronous", gamma=0.5),
+        dict(scheme="naive_allpairs", gamma=0.5),
+    ):
+        with pytest.raises(ValueError):
+            RunConfig(K=4, **bad)
 
 
 def test_accept_threshold_ceiling():
@@ -88,15 +110,52 @@ def test_subset_count_must_match_config(fitted_pieces):
         run_dem(RunConfig(K=5), model, subsets, theta0)
 
 
-def test_socket_transport_identical_trace(fitted_pieces):
+@pytest.mark.parametrize("completion", ["restart", "finish"])
+@pytest.mark.parametrize("forced_split", [False, True])
+@pytest.mark.parametrize("exact", [False, True])
+def test_socket_transport_identical_trace(fitted_pieces, completion, forced_split, exact):
     samples, model, theta0 = fitted_pieces
     subsets = partition(samples, 4, seed=0)
-    cfg = dict(K=4, gamma=0.5, seed=2)
+    cfg = dict(K=4, gamma=0.5, seed=2, completion=completion,
+               forced_split=forced_split, exact_loglik_check=exact)
     _, tr_mem = run_dem(RunConfig(**cfg, transport="in_process"), model, subsets, theta0)
     _, tr_sock = run_dem(RunConfig(**cfg, transport="socket"), model, subsets, theta0)
     assert traces_equal(tr_mem, tr_sock)
     assert tr_mem.accept_sets == tr_sock.accept_sets
+    assert tr_mem.anchor_tags == tr_sock.anchor_tags
+    assert tr_mem.staleness == tr_sock.staleness
     assert tr_mem.messages_sent == tr_sock.messages_sent
+
+
+def test_socket_reply_checked_without_assert(fitted_pieces):
+    """A reply of the wrong kind is a ProtocolError, also under python -O."""
+    samples, model, theta0 = fitted_pieces
+    pool = SocketPool(model, partition(samples, 2, seed=0))
+    manager_end, worker_end = socket.socketpair()
+    real_conn, pool._conns[0] = pool._conns[0], manager_end
+
+    def wrong_kind_worker():
+        # answers an E-step request with a loglik reply and vice versa
+        swapped = {KIND_ESTEP_REQ: KIND_LOGLIK_REP, KIND_LOGLIK_REQ: KIND_ESTEP_REP}
+        for _ in range(2):
+            kind, subset_id, iteration, _ = read_frame(worker_end)
+            write_frame(worker_end, swapped[kind], subset_id, iteration, np.zeros(1))
+
+    worker = threading.Thread(target=wrong_kind_worker, daemon=True)
+    worker.start()
+    try:
+        with pytest.raises(ProtocolError):
+            pool.estep(0, theta0, anchor_tag=3)
+        with pytest.raises(ProtocolError):
+            pool.loglik(0, theta0)
+        assert pool.messages_sent == 0
+    finally:
+        pool._conns[0] = real_conn
+        pool.close()
+        manager_end.close()
+        worker_end.close()
+    worker.join(timeout=5)
+    assert not worker.is_alive()
 
 
 def test_incremental_pattern_single_fresh_worker(fitted_pieces):
@@ -179,6 +238,32 @@ def test_schemes_agree_with_gamma_one(fitted_pieces):
     # round doubles as iteration 1's) vs 2K for manager/worker
     assert tr_naive.messages_sent == 4 * 3 * tr_naive.n_iterations
     assert tr_sync.messages_sent < tr_naive.messages_sent
+    # run_scheme is the manager loop with the scheme set and gamma = 1
+    _, tr_dem = run_dem(RunConfig(K=4, scheme="naive_allpairs"), model, subsets, theta0)
+    assert traces_equal(tr_dem, tr_naive)
+    assert tr_dem.accept_sets == tr_naive.accept_sets
+    assert tr_dem.anchor_tags == tr_naive.anchor_tags
+    assert tr_dem.messages_sent == tr_naive.messages_sent
+    assert tr_naive.config["gamma"] == 1.0
+
+
+def test_ecme0_asserts_ascent(fitted_pieces):
+    samples, _, theta0 = fitted_pieces
+
+    class DroppingModel(LmmModel):
+        """The E-step loglik header (and payload total) drops at iteration 2."""
+
+        def local_estep(self, theta, subset, subset_id=0, anchor_tag=0):
+            stats = super().local_estep(theta, subset, subset_id, anchor_tag)
+            if anchor_tag != 1:
+                return stats
+            packed = self.pack_stats(stats)
+            # layout: m, n, then the hi and lo words; the last hi word is the loglik
+            packed[1 + (packed.size - 2) // 2] -= 1e3
+            return self.unpack_stats(packed, subset_id, anchor_tag)
+
+    with pytest.raises(AssertionError, match="log likelihood decreased at iteration 2"):
+        run_ecme0(RunConfig(K=1), DroppingModel(3, 3), samples, theta0)
 
 
 def test_real_scheduler_converges_to_same_mode(fitted_pieces):
