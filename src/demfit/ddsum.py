@@ -44,6 +44,27 @@ class DDArray:
         out.lo = np.asarray(lo, dtype=float).copy()
         return out
 
+    @classmethod
+    def sum_rows(cls, rows: np.ndarray) -> "DDArray":
+        """Compensated sum of the rows of a 2-D array.
+
+        The rows are zero-padded to a power of two and merged pairwise, one
+        vectorized level at a time; adding a zero row is exact, so the
+        padding does not change the sum.
+        """
+        n, width = rows.shape
+        size = 1 << max(n - 1, 0).bit_length()
+        hi = np.zeros((size, width))
+        hi[:n] = rows
+        lo = np.zeros((size, width))
+        while size > 1:
+            size //= 2
+            s, e = _two_sum(hi[:size], hi[size:])
+            hi, lo = _renorm(s, e + (lo[:size] + lo[size:]))
+        out = cls(width)
+        out.hi, out.lo = hi[0], lo[0]
+        return out
+
     def add(self, x: np.ndarray) -> None:
         s, e = _two_sum(self.hi, x)
         self.hi, self.lo = _renorm(s, self.lo + e)

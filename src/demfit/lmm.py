@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -64,10 +65,6 @@ class Theta:
         """Random-effects covariance tau2 * D."""
         return self.tau2 * self.D
 
-    def key(self) -> bytes:
-        """Hashable identity for caching posterior moments."""
-        return self.beta.tobytes() + self.L.tobytes() + np.float64(self.tau2).tobytes()
-
     @classmethod
     def from_cov(cls, beta, D, tau2) -> "Theta":
         D = np.asarray(D, dtype=float)
@@ -85,6 +82,13 @@ class Theta:
 
 @dataclass(frozen=True)
 class Sample:
+    """One sample's observations: response y (n_i), fixed-effects design X
+    (n_i x p) and random-effects design Z (n_i x q).
+
+    The arrays must not be mutated after the sample's first use: the model
+    computes their data moments once (`moments`) and keeps them.
+    """
+
     y: np.ndarray
     X: np.ndarray
     Z: np.ndarray
@@ -107,8 +111,54 @@ class Sample:
     def n_obs(self) -> int:
         return self.y.size
 
+    @cached_property
+    def moments(self) -> np.ndarray:
+        """Flat record of the data moments, in the order `_record_layout`
+        names: n_i, y'y, X'y, X'X, Z'y, X'Z, Z'Z and the triangular factor
+        R of [X y], zero-padded to (p+1) x (p+1).
+
+        Computed on first use rather than at construction, so loading a
+        dataset stays cheap; every later E step needs only these.
+        """
+        y, X, Z = self.y, self.X, self.Z
+        p = X.shape[1]
+        R = np.zeros((p + 1, p + 1))
+        r = np.linalg.qr(np.column_stack([X, y]), mode="r")
+        R[: r.shape[0]] = r
+        return np.concatenate(
+            [
+                [y.size, y @ y],
+                X.T @ y,
+                (X.T @ X).ravel(),
+                Z.T @ y,
+                (X.T @ Z).ravel(),
+                (Z.T @ Z).ravel(),
+                R.ravel(),
+            ]
+        )
+
 
 SubsetData = Sequence[Sample]
+
+
+def _record_layout(p: int, q: int) -> dict:
+    """Column slices of the stacked `Sample.moments` records."""
+    out = {}
+    i0 = 0
+    for name, size in [
+        ("n", 1),
+        ("yy", 1),
+        ("Xy", p),
+        ("XX", p * p),
+        ("Zy", q),
+        ("XZ", p * q),
+        ("ZZ", q * q),
+        ("R", (p + 1) * (p + 1)),
+    ]:
+        out[name] = slice(i0, i0 + size)
+        i0 += size
+    out["width"] = i0
+    return out
 
 
 def _unconstrained_size(p: int, q: int) -> int:
@@ -210,20 +260,14 @@ class LmmSuffStats:
         return float(self._get("loglik")[0])
 
     # -- accumulation ------------------------------------------------------
-    def add_sample(self, X, y, Zb, B, G, loglik_i):
-        """Fold one sample's contribution in; B = E[b b^T], G = Z^T Z."""
-        vec = np.concatenate(
-            [
-                (X.T @ X).ravel(),
-                X.T @ y,
-                X.T @ Zb,
-                B.ravel(),
-                [y @ y, y @ Zb, float(np.sum(G * B)), loglik_i],
-            ]
-        )
-        self._acc.add(vec)
-        self.m += 1
-        self.n += y.size
+    @classmethod
+    def from_rows(cls, p: int, q: int, rows: np.ndarray, n: int) -> "LmmSuffStats":
+        """Statistics of m samples from their (m, width) contribution rows."""
+        out = cls(p, q)
+        out._acc = DDArray.sum_rows(rows)
+        out.m = rows.shape[0]
+        out.n = n
+        return out
 
     def combine(self, other: "LmmSuffStats") -> "LmmSuffStats":
         if (self.p, self.q) != (other.p, other.q):
@@ -261,6 +305,16 @@ class LmmSuffStats:
         return out
 
 
+class _Posterior(NamedTuple):
+    """Per-sample outputs of `LmmModel._posterior`, stacked over m samples."""
+
+    b_hat: np.ndarray  # (m, q) posterior means of b_i
+    ztr: np.ndarray  # (m, q) Z'(y - X beta)
+    A: np.ndarray  # (m, q, q) precisions D^{-1} + Z'Z; covariance tau2 A^{-1}
+    Ainv: np.ndarray  # (m, q, q)
+    logdet_A: np.ndarray  # (m,)
+
+
 class LmmModel(ModelContract):
     """ModelContract implementation for the linear mixed-effects model."""
 
@@ -270,9 +324,65 @@ class LmmModel(ModelContract):
         self.p = p
         self.q = q
         self.cm_order = cm_order
-        self._moment_cache: dict[tuple[bytes, int], list] = {}
+        self._rec = _record_layout(p, q)
 
     # -- per-sample conditional Gaussian -----------------------------------
+    def _records(self, subset: SubsetData) -> np.ndarray:
+        """The subset's `Sample.moments` stacked into an (m, width) array."""
+        width = self._rec["width"]
+        rec = np.array([s.moments for s in subset]) if subset else np.empty((0, width))
+        if rec.shape[1:] != (width,):
+            raise ValueError(f"samples do not match the model's p={self.p}, q={self.q}")
+        return rec
+
+    def _posterior(self, rec: np.ndarray, Dinv: np.ndarray, beta: np.ndarray) -> _Posterior:
+        """Posterior of every sample's random effects, from data moments only.
+
+        Dinv is (q, q) or one (q, q) per record, beta is (p,) or one (p,) per
+        record.  Per sample: the q x q precision A = D^{-1} + Z'Z, its
+        Cholesky factor for log|A|, its inverse, and b_hat = A^{-1} Z'r with
+        Z'r = Z'y - (X'Z)' beta.  Each sample's outputs come from its own
+        row alone, so they do not depend on which other samples share the
+        batch.
+        """
+        p, q, c = self.p, self.q, self._rec
+        m = rec.shape[0]
+        A = Dinv + rec[:, c["ZZ"]].reshape(m, q, q)
+        try:
+            cA = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalDomainError(
+                "posterior precision not positive definite (corrupt data?)"
+            ) from exc
+        Ainv = np.linalg.inv(A)
+        XZ = rec[:, c["XZ"]].reshape(m, p, q)
+        ztr = rec[:, c["Zy"]] - (beta[..., None, :] @ XZ)[:, 0]
+        b_hat = (Ainv @ ztr[:, :, None])[:, :, 0]
+        logdet_A = 2.0 * np.log(np.diagonal(cA, axis1=1, axis2=2)).sum(axis=1)
+        return _Posterior(b_hat, ztr, A, Ainv, logdet_A)
+
+    def _kernel(self, theta: Theta, rec: np.ndarray):
+        """The posterior at theta and the marginal log density of every
+        sample, as (_Posterior, (m,) logliks)."""
+        p = self.p
+        Linv = np.linalg.inv(theta.L)
+        post = self._posterior(rec, Linv.T @ Linv, theta.beta)
+        # r'r = ||R (-beta, 1)||^2 for r = y - X beta; the expansion
+        # y'y - 2 beta'X'y + beta'X'X beta would cancel when r is small
+        R = rec[:, self._rec["R"]].reshape(-1, p + 1, p + 1)
+        Rv = R @ np.append(-theta.beta, 1.0)
+        quad = (Rv * Rv).sum(axis=1) - (post.ztr * post.b_hat).sum(axis=1)
+        # via the determinant lemma: |Z D Z' + I| = |A| |D|
+        logdet_D = 2.0 * math.fsum(np.log(np.diag(theta.L)))
+        loglik = (
+            -0.5 * rec[:, self._rec["n"]][:, 0] * math.log(2.0 * math.pi * theta.tau2)
+            - 0.5 * (post.logdet_A + logdet_D)
+            - 0.5 * quad / theta.tau2
+        )
+        if not np.all(np.isfinite(loglik)):
+            raise NumericalDomainError("non-finite marginal log density")
+        return post, loglik
+
     def posterior_moments(self, theta: Theta, s: Sample):
         """Mean and covariance of the random effects given the data.
 
@@ -280,73 +390,37 @@ class LmmModel(ModelContract):
         which equals the standard W = Z D Z^T + I conditioning without ever
         forming the n_i-dimensional inverse.
         """
-        b_hat, C_hat, _ = self._moments_full(theta, s)
-        return b_hat, C_hat
-
-    def _moments_full(self, theta: Theta, s: Sample):
-        Dinv = sla.cho_solve((theta.L, True), np.eye(self.q), check_finite=False)
-        return self._moments_with_dinv(theta, s, Dinv)
-
-    def _moments_with_dinv(self, theta: Theta, s: Sample, Dinv):
-        G = s.Z.T @ s.Z
-        A = Dinv + G
-        try:
-            cA = sla.cho_factor(A, lower=True, check_finite=False)
-        except (sla.LinAlgError, ValueError) as exc:
-            raise NumericalDomainError(
-                "posterior precision not positive definite (corrupt data?)"
-            ) from exc
-        r0 = s.y - s.X @ theta.beta
-        ztr = s.Z.T @ r0
-        b_hat = sla.cho_solve(cA, ztr, check_finite=False)
-        Ainv = sla.cho_solve(cA, np.eye(self.q), check_finite=False)
-        C_hat = theta.tau2 * Ainv
-        # marginal log density of y_i, via the determinant lemma
-        logdet_A = 2.0 * np.sum(np.log(np.diag(cA[0])))
-        logdet_D = 2.0 * np.sum(np.log(np.diag(theta.L)))
-        quad = r0 @ r0 - ztr @ b_hat
-        n_i = s.n_obs
-        loglik_i = (
-            -0.5 * n_i * math.log(2.0 * math.pi * theta.tau2)
-            - 0.5 * (logdet_A + logdet_D)
-            - 0.5 * quad / theta.tau2
-        )
-        if not math.isfinite(loglik_i):
-            raise NumericalDomainError("non-finite marginal log density")
-        return b_hat, C_hat, loglik_i
-
-    def _subset_moments(self, theta: Theta, subset: SubsetData, subset_id: int = -1):
-        key = (theta.key(), id(subset))
-        hit = self._moment_cache.get(key)
-        if hit is not None:
-            return hit
-        Dinv = sla.cho_solve((theta.L, True), np.eye(self.q), check_finite=False)
-        out = [self._moments_with_dinv(theta, s, Dinv) for s in subset]
-        self._moment_cache[key] = out
-        return out
-
-    def clear_cache(self) -> None:
-        self._moment_cache.clear()
+        post, _ = self._kernel(theta, self._records([s]))
+        return post.b_hat[0], theta.tau2 * post.Ainv[0]
 
     # -- ModelContract operations -------------------------------------------
     def local_loglik(self, theta: Theta, subset: SubsetData) -> float:
-        hit = self._moment_cache.get((theta.key(), id(subset)))
-        if hit is not None:
-            return math.fsum(t[2] for t in hit)
-        Dinv = sla.cho_solve((theta.L, True), np.eye(self.q), check_finite=False)
-        return math.fsum(
-            self._moments_with_dinv(theta, s, Dinv)[2] for s in subset
-        )
+        return math.fsum(self._kernel(theta, self._records(subset))[1])
 
     def local_estep(
         self, theta: Theta, subset: SubsetData, subset_id: int = 0, anchor_tag: int = 0
     ) -> SuffStats:
-        stats = LmmSuffStats(self.p, self.q)
-        Dinv = sla.cho_solve((theta.L, True), np.eye(self.q), check_finite=False)
-        for s in subset:
-            b_hat, C_hat, loglik_i = self._moments_with_dinv(theta, s, Dinv)
-            B = np.outer(b_hat, b_hat) + C_hat
-            stats.add_sample(s.X, s.y, s.Z @ b_hat, B, s.Z.T @ s.Z, loglik_i)
+        p, q, c = self.p, self.q, self._rec
+        rec = self._records(subset)
+        m = rec.shape[0]
+        post, loglik = self._kernel(theta, rec)
+        b_hat = post.b_hat
+        B = (b_hat[:, :, None] * b_hat[:, None, :] + theta.tau2 * post.Ainv).reshape(m, q * q)
+        # one row per sample, in the LmmSuffStats layout
+        rows = np.concatenate(
+            [
+                rec[:, c["XX"]],
+                rec[:, c["Xy"]],
+                (rec[:, c["XZ"]].reshape(m, p, q) @ b_hat[:, :, None])[:, :, 0],
+                B,
+                rec[:, c["yy"]],
+                (rec[:, c["Zy"]] * b_hat).sum(axis=1)[:, None],
+                (rec[:, c["ZZ"]] * B).sum(axis=1)[:, None],
+                loglik[:, None],
+            ],
+            axis=1,
+        )
+        stats = LmmSuffStats.from_rows(p, q, rows, int(rec[:, c["n"]].sum()))
         return SuffStats(
             subset_id=subset_id,
             anchor_tag=anchor_tag,
@@ -393,21 +467,26 @@ class LmmModel(ModelContract):
 
     def local_kl(self, theta_eval: Theta, theta_anchor: Theta, subset: SubsetData) -> float:
         """Sum of Gaussian KL(posterior at anchor || posterior at eval)."""
-        anchor_m = self._subset_moments(theta_anchor, subset)
-        eval_m = self._subset_moments(theta_eval, subset)
         q = self.q
-        terms = []
-        for (ba, Ca, _), (be, Ce, _) in zip(anchor_m, eval_m):
-            ce = sla.cho_factor(Ce, lower=True, check_finite=False)
-            ca = np.linalg.cholesky(Ca)
-            tr = float(np.sum(sla.cho_solve(ce, Ca, check_finite=False).diagonal()))
-            d = be - ba
-            quad = float(d @ sla.cho_solve(ce, d, check_finite=False))
-            logdet = 2.0 * (
-                np.sum(np.log(np.diag(ce[0]))) - np.sum(np.log(np.diag(ca)))
-            )
-            terms.append(0.5 * (tr + quad - q + logdet))
-        val = math.fsum(terms)
+        rec = self._records(subset)
+        m = rec.shape[0]
+        # both posteriors in one batch: the anchor's m rows, then eval's
+        Linv = np.linalg.inv(np.stack([theta_anchor.L, theta_eval.L]))
+        Dinv = np.repeat(Linv.transpose(0, 2, 1) @ Linv, m, axis=0)
+        beta = np.repeat(np.stack([theta_anchor.beta, theta_eval.beta]), m, axis=0)
+        post = self._posterior(np.concatenate([rec, rec]), Dinv, beta)
+        # C = tau2 A^{-1}, so C_e^{-1} = A_e / tau2_e needs no factorization
+        # and log|C| = q log tau2 - log|A|
+        Ainv_a, A_e = post.Ainv[:m], post.A[m:]
+        tr = (theta_anchor.tau2 / theta_eval.tau2) * (A_e * Ainv_a).reshape(m, q * q).sum(axis=1)
+        d = post.b_hat[m:] - post.b_hat[:m]
+        quad = ((A_e @ d[:, :, None])[:, :, 0] * d).sum(axis=1) / theta_eval.tau2
+        logdet = (
+            q * math.log(theta_eval.tau2 / theta_anchor.tau2)
+            - post.logdet_A[m:]
+            + post.logdet_A[:m]
+        )
+        val = math.fsum(0.5 * (tr + quad - q + logdet))
         if not math.isfinite(val):
             raise NumericalDomainError("non-finite KL term")
         return val

@@ -98,7 +98,6 @@ def ratio_experiment():
         assert tr_b.converged
         out["violations"] += len(check_monotone_F(tr_b, model, [samples]))
         out["audited"] += 1
-        model.clear_cache()
         out["base"][rep] = (theta_b, tr_b)
         for K in Ks:
             subsets = partition(samples, K, seed=rep)
@@ -108,7 +107,6 @@ def ratio_experiment():
                 assert tr.converged, f"rep={rep} K={K} gamma={gamma} did not converge"
                 out["violations"] += len(check_monotone_F(tr, model, subsets))
                 out["audited"] += 1
-                model.clear_cache()
                 out["dem"][(rep, K, gamma)] = (theta, tr)
     out["elapsed"] = time.perf_counter() - t0
     return out
@@ -164,7 +162,6 @@ def test_criterion_4_monotone_free_energy(equivalence_runs, ratio_experiment):
     for K, (theta, tr, subsets) in equivalence_runs["runs"].items():
         violations += len(check_monotone_F(tr, model, subsets))
         audited += 1
-        model.clear_cache()
     assert violations == 0
     _announce(4, f"zero free-energy decreases across {audited} audited runs")
 
@@ -388,7 +385,6 @@ def test_criterion_10_feature_pipeline_end_to_end():
     theta, tr = run_dem(cfg, model, subsets, Theta.default_start(6, 6))
     assert tr.converged, "ratings fit did not converge"
     assert check_monotone_F(tr, model, subsets) == []
-    model.clear_cache()
     elapsed = time.perf_counter() - t_start
     assert elapsed < 120.0
     _announce(10, f"10k-record ingest + gamma=0.7 fit converged in "

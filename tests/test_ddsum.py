@@ -22,6 +22,15 @@ def test_two_sum_is_exact_decomposition():
         assert math.fsum([a, b, -s]) == e
 
 
+def test_sum_rows_matches_fsum():
+    rng = np.random.default_rng(4)
+    for m in (0, 1, 2, 7, 64, 201):
+        rows = rng.standard_normal((m, 3)) * 10.0 ** rng.integers(-8, 9, size=(m, 3))
+        acc = DDArray.sum_rows(rows)
+        for j in range(3):
+            assert acc.value()[j] == math.fsum(rows[:, j])
+
+
 def test_matches_fsum():
     rng = np.random.default_rng(1)
     vals = rng.standard_normal(5000) * 1e6

@@ -1,4 +1,7 @@
+import copy
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,8 +14,12 @@ from demfit import (
     LmmModel,
     NumericalDomainError,
     RankDeficiencyError,
+    RunConfig,
     Sample,
     Theta,
+    check_monotone_F,
+    partition,
+    run_dem,
 )
 from demfit.lmm import LmmSuffStats, theta_to_vec, vec_to_theta
 from conftest import random_sample, random_theta
@@ -92,6 +99,23 @@ def test_local_loglik_monte_carlo_oracle():
     logdens = norm.logpdf(s.y, loc=mean, scale=math.sqrt(theta.tau2)).sum(axis=1)
     mc = logsumexp(logdens) - math.log(draws.shape[0])
     assert model.local_loglik(theta, [s]) == pytest.approx(mc, abs=0.02)
+
+
+def test_local_loglik_uncentered_response():
+    # a response far from zero with a small residual: r'r must come from
+    # the residual itself, not from y'y - 2 beta'X'y + beta'X'X beta
+    rng = np.random.default_rng(23)
+    model = LmmModel(3, 2)
+    theta0 = random_theta(rng, 3, 2)
+    theta = Theta(1e5 * theta0.beta, theta0.L, theta0.tau2)
+    samples = []
+    for _ in range(6):
+        s = random_sample(rng, 3, 2, n_i=5)
+        y = s.X @ theta.beta + 2.0 * rng.standard_normal(5)
+        samples.append(Sample(y=y, X=s.X, Z=s.Z))
+    assert model.local_loglik(theta, samples) == pytest.approx(
+        loglik_oracle(theta, samples), rel=1e-10
+    )
 
 
 # -- KL term -----------------------------------------------------------------
@@ -186,6 +210,59 @@ def test_estep_permutation_invariance_bitwise():
     b = model.local_estep(theta, [subset[i] for i in order]).payload
     np.testing.assert_array_equal(a._acc.value(), b._acc.value())
     assert a.loglik == b.loglik
+
+
+def test_batch_composition_bitwise():
+    # one call over a subset equals the exact sum of one-sample calls, so a
+    # sample's contribution does not depend on which subset it lands in
+    rng = np.random.default_rng(24)
+    model = LmmModel(3, 3)
+    theta = random_theta(rng, 3, 3)
+    anchor = random_theta(rng, 3, 3)
+    subset = [random_sample(rng, 3, 3) for _ in range(200)]
+    assert model.local_loglik(theta, subset) == math.fsum(
+        model.local_loglik(theta, [s]) for s in subset
+    )
+    assert model.local_kl(theta, anchor, subset) == math.fsum(
+        model.local_kl(theta, anchor, [s]) for s in subset
+    )
+    whole = model.local_estep(theta, subset).payload
+    combined = model.local_estep(theta, subset[:1]).payload
+    for s in subset[1:]:
+        combined = combined.combine(model.local_estep(theta, [s]).payload)
+    assert np.array_equal(whole._acc.value(), combined._acc.value())
+    assert (whole.m, whole.n) == (combined.m, combined.n)
+
+
+def test_model_keeps_no_per_call_state(small_dataset):
+    samples, _ = small_dataset
+    model = LmmModel(4, 3)
+    before = copy.deepcopy(vars(model))
+    subsets = partition(samples, 4, seed=0)
+    _, tr = run_dem(RunConfig(K=4, gamma=0.5, seed=1), model, subsets,
+                    Theta.default_start(4, 3))
+    assert check_monotone_F(tr, model, subsets) == []
+    assert vars(model) == before
+
+
+def test_moments_computed_concurrently():
+    # the real scheduler E-steps from threads, so fresh samples can get
+    # their data moments computed by several threads at once
+    rng = np.random.default_rng(25)
+    model = LmmModel(3, 2)
+    theta = random_theta(rng, 3, 2)
+    base = [random_sample(rng, 3, 2) for _ in range(50)]
+    expected = model.local_loglik(theta, base)
+    fresh = [Sample(y=s.y, X=s.X, Z=s.Z) for s in base]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(model.local_loglik, theta, fresh) for _ in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 8
 
 
 def test_rss_exp_matches_direct_expectation():

@@ -187,7 +187,6 @@ def test_fractional_run_monotone_F(fitted_pieces):
         _, tr = run_dem(RunConfig(K=5, gamma=gamma, seed=9), model, subsets, theta0)
         assert tr.converged
         assert check_monotone_F(tr, model, subsets) == []
-    model.clear_cache()
 
 
 def test_finish_completion_policy_smoke(fitted_pieces):
