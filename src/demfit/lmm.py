@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -185,13 +185,47 @@ def vec_to_theta(u: np.ndarray, p: int, q: int) -> Theta:
     return Theta(beta, L, math.exp(u[-1]))
 
 
+class _StatsValues(NamedTuple):
+    """The statistics of an `LmmSuffStats`, as arrays and floats."""
+
+    S_xx: np.ndarray  # (p, p)
+    S_xy: np.ndarray  # (p,)
+    S_xzb: np.ndarray  # (p,)
+    S_bb: np.ndarray  # (q, q)
+    s_yy: float
+    s_yzb: float
+    s_bzzb: float
+    loglik: float
+
+    def rss_exp(self, beta: np.ndarray) -> float:
+        """Expected residual sum of squares at beta (anchors fixed)."""
+        return (
+            self.s_yy
+            - 2.0 * self.s_yzb
+            + self.s_bzzb
+            + beta @ self.S_xx @ beta
+            - 2.0 * beta @ (self.S_xy - self.S_xzb)
+        )
+
+
+@lru_cache(maxsize=16)
+def _stats_layout(p: int, q: int) -> tuple:
+    """Slices of the `_StatsValues` fields in the flat accumulator."""
+    out = []
+    i0 = 0
+    for size in (p * p, p, p, q * q, 1, 1, 1, 1):
+        out.append(slice(i0, i0 + size))
+        i0 += size
+    return tuple(out)
+
+
 class LmmSuffStats:
     """Additive subset aggregates for the mixed model.
 
     The flat accumulator holds, in order: S_xx (p*p), S_xy (p), S_xzb (p),
-    S_bb (q*q), then the scalars s_yy, s_yzb, s_bzzb.  Those are enough to
-    evaluate the expected residual sum at any beta, so the maximization can
-    move beta away from the anchor the E step was run at.
+    S_bb (q*q), then the scalars s_yy, s_yzb, s_bzzb and the loglik.  Those
+    are enough to evaluate the expected residual sum at any beta, so the
+    maximization can move beta away from the anchor the E step was run at.
     """
 
     __slots__ = ("p", "q", "m", "n", "_acc")
@@ -201,63 +235,50 @@ class LmmSuffStats:
         self.q = q
         self.m = 0
         self.n = 0
-        self._acc = DDArray(p * p + 2 * p + q * q + 4)
+        self._acc = DDArray(_stats_layout(p, q)[-1].stop)
 
-    # -- flat layout -------------------------------------------------------
-    def _slices(self):
+    def values(self) -> _StatsValues:
+        """Every statistic, read from one rounding of the accumulator."""
         p, q = self.p, self.q
-        i0 = 0
-        sl = {}
-        for name, size in [
-            ("S_xx", p * p),
-            ("S_xy", p),
-            ("S_xzb", p),
-            ("S_bb", q * q),
-            ("s_yy", 1),
-            ("s_yzb", 1),
-            ("s_bzzb", 1),
-            ("loglik", 1),
-        ]:
-            sl[name] = slice(i0, i0 + size)
-            i0 += size
-        return sl
-
-    def _get(self, name):
-        return self._acc.value()[self._slices()[name]]
+        v = self._acc.value()
+        S_xx, S_xy, S_xzb, S_bb, *scalars = (v[sl] for sl in _stats_layout(p, q))
+        return _StatsValues(
+            S_xx.reshape(p, p), S_xy, S_xzb, S_bb.reshape(q, q), *(float(x[0]) for x in scalars)
+        )
 
     @property
     def S_xx(self) -> np.ndarray:
-        return self._get("S_xx").reshape(self.p, self.p)
+        return self.values().S_xx
 
     @property
     def S_xy(self) -> np.ndarray:
-        return self._get("S_xy")
+        return self.values().S_xy
 
     @property
     def S_xzb(self) -> np.ndarray:
-        return self._get("S_xzb")
+        return self.values().S_xzb
 
     @property
     def S_bb(self) -> np.ndarray:
-        return self._get("S_bb").reshape(self.q, self.q)
+        return self.values().S_bb
 
     @property
     def s_yy(self) -> float:
-        return float(self._get("s_yy")[0])
+        return self.values().s_yy
 
     @property
     def s_yzb(self) -> float:
-        return float(self._get("s_yzb")[0])
+        return self.values().s_yzb
 
     @property
     def s_bzzb(self) -> float:
-        return float(self._get("s_bzzb")[0])
+        return self.values().s_bzzb
 
     @property
     def loglik(self) -> float:
         # accumulated like the other statistics so the rounded total does
         # not depend on how the samples were grouped across subsets
-        return float(self._get("loglik")[0])
+        return self.values().loglik
 
     # -- accumulation ------------------------------------------------------
     @classmethod
@@ -281,13 +302,7 @@ class LmmSuffStats:
 
     def rss_exp(self, beta: np.ndarray) -> float:
         """Expected residual sum of squares at beta (anchors fixed)."""
-        return (
-            self.s_yy
-            - 2.0 * self.s_yzb
-            + self.s_bzzb
-            + beta @ self.S_xx @ beta
-            - 2.0 * beta @ (self.S_xy - self.S_xzb)
-        )
+        return self.values().rss_exp(beta)
 
     # -- wire serialization ------------------------------------------------
     def pack(self) -> np.ndarray:
@@ -313,6 +328,13 @@ class _Posterior(NamedTuple):
     A: np.ndarray  # (m, q, q) precisions D^{-1} + Z'Z; covariance tau2 A^{-1}
     Ainv: np.ndarray  # (m, q, q)
     logdet_A: np.ndarray  # (m,)
+
+
+def _kl_total(kl: np.ndarray) -> float:
+    val = math.fsum(kl)
+    if not math.isfinite(val):
+        raise NumericalDomainError("non-finite KL term")
+    return val
 
 
 class LmmModel(ModelContract):
@@ -364,9 +386,13 @@ class LmmModel(ModelContract):
     def _kernel(self, theta: Theta, rec: np.ndarray):
         """The posterior at theta and the marginal log density of every
         sample, as (_Posterior, (m,) logliks)."""
-        p = self.p
         Linv = np.linalg.inv(theta.L)
         post = self._posterior(rec, Linv.T @ Linv, theta.beta)
+        return post, self._loglik(theta, rec, post)
+
+    def _loglik(self, theta: Theta, rec: np.ndarray, post: _Posterior) -> np.ndarray:
+        """Marginal log density of every sample, given its posterior at theta."""
+        p = self.p
         # r'r = ||R (-beta, 1)||^2 for r = y - X beta; the expansion
         # y'y - 2 beta'X'y + beta'X'X beta would cancel when r is small
         R = rec[:, self._rec["R"]].reshape(-1, p + 1, p + 1)
@@ -381,7 +407,37 @@ class LmmModel(ModelContract):
         )
         if not np.all(np.isfinite(loglik)):
             raise NumericalDomainError("non-finite marginal log density")
-        return post, loglik
+        return loglik
+
+    def _anchored(self, theta: Theta, anchors: Sequence[Theta], sizes: Sequence[int],
+                  rec: np.ndarray):
+        """The posterior at theta and every sample's Gaussian
+        KL(posterior at its anchor || posterior at theta), as
+        (_Posterior, (m,) KL terms).
+
+        anchors[k] is the anchor of the next sizes[k] records.  Both
+        posteriors come from one batch of 2m rows: the anchor rows, each
+        with its own anchor's D^{-1} and beta, then the rows at theta.
+        """
+        q = self.q
+        m = rec.shape[0]
+        K = len(anchors)
+        group = np.repeat(np.arange(K), sizes)
+        Linv = np.linalg.inv(np.stack([a.L for a in anchors] + [theta.L]))
+        Dinv = Linv.transpose(0, 2, 1) @ Linv
+        beta = np.stack([a.beta for a in anchors] + [theta.beta])
+        rows = np.concatenate([group, np.full(m, K)])
+        post = self._posterior(np.concatenate([rec, rec]), Dinv[rows], beta[rows])
+        # C = tau2 A^{-1}, so C_e^{-1} = A_e / tau2_e needs no factorization
+        # and log|C| = q log tau2 - log|A|
+        tau2_a = np.array([a.tau2 for a in anchors])[group]
+        log_ratio = np.array([q * math.log(theta.tau2 / a.tau2) for a in anchors])[group]
+        Ainv_a, A_e = post.Ainv[:m], post.A[m:]
+        tr = (tau2_a / theta.tau2) * (A_e * Ainv_a).reshape(m, q * q).sum(axis=1)
+        d = post.b_hat[m:] - post.b_hat[:m]
+        quad = ((A_e @ d[:, :, None])[:, :, 0] * d).sum(axis=1) / theta.tau2
+        logdet = log_ratio - post.logdet_A[m:] + post.logdet_A[:m]
+        return _Posterior(*(x[m:] for x in post)), 0.5 * (tr + quad - q + logdet)
 
     def posterior_moments(self, theta: Theta, s: Sample):
         """Mean and covariance of the random effects given the data.
@@ -431,35 +487,36 @@ class LmmModel(ModelContract):
 
     def q_value(self, stats: LmmSuffStats, theta: Theta) -> float:
         """Expected complete-data log likelihood reconstructed from aggregates."""
+        v = stats.values()
         logdet_D = 2.0 * np.sum(np.log(np.diag(theta.L)))
         Dinv = sla.cho_solve((theta.L, True), np.eye(self.q), check_finite=False)
         return (
             -0.5 * (stats.n + self.q * stats.m) * math.log(2.0 * math.pi * theta.tau2)
             - 0.5 * stats.m * logdet_D
-            - 0.5 * (stats.rss_exp(theta.beta) + float(np.sum(Dinv * stats.S_bb))) / theta.tau2
+            - 0.5 * (v.rss_exp(theta.beta) + float(np.sum(Dinv * v.S_bb))) / theta.tau2
         )
 
     def cm_steps(self, agg, theta_current: Theta) -> Theta:
         stats: LmmSuffStats = agg.payload if isinstance(agg, SuffStats) else agg
-        S_xx = stats.S_xx
+        v = stats.values()
         try:
-            c = sla.cho_factor(S_xx, lower=True, check_finite=False)
+            c = sla.cho_factor(v.S_xx, lower=True, check_finite=False)
         except (sla.LinAlgError, ValueError) as exc:
             raise RankDeficiencyError(
                 "fixed-effects design S_xx is singular; columns of X are collinear"
             ) from exc
-        beta = sla.cho_solve(c, stats.S_xy - stats.S_xzb, check_finite=False)
+        beta = sla.cho_solve(c, v.S_xy - v.S_xzb, check_finite=False)
         if self.cm_order == "joint":
-            tau2 = stats.rss_exp(beta) / stats.n
-            D = stats.S_bb / (stats.m * tau2)
+            tau2 = v.rss_exp(beta) / stats.n
+            D = v.S_bb / (stats.m * tau2)
         else:
             Dinv_old = sla.cho_solve(
                 (theta_current.L, True), np.eye(self.q), check_finite=False
             )
-            tau2 = (stats.rss_exp(beta) + float(np.sum(Dinv_old * stats.S_bb))) / (
+            tau2 = (v.rss_exp(beta) + float(np.sum(Dinv_old * v.S_bb))) / (
                 stats.n + self.q * stats.m
             )
-            D = stats.S_bb / (stats.m * tau2)
+            D = v.S_bb / (stats.m * tau2)
         theta_new = Theta.from_cov(beta, D, tau2)
         if not np.all(np.isfinite(theta_to_vec(theta_new))):
             raise NumericalDomainError("non-finite parameter update")
@@ -467,29 +524,24 @@ class LmmModel(ModelContract):
 
     def local_kl(self, theta_eval: Theta, theta_anchor: Theta, subset: SubsetData) -> float:
         """Sum of Gaussian KL(posterior at anchor || posterior at eval)."""
-        q = self.q
-        rec = self._records(subset)
-        m = rec.shape[0]
-        # both posteriors in one batch: the anchor's m rows, then eval's
-        Linv = np.linalg.inv(np.stack([theta_anchor.L, theta_eval.L]))
-        Dinv = np.repeat(Linv.transpose(0, 2, 1) @ Linv, m, axis=0)
-        beta = np.repeat(np.stack([theta_anchor.beta, theta_eval.beta]), m, axis=0)
-        post = self._posterior(np.concatenate([rec, rec]), Dinv, beta)
-        # C = tau2 A^{-1}, so C_e^{-1} = A_e / tau2_e needs no factorization
-        # and log|C| = q log tau2 - log|A|
-        Ainv_a, A_e = post.Ainv[:m], post.A[m:]
-        tr = (theta_anchor.tau2 / theta_eval.tau2) * (A_e * Ainv_a).reshape(m, q * q).sum(axis=1)
-        d = post.b_hat[m:] - post.b_hat[:m]
-        quad = ((A_e @ d[:, :, None])[:, :, 0] * d).sum(axis=1) / theta_eval.tau2
-        logdet = (
-            q * math.log(theta_eval.tau2 / theta_anchor.tau2)
-            - post.logdet_A[m:]
-            + post.logdet_A[:m]
-        )
-        val = math.fsum(0.5 * (tr + quad - q + logdet))
-        if not math.isfinite(val):
-            raise NumericalDomainError("non-finite KL term")
-        return val
+        _, kl = self._anchored(theta_eval, [theta_anchor], [len(subset)], self._records(subset))
+        return _kl_total(kl)
+
+    def free_energy_terms(self, theta: Theta, anchors: Sequence[Theta],
+                          subsets: Sequence[SubsetData]) -> list:
+        """Per subset, -local_kl(theta, anchor, subset) + local_loglik(theta,
+        subset), from one batched pass over the samples of every subset."""
+        sizes = [len(subset) for subset in subsets]
+        rec = self._records([s for subset in subsets for s in subset])
+        post, kl = self._anchored(theta, anchors, sizes, rec)
+        loglik = self._loglik(theta, rec, post)
+        terms = []
+        stop = 0
+        for size in sizes:
+            part = slice(stop, stop + size)
+            stop += size
+            terms.append(-_kl_total(kl[part]) + math.fsum(loglik[part]))
+        return terms
 
     # -- wire serialization --------------------------------------------------
     def pack_theta(self, theta: Theta) -> np.ndarray:

@@ -39,7 +39,10 @@ class SuffStats:
 class ModelContract(ABC):
     """Operations a model plugin must provide.
 
-    local_kl(theta, theta, subset) must be 0 and local_loglik must stay
+    free_energy_terms(theta, anchors, subsets) returns, per subset k, the
+    local log likelihood at theta minus KL(posterior at anchors[k] ||
+    posterior at theta).  With every anchor equal to theta the terms must
+    equal the subsets' local_loglik values, and local_loglik must stay
     finite on the valid parameter domain.
     """
 
@@ -53,7 +56,7 @@ class ModelContract(ABC):
     def cm_steps(self, agg, theta_current): ...
 
     @abstractmethod
-    def local_kl(self, theta_eval, theta_anchor, subset) -> float: ...
+    def free_energy_terms(self, theta, anchors, subsets) -> list: ...
 
 
 def aggregate_stats(cache: dict, K: Optional[int] = None) -> SuffStats:
@@ -97,17 +100,14 @@ def evaluate_F(theta, anchors: Sequence, model: ModelContract, subsets: Sequence
     minus the KL gap between the anchored posterior and the posterior at theta.
 
     With every anchor equal to theta this collapses to the full-data log
-    likelihood.
+    likelihood.  The model evaluates every subset's term in one call.
     """
     if len(anchors) != len(subsets):
         raise ValueError(
             f"need one anchor per subset: got {len(anchors)} anchors, {len(subsets)} subsets"
         )
     total = 0.0
-    for k, (anchor, subset) in enumerate(zip(anchors, subsets)):
-        kl = model.local_kl(theta, anchor, subset)
-        ll = model.local_loglik(theta, subset)
-        term = -kl + ll
+    for k, term in enumerate(model.free_energy_terms(theta, anchors, subsets)):
         if not math.isfinite(term):
             raise NumericalDomainError(f"non-finite free-energy term for subset {k}")
         total += term

@@ -6,11 +6,17 @@ import pytest
 from demfit import (
     ConvergenceMonitor,
     LmmModel,
+    NumericalDomainError,
     ProtocolError,
+    RunConfig,
+    Sample,
     Theta,
     Trace,
     aggregate_stats,
+    check_monotone_F,
     evaluate_F,
+    partition,
+    run_dem,
 )
 from conftest import random_sample, random_theta
 
@@ -84,6 +90,64 @@ def test_evaluate_F_anchor_count_mismatch():
     theta = random_theta(rng, 2, 2)
     with pytest.raises(ValueError, match="one anchor per subset"):
         evaluate_F(theta, [theta], model, [[], []])
+
+
+def _fractional_run(samples):
+    subsets = partition(samples, 5, seed=0)
+    model = LmmModel(4, 3)
+    _, tr = run_dem(RunConfig(K=5, gamma=0.3, seed=2), model, subsets,
+                    Theta.default_start(4, 3))
+    return model, subsets, tr
+
+
+def test_evaluate_F_matches_subset_definition(small_dataset):
+    # the batched pass over all subsets gives exactly the per-subset sum, at
+    # every iteration whose anchors differ across subsets
+    model, subsets, tr = _fractional_run(small_dataset[0])
+    subsets = subsets + [[]]
+    mixed = [t for t, tags in enumerate(tr.anchor_tags) if len(set(tags)) > 2]
+    assert mixed
+    for t in mixed:
+        theta = tr.thetas[t]
+        anchors = [tr.thetas[tag] for tag in tr.anchor_tags[t]] + [tr.thetas[0]]
+        expected = 0.0
+        for anchor, subset in zip(anchors, subsets):
+            expected += -model.local_kl(theta, anchor, subset) + model.local_loglik(theta, subset)
+        assert evaluate_F(theta, anchors, model, subsets) == expected
+
+
+def test_evaluate_F_non_finite_subset():
+    rng = np.random.default_rng(5)
+    model = LmmModel(2, 2)
+    theta = random_theta(rng, 2, 2)
+    subsets = [[random_sample(rng, 2, 2) for _ in range(3)] for _ in range(3)]
+    bad = subsets[1][2]
+    subsets[1][2] = Sample(y=np.append(bad.y[:-1], np.nan), X=bad.X, Z=bad.Z)
+    with pytest.raises(NumericalDomainError):
+        evaluate_F(theta, [theta] * 3, model, subsets)
+
+
+def test_audit_one_model_call_per_iteration(small_dataset):
+    class CountingModel(LmmModel):
+        def __init__(self, p, q):
+            super().__init__(p, q)
+            self.calls = {}
+
+        def _count(self, name):
+            self.calls[name] = self.calls.get(name, 0) + 1
+
+        def free_energy_terms(self, theta, anchors, subsets):
+            self._count("free_energy_terms")
+            return super().free_energy_terms(theta, anchors, subsets)
+
+        def local_kl(self, theta_eval, theta_anchor, subset):
+            self._count("local_kl")
+            return super().local_kl(theta_eval, theta_anchor, subset)
+
+    _, subsets, tr = _fractional_run(small_dataset[0])
+    model = CountingModel(4, 3)
+    assert check_monotone_F(tr, model, subsets) == []
+    assert model.calls == {"free_energy_terms": len(tr.thetas)}
 
 
 def test_trace_properties():
