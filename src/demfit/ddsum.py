@@ -38,32 +38,39 @@ class DDArray:
         self.lo = np.zeros(n)
 
     @classmethod
-    def from_parts(cls, hi: np.ndarray, lo: np.ndarray) -> "DDArray":
-        out = cls(hi.size)
-        out.hi = np.asarray(hi, dtype=float).copy()
-        out.lo = np.asarray(lo, dtype=float).copy()
+    def _wrap(cls, hi: np.ndarray, lo: np.ndarray) -> "DDArray":
+        # adopts the arrays as they are, without copying
+        out = cls.__new__(cls)
+        out.hi, out.lo = hi, lo
         return out
 
     @classmethod
-    def sum_rows(cls, rows: np.ndarray) -> "DDArray":
+    def from_parts(cls, hi: np.ndarray, lo: np.ndarray) -> "DDArray":
+        return cls._wrap(np.array(hi, dtype=float), np.array(lo, dtype=float))
+
+    @classmethod
+    def sum_rows(cls, rows: np.ndarray, lo: np.ndarray | None = None) -> "DDArray":
         """Compensated sum of the rows of a 2-D array.
 
+        rows are hi words and lo, when given, the matching lo words, so the
+        rows may themselves be double-double values (the parts of a merge).
         The rows are zero-padded to a power of two and merged pairwise, one
         vectorized level at a time; adding a zero row is exact, so the
-        padding does not change the sum.
+        padding does not change the sum.  Two rows are merged exactly as
+        `merge` merges them.
         """
         n, width = rows.shape
         size = 1 << max(n - 1, 0).bit_length()
-        hi = np.zeros((size, width))
-        hi[:n] = rows
-        lo = np.zeros((size, width))
+        words = np.zeros((2, size, width))
+        words[0, :n] = rows
+        if lo is not None:
+            words[1, :n] = lo
+        hi, lo = words
         while size > 1:
             size //= 2
             s, e = _two_sum(hi[:size], hi[size:])
             hi, lo = _renorm(s, e + (lo[:size] + lo[size:]))
-        out = cls(width)
-        out.hi, out.lo = hi[0], lo[0]
-        return out
+        return cls._wrap(hi[0], lo[0])
 
     def add(self, x: np.ndarray) -> None:
         s, e = _two_sum(self.hi, x)

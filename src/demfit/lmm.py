@@ -17,10 +17,43 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .ddsum import DDArray
 from .model import ModelContract, NumericalDomainError, RankDeficiencyError, SuffStats
+
+# LAPACK's Cholesky factor and solve, called directly: the results are
+# bitwise those of scipy's cho_factor/cho_solve, without their per-call
+# wrapper cost (about 20 us each), which the M step pays every iteration.
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (c c') x = b for the lower Cholesky factor c."""
+    x, info = _potrs(c, b, lower=True)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
+
+
+@lru_cache(maxsize=16)
+def _tril(q: int) -> tuple:
+    """Row and column indices of the lower triangle of a q x q matrix, in
+    np.tril_indices order, and the mask of those on the diagonal."""
+    rows, cols = np.tril_indices(q)
+    out = (rows, cols, rows == cols)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=16)
+def _strict_upper(q: int) -> tuple:
+    """Indices of the entries above the diagonal of a q x q matrix."""
+    out = np.triu_indices(q, 1)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -36,16 +69,17 @@ class Theta:
         L = np.asarray(self.L, dtype=float)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "L", L)
-        object.__setattr__(self, "tau2", float(self.tau2))
-        if not np.all(np.isfinite(beta)) or not np.all(np.isfinite(L)):
+        tau2 = float(self.tau2)
+        object.__setattr__(self, "tau2", tau2)
+        if not (np.isfinite(beta).all() and np.isfinite(L).all()):
             raise NumericalDomainError("non-finite parameter values")
-        if self.tau2 <= 0 or not math.isfinite(self.tau2):
-            raise NumericalDomainError(f"tau2 must be positive, got {self.tau2}")
+        if tau2 <= 0 or not math.isfinite(tau2):
+            raise NumericalDomainError(f"tau2 must be positive, got {tau2}")
         if L.ndim != 2 or L.shape[0] != L.shape[1]:
             raise NumericalDomainError("L must be square")
-        if np.any(np.triu(L, 1) != 0):
+        if L[_strict_upper(L.shape[0])].any():
             raise NumericalDomainError("L must be lower triangular")
-        if np.any(np.diag(L) <= 0):
+        if (L.diagonal() <= 0).any():
             raise NumericalDomainError("L must have a positive diagonal")
 
     @property
@@ -167,22 +201,20 @@ def _unconstrained_size(p: int, q: int) -> int:
 
 def theta_to_vec(theta: Theta) -> np.ndarray:
     """Map to the unconstrained space (beta, vech(L) with log diagonal, log tau2)."""
-    q = theta.q
-    rows, cols = np.tril_indices(q)
-    tri = theta.L[rows, cols].copy()
-    tri[rows == cols] = np.log(tri[rows == cols])
+    rows, cols, diag = _tril(theta.q)
+    tri = theta.L[rows, cols]
+    tri[diag] = np.log(tri[diag])
     return np.concatenate([theta.beta, tri, [math.log(theta.tau2)]])
 
 
 def vec_to_theta(u: np.ndarray, p: int, q: int) -> Theta:
     u = np.asarray(u, dtype=float)
-    beta = u[:p]
-    tri = u[p : p + q * (q + 1) // 2].copy()
-    rows, cols = np.tril_indices(q)
-    tri[rows == cols] = np.exp(tri[rows == cols])
+    rows, cols, diag = _tril(q)
+    tri = u[p : p + rows.size].copy()
+    tri[diag] = np.exp(tri[diag])
     L = np.zeros((q, q))
     L[rows, cols] = tri
-    return Theta(beta, L, math.exp(u[-1]))
+    return Theta(u[:p], L, math.exp(u[-1]))
 
 
 class _StatsValues(NamedTuple):
@@ -230,12 +262,13 @@ class LmmSuffStats:
 
     __slots__ = ("p", "q", "m", "n", "_acc")
 
-    def __init__(self, p: int, q: int):
+    def __init__(self, p: int, q: int, acc: DDArray, m: int, n: int):
+        """Statistics of m samples with n observations, summed in acc."""
         self.p = p
         self.q = q
-        self.m = 0
-        self.n = 0
-        self._acc = DDArray(_stats_layout(p, q)[-1].stop)
+        self.m = m
+        self.n = n
+        self._acc = acc
 
     def values(self) -> _StatsValues:
         """Every statistic, read from one rounding of the accumulator."""
@@ -277,28 +310,32 @@ class LmmSuffStats:
     @property
     def loglik(self) -> float:
         # accumulated like the other statistics so the rounded total does
-        # not depend on how the samples were grouped across subsets
-        return self.values().loglik
+        # not depend on how the samples were grouped across subsets; the
+        # last word alone rounds to the same value values() reads
+        return float(self._acc.hi[-1] + self._acc.lo[-1])
 
     # -- accumulation ------------------------------------------------------
     @classmethod
     def from_rows(cls, p: int, q: int, rows: np.ndarray, n: int) -> "LmmSuffStats":
         """Statistics of m samples from their (m, width) contribution rows."""
-        out = cls(p, q)
-        out._acc = DDArray.sum_rows(rows)
-        out.m = rows.shape[0]
-        out.n = n
-        return out
+        return cls(p, q, DDArray.sum_rows(rows), rows.shape[0], n)
 
-    def combine(self, other: "LmmSuffStats") -> "LmmSuffStats":
-        if (self.p, self.q) != (other.p, other.q):
+    def combine(self, *others: "LmmSuffStats") -> "LmmSuffStats":
+        """The statistics of self and others together.
+
+        All accumulators are summed in one compensated pairwise pass
+        (`DDArray.sum_rows` over their hi and lo words); with one other
+        this is exactly `DDArray.merge`.
+        """
+        if any((o.p, o.q) != (self.p, self.q) for o in others):
             raise ValueError("incompatible statistic shapes")
-        out = LmmSuffStats(self.p, self.q)
-        out._acc = self._acc.copy()
-        out._acc.merge(other._acc)
-        out.m = self.m + other.m
-        out.n = self.n + other.n
-        return out
+        parts = (self, *others)
+        acc = DDArray.sum_rows(
+            np.array([s._acc.hi for s in parts]), np.array([s._acc.lo for s in parts])
+        )
+        return LmmSuffStats(
+            self.p, self.q, acc, sum(s.m for s in parts), sum(s.n for s in parts)
+        )
 
     def rss_exp(self, beta: np.ndarray) -> float:
         """Expected residual sum of squares at beta (anchors fixed)."""
@@ -312,12 +349,9 @@ class LmmSuffStats:
 
     @classmethod
     def unpack(cls, arr: np.ndarray, p: int, q: int) -> "LmmSuffStats":
-        out = cls(p, q)
-        size = out._acc.hi.size
-        out.m = int(arr[0])
-        out.n = int(arr[1])
-        out._acc = DDArray.from_parts(arr[2 : 2 + size], arr[2 + size : 2 + 2 * size])
-        return out
+        size = _stats_layout(p, q)[-1].stop
+        acc = DDArray.from_parts(arr[2 : 2 + size], arr[2 + size : 2 + 2 * size])
+        return cls(p, q, acc, int(arr[0]), int(arr[1]))
 
 
 class _Posterior(NamedTuple):
@@ -489,7 +523,7 @@ class LmmModel(ModelContract):
         """Expected complete-data log likelihood reconstructed from aggregates."""
         v = stats.values()
         logdet_D = 2.0 * np.sum(np.log(np.diag(theta.L)))
-        Dinv = sla.cho_solve((theta.L, True), np.eye(self.q), check_finite=False)
+        Dinv = _cho_solve(theta.L, np.eye(self.q))
         return (
             -0.5 * (stats.n + self.q * stats.m) * math.log(2.0 * math.pi * theta.tau2)
             - 0.5 * stats.m * logdet_D
@@ -499,26 +533,26 @@ class LmmModel(ModelContract):
     def cm_steps(self, agg, theta_current: Theta) -> Theta:
         stats: LmmSuffStats = agg.payload if isinstance(agg, SuffStats) else agg
         v = stats.values()
-        try:
-            c = sla.cho_factor(v.S_xx, lower=True, check_finite=False)
-        except (sla.LinAlgError, ValueError) as exc:
+        c, info = _potrf(v.S_xx, lower=True)
+        if info != 0:
             raise RankDeficiencyError(
                 "fixed-effects design S_xx is singular; columns of X are collinear"
-            ) from exc
-        beta = sla.cho_solve(c, v.S_xy - v.S_xzb, check_finite=False)
+            )
+        beta = _cho_solve(c, v.S_xy - v.S_xzb)
         if self.cm_order == "joint":
             tau2 = v.rss_exp(beta) / stats.n
             D = v.S_bb / (stats.m * tau2)
         else:
-            Dinv_old = sla.cho_solve(
-                (theta_current.L, True), np.eye(self.q), check_finite=False
-            )
+            Dinv_old = _cho_solve(theta_current.L, np.eye(self.q))
             tau2 = (v.rss_exp(beta) + float(np.sum(Dinv_old * v.S_bb))) / (
                 stats.n + self.q * stats.m
             )
             D = v.S_bb / (stats.m * tau2)
         theta_new = Theta.from_cov(beta, D, tau2)
-        if not np.all(np.isfinite(theta_to_vec(theta_new))):
+        # the unconstrained coordinates (theta_to_vec) must be finite; beta
+        # and L are checked by Theta, which leaves their logs
+        if not (np.isfinite(np.log(theta_new.L.diagonal())).all()
+                and math.isfinite(math.log(theta_new.tau2))):
             raise NumericalDomainError("non-finite parameter update")
         return theta_new
 
@@ -545,16 +579,15 @@ class LmmModel(ModelContract):
 
     # -- wire serialization --------------------------------------------------
     def pack_theta(self, theta: Theta) -> np.ndarray:
-        rows, cols = np.tril_indices(self.q)
+        rows, cols, _ = _tril(self.q)
         return np.concatenate([theta.beta, theta.L[rows, cols], [theta.tau2]])
 
     def unpack_theta(self, arr: np.ndarray) -> Theta:
         p, q = self.p, self.q
-        beta = arr[:p]
-        rows, cols = np.tril_indices(q)
+        rows, cols, _ = _tril(q)
         L = np.zeros((q, q))
         L[rows, cols] = arr[p : p + rows.size]
-        return Theta(beta, L, float(arr[-1]))
+        return Theta(arr[:p], L, float(arr[-1]))
 
     def pack_stats(self, stats: SuffStats) -> np.ndarray:
         return stats.payload.pack()

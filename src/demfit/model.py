@@ -63,7 +63,8 @@ def aggregate_stats(cache: dict, K: Optional[int] = None) -> SuffStats:
     """Additively combine one cached E-step result per subset.
 
     The cache must hold exactly one entry for every subset id 0..K-1; the
-    M step must never run before every subset has reported once.
+    M step must never run before every subset has reported once.  The
+    payloads are combined in one call, `first.combine(*rest)`.
     """
     if not cache:
         raise ProtocolError("empty statistics cache")
@@ -72,14 +73,12 @@ def aggregate_stats(cache: dict, K: Optional[int] = None) -> SuffStats:
     missing = [k for k in range(K) if k not in cache]
     if missing:
         raise ProtocolError(f"missing E-step results for subsets {missing}")
-    keys = sorted(cache)
-    first = cache[keys[0]]
-    payload = first.payload
+    parts = [cache[k] for k in sorted(cache)]
+    first, rest = parts[0], parts[1:]
+    payload = first.payload.combine(*(s.payload for s in rest))
     n_obs = first.n_obs
     loglik = first.local_loglik_at_anchor
-    for k in keys[1:]:
-        s = cache[k]
-        payload = payload.combine(s.payload)
+    for s in rest:
         n_obs += s.n_obs
         loglik += s.local_loglik_at_anchor
     # a payload that carries its own compensated loglik total gives a
@@ -91,7 +90,7 @@ def aggregate_stats(cache: dict, K: Optional[int] = None) -> SuffStats:
         n_obs=n_obs,
         local_loglik_at_anchor=loglik,
         payload=payload,
-        anchor_tags=[cache[k].anchor_tag for k in keys],
+        anchor_tags=[s.anchor_tag for s in parts],
     )
 
 

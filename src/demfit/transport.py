@@ -6,7 +6,10 @@ identical across transports.
 
 Socket wire format: a connection opens with the magic bytes b"DEMX1";
 every frame is little-endian {u32 body-length, u8 msg-kind, u32 subset_id,
-u64 iteration, f64-array payload}.
+u64 iteration, f64-array payload}.  A worker whose request fails answers
+with an error frame (KIND_ERROR) in place of the reply: same header, with
+the UTF-8 text "ExceptionType: message" as its payload; it then goes on
+serving requests.
 """
 from __future__ import annotations
 
@@ -26,13 +29,22 @@ KIND_ESTEP_REP = 2
 KIND_LOGLIK_REQ = 3
 KIND_LOGLIK_REP = 4
 KIND_SHUTDOWN = 5
+KIND_ERROR = 6
+
+
+def _send(sock, kind: int, subset_id: int, iteration: int, data: bytes):
+    body = _HEAD.pack(kind, subset_id, iteration) + data
+    sock.sendall(struct.pack("<I", len(body)) + body)
 
 
 def write_frame(sock, kind: int, subset_id: int, iteration: int, payload: np.ndarray):
-    body = _HEAD.pack(kind, subset_id, iteration) + np.asarray(
-        payload, dtype="<f8"
-    ).tobytes()
-    sock.sendall(struct.pack("<I", len(body)) + body)
+    _send(sock, kind, subset_id, iteration, np.asarray(payload, dtype="<f8").tobytes())
+
+
+def write_error(sock, subset_id: int, iteration: int, exc: BaseException):
+    """Answer a failed request with its exception's type name and message."""
+    text = f"{type(exc).__name__}: {exc}"
+    _send(sock, KIND_ERROR, subset_id, iteration, text.encode("utf-8"))
 
 
 def _recv_exact(sock, n: int) -> bytes:
@@ -46,9 +58,13 @@ def _recv_exact(sock, n: int) -> bytes:
 
 
 def read_frame(sock):
+    """(kind, subset_id, iteration, payload); the payload of an error frame
+    is its text, of any other frame an f64 array."""
     (length,) = struct.unpack("<I", _recv_exact(sock, 4))
     body = _recv_exact(sock, length)
     kind, subset_id, iteration = _HEAD.unpack(body[: _HEAD.size])
+    if kind == KIND_ERROR:
+        return kind, subset_id, iteration, body[_HEAD.size :].decode("utf-8", "replace")
     payload = np.frombuffer(body[_HEAD.size :], dtype="<f8").copy()
     return kind, subset_id, iteration, payload
 
@@ -116,16 +132,24 @@ class SocketPool:
                 kind, subset_id, iteration, payload = read_frame(conn)
                 if kind == KIND_SHUTDOWN:
                     return
-                theta = self.model.unpack_theta(payload)
-                if kind == KIND_ESTEP_REQ:
-                    stats = self.model.local_estep(
-                        theta, subset, subset_id=k, anchor_tag=iteration
-                    )
-                    write_frame(conn, KIND_ESTEP_REP, k, iteration,
-                                self.model.pack_stats(stats))
-                elif kind == KIND_LOGLIK_REQ:
-                    ll = self.model.local_loglik(theta, subset)
-                    write_frame(conn, KIND_LOGLIK_REP, k, iteration, np.array([ll]))
+                # a failing request is reported to the manager, and the
+                # worker stays up for the next one
+                try:
+                    theta = self.model.unpack_theta(payload)
+                    if kind == KIND_ESTEP_REQ:
+                        stats = self.model.local_estep(
+                            theta, subset, subset_id=k, anchor_tag=iteration
+                        )
+                        reply = KIND_ESTEP_REP, self.model.pack_stats(stats)
+                    elif kind == KIND_LOGLIK_REQ:
+                        ll = self.model.local_loglik(theta, subset)
+                        reply = KIND_LOGLIK_REP, np.array([ll])
+                    else:
+                        raise ProtocolError(f"unknown request kind {kind}")
+                except Exception as exc:
+                    write_error(conn, k, iteration, exc)
+                    continue
+                write_frame(conn, reply[0], k, iteration, reply[1])
         finally:
             conn.close()
 
@@ -135,6 +159,8 @@ class SocketPool:
         conn = self._conns[k]
         write_frame(conn, kind, k, iteration, self.model.pack_theta(theta))
         got = read_frame(conn)
+        if got[0] == KIND_ERROR:
+            raise ProtocolError(f"worker {k} failed: {got[3]}")
         expected = (reply_kind, int(k), int(iteration))
         if got[:3] != expected:
             raise ProtocolError(

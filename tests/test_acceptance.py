@@ -128,6 +128,7 @@ def test_criterion_1_exact_equivalence(equivalence_runs):
                  f"K in (1, 5, 10) in {equivalence_runs['elapsed']:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_2_loglik_ratio(ratio_experiment):
     worst = 0.0
     for (rep, K, gamma), (theta, tr) in ratio_experiment["dem"].items():
@@ -327,6 +328,7 @@ def test_criterion_9_empirical_gamma():
                  f"(worst offset {off:.4f})")
 
 
+@pytest.mark.slow
 def test_criterion_10_feature_pipeline_end_to_end():
     from demfit.movielens import (
         RatingsRecord,

@@ -31,6 +31,24 @@ def test_sum_rows_matches_fsum():
             assert acc.value()[j] == math.fsum(rows[:, j])
 
 
+def test_sum_rows_of_dd_parts_matches_merge_fold():
+    # rows given as hi and lo words sum to what merging them one by one gives
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 8, 20):
+        parts = [
+            DDArray.sum_rows(rng.standard_normal((5, 4)) * 10.0 ** rng.integers(-8, 9, size=(5, 4)))
+            for _ in range(n)
+        ]
+        folded = parts[0].copy()
+        for part in parts[1:]:
+            folded.merge(part)
+        total = DDArray.sum_rows(np.array([a.hi for a in parts]), np.array([a.lo for a in parts]))
+        np.testing.assert_array_equal(total.value(), folded.value())
+        if n <= 2:
+            np.testing.assert_array_equal(total.hi, folded.hi)
+            np.testing.assert_array_equal(total.lo, folded.lo)
+
+
 def test_matches_fsum():
     rng = np.random.default_rng(1)
     vals = rng.standard_normal(5000) * 1e6

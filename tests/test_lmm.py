@@ -326,6 +326,48 @@ def test_cm_increases_q():
         )
 
 
+def _reference_cm_steps(model, stats, theta_current):
+    """cm_steps through scipy's cho_factor/cho_solve."""
+    v = stats.values()
+    c = sla.cho_factor(v.S_xx, lower=True, check_finite=False)
+    beta = sla.cho_solve(c, v.S_xy - v.S_xzb, check_finite=False)
+    if model.cm_order == "joint":
+        tau2 = v.rss_exp(beta) / stats.n
+    else:
+        Dinv_old = sla.cho_solve((theta_current.L, True), np.eye(model.q), check_finite=False)
+        tau2 = (v.rss_exp(beta) + float(np.sum(Dinv_old * v.S_bb))) / (
+            stats.n + model.q * stats.m
+        )
+    return Theta.from_cov(beta, v.S_bb / (stats.m * tau2), tau2)
+
+
+def _reference_q_value(model, stats, theta):
+    v = stats.values()
+    Dinv = sla.cho_solve((theta.L, True), np.eye(model.q), check_finite=False)
+    return (
+        -0.5 * (stats.n + model.q * stats.m) * math.log(2.0 * math.pi * theta.tau2)
+        - 0.5 * stats.m * 2.0 * np.sum(np.log(np.diag(theta.L)))
+        - 0.5 * (v.rss_exp(theta.beta) + float(np.sum(Dinv * v.S_bb))) / theta.tau2
+    )
+
+
+@pytest.mark.parametrize("order", ["joint", "ecm"])
+def test_cm_steps_and_q_value_match_scipy_cholesky(order):
+    # the direct LAPACK calls give bitwise what cho_factor/cho_solve give
+    rng = np.random.default_rng(23)
+    model = LmmModel(4, 3, cm_order=order)
+    for _ in range(10):
+        theta = random_theta(rng, 4, 3)
+        stats = model.local_estep(theta, [random_sample(rng, 4, 3) for _ in range(8)]).payload
+        got = model.cm_steps(stats, theta)
+        ref = _reference_cm_steps(model, stats, theta)
+        np.testing.assert_array_equal(got.beta, ref.beta)
+        np.testing.assert_array_equal(got.L, ref.L)
+        assert got.tau2 == ref.tau2
+        for th in (theta, got):
+            assert model.q_value(stats, th) == _reference_q_value(model, stats, th)
+
+
 def test_minorization():
     # Q(theta'|theta) - Q(theta|theta) <= L(theta') - L(theta)
     rng = np.random.default_rng(19)
@@ -341,13 +383,14 @@ def test_minorization():
 
 
 def test_cm_rank_deficiency():
-    model = LmmModel(2, 1)
     theta = Theta(np.zeros(2), np.eye(1), 1.0)
     # duplicate X columns -> singular S_xx
     s = Sample(y=[1.0, 2.0], X=[[1.0, 1.0], [2.0, 2.0]], Z=[[1.0], [1.0]])
-    agg = model.local_estep(theta, [s])
-    with pytest.raises(RankDeficiencyError, match="collinear"):
-        model.cm_steps(agg, theta)
+    for order in ("joint", "ecm"):
+        model = LmmModel(2, 1, cm_order=order)
+        agg = model.local_estep(theta, [s])
+        with pytest.raises(RankDeficiencyError, match="collinear"):
+            model.cm_steps(agg, theta)
 
 
 # -- parameter plumbing --------------------------------------------------------
@@ -373,14 +416,30 @@ def test_theta_wire_roundtrip():
 
 
 def test_theta_validation():
-    with pytest.raises(NumericalDomainError):
+    with pytest.raises(NumericalDomainError, match="tau2 must be positive, got -1.0"):
         Theta(np.zeros(1), np.eye(1), -1.0)
-    with pytest.raises(NumericalDomainError):
+    with pytest.raises(NumericalDomainError, match="tau2 must be positive, got nan"):
+        Theta(np.zeros(1), np.eye(1), np.nan)
+    with pytest.raises(NumericalDomainError, match="lower triangular"):
         Theta(np.zeros(1), np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0)
-    with pytest.raises(NumericalDomainError):
+    upper = np.eye(3)
+    upper[0, 2] = 0.5
+    with pytest.raises(NumericalDomainError, match="lower triangular"):
+        Theta(np.zeros(1), upper, 1.0)
+    with pytest.raises(NumericalDomainError, match="positive diagonal"):
         Theta(np.zeros(1), -np.eye(2), 1.0)
-    with pytest.raises(NumericalDomainError):
+    zero_diag = np.eye(3)
+    zero_diag[1, 1] = 0.0
+    with pytest.raises(NumericalDomainError, match="positive diagonal"):
+        Theta(np.zeros(1), zero_diag, 1.0)
+    with pytest.raises(NumericalDomainError, match="non-finite parameter values"):
         Theta(np.array([np.nan]), np.eye(1), 1.0)
+    inf_L = np.eye(2)
+    inf_L[1, 0] = np.inf
+    with pytest.raises(NumericalDomainError, match="non-finite parameter values"):
+        Theta(np.zeros(1), inf_L, 1.0)
+    with pytest.raises(NumericalDomainError, match="L must be square"):
+        Theta(np.zeros(1), np.ones((2, 3)), 1.0)
     with pytest.raises(NumericalDomainError):
         Theta.from_cov(np.zeros(1), np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
 

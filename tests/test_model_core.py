@@ -39,18 +39,28 @@ def test_aggregate_requires_all_subsets():
 
 
 def test_aggregate_matches_single_pass():
+    # K=20 subsets of uneven size, one of them empty: the one-pass combine
+    # equals the fold of binary combines and the single-pass E step
     rng = np.random.default_rng(1)
     model = LmmModel(2, 2)
     theta = random_theta(rng, 2, 2)
-    subsets = [[random_sample(rng, 2, 2) for _ in range(4)] for _ in range(3)]
-    agg = aggregate_stats(_cache(model, theta, subsets), 3)
-    flat = [s for sub in subsets for s in sub]
-    full = model.local_estep(theta, flat)
+    sizes = rng.integers(1, 9, size=20)
+    sizes[7] = 0
+    subsets = [[random_sample(rng, 2, 2) for _ in range(n)] for n in sizes]
+    cache = _cache(model, theta, subsets)
+    agg = aggregate_stats(cache, 20)
+    parts = [cache[k].payload for k in range(20)]
+    folded = parts[0]
+    for part in parts[1:]:
+        folded = folded.combine(part)
+    full = model.local_estep(theta, [s for sub in subsets for s in sub])
     assert agg.n_obs == full.n_obs
     assert agg.local_loglik_at_anchor == full.local_loglik_at_anchor
-    np.testing.assert_array_equal(agg.payload.S_xx, full.payload.S_xx)
-    np.testing.assert_array_equal(agg.payload.S_bb, full.payload.S_bb)
-    assert agg.anchor_tags == [0, 0, 0]
+    for stats in (parts[0].combine(*parts[1:]), folded, full.payload):
+        assert (stats.m, stats.n) == (agg.payload.m, agg.payload.n)
+        for got, want in zip(agg.payload.values(), stats.values()):
+            np.testing.assert_array_equal(got, want)
+    assert agg.anchor_tags == [0] * 20
 
 
 def test_convergence_monitor():

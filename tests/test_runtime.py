@@ -158,6 +158,31 @@ def test_socket_reply_checked_without_assert(fitted_pieces):
     assert not worker.is_alive()
 
 
+def test_socket_worker_error_reaches_manager(fitted_pieces):
+    """A worker's exception comes back as a ProtocolError that names the
+    worker and carries the exception's text; the worker keeps serving."""
+    samples, _, theta0 = fitted_pieces
+
+    class FailingModel(LmmModel):
+        def local_estep(self, theta, subset, subset_id=0, anchor_tag=0):
+            if anchor_tag >= 2:
+                raise RuntimeError(f"boom at {anchor_tag}")
+            return super().local_estep(theta, subset, subset_id, anchor_tag)
+
+    model = FailingModel(3, 3)
+    subsets = partition(samples, 2, seed=0)
+    pool = SocketPool(model, subsets)
+    try:
+        with pytest.raises(ProtocolError, match="worker 1 failed: RuntimeError: boom at 2"):
+            pool.estep(1, theta0, anchor_tag=2)
+        assert pool.loglik(1, theta0) == model.local_loglik(theta0, subsets[1])
+        assert pool.estep(1, theta0, anchor_tag=1).anchor_tag == 1
+    finally:
+        pool.close()
+    with pytest.raises(ProtocolError, match="RuntimeError: boom at 2"):
+        run_dem(RunConfig(K=2, transport="socket"), model, subsets, theta0)
+
+
 def test_incremental_pattern_single_fresh_worker(fitted_pieces):
     samples, model, theta0 = fitted_pieces
     K = 5
