@@ -14,6 +14,7 @@ import numpy as np
 
 from . import datagen, diagnostics, movielens
 from .lmm import LmmModel, Theta, information_matrices, speed_matrices
+from .model import ProtocolError
 from .runtime import RunConfig, run_dem, run_ecme0
 
 
@@ -44,8 +45,6 @@ def _build_parser():
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--max-iter", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scheduler", choices=("deterministic", "real"),
-                   default="deterministic")
     p.add_argument("--transport", choices=("in_process", "socket"),
                    default="in_process")
     p.add_argument("--completion", choices=("restart", "finish"), default="restart")
@@ -117,7 +116,6 @@ def cmd_fit(args) -> int:
             tol=args.tol,
             max_iter=args.max_iter,
             seed=args.seed,
-            scheduler=args.scheduler,
             transport=args.transport,
             completion=args.completion,
             exact_loglik_check=args.exact_loglik_check,
@@ -243,7 +241,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)  # explicit flags override config defaults
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, np.linalg.LinAlgError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,14 +2,12 @@
 
 A single manager gates the M step on a gamma-fraction of fresh worker
 E-step results and keeps the latest copy of every worker's statistics for
-the rest.  One manager loop, `run_dem`, serves every algorithm: a
-scheduler decides only where each iteration's fresh E steps come from.
-The deterministic scheduler serializes completion order through the
-transport pool so runs are exactly reproducible (and single-threaded); the
-real scheduler runs the E steps on a thread pool and accepts them in
-wall-clock completion order.  ECME (`run_ecme0`) is the loop with one
-worker and gamma = 1, and the synchronous schemes (`run_scheme`) are
-gamma = 1 over K workers.
+the rest.  One manager loop, `run_dem`, serves every algorithm.  A seeded
+permutation of the workers fixes each iteration's completion order, and
+the E steps run one at a time through the transport pool, so every run is
+exactly reproducible on either transport.  ECME (`run_ecme0`) is the loop
+with one worker and gamma = 1, and the synchronous schemes (`run_scheme`)
+are gamma = 1 over K workers.
 
 Log-likelihood bookkeeping: in the default mode the manager estimates the
 full-data log likelihood from the cached per-subset headers, which are
@@ -24,8 +22,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,7 +37,6 @@ from .model import (
 from .transport import make_pool
 
 SCHEMES = ("naive_allpairs", "synchronous", "asynchronous")
-SCHEDULERS = ("real", "deterministic")
 TRANSPORTS = ("in_process", "socket")
 COMPLETION_POLICIES = ("restart", "finish")
 
@@ -54,7 +49,6 @@ class RunConfig:
     max_iter: int = 1000
     seed: int = 0
     scheme: str = "asynchronous"
-    scheduler: str = "deterministic"
     transport: str = "in_process"
     exact_loglik_check: bool = False
     forced_split: bool = False
@@ -70,20 +64,12 @@ class RunConfig:
             raise ValueError("gamma must be in (0, 1]")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.completion not in COMPLETION_POLICIES:
             raise ValueError(f"unknown completion policy {self.completion!r}")
         if self.accept_threshold < 1:
             raise ValueError("ceil(gamma * K) must be >= 1")
-        if self.scheduler == "real" and (
-            self.transport != "in_process" or self.completion != "restart"
-            or self.forced_split
-        ):
-            raise ValueError("the real scheduler supports only transport "
-                             "'in_process', completion 'restart' and no forced split")
         if self.scheme != "asynchronous" and self.gamma < 1.0:
             raise ValueError(f"scheme {self.scheme!r} requires gamma = 1")
 
@@ -114,89 +100,16 @@ def _full_loglik(pool, theta, K: int) -> float:
     return math.fsum(pool.loglik(k, theta) for k in range(K))
 
 
-class _SerialScheduler:
-    """Deterministic completion order: the seeded permutation of each
-    iteration says which workers report first, and their E steps run one
-    at a time through the pool."""
-
-    def __init__(self, config: RunConfig, pool):
-        self.config = config
-        self.pool = pool
-        self.in_flight: dict[int, int] = {}  # worker -> anchor tag of a pending E step
-
-    def _order(self, t: int) -> np.ndarray:
-        c = self.config
-        return deterministic_schedule(c.seed, t, c.K, c.forced_split)
-
-    def seed(self, theta0) -> dict:
-        return {k: self.pool.estep(k, theta0, anchor_tag=0) for k in range(self.config.K)}
-
-    def first_order(self):
-        return self._order(1)
-
-    def accept(self, t: int, thetas: list, N: int) -> dict:
-        """Fresh results for iteration t: stale deliveries first, then
-        E steps at thetas[t - 1] in permutation order until N are in."""
-        fresh = {}
-        for k in sorted(self.in_flight):
-            if len(fresh) >= N:
-                break
-            tag = self.in_flight.pop(k)
-            fresh[k] = self.pool.estep(k, thetas[tag], anchor_tag=tag)
-        for k in self._order(t):
-            if k in fresh or k in self.in_flight:
-                continue
-            if len(fresh) < N:
-                fresh[k] = self.pool.estep(k, thetas[t - 1], anchor_tag=t - 1)
-            elif self.config.completion == "finish":
-                self.in_flight[k] = t - 1
-        return fresh
-
-
-class _ThreadedScheduler:
-    """Wall-clock completion order: every worker E-steps at the newest
-    broadcast on a thread pool, the first N completions are accepted and
-    the rest are cancelled, so those workers restart at the next one."""
-
-    def __init__(self, config: RunConfig, pool, executor: ThreadPoolExecutor):
-        self.config = config
-        self.pool = pool
-        self.executor = executor
-
-    def _submit(self, order, theta, anchor_tag: int) -> dict:
-        return {self.executor.submit(self.pool.estep, k, theta, anchor_tag): k
-                for k in order}
-
-    def seed(self, theta0) -> dict:
-        futures = self._submit(range(self.config.K), theta0, 0)
-        return {k: f.result() for f, k in futures.items()}
-
-    def first_order(self):
-        return range(self.config.K)
-
-    def accept(self, t: int, thetas: list, N: int) -> dict:
-        # E steps hold the GIL, so they finish roughly in submission order;
-        # a fixed order would starve the workers submitted last
-        order = deterministic_schedule(self.config.seed, t, self.config.K)
-        pending = self._submit(order, thetas[t - 1], t - 1)
-        fresh = {}
-        for f in as_completed(pending):
-            fresh[pending[f]] = f.result()
-            if len(fresh) == N:
-                break
-        for f in pending:
-            f.cancel()
-        return fresh
-
-
 def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
     """Manager loop over K worker subsets.
 
     A synchronous seeding round fills the cache at theta0 so the very first
     M step already has one E-step result per subset (its accept set is the
-    head of the scheduler's iteration-1 order); afterwards each iteration
-    takes the scheduler's fresh results, reruns the conditional
-    maximization on the combined cache, and broadcasts.
+    head of the iteration-1 permutation).  Afterwards iteration t takes its
+    fresh results in the order of `deterministic_schedule(seed, t, ...)`:
+    stale deliveries first (completion "finish"), then E steps at the last
+    broadcast until ceil(gamma * K) are in.  It then reruns the conditional
+    maximization on the combined cache and broadcasts.
     """
     K = len(subsets)
     if K != config.K:
@@ -204,25 +117,31 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
     N = config.accept_threshold
     monitor = ConvergenceMonitor(tol=config.tol, max_iter=config.max_iter)
     trace = Trace(loglik_exact=config.exact_loglik_check, config=config.to_dict())
-    with ExitStack() as stack:
-        pool = make_pool(config.transport, model, subsets)
-        stack.callback(pool.close)
-        if config.scheduler == "real":
-            executor = stack.enter_context(ThreadPoolExecutor(max_workers=min(K, 8)))
-            scheduler = _ThreadedScheduler(config, pool, executor)
-        else:
-            scheduler = _SerialScheduler(config, pool)
-
+    in_flight: dict[int, int] = {}  # worker -> anchor tag of a pending E step
+    pool = make_pool(config.transport, model, subsets)
+    try:
         theta = theta0
         for t in range(config.max_iter + 1):
             t0 = time.perf_counter()
             if t == 0:
-                cache = scheduler.seed(theta0)
+                cache = {k: pool.estep(k, theta0, anchor_tag=0) for k in range(K)}
             elif t == 1:
                 # the seeding messages are iteration 1's fresh results
-                accepted = scheduler.first_order()[:N]
+                accepted = deterministic_schedule(config.seed, 1, K, config.forced_split)[:N]
             else:
-                accepted = scheduler.accept(t, trace.thetas, N)
+                accepted = {}
+                for k in sorted(in_flight):
+                    if len(accepted) >= N:
+                        break
+                    tag = in_flight.pop(k)
+                    accepted[k] = pool.estep(k, trace.thetas[tag], anchor_tag=tag)
+                for k in deterministic_schedule(config.seed, t, K, config.forced_split):
+                    if k in accepted or k in in_flight:
+                        continue
+                    if len(accepted) < N:
+                        accepted[k] = pool.estep(k, theta, anchor_tag=t - 1)
+                    elif config.completion == "finish":
+                        in_flight[k] = t - 1
                 cache.update(accepted)
             agg = aggregate_stats(cache, K)
             if t > 0:
@@ -245,6 +164,8 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
         else:
             trace.hit_max_iter = True
         trace.final_loglik = _full_loglik(pool, theta, K)
+    finally:
+        pool.close()
     trace.messages_sent = pool.messages_sent
     if config.scheme == "naive_allpairs":
         # each process sends its E-step result to every other process
@@ -257,8 +178,8 @@ def run_ecme0(config: RunConfig, model: ModelContract, data: Sequence, theta0):
     all the data and gamma = 1.  Likelihood ascent is asserted over the
     recorded log likelihoods."""
     theta, trace = run_dem(
-        dataclasses.replace(config, K=1, gamma=1.0, scheduler="deterministic",
-                            transport="in_process", exact_loglik_check=False),
+        dataclasses.replace(config, K=1, gamma=1.0, transport="in_process",
+                            exact_loglik_check=False),
         model, [data], theta0,
     )
     for t in range(1, len(trace.logliks)):

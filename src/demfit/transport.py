@@ -1,8 +1,8 @@
 """Message transports between the manager and the worker endpoints.
 
 Both transports expose the same blocking request/reply surface, so the
-scheduler fully determines message ordering and the resulting traces are
-identical across transports.
+manager loop fully determines message ordering and the resulting traces
+are identical across transports.
 
 Socket wire format: a connection opens with the magic bytes b"DEMX1";
 every frame is little-endian {u32 body-length, u8 msg-kind, u32 subset_id,
@@ -59,12 +59,22 @@ def _recv_exact(sock, n: int) -> bytes:
 
 def read_frame(sock):
     """(kind, subset_id, iteration, payload); the payload of an error frame
-    is its text, of any other frame an f64 array."""
+    is its text, of any other frame an f64 array.  A body shorter than the
+    header or a payload that is not whole f64 values is a ProtocolError."""
     (length,) = struct.unpack("<I", _recv_exact(sock, 4))
     body = _recv_exact(sock, length)
+    if length < _HEAD.size:
+        raise ProtocolError(
+            f"frame body of {length} bytes is shorter than its {_HEAD.size}-byte header"
+        )
     kind, subset_id, iteration = _HEAD.unpack(body[: _HEAD.size])
     if kind == KIND_ERROR:
         return kind, subset_id, iteration, body[_HEAD.size :].decode("utf-8", "replace")
+    if (length - _HEAD.size) % 8:
+        raise ProtocolError(
+            f"frame payload of {length - _HEAD.size} bytes is not a whole number "
+            "of float64 values"
+        )
     payload = np.frombuffer(body[_HEAD.size :], dtype="<f8").copy()
     return kind, subset_id, iteration, payload
 
@@ -76,7 +86,9 @@ class InProcessPool:
         self.model = model
         self.subsets = list(subsets)
         self.messages_sent = 0
-        self._count_lock = threading.Lock()  # the real scheduler calls from threads
+        # the count is a read-modify-write; the lock keeps it right when
+        # callers share one pool between threads
+        self._count_lock = threading.Lock()
 
     def _count(self):
         with self._count_lock:
@@ -158,7 +170,10 @@ class SocketPool:
         which must carry the expected kind, subset id and iteration."""
         conn = self._conns[k]
         write_frame(conn, kind, k, iteration, self.model.pack_theta(theta))
-        got = read_frame(conn)
+        try:
+            got = read_frame(conn)
+        except ProtocolError as exc:
+            raise ProtocolError(f"worker {k}: {exc}") from exc
         if got[0] == KIND_ERROR:
             raise ProtocolError(f"worker {k} failed: {got[3]}")
         expected = (reply_kind, int(k), int(iteration))

@@ -141,6 +141,7 @@ def test_criterion_2_loglik_ratio(ratio_experiment):
                  f"experiment took {ratio_experiment['elapsed']:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_3_parameter_rmse(ratio_experiment):
     worst = 0.0
     for (rep, K, gamma), (theta, _) in ratio_experiment["dem"].items():
@@ -152,6 +153,7 @@ def test_criterion_3_parameter_rmse(ratio_experiment):
     _announce(3, f"all estimate discrepancies vs baseline < 1e-3 (max {worst:.2e})")
 
 
+@pytest.mark.slow
 def test_criterion_4_monotone_free_energy(equivalence_runs, ratio_experiment):
     model = equivalence_runs["model"]
     samples = equivalence_runs["samples"]
@@ -167,6 +169,7 @@ def test_criterion_4_monotone_free_energy(equivalence_runs, ratio_experiment):
     _announce(4, f"zero free-energy decreases across {audited} audited runs")
 
 
+@pytest.mark.slow
 def test_criterion_5_iteration_ratio_direction(ratio_experiment):
     mean_iters = {}
     mean_ratio = {}

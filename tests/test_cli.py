@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from demfit import LmmModel
 from demfit.cli import main
 
 
@@ -149,8 +150,22 @@ def test_ingest_unknown_movie_is_an_error(tmp_path, capsys):
     assert "error:" in err and "movie 42" in err and ":2:" in err
 
 
-def test_real_scheduler_over_socket_rejected(workspace, capsys):
+def test_scheduler_option_removed(workspace, tmp_path):
+    with pytest.raises(SystemExit):
+        run(["fit", "--data", workspace / "data", "--K", 2,
+             "--scheduler", "real", "--out", tmp_path / "real"])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scheduler": "deterministic"}))
+    with pytest.raises(SystemExit, match="scheduler"):
+        run(["--config", config, "fit", "--data", workspace / "data", "--K", 2,
+             "--out", tmp_path / "cfg"])
+
+
+def test_socket_worker_failure_is_an_error(workspace, tmp_path, capsys, monkeypatch):
+    def failing_estep(self, theta, subset, subset_id=0, anchor_tag=0):
+        raise RuntimeError(f"boom in {subset_id}")
+
+    monkeypatch.setattr(LmmModel, "local_estep", failing_estep)
     assert run(["fit", "--data", workspace / "data", "--K", 2,
-                "--scheduler", "real", "--transport", "socket",
-                "--out", workspace / "realsock"]) == 1
-    assert "error:" in capsys.readouterr().err
+                "--transport", "socket", "--out", tmp_path / "sock"]) == 1
+    assert "error: worker 0 failed: RuntimeError: boom in 0" in capsys.readouterr().err

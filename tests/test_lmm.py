@@ -246,8 +246,9 @@ def test_model_keeps_no_per_call_state(small_dataset):
 
 
 def test_moments_computed_concurrently():
-    # the real scheduler E-steps from threads, so fresh samples can get
-    # their data moments computed by several threads at once
+    # a model may be shared between threads (SocketPool serves every worker
+    # from its own thread), so fresh samples can get their data moments
+    # computed by several threads at once
     rng = np.random.default_rng(25)
     model = LmmModel(3, 2)
     theta = random_theta(rng, 3, 2)

@@ -1,5 +1,7 @@
 import socket
+import struct
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -64,11 +66,10 @@ def test_config_validation():
         RunConfig(K=4, scheme="bogus")
     with pytest.raises(ValueError):
         RunConfig(K=4, completion="abandon")
-    # settings the real scheduler or a synchronous scheme would ignore
+    with pytest.raises(TypeError):
+        RunConfig(K=4, scheduler="real")
+    # settings a synchronous scheme would ignore
     for bad in (
-        dict(scheduler="real", transport="socket"),
-        dict(scheduler="real", completion="finish"),
-        dict(scheduler="real", forced_split=True),
         dict(scheme="synchronous", gamma=0.5),
         dict(scheme="naive_allpairs", gamma=0.5),
     ):
@@ -127,28 +128,33 @@ def test_socket_transport_identical_trace(fitted_pieces, completion, forced_spli
     assert tr_mem.messages_sent == tr_sock.messages_sent
 
 
-def test_socket_reply_checked_without_assert(fitted_pieces):
-    """A reply of the wrong kind is a ProtocolError, also under python -O."""
+@pytest.mark.parametrize("transport", ["in_process", "socket"])
+@pytest.mark.parametrize("completion", ["restart", "finish"])
+@pytest.mark.parametrize("forced_split", [False, True])
+def test_every_started_estep_is_used(fitted_pieces, transport, completion, forced_split):
+    """Each E step the manager starts enters an M step: the seeding round
+    and the final loglik cost K round trips each, and every later round
+    trip is one accepted result."""
     samples, model, theta0 = fitted_pieces
-    pool = SocketPool(model, partition(samples, 2, seed=0))
+    K = 5
+    subsets = partition(samples, K, seed=0)
+    _, tr = run_dem(RunConfig(K=K, gamma=0.4, seed=9, transport=transport,
+                              completion=completion, forced_split=forced_split),
+                    model, subsets, theta0)
+    assert tr.converged
+    assert tr.messages_sent / 2 == 2 * K + sum(len(a) for a in tr.accept_sets[1:])
+
+
+@contextmanager
+def socketpair_worker(pool, serve):
+    """Swap worker 0's connection for a socketpair whose peer runs serve(sock)
+    on a thread; restore it, close the pool and join the thread afterwards."""
     manager_end, worker_end = socket.socketpair()
     real_conn, pool._conns[0] = pool._conns[0], manager_end
-
-    def wrong_kind_worker():
-        # answers an E-step request with a loglik reply and vice versa
-        swapped = {KIND_ESTEP_REQ: KIND_LOGLIK_REP, KIND_LOGLIK_REQ: KIND_ESTEP_REP}
-        for _ in range(2):
-            kind, subset_id, iteration, _ = read_frame(worker_end)
-            write_frame(worker_end, swapped[kind], subset_id, iteration, np.zeros(1))
-
-    worker = threading.Thread(target=wrong_kind_worker, daemon=True)
+    worker = threading.Thread(target=serve, args=(worker_end,), daemon=True)
     worker.start()
     try:
-        with pytest.raises(ProtocolError):
-            pool.estep(0, theta0, anchor_tag=3)
-        with pytest.raises(ProtocolError):
-            pool.loglik(0, theta0)
-        assert pool.messages_sent == 0
+        yield
     finally:
         pool._conns[0] = real_conn
         pool.close()
@@ -156,6 +162,46 @@ def test_socket_reply_checked_without_assert(fitted_pieces):
         worker_end.close()
     worker.join(timeout=5)
     assert not worker.is_alive()
+
+
+def test_socket_reply_checked_without_assert(fitted_pieces):
+    """A reply of the wrong kind is a ProtocolError, also under python -O."""
+    samples, model, theta0 = fitted_pieces
+    pool = SocketPool(model, partition(samples, 2, seed=0))
+
+    def wrong_kind_worker(sock):
+        # answers an E-step request with a loglik reply and vice versa
+        swapped = {KIND_ESTEP_REQ: KIND_LOGLIK_REP, KIND_LOGLIK_REQ: KIND_ESTEP_REP}
+        for _ in range(2):
+            kind, subset_id, iteration, _ = read_frame(sock)
+            write_frame(sock, swapped[kind], subset_id, iteration, np.zeros(1))
+
+    with socketpair_worker(pool, wrong_kind_worker):
+        with pytest.raises(ProtocolError):
+            pool.estep(0, theta0, anchor_tag=3)
+        with pytest.raises(ProtocolError):
+            pool.loglik(0, theta0)
+        assert pool.messages_sent == 0
+
+
+@pytest.mark.parametrize("body, match", [
+    (b"\x02\x00\x00", "shorter than its 13-byte header"),
+    (struct.pack("<BIQ", KIND_ESTEP_REP, 0, 3) + bytes(12), "not a whole number"),
+], ids=["short_body", "ragged_payload"])
+def test_malformed_reply_frame_is_protocol_error(fitted_pieces, body, match):
+    """A reply body shorter than its header, or with a payload that is not
+    whole float64 values, is a ProtocolError naming the worker."""
+    samples, model, theta0 = fitted_pieces
+    pool = SocketPool(model, partition(samples, 2, seed=0))
+
+    def malformed_worker(sock):
+        read_frame(sock)
+        sock.sendall(struct.pack("<I", len(body)) + body)
+
+    with socketpair_worker(pool, malformed_worker):
+        with pytest.raises(ProtocolError, match=f"worker 0: .*{match}"):
+            pool.estep(0, theta0, anchor_tag=3)
+        assert pool.messages_sent == 0
 
 
 def test_socket_worker_error_reaches_manager(fitted_pieces):
@@ -288,14 +334,3 @@ def test_ecme0_asserts_ascent(fitted_pieces):
 
     with pytest.raises(AssertionError, match="log likelihood decreased at iteration 2"):
         run_ecme0(RunConfig(K=1), DroppingModel(3, 3), samples, theta0)
-
-
-def test_real_scheduler_converges_to_same_mode(fitted_pieces):
-    samples, model, theta0 = fitted_pieces
-    subsets = partition(samples, 4, seed=0)
-    _, tr_base = run_ecme0(RunConfig(K=1), model, samples, theta0)
-    theta, tr = run_dem(
-        RunConfig(K=4, gamma=0.5, seed=0, scheduler="real"), model, subsets, theta0
-    )
-    assert tr.converged
-    assert tr.final_loglik == pytest.approx(tr_base.final_loglik, rel=1e-9)
