@@ -58,15 +58,22 @@ def _strict_upper(q: int) -> tuple:
 
 @dataclass(frozen=True)
 class Theta:
-    """Parameter point: fixed effects, Cholesky factor of D, error variance."""
+    """Parameter point: fixed effects, Cholesky factor of D, error variance.
+
+    beta and L are private read-only copies, so the terms derived from
+    them (`Dinv`, `resid_coef`, `logdet_D`, `log_2pi_tau2`) are computed
+    once per point and cannot go stale.
+    """
 
     beta: np.ndarray
     L: np.ndarray
     tau2: float
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
-        L = np.asarray(self.L, dtype=float)
+        beta = np.array(self.beta, dtype=float)
+        L = np.array(self.L, dtype=float)
+        beta.setflags(write=False)
+        L.setflags(write=False)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "L", L)
         tau2 = float(self.tau2)
@@ -81,6 +88,29 @@ class Theta:
             raise NumericalDomainError("L must be lower triangular")
         if (L.diagonal() <= 0).any():
             raise NumericalDomainError("L must have a positive diagonal")
+
+    @cached_property
+    def Dinv(self) -> np.ndarray:
+        """D^{-1} = L^{-T} L^{-1}."""
+        Linv = np.linalg.inv(self.L)
+        out = Linv.T @ Linv
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def resid_coef(self) -> np.ndarray:
+        """(-beta, 1): the factor R of [X y] times it gives the residual norm."""
+        out = np.append(-self.beta, 1.0)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def logdet_D(self) -> float:
+        return 2.0 * math.fsum(np.log(np.diag(self.L)))
+
+    @cached_property
+    def log_2pi_tau2(self) -> float:
+        return math.log(2.0 * math.pi * self.tau2)
 
     @property
     def p(self) -> int:
@@ -192,6 +222,8 @@ def _record_layout(p: int, q: int) -> dict:
         out[name] = slice(i0, i0 + size)
         i0 += size
     out["width"] = i0
+    # the moments that are statistics as they are, in accumulator order
+    out["const"] = slice(out["yy"].start, out["XX"].stop)
     return out
 
 
@@ -243,20 +275,30 @@ class _StatsValues(NamedTuple):
 @lru_cache(maxsize=16)
 def _stats_layout(p: int, q: int) -> tuple:
     """Slices of the `_StatsValues` fields in the flat accumulator."""
-    out = []
+    out = {}
     i0 = 0
-    for size in (p * p, p, p, q * q, 1, 1, 1, 1):
-        out.append(slice(i0, i0 + size))
+    for name, size in [
+        ("s_yy", 1),
+        ("S_xy", p),
+        ("S_xx", p * p),
+        ("S_xzb", p),
+        ("S_bb", q * q),
+        ("s_yzb", 1),
+        ("s_bzzb", 1),
+        ("loglik", 1),
+    ]:
+        out[name] = slice(i0, i0 + size)
         i0 += size
-    return tuple(out)
+    return tuple(out[name] for name in _StatsValues._fields)
 
 
 class LmmSuffStats:
     """Additive subset aggregates for the mixed model.
 
-    The flat accumulator holds, in order: S_xx (p*p), S_xy (p), S_xzb (p),
-    S_bb (q*q), then the scalars s_yy, s_yzb, s_bzzb and the loglik.  Those
-    are enough to evaluate the expected residual sum at any beta, so the
+    The flat accumulator holds, in order, the statistics of the data alone:
+    s_yy, S_xy (p), S_xx (p*p); then those of the posterior at the E step's
+    theta: S_xzb (p), S_bb (q*q), s_yzb, s_bzzb and the loglik.  Those are
+    enough to evaluate the expected residual sum at any beta, so the
     maximization can move beta away from the anchor the E step was run at.
     """
 
@@ -315,11 +357,6 @@ class LmmSuffStats:
         return float(self._acc.hi[-1] + self._acc.lo[-1])
 
     # -- accumulation ------------------------------------------------------
-    @classmethod
-    def from_rows(cls, p: int, q: int, rows: np.ndarray, n: int) -> "LmmSuffStats":
-        """Statistics of m samples from their (m, width) contribution rows."""
-        return cls(p, q, DDArray.sum_rows(rows), rows.shape[0], n)
-
     def combine(self, *others: "LmmSuffStats") -> "LmmSuffStats":
         """The statistics of self and others together.
 
@@ -354,6 +391,35 @@ class LmmSuffStats:
         return cls(p, q, acc, int(arr[0]), int(arr[1]))
 
 
+@dataclass(frozen=True, eq=False)
+class LmmShard:
+    """A worker's subset held resident for a run (`LmmModel.prepare`): the
+    samples' data moments stacked once, in the shapes the kernel reads.  It
+    keeps no reference to the samples.
+
+    `DDArray.sum_rows` reduces every column on its own, in a tree whose
+    shape depends only on m, so the compensated sum of the data-only
+    statistics (`const_sum`) is computed once, on first use, and every E
+    step reuses it bitwise as if it had summed those columns again.
+    """
+
+    n: np.ndarray  # (m,) observations per sample
+    Zy: np.ndarray  # (m, q)
+    XZ: np.ndarray  # (m, p, q)
+    ZZ: np.ndarray  # (m, q, q)
+    R: np.ndarray  # (m, p+1, p+1) triangular factor of [X y]
+    const: np.ndarray  # (m, 1 + p + p*p) rows of y'y, X'y, X'X
+    n_total: int
+
+    def __len__(self) -> int:
+        return self.n.size
+
+    @cached_property
+    def const_sum(self) -> DDArray:
+        """Compensated sum of the const rows: s_yy, S_xy and S_xx."""
+        return DDArray.sum_rows(self.const)
+
+
 class _Posterior(NamedTuple):
     """Per-sample outputs of `LmmModel._posterior`, stacked over m samples."""
 
@@ -382,28 +448,42 @@ class LmmModel(ModelContract):
         self.cm_order = cm_order
         self._rec = _record_layout(p, q)
 
-    # -- per-sample conditional Gaussian -----------------------------------
-    def _records(self, subset: SubsetData) -> np.ndarray:
-        """The subset's `Sample.moments` stacked into an (m, width) array."""
-        width = self._rec["width"]
-        rec = np.array([s.moments for s in subset]) if subset else np.empty((0, width))
-        if rec.shape[1:] != (width,):
-            raise ValueError(f"samples do not match the model's p={self.p}, q={self.q}")
-        return rec
+    # -- resident subsets ---------------------------------------------------
+    def prepare(self, subset: SubsetData) -> LmmShard:
+        """The subset's `Sample.moments` stacked once into a shard."""
+        p, q, c = self.p, self.q, self._rec
+        rec = np.array([s.moments for s in subset]) if subset else np.empty((0, c["width"]))
+        if rec.shape[1:] != (c["width"],):
+            raise ValueError(f"samples do not match the model's p={p}, q={q}")
+        m = rec.shape[0]
+        n = rec[:, c["n"]][:, 0]
+        return LmmShard(
+            n=n,
+            Zy=rec[:, c["Zy"]],
+            XZ=rec[:, c["XZ"]].reshape(m, p, q),
+            ZZ=rec[:, c["ZZ"]].reshape(m, q, q),
+            R=rec[:, c["R"]].reshape(m, p + 1, p + 1),
+            const=rec[:, c["const"]],
+            n_total=int(n.sum()),
+        )
 
-    def _posterior(self, rec: np.ndarray, Dinv: np.ndarray, beta: np.ndarray) -> _Posterior:
+    def _shard(self, subset: SubsetData | LmmShard) -> LmmShard:
+        return subset if isinstance(subset, LmmShard) else self.prepare(subset)
+
+    # -- per-sample conditional Gaussian -----------------------------------
+    def _posterior(self, ZZ: np.ndarray, XZ: np.ndarray, Zy: np.ndarray,
+                   Dinv: np.ndarray, beta: np.ndarray) -> _Posterior:
         """Posterior of every sample's random effects, from data moments only.
 
-        Dinv is (q, q) or one (q, q) per record, beta is (p,) or one (p,) per
-        record.  Per sample: the q x q precision A = D^{-1} + Z'Z, its
+        ZZ, XZ and Zy are the samples' stacked Z'Z, X'Z and Z'y.  Dinv is
+        (q, q) or one (q, q) per sample, beta is (p,) or one (p,) per
+        sample.  Per sample: the q x q precision A = D^{-1} + Z'Z, its
         Cholesky factor for log|A|, its inverse, and b_hat = A^{-1} Z'r with
         Z'r = Z'y - (X'Z)' beta.  Each sample's outputs come from its own
         row alone, so they do not depend on which other samples share the
         batch.
         """
-        p, q, c = self.p, self.q, self._rec
-        m = rec.shape[0]
-        A = Dinv + rec[:, c["ZZ"]].reshape(m, q, q)
+        A = Dinv + ZZ
         try:
             cA = np.linalg.cholesky(A)
         except np.linalg.LinAlgError as exc:
@@ -411,32 +491,27 @@ class LmmModel(ModelContract):
                 "posterior precision not positive definite (corrupt data?)"
             ) from exc
         Ainv = np.linalg.inv(A)
-        XZ = rec[:, c["XZ"]].reshape(m, p, q)
-        ztr = rec[:, c["Zy"]] - (beta[..., None, :] @ XZ)[:, 0]
+        ztr = Zy - (beta[..., None, :] @ XZ)[:, 0]
         b_hat = (Ainv @ ztr[:, :, None])[:, :, 0]
         logdet_A = 2.0 * np.log(np.diagonal(cA, axis1=1, axis2=2)).sum(axis=1)
         return _Posterior(b_hat, ztr, A, Ainv, logdet_A)
 
-    def _kernel(self, theta: Theta, rec: np.ndarray):
+    def _kernel(self, theta: Theta, shard: LmmShard):
         """The posterior at theta and the marginal log density of every
         sample, as (_Posterior, (m,) logliks)."""
-        Linv = np.linalg.inv(theta.L)
-        post = self._posterior(rec, Linv.T @ Linv, theta.beta)
-        return post, self._loglik(theta, rec, post)
+        post = self._posterior(shard.ZZ, shard.XZ, shard.Zy, theta.Dinv, theta.beta)
+        return post, self._loglik(theta, shard, post)
 
-    def _loglik(self, theta: Theta, rec: np.ndarray, post: _Posterior) -> np.ndarray:
+    def _loglik(self, theta: Theta, shard: LmmShard, post: _Posterior) -> np.ndarray:
         """Marginal log density of every sample, given its posterior at theta."""
-        p = self.p
         # r'r = ||R (-beta, 1)||^2 for r = y - X beta; the expansion
         # y'y - 2 beta'X'y + beta'X'X beta would cancel when r is small
-        R = rec[:, self._rec["R"]].reshape(-1, p + 1, p + 1)
-        Rv = R @ np.append(-theta.beta, 1.0)
+        Rv = shard.R @ theta.resid_coef
         quad = (Rv * Rv).sum(axis=1) - (post.ztr * post.b_hat).sum(axis=1)
         # via the determinant lemma: |Z D Z' + I| = |A| |D|
-        logdet_D = 2.0 * math.fsum(np.log(np.diag(theta.L)))
         loglik = (
-            -0.5 * rec[:, self._rec["n"]][:, 0] * math.log(2.0 * math.pi * theta.tau2)
-            - 0.5 * (post.logdet_A + logdet_D)
+            -0.5 * shard.n * theta.log_2pi_tau2
+            - 0.5 * (post.logdet_A + theta.logdet_D)
             - 0.5 * quad / theta.tau2
         )
         if not np.all(np.isfinite(loglik)):
@@ -444,24 +519,25 @@ class LmmModel(ModelContract):
         return loglik
 
     def _anchored(self, theta: Theta, anchors: Sequence[Theta], sizes: Sequence[int],
-                  rec: np.ndarray):
+                  shard: LmmShard):
         """The posterior at theta and every sample's Gaussian
         KL(posterior at its anchor || posterior at theta), as
         (_Posterior, (m,) KL terms).
 
-        anchors[k] is the anchor of the next sizes[k] records.  Both
+        anchors[k] is the anchor of the next sizes[k] samples.  Both
         posteriors come from one batch of 2m rows: the anchor rows, each
         with its own anchor's D^{-1} and beta, then the rows at theta.
         """
         q = self.q
-        m = rec.shape[0]
+        m = len(shard)
         K = len(anchors)
         group = np.repeat(np.arange(K), sizes)
         Linv = np.linalg.inv(np.stack([a.L for a in anchors] + [theta.L]))
         Dinv = Linv.transpose(0, 2, 1) @ Linv
         beta = np.stack([a.beta for a in anchors] + [theta.beta])
         rows = np.concatenate([group, np.full(m, K)])
-        post = self._posterior(np.concatenate([rec, rec]), Dinv[rows], beta[rows])
+        twice = (np.concatenate([x, x]) for x in (shard.ZZ, shard.XZ, shard.Zy))
+        post = self._posterior(*twice, Dinv[rows], beta[rows])
         # C = tau2 A^{-1}, so C_e^{-1} = A_e / tau2_e needs no factorization
         # and log|C| = q log tau2 - log|A|
         tau2_a = np.array([a.tau2 for a in anchors])[group]
@@ -480,37 +556,37 @@ class LmmModel(ModelContract):
         which equals the standard W = Z D Z^T + I conditioning without ever
         forming the n_i-dimensional inverse.
         """
-        post, _ = self._kernel(theta, self._records([s]))
+        post, _ = self._kernel(theta, self.prepare([s]))
         return post.b_hat[0], theta.tau2 * post.Ainv[0]
 
     # -- ModelContract operations -------------------------------------------
-    def local_loglik(self, theta: Theta, subset: SubsetData) -> float:
-        return math.fsum(self._kernel(theta, self._records(subset))[1])
+    def local_loglik(self, theta: Theta, subset: SubsetData | LmmShard) -> float:
+        return math.fsum(self._kernel(theta, self._shard(subset))[1])
 
-    def local_estep(
-        self, theta: Theta, subset: SubsetData, subset_id: int = 0, anchor_tag: int = 0
-    ) -> SuffStats:
-        p, q, c = self.p, self.q, self._rec
-        rec = self._records(subset)
-        m = rec.shape[0]
-        post, loglik = self._kernel(theta, rec)
+    def local_estep(self, theta: Theta, subset: SubsetData | LmmShard, subset_id: int = 0,
+                    anchor_tag: int = 0) -> SuffStats:
+        p, q = self.p, self.q
+        shard = self._shard(subset)
+        m = len(shard)
+        post, loglik = self._kernel(theta, shard)
         b_hat = post.b_hat
         B = (b_hat[:, :, None] * b_hat[:, None, :] + theta.tau2 * post.Ainv).reshape(m, q * q)
-        # one row per sample, in the LmmSuffStats layout
+        # one row per sample of the statistics that depend on theta, in the
+        # LmmSuffStats layout; the data-only ones are summed once per shard
         rows = np.concatenate(
             [
-                rec[:, c["XX"]],
-                rec[:, c["Xy"]],
-                (rec[:, c["XZ"]].reshape(m, p, q) @ b_hat[:, :, None])[:, :, 0],
+                (shard.XZ @ b_hat[:, :, None])[:, :, 0],
                 B,
-                rec[:, c["yy"]],
-                (rec[:, c["Zy"]] * b_hat).sum(axis=1)[:, None],
-                (rec[:, c["ZZ"]] * B).sum(axis=1)[:, None],
+                (shard.Zy * b_hat).sum(axis=1)[:, None],
+                (shard.ZZ.reshape(m, q * q) * B).sum(axis=1)[:, None],
                 loglik[:, None],
             ],
             axis=1,
         )
-        stats = LmmSuffStats.from_rows(p, q, rows, int(rec[:, c["n"]].sum()))
+        fresh, const = DDArray.sum_rows(rows), shard.const_sum
+        acc = DDArray.from_parts(np.concatenate([const.hi, fresh.hi]),
+                                 np.concatenate([const.lo, fresh.lo]))
+        stats = LmmSuffStats(p, q, acc, m, shard.n_total)
         return SuffStats(
             subset_id=subset_id,
             anchor_tag=anchor_tag,
@@ -525,7 +601,7 @@ class LmmModel(ModelContract):
         logdet_D = 2.0 * np.sum(np.log(np.diag(theta.L)))
         Dinv = _cho_solve(theta.L, np.eye(self.q))
         return (
-            -0.5 * (stats.n + self.q * stats.m) * math.log(2.0 * math.pi * theta.tau2)
+            -0.5 * (stats.n + self.q * stats.m) * theta.log_2pi_tau2
             - 0.5 * stats.m * logdet_D
             - 0.5 * (v.rss_exp(theta.beta) + float(np.sum(Dinv * v.S_bb))) / theta.tau2
         )
@@ -556,9 +632,11 @@ class LmmModel(ModelContract):
             raise NumericalDomainError("non-finite parameter update")
         return theta_new
 
-    def local_kl(self, theta_eval: Theta, theta_anchor: Theta, subset: SubsetData) -> float:
+    def local_kl(self, theta_eval: Theta, theta_anchor: Theta,
+                 subset: SubsetData | LmmShard) -> float:
         """Sum of Gaussian KL(posterior at anchor || posterior at eval)."""
-        _, kl = self._anchored(theta_eval, [theta_anchor], [len(subset)], self._records(subset))
+        shard = self._shard(subset)
+        _, kl = self._anchored(theta_eval, [theta_anchor], [len(shard)], shard)
         return _kl_total(kl)
 
     def free_energy_terms(self, theta: Theta, anchors: Sequence[Theta],
@@ -566,9 +644,9 @@ class LmmModel(ModelContract):
         """Per subset, -local_kl(theta, anchor, subset) + local_loglik(theta,
         subset), from one batched pass over the samples of every subset."""
         sizes = [len(subset) for subset in subsets]
-        rec = self._records([s for subset in subsets for s in subset])
-        post, kl = self._anchored(theta, anchors, sizes, rec)
-        loglik = self._loglik(theta, rec, post)
+        shard = self.prepare([s for subset in subsets for s in subset])
+        post, kl = self._anchored(theta, anchors, sizes, shard)
+        loglik = self._loglik(theta, shard, post)
         terms = []
         stop = 0
         for size in sizes:
@@ -667,16 +745,18 @@ def information_matrices(
     (beta, vech(L) with log diagonal, log tau2) so difference steps never
     leave the valid domain.  i_obs differentiates the marginal log
     likelihood; i_com differentiates the reconstructed expected
-    complete-data objective anchored at theta_hat.
+    complete-data objective anchored at theta_hat.  Each subset is
+    prepared once and every difference quotient runs on its shard.
     """
     p, q = model.p, model.q
     u0 = theta_to_vec(theta_hat)
     split = sorted(set(split))
     notes = []
+    shards = [model.prepare(subset) for subset in subsets]
 
     def total_loglik(u):
         th = vec_to_theta(u, p, q)
-        return math.fsum(model.local_loglik(th, s) for s in subsets)
+        return math.fsum(model.local_loglik(th, shard) for shard in shards)
 
     grad_norm = float(np.linalg.norm(fd_gradient(total_loglik, u0, rel)))
     if grad_norm > 1e-4:
@@ -689,11 +769,11 @@ def information_matrices(
     obs_Ac = np.zeros((P, P))
     com_A = np.zeros((P, P))
     com_Ac = np.zeros((P, P))
-    for k, subset in enumerate(subsets):
+    for k, shard in enumerate(shards):
         h_obs = -fd_hessian(
-            lambda u: model.local_loglik(vec_to_theta(u, p, q), subset), u0, rel
+            lambda u: model.local_loglik(vec_to_theta(u, p, q), shard), u0, rel
         )
-        stats_k = model.local_estep(theta_hat, subset).payload
+        stats_k = model.local_estep(theta_hat, shard).payload
         h_com = -fd_hessian(
             lambda u: model.q_value(stats_k, vec_to_theta(u, p, q)), u0, rel
         )

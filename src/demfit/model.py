@@ -39,12 +39,22 @@ class SuffStats:
 class ModelContract(ABC):
     """Operations a model plugin must provide.
 
+    prepare(subset) turns a worker's subset into the form the model keeps
+    resident for a run: the transport pools call it once per worker, when
+    they are built, and pass what it returns as the subset of every later
+    local_estep and local_loglik call on that worker.  Those two must
+    accept both a prepared and a plain subset and give the same results.
+    The default keeps the subset as it is.
+
     free_energy_terms(theta, anchors, subsets) returns, per subset k, the
     local log likelihood at theta minus KL(posterior at anchors[k] ||
     posterior at theta).  With every anchor equal to theta the terms must
     equal the subsets' local_loglik values, and local_loglik must stay
     finite on the valid parameter domain.
     """
+
+    def prepare(self, subset):
+        return subset
 
     @abstractmethod
     def local_loglik(self, theta, subset) -> float: ...

@@ -47,13 +47,15 @@ def write_error(sock, subset_id: int, iteration: int, exc: BaseException):
     _send(sock, KIND_ERROR, subset_id, iteration, text.encode("utf-8"))
 
 
-def _recv_exact(sock, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+def _recv_exact(sock, n: int) -> bytearray:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        k = sock.recv_into(view[got:])
+        if not k:
             raise ConnectionError("peer closed connection mid-frame")
-        buf += chunk
+        got += k
     return buf
 
 
@@ -67,7 +69,7 @@ def read_frame(sock):
         raise ProtocolError(
             f"frame body of {length} bytes is shorter than its {_HEAD.size}-byte header"
         )
-    kind, subset_id, iteration = _HEAD.unpack(body[: _HEAD.size])
+    kind, subset_id, iteration = _HEAD.unpack_from(body)
     if kind == KIND_ERROR:
         return kind, subset_id, iteration, body[_HEAD.size :].decode("utf-8", "replace")
     if (length - _HEAD.size) % 8:
@@ -75,16 +77,20 @@ def read_frame(sock):
             f"frame payload of {length - _HEAD.size} bytes is not a whole number "
             "of float64 values"
         )
-    payload = np.frombuffer(body[_HEAD.size :], dtype="<f8").copy()
+    payload = np.frombuffer(body, dtype="<f8", offset=_HEAD.size).copy()
     return kind, subset_id, iteration, payload
 
 
 class InProcessPool:
-    """Direct-call worker endpoints for single-threaded deterministic runs."""
+    """Direct-call worker endpoints for single-threaded deterministic runs.
+
+    Each worker's subset is prepared (`model.prepare`) once, when the pool
+    is built, and that shard is what every call on the worker passes.
+    """
 
     def __init__(self, model: ModelContract, subsets):
         self.model = model
-        self.subsets = list(subsets)
+        self.shards = [model.prepare(subset) for subset in subsets]
         self.messages_sent = 0
         # the count is a read-modify-write; the lock keeps it right when
         # callers share one pool between threads
@@ -96,12 +102,12 @@ class InProcessPool:
 
     def estep(self, k: int, theta, anchor_tag: int) -> SuffStats:
         self._count()
-        return self.model.local_estep(theta, self.subsets[k], subset_id=k,
+        return self.model.local_estep(theta, self.shards[k], subset_id=k,
                                       anchor_tag=anchor_tag)
 
     def loglik(self, k: int, theta) -> float:
         self._count()
-        return self.model.local_loglik(theta, self.subsets[k])
+        return self.model.local_loglik(theta, self.shards[k])
 
     def close(self):
         pass
@@ -111,22 +117,24 @@ class SocketPool:
     """Worker endpoints served over localhost TCP sockets.
 
     One serving thread per subset; the manager side issues blocking RPCs,
-    so ordering is still controlled by the caller.
+    so ordering is still controlled by the caller.  Every worker's shard
+    (`model.prepare`) is built before any socket or thread exists, so a
+    subset the model rejects leaves nothing to clean up.
     """
 
     def __init__(self, model: ModelContract, subsets):
         self.model = model
-        self.subsets = list(subsets)
+        shards = [model.prepare(subset) for subset in subsets]
         self.messages_sent = 0
         self._conns = []
         self._threads = []
-        for k, subset in enumerate(self.subsets):
+        for k, shard in enumerate(shards):
             server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             server.bind(("127.0.0.1", 0))
             server.listen(1)
             port = server.getsockname()[1]
             thread = threading.Thread(
-                target=self._serve, args=(server, k, subset), daemon=True
+                target=self._serve, args=(server, k, shard), daemon=True
             )
             thread.start()
             conn = socket.create_connection(("127.0.0.1", port))
@@ -134,7 +142,7 @@ class SocketPool:
             self._conns.append(conn)
             self._threads.append(thread)
 
-    def _serve(self, server, k: int, subset):
+    def _serve(self, server, k: int, shard):
         conn, _ = server.accept()
         server.close()
         try:
@@ -150,11 +158,11 @@ class SocketPool:
                     theta = self.model.unpack_theta(payload)
                     if kind == KIND_ESTEP_REQ:
                         stats = self.model.local_estep(
-                            theta, subset, subset_id=k, anchor_tag=iteration
+                            theta, shard, subset_id=k, anchor_tag=iteration
                         )
                         reply = KIND_ESTEP_REP, self.model.pack_stats(stats)
                     elif kind == KIND_LOGLIK_REQ:
-                        ll = self.model.local_loglik(theta, subset)
+                        ll = self.model.local_loglik(theta, shard)
                         reply = KIND_LOGLIK_REP, np.array([ll])
                     else:
                         raise ProtocolError(f"unknown request kind {kind}")

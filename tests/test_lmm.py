@@ -21,7 +21,8 @@ from demfit import (
     partition,
     run_dem,
 )
-from demfit.lmm import LmmSuffStats, theta_to_vec, vec_to_theta
+from demfit.ddsum import DDArray
+from demfit.lmm import LmmShard, LmmSuffStats, theta_to_vec, vec_to_theta
 from conftest import random_sample, random_theta
 
 
@@ -266,6 +267,62 @@ def test_moments_computed_concurrently():
     assert results == [expected] * 8
 
 
+def test_shard_matches_samples_bitwise(monkeypatch):
+    """A shard gives bitwise what the plain list it was prepared from gives.
+    Its E step sums the data-only columns once per shard, and only the E
+    step pays for that sum."""
+    rng = np.random.default_rng(26)
+    p, q = 3, 2
+    model = LmmModel(p, q)
+    theta = random_theta(rng, p, q)
+    anchor = random_theta(rng, p, q)
+    samples = [random_sample(rng, p, q) for _ in range(9)]
+    const_width, fresh_width = 1 + p + p * p, p + q * q + 3
+    widths = []
+    sum_rows = DDArray.sum_rows.__func__
+
+    def recording_sum_rows(cls, rows, lo=None):
+        widths.append(rows.shape[1])
+        return sum_rows(cls, rows, lo)
+
+    monkeypatch.setattr(DDArray, "sum_rows", classmethod(recording_sum_rows))
+    # an empty subset, one sample, and all samples in one subset (K=1)
+    for subset in ([], samples[:1], samples):
+        shard = model.prepare(subset)
+        assert isinstance(shard, LmmShard) and len(shard) == len(subset)
+        widths.clear()
+        assert model.local_loglik(theta, shard) == model.local_loglik(theta, subset)
+        assert model.local_kl(theta, anchor, shard) == model.local_kl(theta, anchor, subset)
+        assert model.free_energy_terms(theta, [anchor], [subset]) == [
+            -model.local_kl(theta, anchor, shard) + model.local_loglik(theta, shard)
+        ]
+        if subset:
+            model.posterior_moments(theta, subset[0])
+        assert widths == []
+        a = model.local_estep(theta, shard)
+        again = model.local_estep(theta, shard).payload
+        assert np.array_equal(again._acc.hi, a.payload._acc.hi)
+        assert np.array_equal(again._acc.lo, a.payload._acc.lo)
+        assert sorted(widths) == [fresh_width, fresh_width, const_width]
+        b = model.local_estep(theta, subset)
+        sa, sb = a.payload, b.payload
+        assert np.array_equal(sa._acc.hi, sb._acc.hi)
+        assert np.array_equal(sa._acc.lo, sb._acc.lo)
+        assert (sa.m, sa.n, a.local_loglik_at_anchor) == (sb.m, sb.n, b.local_loglik_at_anchor)
+        assert (sa.m, sa.n) == (len(subset), sum(s.n_obs for s in subset))
+        # reference: the data-only statistics summed from the samples, then
+        # every column summed in one pass over one-sample rows
+        ref_const = DDArray.sum_rows(np.array(
+            [np.concatenate([[s.y @ s.y], s.X.T @ s.y, (s.X.T @ s.X).ravel()]) for s in subset]
+        ).reshape(len(subset), const_width))
+        assert np.array_equal(sa._acc.hi[:const_width], ref_const.hi)
+        assert np.array_equal(sa._acc.lo[:const_width], ref_const.lo)
+        one_rows = [model.local_estep(theta, [s]).payload._acc.hi for s in subset]
+        ref = DDArray.sum_rows(np.array(one_rows).reshape(len(subset), sa._acc.hi.size))
+        assert np.array_equal(sa._acc.hi, ref.hi)
+        assert np.array_equal(sa._acc.lo, ref.lo)
+
+
 def test_rss_exp_matches_direct_expectation():
     # E||y - X beta - Z b||^2 under the posterior, recomputed directly
     rng = np.random.default_rng(15)
@@ -443,6 +500,23 @@ def test_theta_validation():
         Theta(np.zeros(1), np.ones((2, 3)), 1.0)
     with pytest.raises(NumericalDomainError):
         Theta.from_cov(np.zeros(1), np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
+
+
+def test_theta_is_immutable():
+    rng = np.random.default_rng(27)
+    beta = rng.standard_normal(3)
+    L = np.linalg.cholesky(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    theta = Theta(beta, L, 1.5)
+    beta0, L0, Dinv0 = beta.copy(), L.copy(), theta.Dinv.copy()
+    beta[0] += 1.0
+    L[1, 1] *= 2.0
+    np.testing.assert_array_equal(theta.beta, beta0)
+    np.testing.assert_array_equal(theta.L, L0)
+    np.testing.assert_array_equal(theta.Dinv, Dinv0)
+    np.testing.assert_array_equal(Theta(beta0, L0, 1.5).Dinv, Dinv0)
+    for arr in (theta.beta, theta.L, theta.Dinv, theta.resid_coef):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_sample_validation():

@@ -1,6 +1,7 @@
 import socket
 import struct
 import threading
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -18,6 +19,7 @@ from demfit import (
     run_ecme0,
     run_scheme,
 )
+from demfit.lmm import LmmShard
 from demfit.transport import (
     KIND_ESTEP_REP,
     KIND_ESTEP_REQ,
@@ -162,6 +164,99 @@ def socketpair_worker(pool, serve):
         worker_end.close()
     worker.join(timeout=5)
     assert not worker.is_alive()
+
+
+@pytest.mark.parametrize("transport", ["in_process", "socket"])
+def test_pools_prepare_once_per_worker(fitted_pieces, transport):
+    """Each worker's subset is prepared once per run, and every E step and
+    loglik call on it gets the prepared shard."""
+    samples, _, theta0 = fitted_pieces
+
+    class CountingModel(LmmModel):
+        def __init__(self, p, q):
+            super().__init__(p, q)
+            self.prepared = 0
+            self.received = []
+
+        def prepare(self, subset):
+            self.prepared += 1
+            return super().prepare(subset)
+
+        def local_estep(self, theta, subset, subset_id=0, anchor_tag=0):
+            self.received.append(type(subset))
+            return super().local_estep(theta, subset, subset_id, anchor_tag)
+
+        def local_loglik(self, theta, subset):
+            self.received.append(type(subset))
+            return super().local_loglik(theta, subset)
+
+    K = 4
+    model = CountingModel(3, 3)
+    _, tr = run_dem(RunConfig(K=K, gamma=0.5, seed=2, transport=transport,
+                              exact_loglik_check=True),
+                    model, partition(samples, K, seed=0), theta0)
+    assert tr.converged
+    assert model.prepared == K
+    assert len(model.received) == tr.messages_sent // 2
+    assert set(model.received) == {LmmShard}
+
+
+@pytest.mark.parametrize("transport", ["in_process", "socket"])
+def test_mismatched_samples_rejected_when_pool_is_built(fitted_pieces, transport):
+    samples, _, _ = fitted_pieces  # p = q = 3
+    threads = set(threading.enumerate())
+    with pytest.raises(ValueError, match="samples do not match the model's p=4, q=3"):
+        run_dem(RunConfig(K=2, transport=transport), LmmModel(4, 3),
+                partition(samples, 2, seed=0), Theta.default_start(4, 3))
+    assert set(threading.enumerate()) == threads
+
+
+def _peer(send):
+    """socketpair whose far end runs send(sock) on a thread, then closes."""
+    near, far = socket.socketpair()
+
+    def run():
+        try:
+            send(far)
+        finally:
+            far.close()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return near, thread
+
+
+def test_read_frame_from_one_byte_chunks():
+    payload = np.linspace(-1.0, 1.0, 40)
+    body = struct.pack("<BIQ", KIND_ESTEP_REP, 3, 7) + payload.astype("<f8").tobytes()
+    frame = struct.pack("<I", len(body)) + body
+
+    def trickle(sock):
+        for i in range(len(frame)):
+            sock.sendall(frame[i : i + 1])
+            time.sleep(1e-4)
+
+    near, thread = _peer(trickle)
+    try:
+        kind, subset_id, iteration, got = read_frame(near)
+    finally:
+        near.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert (kind, subset_id, iteration) == (KIND_ESTEP_REP, 3, 7)
+    np.testing.assert_array_equal(got, payload)
+
+
+def test_read_frame_peer_closed_mid_body():
+    body = struct.pack("<BIQ", KIND_ESTEP_REP, 0, 0) + bytes(8 * 4)
+    near, thread = _peer(lambda sock: sock.sendall(struct.pack("<I", len(body)) + body[:20]))
+    try:
+        with pytest.raises(ConnectionError, match="peer closed connection mid-frame"):
+            read_frame(near)
+    finally:
+        near.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_socket_reply_checked_without_assert(fitted_pieces):
