@@ -401,6 +401,11 @@ class LmmShard:
     shape depends only on m, so the compensated sum of the data-only
     statistics (`const_sum`) is computed once, on first use, and every E
     step reuses it bitwise as if it had summed those columns again.
+
+    `last` is a one-entry slot: (theta, _Posterior, (m,) logliks) of the
+    last `local_loglik` call, which alone writes it.  An E step or loglik
+    at that same `Theta` object reuses the posterior bitwise; `Theta` is
+    frozen and its beta and L are read-only, so identity means equality.
     """
 
     n: np.ndarray  # (m,) observations per sample
@@ -410,6 +415,7 @@ class LmmShard:
     R: np.ndarray  # (m, p+1, p+1) triangular factor of [X y]
     const: np.ndarray  # (m, 1 + p + p*p) rows of y'y, X'y, X'X
     n_total: int
+    last: tuple | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return self.n.size
@@ -498,7 +504,11 @@ class LmmModel(ModelContract):
 
     def _kernel(self, theta: Theta, shard: LmmShard):
         """The posterior at theta and the marginal log density of every
-        sample, as (_Posterior, (m,) logliks)."""
+        sample, as (_Posterior, (m,) logliks); read from the shard's slot
+        when its last loglik was at this theta."""
+        last = shard.last
+        if last is not None and last[0] is theta:
+            return last[1:]
         post = self._posterior(shard.ZZ, shard.XZ, shard.Zy, theta.Dinv, theta.beta)
         return post, self._loglik(theta, shard, post)
 
@@ -561,7 +571,11 @@ class LmmModel(ModelContract):
 
     # -- ModelContract operations -------------------------------------------
     def local_loglik(self, theta: Theta, subset: SubsetData | LmmShard) -> float:
-        return math.fsum(self._kernel(theta, self._shard(subset))[1])
+        shard = self._shard(subset)
+        post, loglik = self._kernel(theta, shard)
+        # an exact-loglik run E-steps each worker next at this same theta
+        object.__setattr__(shard, "last", (theta, post, loglik))
+        return math.fsum(loglik)
 
     def local_estep(self, theta: Theta, subset: SubsetData | LmmShard, subset_id: int = 0,
                     anchor_tag: int = 0) -> SuffStats:

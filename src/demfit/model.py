@@ -44,7 +44,10 @@ class ModelContract(ABC):
     they are built, and pass what it returns as the subset of every later
     local_estep and local_loglik call on that worker.  Those two must
     accept both a prepared and a plain subset and give the same results.
-    The default keeps the subset as it is.
+    The default keeps the subset as it is.  A prepared subset may keep
+    what its last local_loglik computed and reuse it in a later call at
+    the same parameter object, if the results stay bitwise those of a
+    fresh computation.
 
     free_energy_terms(theta, anchors, subsets) returns, per subset k, the
     local log likelihood at theta minus KL(posterior at anchors[k] ||

@@ -10,6 +10,18 @@ u64 iteration, f64-array payload}.  A worker whose request fails answers
 with an error frame (KIND_ERROR) in place of the reply: same header, with
 the UTF-8 text "ExceptionType: message" as its payload; it then goes on
 serving requests.
+
+A worker keeps the parameter of its previous request: a request whose
+payload bytes equal the previous one's gets that same `Theta` object, so
+the terms it caches are derived once per parameter, and a model may keep
+what it computed at it (an `LmmShard` keeps its last loglik's posterior
+for the E step at the same parameter).
+
+The manager waits at most REPLY_TIMEOUT_S seconds for each reply.  A
+worker that does not answer in time, or whose connection drops, is a
+ProtocolError naming it; after a timeout the manager closes that
+connection, so a late reply cannot answer a later request.  Workers block
+on their reads without a limit, because they sit idle between iterations.
 """
 from __future__ import annotations
 
@@ -22,6 +34,10 @@ import numpy as np
 from .model import ModelContract, ProtocolError, SuffStats
 
 MAGIC = b"DEMX1"
+# seconds the manager waits for a reply: far above one E step on a
+# paper-sized shard (10^4 samples, p=10, q=3: about 40 ms on 2 cores);
+# with a timeout each socket call polls first, about 3 us per RPC
+REPLY_TIMEOUT_S = 120.0
 _HEAD = struct.Struct("<BIQ")  # kind, subset_id, iteration
 
 KIND_ESTEP_REQ = 1
@@ -138,6 +154,7 @@ class SocketPool:
             )
             thread.start()
             conn = socket.create_connection(("127.0.0.1", port))
+            conn.settimeout(REPLY_TIMEOUT_S)
             conn.sendall(MAGIC)
             self._conns.append(conn)
             self._threads.append(thread)
@@ -148,6 +165,7 @@ class SocketPool:
         try:
             if _recv_exact(conn, len(MAGIC)) != MAGIC:
                 raise ConnectionError("bad magic header")
+            raw = None  # payload bytes theta was unpacked from
             while True:
                 kind, subset_id, iteration, payload = read_frame(conn)
                 if kind == KIND_SHUTDOWN:
@@ -155,7 +173,10 @@ class SocketPool:
                 # a failing request is reported to the manager, and the
                 # worker stays up for the next one
                 try:
-                    theta = self.model.unpack_theta(payload)
+                    request = payload.tobytes()
+                    if request != raw:
+                        theta = self.model.unpack_theta(payload)
+                        raw = request
                     if kind == KIND_ESTEP_REQ:
                         stats = self.model.local_estep(
                             theta, shard, subset_id=k, anchor_tag=iteration
@@ -177,9 +198,16 @@ class SocketPool:
         """Send one request to worker k and return the payload of its reply,
         which must carry the expected kind, subset id and iteration."""
         conn = self._conns[k]
-        write_frame(conn, kind, k, iteration, self.model.pack_theta(theta))
         try:
+            write_frame(conn, kind, k, iteration, self.model.pack_theta(theta))
             got = read_frame(conn)
+        except TimeoutError as exc:
+            waited = conn.gettimeout()
+            # a late reply must never be read as the answer to a later request
+            conn.close()
+            raise ProtocolError(f"worker {k}: no reply within {waited:g} s") from exc
+        except OSError as exc:
+            raise ProtocolError(f"worker {k}: connection lost: {exc}") from exc
         except ProtocolError as exc:
             raise ProtocolError(f"worker {k}: {exc}") from exc
         if got[0] == KIND_ERROR:
@@ -204,9 +232,9 @@ class SocketPool:
         for conn in self._conns:
             try:
                 write_frame(conn, KIND_SHUTDOWN, 0, 0, np.empty(0))
-                conn.close()
             except OSError:
-                pass
+                pass  # the worker's connection is gone already
+            conn.close()
         for t in self._threads:
             t.join(timeout=5)
 

@@ -6,6 +6,7 @@ import pytest
 
 from demfit import LmmModel
 from demfit.cli import main
+from demfit.transport import SocketPool
 
 
 def run(args):
@@ -169,3 +170,15 @@ def test_socket_worker_failure_is_an_error(workspace, tmp_path, capsys, monkeypa
     assert run(["fit", "--data", workspace / "data", "--K", 2,
                 "--transport", "socket", "--out", tmp_path / "sock"]) == 1
     assert "error: worker 0 failed: RuntimeError: boom in 0" in capsys.readouterr().err
+
+
+def test_dead_socket_worker_is_an_error(workspace, tmp_path, capsys, monkeypatch):
+    def dead_worker(self, server, k, shard):
+        conn, _ = server.accept()
+        server.close()
+        conn.close()
+
+    monkeypatch.setattr(SocketPool, "_serve", dead_worker)
+    assert run(["fit", "--data", workspace / "data", "--K", 2,
+                "--transport", "socket", "--out", tmp_path / "dead"]) == 1
+    assert "error: worker 0: connection lost" in capsys.readouterr().err

@@ -149,9 +149,11 @@ def test_every_started_estep_is_used(fitted_pieces, transport, completion, force
 
 @contextmanager
 def socketpair_worker(pool, serve):
-    """Swap worker 0's connection for a socketpair whose peer runs serve(sock)
-    on a thread; restore it, close the pool and join the thread afterwards."""
+    """Swap worker 0's connection for a socketpair, with the same reply
+    timeout, whose peer runs serve(sock) on a thread; restore it, close the
+    pool and join the thread afterwards."""
     manager_end, worker_end = socket.socketpair()
+    manager_end.settimeout(pool._conns[0].gettimeout())
     real_conn, pool._conns[0] = pool._conns[0], manager_end
     worker = threading.Thread(target=serve, args=(worker_end,), daemon=True)
     worker.start()
@@ -322,6 +324,91 @@ def test_socket_worker_error_reaches_manager(fitted_pieces):
         pool.close()
     with pytest.raises(ProtocolError, match="RuntimeError: boom at 2"):
         run_dem(RunConfig(K=2, transport="socket"), model, subsets, theta0)
+
+
+def test_silent_worker_times_out(fitted_pieces, monkeypatch):
+    """A worker that never replies is a ProtocolError naming it once the
+    reply timeout has passed; the manager does not hang."""
+    samples, model, theta0 = fitted_pieces
+    monkeypatch.setattr("demfit.transport.REPLY_TIMEOUT_S", 0.2)
+    pool = SocketPool(model, partition(samples, 2, seed=0))
+    release = threading.Event()
+
+    def silent_worker(sock):
+        read_frame(sock)
+        release.wait(timeout=10)
+        sock.close()
+
+    with socketpair_worker(pool, silent_worker):
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(ProtocolError, match=r"worker 0: no reply within 0\.2 s") as info:
+                pool.estep(0, theta0, anchor_tag=1)
+            assert time.perf_counter() - t0 < 5
+            assert isinstance(info.value.__cause__, TimeoutError)
+            # the connection is closed, so no later request can read the
+            # late reply as its own
+            with pytest.raises(ProtocolError, match="worker 0: connection lost"):
+                pool.loglik(0, theta0)
+            assert pool.messages_sent == 0
+        finally:
+            release.set()
+
+
+def test_closed_worker_connection_is_protocol_error(fitted_pieces):
+    """A worker whose connection drops is a ProtocolError naming it,
+    chained from the connection error, on every later request too."""
+    samples, model, theta0 = fitted_pieces
+    pool = SocketPool(model, partition(samples, 2, seed=0))
+    with socketpair_worker(pool, lambda sock: sock.close()):
+        for call in (lambda: pool.estep(0, theta0, anchor_tag=1),
+                     lambda: pool.loglik(0, theta0)):
+            with pytest.raises(ProtocolError, match="worker 0: connection lost") as info:
+                call()
+            assert isinstance(info.value.__cause__, ConnectionError)
+        assert pool.messages_sent == 0
+
+
+def test_pool_close_releases_dead_connections(fitted_pieces, monkeypatch):
+    """close() closes every connection, also those whose worker is gone
+    and whose shutdown frame cannot be sent."""
+    samples, model, theta0 = fitted_pieces
+
+    def dead_worker(self, server, k, shard):
+        conn, _ = server.accept()
+        server.close()
+        conn.close()
+
+    monkeypatch.setattr(SocketPool, "_serve", dead_worker)
+    pool = SocketPool(model, partition(samples, 2, seed=0))
+    with pytest.raises(ProtocolError, match="worker 0: connection lost"):
+        pool.estep(0, theta0, anchor_tag=0)
+    pool.close()
+    assert [conn.fileno() for conn in pool._conns] == [-1, -1]
+
+
+def test_socket_worker_unpacks_each_theta_once(fitted_pieces):
+    """In an exact-loglik socket run each worker unpacks each parameter it
+    is sent once: the E step at theta_t reuses the Theta of the loglik at
+    theta_t, and the final loglik round that of the last one.  The trace
+    is that of the in-process run."""
+    samples, _, theta0 = fitted_pieces
+    unpacked = []
+
+    class CountingModel(LmmModel):
+        def unpack_theta(self, arr):
+            unpacked.append((threading.get_ident(), arr.tobytes()))
+            return super().unpack_theta(arr)
+
+    K = 3
+    subsets = partition(samples, K, seed=0)
+    cfg = dict(K=K, exact_loglik_check=True)
+    _, tr = run_dem(RunConfig(**cfg, transport="socket"), CountingModel(3, 3),
+                    subsets, theta0)
+    _, ref = run_dem(RunConfig(**cfg), LmmModel(3, 3), subsets, theta0)
+    assert traces_equal(tr, ref) and tr.messages_sent == ref.messages_sent
+    assert tr.final_loglik == ref.final_loglik
+    assert len(set(unpacked)) == len(unpacked) == K * len(tr.thetas)
 
 
 def test_incremental_pattern_single_fresh_worker(fitted_pieces):
