@@ -7,7 +7,8 @@ fractions, and CSV/JSON emitters for external plotting.
 
 Trace JSON schema (written by `write_trace_json`):
   {
-    "config": {...run configuration...},  # a run_scheme trace has gamma 1
+    "config": {...run configuration...},  # run_scheme adds "scheme" (at
+                                      # gamma 1), run_ecme0 adds "algo"
     "thetas": [{"beta": [...], "L": [[...]], "tau2": float}, ...],
     "logliks": [float, ...],          # one entry per recorded iteration
     "loglik_exact": bool,             # exact per-iteration values vs cached headers

@@ -322,34 +322,6 @@ class LmmSuffStats:
         )
 
     @property
-    def S_xx(self) -> np.ndarray:
-        return self.values().S_xx
-
-    @property
-    def S_xy(self) -> np.ndarray:
-        return self.values().S_xy
-
-    @property
-    def S_xzb(self) -> np.ndarray:
-        return self.values().S_xzb
-
-    @property
-    def S_bb(self) -> np.ndarray:
-        return self.values().S_bb
-
-    @property
-    def s_yy(self) -> float:
-        return self.values().s_yy
-
-    @property
-    def s_yzb(self) -> float:
-        return self.values().s_yzb
-
-    @property
-    def s_bzzb(self) -> float:
-        return self.values().s_bzzb
-
-    @property
     def loglik(self) -> float:
         # accumulated like the other statistics so the rounded total does
         # not depend on how the samples were grouped across subsets; the
@@ -373,10 +345,6 @@ class LmmSuffStats:
         return LmmSuffStats(
             self.p, self.q, acc, sum(s.m for s in parts), sum(s.n for s in parts)
         )
-
-    def rss_exp(self, beta: np.ndarray) -> float:
-        """Expected residual sum of squares at beta (anchors fixed)."""
-        return self.values().rss_exp(beta)
 
     # -- wire serialization ------------------------------------------------
     def pack(self) -> np.ndarray:
@@ -638,13 +606,7 @@ class LmmModel(ModelContract):
                 stats.n + self.q * stats.m
             )
             D = v.S_bb / (stats.m * tau2)
-        theta_new = Theta.from_cov(beta, D, tau2)
-        # the unconstrained coordinates (theta_to_vec) must be finite; beta
-        # and L are checked by Theta, which leaves their logs
-        if not (np.isfinite(np.log(theta_new.L.diagonal())).all()
-                and math.isfinite(math.log(theta_new.tau2))):
-            raise NumericalDomainError("non-finite parameter update")
-        return theta_new
+        return Theta.from_cov(beta, D, tau2)
 
     def local_kl(self, theta_eval: Theta, theta_anchor: Theta,
                  subset: SubsetData | LmmShard) -> float:

@@ -49,6 +49,9 @@ class ModelContract(ABC):
     the same parameter object, if the results stay bitwise those of a
     fresh computation.
 
+    A local_estep payload provides combine(*others), the statistics of it
+    and the others together, and loglik, its local log likelihood.
+
     free_energy_terms(theta, anchors, subsets) returns, per subset k, the
     local log likelihood at theta minus KL(posterior at anchors[k] ||
     posterior at theta).  With every anchor equal to theta the terms must
@@ -72,36 +75,27 @@ class ModelContract(ABC):
     def free_energy_terms(self, theta, anchors, subsets) -> list: ...
 
 
-def aggregate_stats(cache: dict, K: Optional[int] = None) -> SuffStats:
+def aggregate_stats(cache: dict, K: int) -> SuffStats:
     """Additively combine one cached E-step result per subset.
 
     The cache must hold exactly one entry for every subset id 0..K-1; the
     M step must never run before every subset has reported once.  The
-    payloads are combined in one call, `first.combine(*rest)`.
+    payloads are combined in one call, `first.combine(*rest)`, whose
+    `loglik` is the header's.
     """
     if not cache:
         raise ProtocolError("empty statistics cache")
-    if K is None:
-        K = max(cache) + 1
     missing = [k for k in range(K) if k not in cache]
     if missing:
         raise ProtocolError(f"missing E-step results for subsets {missing}")
     parts = [cache[k] for k in sorted(cache)]
     first, rest = parts[0], parts[1:]
     payload = first.payload.combine(*(s.payload for s in rest))
-    n_obs = first.n_obs
-    loglik = first.local_loglik_at_anchor
-    for s in rest:
-        n_obs += s.n_obs
-        loglik += s.local_loglik_at_anchor
-    # a payload that carries its own compensated loglik total gives a
-    # header independent of the subset grouping
-    loglik = getattr(payload, "loglik", loglik)
     return SuffStats(
         subset_id=-1,
         anchor_tag=-1,
-        n_obs=n_obs,
-        local_loglik_at_anchor=loglik,
+        n_obs=sum(s.n_obs for s in parts),
+        local_loglik_at_anchor=payload.loglik,
         payload=payload,
         anchor_tags=[s.anchor_tag for s in parts],
     )
@@ -132,7 +126,6 @@ class ConvergenceMonitor:
     than tol between successive iterations."""
 
     tol: float = 1e-7
-    max_iter: int = 1000
     history: list = field(default_factory=list)
 
     def update(self, iteration: int, loglik: float) -> bool:

@@ -36,7 +36,6 @@ from .model import (
 )
 from .transport import make_pool
 
-SCHEMES = ("naive_allpairs", "synchronous", "asynchronous")
 TRANSPORTS = ("in_process", "socket")
 COMPLETION_POLICIES = ("restart", "finish")
 
@@ -48,7 +47,6 @@ class RunConfig:
     tol: float = 1e-7
     max_iter: int = 1000
     seed: int = 0
-    scheme: str = "asynchronous"
     transport: str = "in_process"
     exact_loglik_check: bool = False
     forced_split: bool = False
@@ -62,16 +60,12 @@ class RunConfig:
             raise ValueError("K must be >= 1")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must be in (0, 1]")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.completion not in COMPLETION_POLICIES:
             raise ValueError(f"unknown completion policy {self.completion!r}")
         if self.accept_threshold < 1:
             raise ValueError("ceil(gamma * K) must be >= 1")
-        if self.scheme != "asynchronous" and self.gamma < 1.0:
-            raise ValueError(f"scheme {self.scheme!r} requires gamma = 1")
 
     @property
     def accept_threshold(self) -> int:
@@ -115,7 +109,7 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
     if K != config.K:
         raise ProtocolError(f"config.K={config.K} but {K} subsets supplied")
     N = config.accept_threshold
-    monitor = ConvergenceMonitor(tol=config.tol, max_iter=config.max_iter)
+    monitor = ConvergenceMonitor(tol=config.tol)
     trace = Trace(loglik_exact=config.exact_loglik_check, config=config.to_dict())
     in_flight: dict[int, int] = {}  # worker -> anchor tag of a pending E step
     pool = make_pool(config.transport, model, subsets)
@@ -167,9 +161,6 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
     finally:
         pool.close()
     trace.messages_sent = pool.messages_sent
-    if config.scheme == "naive_allpairs":
-        # each process sends its E-step result to every other process
-        trace.messages_sent = (K + sum(map(len, trace.accept_sets[1:]))) * (K - 1)
     return theta, trace
 
 
@@ -206,5 +197,11 @@ def run_scheme(scheme: str, config: RunConfig, model: ModelContract,
     if scheme not in ("naive_allpairs", "synchronous"):
         raise ValueError(f"run_scheme only handles schemes 'naive_allpairs' and "
                          f"'synchronous', got {scheme!r}")
-    return run_dem(dataclasses.replace(config, gamma=1.0, scheme=scheme),
-                   model, subsets, theta0)
+    theta, trace = run_dem(dataclasses.replace(config, gamma=1.0), model, subsets, theta0)
+    if scheme == "naive_allpairs":
+        # each E-step result goes to every other process: the seeding
+        # round's K (iteration 1's), then K more per later iteration
+        K = config.K
+        trace.messages_sent = (K + sum(map(len, trace.accept_sets[1:]))) * (K - 1)
+    trace.config["scheme"] = scheme
+    return theta, trace

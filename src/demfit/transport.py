@@ -22,6 +22,8 @@ worker that does not answer in time, or whose connection drops, is a
 ProtocolError naming it; after a timeout the manager closes that
 connection, so a late reply cannot answer a later request.  Workers block
 on their reads without a limit, because they sit idle between iterations.
+A worker whose connection fails, or opens without the magic bytes, closes
+it and exits quietly.
 """
 from __future__ import annotations
 
@@ -63,14 +65,17 @@ def write_error(sock, subset_id: int, iteration: int, exc: BaseException):
     _send(sock, KIND_ERROR, subset_id, iteration, text.encode("utf-8"))
 
 
-def _recv_exact(sock, n: int) -> bytearray:
+def _recv_exact(sock, n: int, frame_start: bool = False) -> bytearray:
+    """Read n bytes.  A peer that closes first is a ConnectionError, which
+    says "mid-frame" unless the read starts a frame and got no byte."""
     buf = bytearray(n)
     view = memoryview(buf)
     got = 0
     while got < n:
         k = sock.recv_into(view[got:])
         if not k:
-            raise ConnectionError("peer closed connection mid-frame")
+            where = "" if frame_start and not got else " mid-frame"
+            raise ConnectionError(f"peer closed connection{where}")
         got += k
     return buf
 
@@ -79,7 +84,7 @@ def read_frame(sock):
     """(kind, subset_id, iteration, payload); the payload of an error frame
     is its text, of any other frame an f64 array.  A body shorter than the
     header or a payload that is not whole f64 values is a ProtocolError."""
-    (length,) = struct.unpack("<I", _recv_exact(sock, 4))
+    (length,) = struct.unpack("<I", _recv_exact(sock, 4, frame_start=True))
     body = _recv_exact(sock, length)
     if length < _HEAD.size:
         raise ProtocolError(
@@ -160,11 +165,15 @@ class SocketPool:
             self._threads.append(thread)
 
     def _serve(self, server, k: int, shard):
+        """Answer worker k's requests until a shutdown frame.  A connection
+        that opens without the magic bytes, or fails later because its
+        manager has gone, is closed and the worker returns quietly: there
+        is no one left to report to."""
         conn, _ = server.accept()
         server.close()
         try:
             if _recv_exact(conn, len(MAGIC)) != MAGIC:
-                raise ConnectionError("bad magic header")
+                return
             raw = None  # payload bytes theta was unpacked from
             while True:
                 kind, subset_id, iteration, payload = read_frame(conn)
@@ -191,6 +200,8 @@ class SocketPool:
                     write_error(conn, k, iteration, exc)
                     continue
                 write_frame(conn, reply[0], k, iteration, reply[1])
+        except OSError:
+            return
         finally:
             conn.close()
 

@@ -182,7 +182,8 @@ def test_estep_statistics_definitions():
     model = LmmModel(2, 2)
     theta = random_theta(rng, 2, 2)
     subset = [random_sample(rng, 2, 2) for _ in range(5)]
-    st = model.local_estep(theta, subset).payload
+    payload = model.local_estep(theta, subset).payload
+    st = payload.values()
     S_xx = sum(s.X.T @ s.X for s in subset)
     S_xy = sum(s.X.T @ s.y for s in subset)
     S_bb = np.zeros((2, 2))
@@ -197,8 +198,8 @@ def test_estep_statistics_definitions():
     np.testing.assert_allclose(st.S_bb, S_bb, atol=1e-12)
     assert st.s_yy == pytest.approx(sum(s.y @ s.y for s in subset), rel=1e-14)
     assert st.s_bzzb == pytest.approx(s_bzzb, rel=1e-12)
-    assert st.n == sum(s.n_obs for s in subset)
-    assert st.m == 5
+    assert payload.n == sum(s.n_obs for s in subset)
+    assert payload.m == 5
 
 
 def test_estep_permutation_invariance_bitwise():
@@ -407,7 +408,7 @@ def test_rss_exp_matches_direct_expectation():
     model = LmmModel(2, 2)
     theta = random_theta(rng, 2, 2)
     subset = [random_sample(rng, 2, 2) for _ in range(4)]
-    st = model.local_estep(theta, subset).payload
+    st = model.local_estep(theta, subset).payload.values()
     beta_new = rng.standard_normal(2)
     ref = 0.0
     for s in subset:

@@ -65,18 +65,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(K=4, gamma=1.2)
     with pytest.raises(ValueError):
-        RunConfig(K=4, scheme="bogus")
-    with pytest.raises(ValueError):
         RunConfig(K=4, completion="abandon")
+    # the scheduler and the scheme are no settings: run_scheme picks the scheme
     with pytest.raises(TypeError):
         RunConfig(K=4, scheduler="real")
-    # settings a synchronous scheme would ignore
-    for bad in (
-        dict(scheme="synchronous", gamma=0.5),
-        dict(scheme="naive_allpairs", gamma=0.5),
-    ):
-        with pytest.raises(ValueError):
-            RunConfig(K=4, **bad)
+    with pytest.raises(TypeError):
+        RunConfig(K=4, scheme="synchronous")
 
 
 def test_accept_threshold_ceiling():
@@ -261,6 +255,22 @@ def test_read_frame_peer_closed_mid_body():
     assert not thread.is_alive()
 
 
+@pytest.mark.parametrize("sent, match", [
+    (b"", r"^peer closed connection$"),
+    (b"\x10\x00", r"^peer closed connection mid-frame$"),
+], ids=["between_frames", "inside_length"])
+def test_read_frame_peer_closed_between_frames(sent, match):
+    """A close before a frame's first byte is told from one inside it."""
+    near, thread = _peer(lambda sock: sock.sendall(sent))
+    try:
+        with pytest.raises(ConnectionError, match=match):
+            read_frame(near)
+    finally:
+        near.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
 def test_socket_reply_checked_without_assert(fitted_pieces):
     """A reply of the wrong kind is a ProtocolError, also under python -O."""
     samples, model, theta0 = fitted_pieces
@@ -366,7 +376,54 @@ def test_closed_worker_connection_is_protocol_error(fitted_pieces):
             with pytest.raises(ProtocolError, match="worker 0: connection lost") as info:
                 call()
             assert isinstance(info.value.__cause__, ConnectionError)
+            # the worker closed between frames, not inside one
+            assert "mid-frame" not in str(info.value)
         assert pool.messages_sent == 0
+
+
+def test_worker_whose_manager_timed_out_exits_quietly(fitted_pieces, monkeypatch):
+    """A worker still busy when its manager gives up finds the connection
+    closed once it is done, and returns without an unhandled exception."""
+    samples, _, theta0 = fitted_pieces
+    monkeypatch.setattr("demfit.transport.REPLY_TIMEOUT_S", 0.2)
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+
+    class SlowModel(LmmModel):
+        def local_estep(self, theta, subset, subset_id=0, anchor_tag=0):
+            time.sleep(0.5)
+            return super().local_estep(theta, subset, subset_id, anchor_tag)
+
+    pool = SocketPool(SlowModel(3, 3), partition(samples, 2, seed=0))
+    try:
+        with pytest.raises(ProtocolError, match=r"worker 0: no reply within 0\.2 s"):
+            pool.estep(0, theta0, anchor_tag=1)
+    finally:
+        pool.close()
+    assert not any(t.is_alive() for t in pool._threads)
+    assert unhandled == []
+
+
+def test_worker_closes_connection_with_bad_magic(fitted_pieces, monkeypatch):
+    """A worker whose connection opens without the DEMX1 magic closes it
+    and returns without an unhandled exception."""
+    samples, model, _ = fitted_pieces
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    pool = SocketPool(model, partition(samples, 1, seed=0))
+    server = socket.create_server(("127.0.0.1", 0))
+    worker = threading.Thread(target=pool._serve, args=(server, 0, model.prepare(samples)),
+                              daemon=True)
+    worker.start()
+    try:
+        with socket.create_connection(server.getsockname(), timeout=5) as client:
+            client.sendall(b"DEMX0")
+            assert client.recv(1) == b""  # closed by the worker
+        worker.join(timeout=5)
+    finally:
+        pool.close()
+    assert not worker.is_alive()
+    assert unhandled == []
 
 
 def test_pool_close_releases_dead_connections(fitted_pieces, monkeypatch):
@@ -490,13 +547,18 @@ def test_schemes_agree_with_gamma_one(fitted_pieces):
     # round doubles as iteration 1's) vs 2K for manager/worker
     assert tr_naive.messages_sent == 4 * 3 * tr_naive.n_iterations
     assert tr_sync.messages_sent < tr_naive.messages_sent
-    # run_scheme is the manager loop with the scheme set and gamma = 1
-    _, tr_dem = run_dem(RunConfig(K=4, scheme="naive_allpairs"), model, subsets, theta0)
-    assert traces_equal(tr_dem, tr_naive)
-    assert tr_dem.accept_sets == tr_naive.accept_sets
-    assert tr_dem.anchor_tags == tr_naive.anchor_tags
-    assert tr_dem.messages_sent == tr_naive.messages_sent
-    assert tr_naive.config["gamma"] == 1.0
+    # run_scheme is the manager loop at gamma = 1, and only the message
+    # count and the recorded scheme tell the schemes apart
+    _, tr_dem = run_dem(RunConfig(K=4), model, subsets, theta0)
+    for tr in (tr_sync, tr_naive):
+        assert traces_equal(tr_dem, tr)
+        assert tr_dem.accept_sets == tr.accept_sets
+        assert tr_dem.anchor_tags == tr.anchor_tags
+        assert tr.config == tr_dem.config | {"scheme": tr.config["scheme"]}
+    assert tr_dem.messages_sent == tr_sync.messages_sent
+    assert "scheme" not in tr_dem.config
+    assert tr_sync.config["scheme"] == "synchronous"
+    assert tr_naive.config["scheme"] == "naive_allpairs"
 
 
 def test_ecme0_asserts_ascent(fitted_pieces):
