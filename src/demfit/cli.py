@@ -15,7 +15,7 @@ import numpy as np
 from . import datagen, diagnostics, movielens
 from .lmm import LmmModel, Theta, information_matrices, speed_matrices
 from .model import ProtocolError
-from .runtime import RunConfig, run_dem, run_ecme0
+from .runtime import COMPLETION_POLICIES, TRANSPORTS, RunConfig, run_dem, run_ecme0
 
 
 def _build_parser():
@@ -45,9 +45,8 @@ def _build_parser():
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--max-iter", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--transport", choices=("in_process", "socket"),
-                   default="in_process")
-    p.add_argument("--completion", choices=("restart", "finish"), default="restart")
+    p.add_argument("--transport", choices=TRANSPORTS, default="in_process")
+    p.add_argument("--completion", choices=COMPLETION_POLICIES, default="restart")
     p.add_argument("--exact-loglik-check", action="store_true")
     p.add_argument("--forced-split", action="store_true")
     p.add_argument("--allow-maxiter", action="store_true",

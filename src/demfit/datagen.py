@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .diagnostics import theta_to_json
 from .lmm import Sample, Theta
 
 _V3 = np.diag(np.sqrt([1.0, 2.0, 3.0]))
@@ -152,11 +153,7 @@ def save_dataset(path, samples: Sequence[Sample], meta: Optional[dict] = None,
     if meta:
         sidecar.update(meta)
     if truth is not None:
-        sidecar["true_theta"] = {
-            "beta": truth.beta.tolist(),
-            "L": truth.L.tolist(),
-            "tau2": truth.tau2,
-        }
+        sidecar["true_theta"] = theta_to_json(truth)
     with open(path.with_suffix(".json"), "w") as fh:
         json.dump(sidecar, fh, indent=1)
 

@@ -11,7 +11,7 @@ Trace JSON schema (written by `write_trace_json`):
                                       # gamma 1), run_ecme0 adds "algo"
     "thetas": [{"beta": [...], "L": [[...]], "tau2": float}, ...],
     "logliks": [float, ...],          # one entry per recorded iteration
-    "loglik_exact": bool,             # exact per-iteration values vs cached headers
+    "loglik_exact": bool,             # exact per-iteration values vs cached results
     "accept_sets": [[int, ...], ...], # fresh workers behind each M step
     "anchor_tags": [[int, ...], ...], # per-worker anchor index into thetas
     "staleness": [[int, ...], ...],   # staleness[j][k] = j - anchor_tags[j][k];
@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,13 +52,7 @@ class ErrReport:
     reference: str = "ecme0"
 
     def as_dict(self) -> dict:
-        return {
-            "err_beta": self.err_beta,
-            "err_tau2": self.err_tau2,
-            "err_var": self.err_var,
-            "err_cov": self.err_cov,
-            "reference": self.reference,
-        }
+        return asdict(self)
 
 
 def compute_err(theta: Theta, theta_ref: Theta, reference: str = "ecme0") -> ErrReport:

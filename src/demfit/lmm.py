@@ -414,12 +414,9 @@ def _kl_total(kl: np.ndarray) -> float:
 class LmmModel(ModelContract):
     """ModelContract implementation for the linear mixed-effects model."""
 
-    def __init__(self, p: int, q: int, cm_order: str = "joint"):
-        if cm_order not in ("joint", "ecm"):
-            raise ValueError(f"unknown cm_order {cm_order!r}")
+    def __init__(self, p: int, q: int):
         self.p = p
         self.q = q
-        self.cm_order = cm_order
         self._rec = _record_layout(p, q)
 
     # -- resident subsets ---------------------------------------------------
@@ -510,8 +507,7 @@ class LmmModel(ModelContract):
         m = len(shard)
         K = len(anchors)
         group = np.repeat(np.arange(K), sizes)
-        Linv = np.linalg.inv(np.stack([a.L for a in anchors] + [theta.L]))
-        Dinv = Linv.transpose(0, 2, 1) @ Linv
+        Dinv = np.stack([a.Dinv for a in anchors] + [theta.Dinv])
         beta = np.stack([a.beta for a in anchors] + [theta.beta])
         rows = np.concatenate([group, np.full(m, K)])
         twice = (np.concatenate([x, x]) for x in (shard.ZZ, shard.XZ, shard.Zy))
@@ -568,14 +564,7 @@ class LmmModel(ModelContract):
         fresh, const = DDArray.sum_rows(rows), shard.const_sum
         acc = DDArray.from_parts(np.concatenate([const.hi, fresh.hi]),
                                  np.concatenate([const.lo, fresh.lo]))
-        stats = LmmSuffStats(p, q, acc, m, shard.n_total)
-        return SuffStats(
-            subset_id=subset_id,
-            anchor_tag=anchor_tag,
-            n_obs=stats.n,
-            local_loglik_at_anchor=stats.loglik,
-            payload=stats,
-        )
+        return SuffStats(subset_id, anchor_tag, LmmSuffStats(p, q, acc, m, shard.n_total))
 
     def q_value(self, stats: LmmSuffStats, theta: Theta) -> float:
         """Expected complete-data log likelihood reconstructed from aggregates."""
@@ -597,15 +586,8 @@ class LmmModel(ModelContract):
                 "fixed-effects design S_xx is singular; columns of X are collinear"
             )
         beta = _cho_solve(c, v.S_xy - v.S_xzb)
-        if self.cm_order == "joint":
-            tau2 = v.rss_exp(beta) / stats.n
-            D = v.S_bb / (stats.m * tau2)
-        else:
-            Dinv_old = _cho_solve(theta_current.L, np.eye(self.q))
-            tau2 = (v.rss_exp(beta) + float(np.sum(Dinv_old * v.S_bb))) / (
-                stats.n + self.q * stats.m
-            )
-            D = v.S_bb / (stats.m * tau2)
+        tau2 = v.rss_exp(beta) / stats.n
+        D = v.S_bb / (stats.m * tau2)
         return Theta.from_cov(beta, D, tau2)
 
     def local_kl(self, theta_eval: Theta, theta_anchor: Theta,
@@ -647,14 +629,7 @@ class LmmModel(ModelContract):
         return stats.payload.pack()
 
     def unpack_stats(self, arr: np.ndarray, subset_id: int, anchor_tag: int) -> SuffStats:
-        payload = LmmSuffStats.unpack(arr, self.p, self.q)
-        return SuffStats(
-            subset_id=subset_id,
-            anchor_tag=anchor_tag,
-            n_obs=payload.n,
-            local_loglik_at_anchor=payload.loglik,
-            payload=payload,
-        )
+        return SuffStats(subset_id, anchor_tag, LmmSuffStats.unpack(arr, self.p, self.q))
 
 
 # -- information and speed matrices ---------------------------------------

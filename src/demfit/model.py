@@ -26,12 +26,16 @@ class RankDeficiencyError(ValueError):
 
 @dataclass
 class SuffStats:
-    """A worker's E-step output: a model-defined payload plus header."""
+    """A worker's E-step output: a model-defined payload plus a header.
+
+    The header routes the result: the subset it covers and the anchor tag
+    of the parameter it was computed at.  The statistics themselves, the
+    observation count `n` and the local log likelihood `loglik` live in
+    the payload.
+    """
 
     subset_id: int
     anchor_tag: int
-    n_obs: int
-    local_loglik_at_anchor: float
     payload: Any
     anchor_tags: Optional[list] = None  # filled on aggregates
 
@@ -49,8 +53,11 @@ class ModelContract(ABC):
     the same parameter object, if the results stay bitwise those of a
     fresh computation.
 
-    A local_estep payload provides combine(*others), the statistics of it
-    and the others together, and loglik, its local log likelihood.
+    local_estep returns a SuffStats whose header names the subset and
+    anchor tag it was given.  Its payload provides combine(*others), the
+    statistics of it and the others together; n, the number of
+    observations behind them; and loglik, their local log likelihood at
+    the anchor.
 
     free_energy_terms(theta, anchors, subsets) returns, per subset k, the
     local log likelihood at theta minus KL(posterior at anchors[k] ||
@@ -80,8 +87,10 @@ def aggregate_stats(cache: dict, K: int) -> SuffStats:
 
     The cache must hold exactly one entry for every subset id 0..K-1; the
     M step must never run before every subset has reported once.  The
-    payloads are combined in one call, `first.combine(*rest)`, whose
-    `loglik` is the header's.
+    payloads are combined in one call, `first.combine(*rest)`, which
+    carries the total `n` and `loglik`; the aggregate's header routes
+    nothing (subset id and anchor tag -1) and lists every subset's
+    anchor tag in `anchor_tags`.
     """
     if not cache:
         raise ProtocolError("empty statistics cache")
@@ -94,8 +103,6 @@ def aggregate_stats(cache: dict, K: int) -> SuffStats:
     return SuffStats(
         subset_id=-1,
         anchor_tag=-1,
-        n_obs=sum(s.n_obs for s in parts),
-        local_loglik_at_anchor=payload.loglik,
         payload=payload,
         anchor_tags=[s.anchor_tag for s in parts],
     )

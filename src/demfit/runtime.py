@@ -10,7 +10,7 @@ with one worker and gamma = 1, and the synchronous schemes (`run_scheme`)
 are gamma = 1 over K workers.
 
 Log-likelihood bookkeeping: in the default mode the manager estimates the
-full-data log likelihood from the cached per-subset headers, which are
+full-data log likelihood from the cached per-subset results, which are
 anchored at each worker's last accepted parameter.  The estimate therefore
 lags the current parameter by one round and is stale for non-reporting
 workers; traces carry a flag saying which mode produced them.  Iteration 1
@@ -144,7 +144,7 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
             L = (
                 _full_loglik(pool, theta, K)
                 if config.exact_loglik_check
-                else agg.local_loglik_at_anchor
+                else agg.payload.loglik
             )
             trace.thetas.append(theta)
             trace.logliks.append(L)

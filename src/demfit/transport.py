@@ -22,8 +22,8 @@ worker that does not answer in time, or whose connection drops, is a
 ProtocolError naming it; after a timeout the manager closes that
 connection, so a late reply cannot answer a later request.  Workers block
 on their reads without a limit, because they sit idle between iterations.
-A worker whose connection fails, or opens without the magic bytes, closes
-it and exits quietly.
+A worker whose connection fails, opens without the magic bytes or sends a
+malformed frame closes it and exits quietly.
 """
 from __future__ import annotations
 
@@ -166,9 +166,9 @@ class SocketPool:
 
     def _serve(self, server, k: int, shard):
         """Answer worker k's requests until a shutdown frame.  A connection
-        that opens without the magic bytes, or fails later because its
-        manager has gone, is closed and the worker returns quietly: there
-        is no one left to report to."""
+        that opens without the magic bytes, sends a malformed frame, or
+        fails later because its manager has gone, is closed and the worker
+        returns quietly: there is no one left to report to."""
         conn, _ = server.accept()
         server.close()
         try:
@@ -200,7 +200,7 @@ class SocketPool:
                     write_error(conn, k, iteration, exc)
                     continue
                 write_frame(conn, reply[0], k, iteration, reply[1])
-        except OSError:
+        except (OSError, ProtocolError):
             return
         finally:
             conn.close()

@@ -309,7 +309,7 @@ def test_shard_matches_samples_bitwise(monkeypatch):
         sa, sb = a.payload, b.payload
         assert np.array_equal(sa._acc.hi, sb._acc.hi)
         assert np.array_equal(sa._acc.lo, sb._acc.lo)
-        assert (sa.m, sa.n, a.local_loglik_at_anchor) == (sb.m, sb.n, b.local_loglik_at_anchor)
+        assert (sa.m, sa.n, sa.loglik) == (sb.m, sb.n, sb.loglik)
         assert (sa.m, sa.n) == (len(subset), sum(s.n_obs for s in subset))
         # reference: the data-only statistics summed from the samples, then
         # every column summed in one pass over one-sample rows
@@ -338,14 +338,13 @@ def _count_posteriors(monkeypatch) -> list:
 
 
 def _esteps_equal(a, b) -> bool:
-    """Bitwise equal statistics, sizes and headers."""
+    """Bitwise equal statistics, sizes, logliks and headers."""
     sa, sb = a.payload, b.payload
     return (
         np.array_equal(sa._acc.hi, sb._acc.hi)
         and np.array_equal(sa._acc.lo, sb._acc.lo)
-        and (sa.m, sa.n) == (sb.m, sb.n)
-        and (a.subset_id, a.anchor_tag, a.n_obs, a.local_loglik_at_anchor)
-        == (b.subset_id, b.anchor_tag, b.n_obs, b.local_loglik_at_anchor)
+        and (sa.m, sa.n, sa.loglik) == (sb.m, sb.n, sb.loglik)
+        and (a.subset_id, a.anchor_tag) == (b.subset_id, b.anchor_tag)
     )
 
 
@@ -453,28 +452,22 @@ def test_cm_is_argmax_of_q():
 
 def test_cm_increases_q():
     rng = np.random.default_rng(18)
-    for order in ("joint", "ecm"):
-        model = LmmModel(2, 2, cm_order=order)
-        theta = random_theta(rng, 2, 2)
-        agg = model.local_estep(theta, [random_sample(rng, 2, 2) for _ in range(10)])
-        theta_new = model.cm_steps(agg, theta)
-        assert model.q_value(agg.payload, theta_new) >= model.q_value(
-            agg.payload, theta
-        )
+    model = LmmModel(2, 2)
+    theta = random_theta(rng, 2, 2)
+    agg = model.local_estep(theta, [random_sample(rng, 2, 2) for _ in range(10)])
+    theta_new = model.cm_steps(agg, theta)
+    assert model.q_value(agg.payload, theta_new) >= model.q_value(agg.payload, theta)
+    # there is one CM step: the model takes no order setting
+    with pytest.raises(TypeError):
+        LmmModel(2, 2, cm_order="ecm")
 
 
-def _reference_cm_steps(model, stats, theta_current):
+def _reference_cm_steps(stats):
     """cm_steps through scipy's cho_factor/cho_solve."""
     v = stats.values()
     c = sla.cho_factor(v.S_xx, lower=True, check_finite=False)
     beta = sla.cho_solve(c, v.S_xy - v.S_xzb, check_finite=False)
-    if model.cm_order == "joint":
-        tau2 = v.rss_exp(beta) / stats.n
-    else:
-        Dinv_old = sla.cho_solve((theta_current.L, True), np.eye(model.q), check_finite=False)
-        tau2 = (v.rss_exp(beta) + float(np.sum(Dinv_old * v.S_bb))) / (
-            stats.n + model.q * stats.m
-        )
+    tau2 = v.rss_exp(beta) / stats.n
     return Theta.from_cov(beta, v.S_bb / (stats.m * tau2), tau2)
 
 
@@ -488,16 +481,15 @@ def _reference_q_value(model, stats, theta):
     )
 
 
-@pytest.mark.parametrize("order", ["joint", "ecm"])
-def test_cm_steps_and_q_value_match_scipy_cholesky(order):
+def test_cm_steps_and_q_value_match_scipy_cholesky():
     # the direct LAPACK calls give bitwise what cho_factor/cho_solve give
     rng = np.random.default_rng(23)
-    model = LmmModel(4, 3, cm_order=order)
+    model = LmmModel(4, 3)
     for _ in range(10):
         theta = random_theta(rng, 4, 3)
         stats = model.local_estep(theta, [random_sample(rng, 4, 3) for _ in range(8)]).payload
         got = model.cm_steps(stats, theta)
-        ref = _reference_cm_steps(model, stats, theta)
+        ref = _reference_cm_steps(stats)
         np.testing.assert_array_equal(got.beta, ref.beta)
         np.testing.assert_array_equal(got.L, ref.L)
         assert got.tau2 == ref.tau2
@@ -523,11 +515,10 @@ def test_cm_rank_deficiency():
     theta = Theta(np.zeros(2), np.eye(1), 1.0)
     # duplicate X columns -> singular S_xx
     s = Sample(y=[1.0, 2.0], X=[[1.0, 1.0], [2.0, 2.0]], Z=[[1.0], [1.0]])
-    for order in ("joint", "ecm"):
-        model = LmmModel(2, 1, cm_order=order)
-        agg = model.local_estep(theta, [s])
-        with pytest.raises(RankDeficiencyError, match="collinear"):
-            model.cm_steps(agg, theta)
+    model = LmmModel(2, 1)
+    agg = model.local_estep(theta, [s])
+    with pytest.raises(RankDeficiencyError, match="collinear"):
+        model.cm_steps(agg, theta)
 
 
 # -- parameter plumbing --------------------------------------------------------

@@ -54,8 +54,8 @@ def test_aggregate_matches_single_pass():
     for part in parts[1:]:
         folded = folded.combine(part)
     full = model.local_estep(theta, [s for sub in subsets for s in sub])
-    assert agg.n_obs == full.n_obs
-    assert agg.local_loglik_at_anchor == full.local_loglik_at_anchor
+    assert agg.payload.n == full.payload.n
+    assert agg.payload.loglik == full.payload.loglik
     for stats in (parts[0].combine(*parts[1:]), folded, full.payload):
         assert (stats.m, stats.n) == (agg.payload.m, agg.payload.n)
         for got, want in zip(agg.payload.values(), stats.values()):

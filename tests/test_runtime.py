@@ -405,24 +405,33 @@ def test_worker_whose_manager_timed_out_exits_quietly(fitted_pieces, monkeypatch
 
 
 def test_worker_closes_connection_with_bad_magic(fitted_pieces, monkeypatch):
-    """A worker whose connection opens without the DEMX1 magic closes it
-    and returns without an unhandled exception."""
+    """A worker whose connection opens without the DEMX1 magic, or whose
+    peer then sends a malformed frame, closes the connection and returns
+    without an unhandled exception."""
     samples, model, _ = fitted_pieces
-    unhandled = []
-    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    shard = model.prepare(samples)
+    ragged = struct.pack("<BIQ", KIND_ESTEP_REQ, 0, 0) + bytes(5)
+    cases = {
+        "bad magic": b"DEMX0",
+        "3-byte body": b"DEMX1" + struct.pack("<I", 3) + bytes(3),
+        "5-byte payload": b"DEMX1" + struct.pack("<I", len(ragged)) + ragged,
+    }
+    unhandled = []  # (case, exception type) of each worker that raised
+    monkeypatch.setattr(threading, "excepthook",
+                        lambda args: unhandled.append((case, args.exc_type)))
     pool = SocketPool(model, partition(samples, 1, seed=0))
-    server = socket.create_server(("127.0.0.1", 0))
-    worker = threading.Thread(target=pool._serve, args=(server, 0, model.prepare(samples)),
-                              daemon=True)
-    worker.start()
     try:
-        with socket.create_connection(server.getsockname(), timeout=5) as client:
-            client.sendall(b"DEMX0")
-            assert client.recv(1) == b""  # closed by the worker
-        worker.join(timeout=5)
+        for case, sent in cases.items():
+            server = socket.create_server(("127.0.0.1", 0))
+            worker = threading.Thread(target=pool._serve, args=(server, 0, shard), daemon=True)
+            worker.start()
+            with socket.create_connection(server.getsockname(), timeout=5) as client:
+                client.sendall(sent)
+                assert client.recv(1) == b"", case  # closed by the worker
+            worker.join(timeout=5)
+            assert not worker.is_alive(), case
     finally:
         pool.close()
-    assert not worker.is_alive()
     assert unhandled == []
 
 
