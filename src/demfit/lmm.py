@@ -11,7 +11,9 @@ second moment of the random effects.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
@@ -467,6 +469,9 @@ class LmmModel(ModelContract):
         logdet_A = 2.0 * np.log(np.diagonal(cA, axis1=1, axis2=2)).sum(axis=1)
         return _Posterior(b_hat, ztr, A, Ainv, logdet_A)
 
+    def _posterior_at(self, theta: Theta, shard: LmmShard) -> _Posterior:
+        return self._posterior(shard.ZZ, shard.XZ, shard.Zy, theta.Dinv, theta.beta)
+
     def _kernel(self, theta: Theta, shard: LmmShard):
         """The posterior at theta and the marginal log density of every
         sample, as (_Posterior, (m,) logliks); read from the shard's slot
@@ -474,7 +479,7 @@ class LmmModel(ModelContract):
         last = shard.last
         if last is not None and last[0] is theta:
             return last[1:]
-        post = self._posterior(shard.ZZ, shard.XZ, shard.Zy, theta.Dinv, theta.beta)
+        post = self._posterior_at(theta, shard)
         return post, self._loglik(theta, shard, post)
 
     def _loglik(self, theta: Theta, shard: LmmShard, post: _Posterior) -> np.ndarray:
@@ -493,35 +498,25 @@ class LmmModel(ModelContract):
             raise NumericalDomainError("non-finite marginal log density")
         return loglik
 
-    def _anchored(self, theta: Theta, anchors: Sequence[Theta], sizes: Sequence[int],
-                  shard: LmmShard):
-        """The posterior at theta and every sample's Gaussian
-        KL(posterior at its anchor || posterior at theta), as
-        (_Posterior, (m,) KL terms).
+    def _kl(self, theta: Theta, post: _Posterior, anchor: _Posterior,
+            tau2_a, log_ratio) -> np.ndarray:
+        """Every sample's Gaussian KL(posterior at its anchor || posterior at
+        theta), as (m,) terms.
 
-        anchors[k] is the anchor of the next sizes[k] samples.  Both
-        posteriors come from one batch of 2m rows: the anchor rows, each
-        with its own anchor's D^{-1} and beta, then the rows at theta.
+        post is the posterior at theta; anchor holds each sample's Ainv,
+        b_hat and logdet_A at its anchor.  tau2_a and log_ratio, which is
+        q log(theta.tau2 / tau2_a), are given per sample, or as scalars for
+        one anchor.
         """
         q = self.q
-        m = len(shard)
-        K = len(anchors)
-        group = np.repeat(np.arange(K), sizes)
-        Dinv = np.stack([a.Dinv for a in anchors] + [theta.Dinv])
-        beta = np.stack([a.beta for a in anchors] + [theta.beta])
-        rows = np.concatenate([group, np.full(m, K)])
-        twice = (np.concatenate([x, x]) for x in (shard.ZZ, shard.XZ, shard.Zy))
-        post = self._posterior(*twice, Dinv[rows], beta[rows])
+        m = len(post.b_hat)
         # C = tau2 A^{-1}, so C_e^{-1} = A_e / tau2_e needs no factorization
         # and log|C| = q log tau2 - log|A|
-        tau2_a = np.array([a.tau2 for a in anchors])[group]
-        log_ratio = np.array([q * math.log(theta.tau2 / a.tau2) for a in anchors])[group]
-        Ainv_a, A_e = post.Ainv[:m], post.A[m:]
-        tr = (tau2_a / theta.tau2) * (A_e * Ainv_a).reshape(m, q * q).sum(axis=1)
-        d = post.b_hat[m:] - post.b_hat[:m]
-        quad = ((A_e @ d[:, :, None])[:, :, 0] * d).sum(axis=1) / theta.tau2
-        logdet = log_ratio - post.logdet_A[m:] + post.logdet_A[:m]
-        return _Posterior(*(x[m:] for x in post)), 0.5 * (tr + quad - q + logdet)
+        tr = (tau2_a / theta.tau2) * (post.A * anchor.Ainv).reshape(m, q * q).sum(axis=1)
+        d = post.b_hat - anchor.b_hat
+        quad = ((post.A @ d[:, :, None])[:, :, 0] * d).sum(axis=1) / theta.tau2
+        logdet = log_ratio - post.logdet_A + anchor.logdet_A
+        return 0.5 * (tr + quad - q + logdet)
 
     def posterior_moments(self, theta: Theta, s: Sample):
         """Mean and covariance of the random effects given the data.
@@ -594,24 +589,84 @@ class LmmModel(ModelContract):
                  subset: SubsetData | LmmShard) -> float:
         """Sum of Gaussian KL(posterior at anchor || posterior at eval)."""
         shard = self._shard(subset)
-        _, kl = self._anchored(theta_eval, [theta_anchor], [len(shard)], shard)
-        return _kl_total(kl)
+        post = self._posterior_at(theta_eval, shard)
+        anchor = self._posterior_at(theta_anchor, shard)
+        log_ratio = self.q * math.log(theta_eval.tau2 / theta_anchor.tau2)
+        return _kl_total(self._kl(theta_eval, post, anchor, theta_anchor.tau2, log_ratio))
 
-    def free_energy_terms(self, theta: Theta, anchors: Sequence[Theta],
-                          subsets: Sequence[SubsetData]) -> list:
-        """Per subset, -local_kl(theta, anchor, subset) + local_loglik(theta,
-        subset), from one batched pass over the samples of every subset."""
+    def free_energy_path(self, thetas: Sequence[Theta], anchor_tags: Sequence[Sequence[int]],
+                         subsets: Sequence[SubsetData]) -> list:
+        """Per row j and subset k, local_loglik(thetas[j], subset) minus
+        local_kl(thetas[j], thetas[anchor_tags[j][k]], subset), in one pass.
+
+        The samples are stacked once, and the posterior at each thetas[t] is
+        computed once over all of them, at the first row that needs it: row
+        t, whose eval point it is, or a row where some subset takes tag t.
+        Its rows for every subset that takes tag t, then or later, are
+        copied out at once, so beside each subset's anchor-side rows the
+        pass holds one posterior, and on top of it only a later row's
+        posterior that an earlier row took as an anchor (never for a trace
+        from `run_dem`, whose tags never point ahead of their row).  A row
+        rewrites the anchor-side rows only for the subsets whose
+        tag changed, and computes q log(tau2 / tau2_a) once per distinct
+        tag.  Rows are batch-independent, so every term is bitwise what a
+        call per subset gives.
+        """
+        q, K, R = self.q, len(subsets), len(anchor_tags)
         sizes = [len(subset) for subset in subsets]
         shard = self.prepare([s for subset in subsets for s in subset])
-        post, kl = self._anchored(theta, anchors, sizes, shard)
-        loglik = self._loglik(theta, shard, post)
-        terms = []
-        stop = 0
-        for size in sizes:
-            part = slice(stop, stop + size)
-            stop += size
-            terms.append(-_kl_total(kl[part]) + math.fsum(loglik[part]))
-        return terms
+        m = len(shard)
+        ends = list(itertools.accumulate(sizes))
+        starts = [end - size for end, size in zip(ends, sizes)]
+        members = [np.arange(a, b) for a, b in zip(starts, ends)]
+        group = np.repeat(np.arange(K), sizes)
+        # switches[t]: (row, sample indices) for each row where subsets take tag t
+        switches = defaultdict(list)
+        prev = [None] * K
+        for j, tags in enumerate(anchor_tags):
+            if len(tags) != K:
+                raise ValueError(f"row {j}: need one anchor tag per subset, got {len(tags)}")
+            changed = defaultdict(list)
+            for k, (tag, old) in enumerate(zip(tags, prev)):
+                if tag != old:
+                    changed[tag].append(members[k])
+            for tag, idx in changed.items():
+                switches[tag].append((j, np.concatenate(idx)))
+            prev = tags
+        first_use = defaultdict(list)  # row -> the tags whose posterior it computes
+        for t in set(switches) | set(range(R)):
+            uses = [row for row, _ in switches[t]] + ([t] if t < R else [])
+            first_use[min(uses)].append(t)
+
+        pending = defaultdict(list)  # row -> (idx, Ainv, b_hat, logdet_A) it writes
+        anchor = _Posterior(np.empty((m, q)), None, None, np.empty((m, q, q)), np.empty(m))
+        ahead = {}  # a later row's eval posterior, computed early as an anchor
+        out = []
+        for j, tags in enumerate(anchor_tags):
+            theta = thetas[j]
+            for t in first_use.pop(j, ()):
+                post_t = self._posterior_at(thetas[t], shard)
+                for row, idx in switches.pop(t):
+                    pending[row].append(
+                        (idx, post_t.Ainv[idx], post_t.b_hat[idx], post_t.logdet_A[idx]))
+                if t == j:
+                    post = post_t
+                elif t < R:
+                    ahead[t] = post_t
+            if j in ahead:
+                post = ahead.pop(j)
+            for idx, Ainv, b_hat, logdet_A in pending.pop(j, ()):
+                anchor.Ainv[idx] = Ainv
+                anchor.b_hat[idx] = b_hat
+                anchor.logdet_A[idx] = logdet_A
+            ratio = {t: q * math.log(theta.tau2 / thetas[t].tau2) for t in set(tags)}
+            tau2_a = np.array([thetas[t].tau2 for t in tags])[group]
+            log_ratio = np.array([ratio[t] for t in tags])[group]
+            kl = self._kl(theta, post, anchor, tau2_a, log_ratio).tolist()
+            loglik = self._loglik(theta, shard, post).tolist()
+            out.append([-_kl_total(kl[a:b]) + math.fsum(loglik[a:b])
+                        for a, b in zip(starts, ends)])
+        return out
 
     # -- wire serialization --------------------------------------------------
     def pack_theta(self, theta: Theta) -> np.ndarray:

@@ -59,11 +59,15 @@ class ModelContract(ABC):
     observations behind them; and loglik, their local log likelihood at
     the anchor.
 
-    free_energy_terms(theta, anchors, subsets) returns, per subset k, the
-    local log likelihood at theta minus KL(posterior at anchors[k] ||
-    posterior at theta).  With every anchor equal to theta the terms must
-    equal the subsets' local_loglik values, and local_loglik must stay
-    finite on the valid parameter domain.
+    free_energy_path(thetas, anchor_tags, subsets) returns one row of
+    per-subset terms for each row j of anchor_tags: for subset k, the local
+    log likelihood at thetas[j] minus KL(posterior at
+    thetas[anchor_tags[j][k]] || posterior at thetas[j]).  It is one call
+    for a whole trace, so a model can compute the posterior at each thetas[t]
+    once and reuse it for every subset whose tag is t, and it keeps nothing
+    of it after the call.  With every tag of row j equal to j the terms must
+    equal the subsets' local_loglik values at thetas[j], and local_loglik
+    must stay finite on the valid parameter domain.
     """
 
     def prepare(self, subset):
@@ -79,7 +83,7 @@ class ModelContract(ABC):
     def cm_steps(self, agg, theta_current): ...
 
     @abstractmethod
-    def free_energy_terms(self, theta, anchors, subsets) -> list: ...
+    def free_energy_path(self, thetas, anchor_tags, subsets) -> list: ...
 
 
 def aggregate_stats(cache: dict, K: int) -> SuffStats:
@@ -108,23 +112,36 @@ def aggregate_stats(cache: dict, K: int) -> SuffStats:
     )
 
 
+def _free_energy(terms) -> float:
+    total = 0.0
+    for k, term in enumerate(terms):
+        if not math.isfinite(term):
+            raise NumericalDomainError(f"non-finite free-energy term for subset {k}")
+        total += term
+    return total
+
+
 def evaluate_F(theta, anchors: Sequence, model: ModelContract, subsets: Sequence) -> float:
     """Free-energy objective: sum over subsets of the local log likelihood
     minus the KL gap between the anchored posterior and the posterior at theta.
 
     With every anchor equal to theta this collapses to the full-data log
-    likelihood.  The model evaluates every subset's term in one call.
+    likelihood.  It is a one-row call of the model's free_energy_path, in
+    which an anchor shared by several subsets, or equal to theta, is one
+    parameter point.
     """
     if len(anchors) != len(subsets):
         raise ValueError(
             f"need one anchor per subset: got {len(anchors)} anchors, {len(subsets)} subsets"
         )
-    total = 0.0
-    for k, term in enumerate(model.free_energy_terms(theta, anchors, subsets)):
-        if not math.isfinite(term):
-            raise NumericalDomainError(f"non-finite free-energy term for subset {k}")
-        total += term
-    return total
+    thetas, tags = [theta], []
+    for anchor in anchors:
+        tag = next((t for t, seen in enumerate(thetas) if seen is anchor), len(thetas))
+        if tag == len(thetas):
+            thetas.append(anchor)
+        tags.append(tag)
+    (terms,) = model.free_energy_path(thetas, [tags], subsets)
+    return _free_energy(terms)
 
 
 @dataclass
@@ -180,13 +197,11 @@ class Trace:
 
 def check_monotone_F(trace: Trace, model: ModelContract, subsets: Sequence,
                      rel_tol: float = 1e-8) -> list:
-    """Recompute the free energy along a trace and list the iterations
-    where it decreased beyond the relative tolerance.  Expected empty."""
-    values = []
-    for tags in trace.anchor_tags:
-        anchors = [trace.thetas[tag] for tag in tags]
-        theta = trace.thetas[len(values)]
-        values.append(evaluate_F(theta, anchors, model, subsets))
+    """Recompute the free energy along a trace, in one free_energy_path call,
+    and list the iterations where it decreased beyond the relative
+    tolerance.  Expected empty."""
+    rows = model.free_energy_path(trace.thetas, trace.anchor_tags, subsets)
+    values = [_free_energy(terms) for terms in rows]
     violations = []
     for t in range(1, len(values)):
         if values[t] < values[t - 1] - rel_tol * abs(values[t - 1]):

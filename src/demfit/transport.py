@@ -113,21 +113,14 @@ class InProcessPool:
         self.model = model
         self.shards = [model.prepare(subset) for subset in subsets]
         self.messages_sent = 0
-        # the count is a read-modify-write; the lock keeps it right when
-        # callers share one pool between threads
-        self._count_lock = threading.Lock()
-
-    def _count(self):
-        with self._count_lock:
-            self.messages_sent += 2  # request out, reply back
 
     def estep(self, k: int, theta, anchor_tag: int) -> SuffStats:
-        self._count()
+        self.messages_sent += 2  # request out, reply back
         return self.model.local_estep(theta, self.shards[k], subset_id=k,
                                       anchor_tag=anchor_tag)
 
     def loglik(self, k: int, theta) -> float:
-        self._count()
+        self.messages_sent += 2
         return self.model.local_loglik(theta, self.shards[k])
 
     def close(self):

@@ -1,6 +1,7 @@
 import copy
 import math
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -247,6 +248,46 @@ def test_model_keeps_no_per_call_state(small_dataset):
     assert vars(model) == before
 
 
+def test_audit_prepares_once_and_one_posterior_per_theta(small_dataset):
+    # a "finish" run delivers E steps at tags that no subset holds at the
+    # rows in between, so a posterior kept until its last reference would
+    # outlive the rows that refer to it
+    samples, _ = small_dataset
+    subsets = partition(samples, 8, seed=0)
+    _, tr = run_dem(RunConfig(K=8, gamma=0.25, seed=3, completion="finish"), LmmModel(4, 3),
+                    subsets, Theta.default_start(4, 3))
+    assert tr.max_staleness >= 2
+
+    class CountingModel(LmmModel):
+        def __init__(self, p, q):
+            super().__init__(p, q)
+            self.prepared, self.rows, self.held, self.alive = 0, 0, [], []
+
+        def prepare(self, subset):
+            self.prepared += 1
+            return super().prepare(subset)
+
+        def _posterior(self, ZZ, XZ, Zy, Dinv, beta):
+            # count the earlier posteriors still reachable from the audit
+            self.held.append(sum(any(ref() is not None for ref in refs) for refs in self.alive))
+            post = super()._posterior(ZZ, XZ, Zy, Dinv, beta)
+            self.rows += len(ZZ)
+            self.alive.append([weakref.ref(x) for x in post])
+            return post
+
+    model = CountingModel(4, 3)
+    assert check_monotone_F(tr, model, subsets) == []
+    assert model.prepared == 1
+    assert model.rows == len(samples) * len(tr.thetas)
+    # row j computes the posterior at thetas[j]: with it, the audit holds at
+    # most one posterior more than row j has distinct anchor tags; in fact
+    # only the previous row's is still alive
+    assert len(model.held) == len(tr.thetas)
+    for held, tags in zip(model.held, tr.anchor_tags):
+        assert held <= len(set(tags))
+    assert max(model.held) == 1
+
+
 def test_moments_computed_concurrently():
     # a model may be shared between threads (SocketPool serves every worker
     # from its own thread), so fresh samples can get their data moments
@@ -294,8 +335,8 @@ def test_shard_matches_samples_bitwise(monkeypatch):
         widths.clear()
         assert model.local_loglik(theta, shard) == model.local_loglik(theta, subset)
         assert model.local_kl(theta, anchor, shard) == model.local_kl(theta, anchor, subset)
-        assert model.free_energy_terms(theta, [anchor], [subset]) == [
-            -model.local_kl(theta, anchor, shard) + model.local_loglik(theta, shard)
+        assert model.free_energy_path([theta, anchor], [[1]], [subset]) == [
+            [-model.local_kl(theta, anchor, shard) + model.local_loglik(theta, shard)]
         ]
         if subset:
             model.posterior_moments(theta, subset[0])

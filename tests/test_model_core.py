@@ -137,7 +137,7 @@ def test_evaluate_F_non_finite_subset():
         evaluate_F(theta, [theta] * 3, model, subsets)
 
 
-def test_audit_one_model_call_per_iteration(small_dataset):
+def test_audit_one_model_call_per_audit(small_dataset):
     class CountingModel(LmmModel):
         def __init__(self, p, q):
             super().__init__(p, q)
@@ -146,9 +146,9 @@ def test_audit_one_model_call_per_iteration(small_dataset):
         def _count(self, name):
             self.calls[name] = self.calls.get(name, 0) + 1
 
-        def free_energy_terms(self, theta, anchors, subsets):
-            self._count("free_energy_terms")
-            return super().free_energy_terms(theta, anchors, subsets)
+        def free_energy_path(self, thetas, anchor_tags, subsets):
+            self._count("free_energy_path")
+            return super().free_energy_path(thetas, anchor_tags, subsets)
 
         def local_kl(self, theta_eval, theta_anchor, subset):
             self._count("local_kl")
@@ -157,7 +157,25 @@ def test_audit_one_model_call_per_iteration(small_dataset):
     _, subsets, tr = _fractional_run(small_dataset[0])
     model = CountingModel(4, 3)
     assert check_monotone_F(tr, model, subsets) == []
-    assert model.calls == {"free_energy_terms": len(tr.thetas)}
+    assert model.calls == {"free_energy_path": 1}
+
+
+def test_path_matches_evaluate_F_bitwise(small_dataset):
+    # completion "finish" delivers stale E steps, so subsets take tags that
+    # no subset held at the row before; the empty subset is anchored at 0
+    subsets = partition(small_dataset[0], 8, seed=0) + [[]]
+    model = LmmModel(4, 3)
+    _, tr = run_dem(RunConfig(K=8, gamma=0.25, seed=3, completion="finish"), model,
+                    subsets[:-1], Theta.default_start(4, 3))
+    assert tr.max_staleness >= 2
+    tags = [list(row) + [0] for row in tr.anchor_tags]
+    rows = model.free_energy_path(tr.thetas, tags, subsets)
+    assert len(rows) == len(tr.thetas)
+    expected = [evaluate_F(tr.thetas[j], [tr.thetas[t] for t in row], model, subsets)
+                for j, row in enumerate(tags)]
+    assert [sum(terms) for terms in rows] == expected
+    with pytest.raises(ValueError, match="one anchor tag per subset"):
+        model.free_energy_path(tr.thetas, tr.anchor_tags, subsets)
 
 
 def test_trace_properties():
