@@ -199,9 +199,7 @@ def cmd_ingest(args) -> int:
     if args.ratings_dat:
         if not args.movies_dat:
             raise SystemExit("--ratings-dat requires --movies-dat")
-        tmp = f"{args.out}.ratings.csv"
-        movielens.convert_dat(args.ratings_dat, args.movies_dat, tmp)
-        records = movielens.read_ratings_file(tmp)
+        records = list(movielens.read_dat(args.ratings_dat, args.movies_dat))
     elif args.ratings:
         records = movielens.read_ratings_file(args.ratings)
     else:

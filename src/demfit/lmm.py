@@ -525,7 +525,7 @@ class LmmModel(ModelContract):
         which equals the standard W = Z D Z^T + I conditioning without ever
         forming the n_i-dimensional inverse.
         """
-        post, _ = self._kernel(theta, self.prepare([s]))
+        post = self._posterior_at(theta, self.prepare([s]))
         return post.b_hat[0], theta.tau2 * post.Ainv[0]
 
     # -- ModelContract operations -------------------------------------------
@@ -597,20 +597,17 @@ class LmmModel(ModelContract):
     def free_energy_path(self, thetas: Sequence[Theta], anchor_tags: Sequence[Sequence[int]],
                          subsets: Sequence[SubsetData]) -> list:
         """Per row j and subset k, local_loglik(thetas[j], subset) minus
-        local_kl(thetas[j], thetas[anchor_tags[j][k]], subset), in one pass.
+        local_kl(thetas[j], thetas[anchor_tags[j][k]], subset), in one pass;
+        a tag the ModelContract rule does not allow is a ValueError.
 
-        The samples are stacked once, and the posterior at each thetas[t] is
-        computed once over all of them, at the first row that needs it: row
-        t, whose eval point it is, or a row where some subset takes tag t.
-        Its rows for every subset that takes tag t, then or later, are
-        copied out at once, so beside each subset's anchor-side rows the
-        pass holds one posterior, and on top of it only a later row's
-        posterior that an earlier row took as an anchor (never for a trace
-        from `run_dem`, whose tags never point ahead of their row).  A row
-        rewrites the anchor-side rows only for the subsets whose
-        tag changed, and computes q log(tau2 / tau2_a) once per distinct
-        tag.  Rows are batch-independent, so every term is bitwise what a
-        call per subset gives.
+        The samples are stacked once, and the posterior at each thetas[t]
+        is computed once over all of them: at row t, or before row 0 for a
+        tag past the last row.  Its rows for every subset that switches to
+        tag t are copied out then, so the pass holds one posterior beside
+        the anchor-side rows.  A row rewrites those only for the subsets
+        whose tag changed, and computes q log(tau2 / tau2_a) once per
+        distinct tag.  Rows are batch-independent, so every term is bitwise
+        what a call per subset gives.
         """
         q, K, R = self.q, len(subsets), len(anchor_tags)
         sizes = [len(subset) for subset in subsets]
@@ -629,32 +626,30 @@ class LmmModel(ModelContract):
             changed = defaultdict(list)
             for k, (tag, old) in enumerate(zip(tags, prev)):
                 if tag != old:
+                    if not (0 <= tag <= j or R <= tag < len(thetas)):
+                        raise ValueError(f"row {j}: anchor tag {tag} is neither a row up to "
+                                         f"{j} nor one of thetas past the last row")
                     changed[tag].append(members[k])
             for tag, idx in changed.items():
                 switches[tag].append((j, np.concatenate(idx)))
             prev = tags
-        first_use = defaultdict(list)  # row -> the tags whose posterior it computes
-        for t in set(switches) | set(range(R)):
-            uses = [row for row, _ in switches[t]] + ([t] if t < R else [])
-            first_use[min(uses)].append(t)
 
         pending = defaultdict(list)  # row -> (idx, Ainv, b_hat, logdet_A) it writes
+
+        def posterior(t):
+            post = self._posterior_at(thetas[t], shard)
+            for row, idx in switches.pop(t, ()):
+                pending[row].append(
+                    (idx, post.Ainv[idx], post.b_hat[idx], post.logdet_A[idx]))
+            return post
+
+        for t in [t for t in switches if t >= R]:
+            posterior(t)
         anchor = _Posterior(np.empty((m, q)), None, None, np.empty((m, q, q)), np.empty(m))
-        ahead = {}  # a later row's eval posterior, computed early as an anchor
         out = []
         for j, tags in enumerate(anchor_tags):
             theta = thetas[j]
-            for t in first_use.pop(j, ()):
-                post_t = self._posterior_at(thetas[t], shard)
-                for row, idx in switches.pop(t):
-                    pending[row].append(
-                        (idx, post_t.Ainv[idx], post_t.b_hat[idx], post_t.logdet_A[idx]))
-                if t == j:
-                    post = post_t
-                elif t < R:
-                    ahead[t] = post_t
-            if j in ahead:
-                post = ahead.pop(j)
+            post = posterior(j)
             for idx, Ainv, b_hat, logdet_A in pending.pop(j, ()):
                 anchor.Ainv[idx] = Ainv
                 anchor.b_hat[idx] = b_hat

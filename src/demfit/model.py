@@ -59,15 +59,17 @@ class ModelContract(ABC):
     observations behind them; and loglik, their local log likelihood at
     the anchor.
 
-    free_energy_path(thetas, anchor_tags, subsets) returns one row of
-    per-subset terms for each row j of anchor_tags: for subset k, the local
-    log likelihood at thetas[j] minus KL(posterior at
-    thetas[anchor_tags[j][k]] || posterior at thetas[j]).  It is one call
-    for a whole trace, so a model can compute the posterior at each thetas[t]
-    once and reuse it for every subset whose tag is t, and it keeps nothing
-    of it after the call.  With every tag of row j equal to j the terms must
-    equal the subsets' local_loglik values at thetas[j], and local_loglik
-    must stay finite on the valid parameter domain.
+    free_energy_path(thetas, anchor_tags, subsets) returns, for row j of
+    anchor_tags and subset k, the local log likelihood at thetas[j] minus
+    KL(posterior at thetas[anchor_tags[j][k]] || posterior at thetas[j]).
+    A tag of row j is at most j, as in a `run_dem` trace, or past the last
+    row, as evaluate_F's extra anchors are; a negative tag, one naming a
+    later row or one past the end of thetas is a ValueError.  So one call
+    for a whole trace can compute the posterior at each thetas[t] once, at
+    row t or before row 0, for every subset whose tag is t, and keeps
+    nothing of it after the call.  With every tag of row j equal to j the
+    terms must equal the subsets' local_loglik values at thetas[j], and
+    local_loglik must stay finite on the valid parameter domain.
     """
 
     def prepare(self, subset):
@@ -163,10 +165,10 @@ class Trace:
     """Per-iteration record of a run.
 
     thetas[j] is the parameter after j M steps (thetas[0] is the start),
-    anchor_tags[j] gives, for each subset, the index into thetas of the
-    parameter its cached E-step result was computed at when thetas[j] was
-    current, and accept_sets[j-1] lists the workers whose fresh results
-    the j-th M step used.
+    anchor_tags[j] gives, for each subset, the index in 0..j into thetas of
+    the parameter its cached E-step result was computed at when thetas[j]
+    was current, and accept_sets[j-1] lists the workers whose fresh
+    results the j-th M step used.
     """
 
     thetas: list = field(default_factory=list)

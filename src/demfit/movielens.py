@@ -5,9 +5,9 @@ Input is delimited text with one rating per line:
     user_id,movie_id,rating,timestamp,genre_bitfield
 
 where genre_bitfield is a 19-character 0/1 string over GENRES (in order).
-A converter from the common "::"-separated ratings.dat/movies.dat pair is
-provided.  Feature building turns each user's rating history into one
-mixed-model sample with six columns (X = Z):
+`read_dat` reads the common "::"-separated ratings.dat/movies.dat pair.
+Feature building turns each user's rating history into one mixed-model
+sample with six columns (X = Z):
 
   0-3  genre-category scores: the movie's flags for the genres mapped to
        the category, averaged over the category's genre list
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -154,11 +154,15 @@ def read_ratings_file(path) -> list[RatingsRecord]:
         return [parse_line(line) for line in fh if line.strip()]
 
 
-def write_ratings_file(path, records: Iterable[RatingsRecord]) -> None:
+def write_ratings_file(path, records: Iterable[RatingsRecord]) -> int:
+    """Write records in the delimited format; returns how many were written."""
+    count = 0
     with open(path, "w") as fh:
         for r in records:
             bits = "".join(str(g) for g in r.genres)
             fh.write(f"{r.user_id},{r.movie_id},{r.rating},{r.timestamp},{bits}\n")
+            count += 1
+    return count
 
 
 def genre_bits_from_names(names: Iterable[str]) -> tuple:
@@ -175,20 +179,17 @@ def genre_bits_from_names(names: Iterable[str]) -> tuple:
     return tuple(flags)
 
 
-def convert_dat(ratings_path, movies_path, out_path) -> int:
-    """Convert a "::"-separated ratings.dat/movies.dat pair to the delimited
-    format above.  Returns the number of records written."""
+def read_dat(ratings_path, movies_path) -> Iterator[RatingsRecord]:
+    """Stream the records of a "::"-separated ratings.dat/movies.dat pair; a
+    rating of a movie not in movies.dat is a ValueError naming its line."""
     genres_by_movie = {}
     with open(movies_path, encoding="utf-8", errors="replace") as fh:
         for line in fh:
             if not line.strip():
                 continue
             movie_id, _title, genre_field = line.rstrip("\n").split("::")
-            genres_by_movie[int(movie_id)] = genre_bits_from_names(
-                genre_field.split("|")
-            )
-    count = 0
-    with open(ratings_path) as fh, open(out_path, "w") as out:
+            genres_by_movie[int(movie_id)] = genre_bits_from_names(genre_field.split("|"))
+    with open(ratings_path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -197,7 +198,10 @@ def convert_dat(ratings_path, movies_path, out_path) -> int:
             if genres is None:
                 raise ValueError(f"{ratings_path}:{lineno}: movie {int(movie)} "
                                  f"is not in {movies_path}")
-            bits = "".join(str(g) for g in genres)
-            out.write(f"{int(user)},{int(movie)},{float(rating)},{int(ts)},{bits}\n")
-            count += 1
-    return count
+            yield RatingsRecord(int(user), int(movie), float(rating), int(ts), genres)
+
+
+def convert_dat(ratings_path, movies_path, out_path) -> int:
+    """Convert a "::"-separated ratings.dat/movies.dat pair to the delimited
+    format above.  Returns the number of records written."""
+    return write_ratings_file(out_path, read_dat(ratings_path, movies_path))

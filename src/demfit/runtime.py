@@ -60,12 +60,12 @@ class RunConfig:
             raise ValueError("K must be >= 1")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must be in (0, 1]")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
         if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.completion not in COMPLETION_POLICIES:
             raise ValueError(f"unknown completion policy {self.completion!r}")
-        if self.accept_threshold < 1:
-            raise ValueError("ceil(gamma * K) must be >= 1")
 
     @property
     def accept_threshold(self) -> int:
@@ -157,7 +157,7 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
                 break
         else:
             trace.hit_max_iter = True
-        trace.final_loglik = _full_loglik(pool, theta, K)
+        trace.final_loglik = L if config.exact_loglik_check else _full_loglik(pool, theta, K)
     finally:
         pool.close()
     trace.messages_sent = pool.messages_sent

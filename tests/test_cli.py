@@ -134,6 +134,30 @@ def test_ingest_and_fit(workspace, tmp_path):
                 "--out", tmp_path / "mlfit"]) == 0
 
 
+def test_ingest_dat_pair_without_intermediate_file(tmp_path):
+    from demfit.movielens import convert_dat
+
+    rng = np.random.default_rng(1)
+    genres = ["Action", "Children's", "Comedy", "Drama|Romance", "Sci-Fi|Comedy"]
+    movies = tmp_path / "movies.dat"
+    movies.write_text("".join(f"{i}::Film {i} (2000)::{genres[i % 5]}\n"
+                              for i in range(1, 31)))
+    ratings = tmp_path / "ratings.dat"
+    ratings.write_text("".join(
+        f"{rng.integers(1, 11)}::{rng.integers(1, 31)}::{rng.integers(1, 11) * 0.5}::{t}\n"
+        for t in range(400)))
+    assert convert_dat(ratings, movies, tmp_path / "r.csv") == 400
+    assert run(["ingest", "--ratings", tmp_path / "r.csv", "--out", tmp_path / "csv"]) == 0
+    assert run(["ingest", "--ratings-dat", ratings, "--movies-dat", movies,
+                "--out", tmp_path / "dat"]) == 0
+    with np.load(tmp_path / "csv.npz") as want, np.load(tmp_path / "dat.npz") as got:
+        assert sorted(got.files) == sorted(want.files)
+        for name in want.files:
+            np.testing.assert_array_equal(got[name], want[name])
+    assert (tmp_path / "dat.json").read_text() == (tmp_path / "csv.json").read_text()
+    assert not list(tmp_path.glob("*.ratings.csv"))
+
+
 def test_error_exit_code(tmp_path, capsys):
     assert run(["fit", "--data", tmp_path / "missing", "--algo", "ecme0",
                 "--out", tmp_path / "x"]) == 1

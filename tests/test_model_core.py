@@ -186,3 +186,31 @@ def test_trace_properties():
     assert tr.n_iterations == 2
     assert tr.max_staleness == 3
     assert tr.total_wall_time == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("completion", ["restart", "finish"])
+def test_audit_reports_a_decrease(small_dataset, completion):
+    # ending a fractional run back at its start undoes the ascent: the
+    # audit reports the last row, and only it
+    subsets = partition(small_dataset[0], 8, seed=0)
+    model = LmmModel(4, 3)
+    _, tr = run_dem(RunConfig(K=8, gamma=0.25, seed=3, completion=completion), model,
+                    subsets, Theta.default_start(4, 3))
+    assert check_monotone_F(tr, model, subsets) == []
+    tr.thetas[-1] = tr.thetas[0]
+    violations = check_monotone_F(tr, model, subsets)
+    assert [t for t, _, _ in violations] == [len(tr.thetas) - 1]
+    (_, before, after), = violations
+    assert after < before
+
+
+def test_path_rejects_tags_it_cannot_serve(small_dataset):
+    # a tag must be at most its row or index an anchor past the last row
+    model, subsets, tr = _fractional_run(small_dataset[0])
+    thetas = tr.thetas + [tr.thetas[1]]
+    assert len(model.free_energy_path(thetas, [[len(tr.thetas)] * 5], subsets)) == 1
+    for row, tag in [(0, -1), (2, 3), (3, len(thetas))]:
+        tags = [list(r) for r in tr.anchor_tags]
+        tags[row][1] = tag
+        with pytest.raises(ValueError, match=rf"row {row}: anchor tag {tag} "):
+            model.free_energy_path(thetas, tags, subsets)

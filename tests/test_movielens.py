@@ -11,6 +11,7 @@ from demfit.movielens import (
     genre_bits_from_names,
     parse_line,
     popularity_score,
+    read_dat,
     read_ratings_file,
     write_ratings_file,
 )
@@ -112,7 +113,7 @@ def test_parse_line_errors():
 def test_file_roundtrip(tmp_path):
     records = [rec(1, 2, 3.5, 10, "Action"), rec(2, 2, 5.0, 11, "War", "Drama")]
     path = tmp_path / "r.csv"
-    write_ratings_file(path, records)
+    assert write_ratings_file(path, records) == 2
     assert read_ratings_file(path) == records
 
 
@@ -132,3 +133,8 @@ def test_convert_dat(tmp_path):
     assert recs[1].genres == bits("Children", "Comedy")
     assert recs[2].genres == tuple([0] * 19)
     assert recs[1].rating == 3.5
+    assert list(read_dat(ratings, movies)) == recs
+    # an off-grid rating fails while converting, not when the output is read
+    ratings.write_text("7::1::4::100\n8::2::4.2::101\n")
+    with pytest.raises(ValueError, match="half-point grid"):
+        convert_dat(ratings, movies, out)

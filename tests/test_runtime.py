@@ -66,6 +66,8 @@ def test_config_validation():
         RunConfig(K=4, gamma=1.2)
     with pytest.raises(ValueError):
         RunConfig(K=4, completion="abandon")
+    with pytest.raises(ValueError, match="max_iter"):
+        RunConfig(K=4, max_iter=-1)
     # the scheduler and the scheme are no settings: run_scheme picks the scheme
     with pytest.raises(TypeError):
         RunConfig(K=4, scheduler="real")
@@ -139,6 +141,23 @@ def test_every_started_estep_is_used(fitted_pieces, transport, completion, force
                     model, subsets, theta0)
     assert tr.converged
     assert tr.messages_sent / 2 == 2 * K + sum(len(a) for a in tr.accept_sets[1:])
+
+
+@pytest.mark.parametrize("transport", ["in_process", "socket"])
+def test_exact_run_reports_its_last_loglik(fitted_pieces, transport):
+    """An exact-loglik run's last iteration already computed the exact
+    log likelihood at the final parameter, so no closing loglik round
+    follows: one round trip per seeding E step, per loglik of each
+    iteration and per later accepted result."""
+    samples, model, theta0 = fitted_pieces
+    K = 5
+    _, tr = run_dem(RunConfig(K=K, gamma=0.4, seed=9, transport=transport,
+                              exact_loglik_check=True),
+                    model, partition(samples, K, seed=0), theta0)
+    assert tr.converged
+    assert tr.final_loglik == tr.logliks[-1]
+    assert tr.messages_sent / 2 == (K + K * len(tr.thetas)
+                                    + sum(len(a) for a in tr.accept_sets[1:]))
 
 
 @contextmanager
@@ -456,8 +475,7 @@ def test_pool_close_releases_dead_connections(fitted_pieces, monkeypatch):
 def test_socket_worker_unpacks_each_theta_once(fitted_pieces):
     """In an exact-loglik socket run each worker unpacks each parameter it
     is sent once: the E step at theta_t reuses the Theta of the loglik at
-    theta_t, and the final loglik round that of the last one.  The trace
-    is that of the in-process run."""
+    theta_t.  The trace is that of the in-process run."""
     samples, _, theta0 = fitted_pieces
     unpacked = []
 
