@@ -28,6 +28,12 @@ def _renorm(s, e):
     return hi, lo
 
 
+def _padded(rows, size):
+    out = np.zeros((size, rows.shape[1]))
+    out[: len(rows)] = rows
+    return out
+
+
 class DDArray:
     """A float64 array accumulated with a hi/lo compensation term."""
 
@@ -57,15 +63,21 @@ class DDArray:
         The rows are zero-padded to a power of two and merged pairwise, one
         vectorized level at a time; adding a zero row is exact, so the
         padding does not change the sum.  Two rows are merged exactly as
-        `merge` merges them.
+        `merge` merges them.  A power-of-two row count is merged without
+        the padded copy, and without lo words the first level adds none;
+        the result may then share memory with rows.
         """
         n, width = rows.shape
         size = 1 << max(n - 1, 0).bit_length()
-        words = np.zeros((2, size, width))
-        words[0, :n] = rows
-        if lo is not None:
-            words[1, :n] = lo
-        hi, lo = words
+        if size != n:
+            rows = _padded(rows, size)
+            lo = None if lo is None else _padded(lo, size)
+        hi = rows
+        if lo is None:
+            if size == 1:
+                return cls._wrap(hi[0], np.zeros(width))
+            size //= 2
+            hi, lo = _renorm(*_two_sum(hi[:size], hi[size:]))
         while size > 1:
             size //= 2
             s, e = _two_sum(hi[:size], hi[size:])

@@ -17,10 +17,14 @@ Trace JSON schema (written by `write_trace_json`):
     "staleness": [[int, ...], ...],   # staleness[j][k] = j - anchor_tags[j][k];
                                       # ecme0 records 1 from iteration 1 on
     "wall_times": [float, ...],
-    "messages_sent": int,             # naive_allpairs: K - 1 per E step; ecme0: 0
+    "messages_sent": int,             # 2 per round trip: K seeding E steps, one per
+                                      # later accepted result, K closing logliks, and
+                                      # (loglik_exact) one per refresh; naive_allpairs:
+                                      # K - 1 per E step; ecme0: 0
     "converged": bool,
     "hit_max_iter": bool,
-    "final_loglik": float,            # always exact, at the final parameter
+    "final_loglik": float,            # always exact, at the final parameter, from the
+                                      # closing loglik round; logliks[-1] if loglik_exact
     "n_iterations": int
   }
 """

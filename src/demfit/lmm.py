@@ -93,9 +93,8 @@ class Theta:
 
     @cached_property
     def Dinv(self) -> np.ndarray:
-        """D^{-1} = L^{-T} L^{-1}."""
-        Linv = np.linalg.inv(self.L)
-        out = Linv.T @ Linv
+        """D^{-1}, solved from the Cholesky factor L of D by LAPACK."""
+        out = _cho_solve(self.L, np.eye(self.q))
         out.setflags(write=False)
         return out
 
@@ -180,24 +179,24 @@ class Sample:
     @cached_property
     def moments(self) -> np.ndarray:
         """Flat record of the data moments, in the order `_record_layout`
-        names: n_i, y'y, X'y, X'X, Z'y, X'Z, Z'Z and the triangular factor
-        R of [X y], zero-padded to (p+1) x (p+1).
+        names: n_i, y'y, X'y, X'X, then G = [X y]'Z (X'Z over y'Z), Z'Z and
+        the triangular factor R of [X y], zero-padded to (p+1) x (p+1).
 
         Computed on first use rather than at construction, so loading a
         dataset stays cheap; every later E step needs only these.
         """
         y, X, Z = self.y, self.X, self.Z
         p = X.shape[1]
+        W = np.column_stack([X, y])
         R = np.zeros((p + 1, p + 1))
-        r = np.linalg.qr(np.column_stack([X, y]), mode="r")
+        r = np.linalg.qr(W, mode="r")
         R[: r.shape[0]] = r
         return np.concatenate(
             [
                 [y.size, y @ y],
                 X.T @ y,
                 (X.T @ X).ravel(),
-                Z.T @ y,
-                (X.T @ Z).ravel(),
+                (W.T @ Z).ravel(),
                 (Z.T @ Z).ravel(),
                 R.ravel(),
             ]
@@ -216,8 +215,7 @@ def _record_layout(p: int, q: int) -> dict:
         ("yy", 1),
         ("Xy", p),
         ("XX", p * p),
-        ("Zy", q),
-        ("XZ", p * q),
+        ("G", (p + 1) * q),
         ("ZZ", q * q),
         ("R", (p + 1) * (p + 1)),
     ]:
@@ -284,8 +282,8 @@ def _stats_layout(p: int, q: int) -> tuple:
         ("S_xy", p),
         ("S_xx", p * p),
         ("S_xzb", p),
-        ("S_bb", q * q),
         ("s_yzb", 1),
+        ("S_bb", q * q),
         ("s_bzzb", 1),
         ("loglik", 1),
     ]:
@@ -299,9 +297,10 @@ class LmmSuffStats:
 
     The flat accumulator holds, in order, the statistics of the data alone:
     s_yy, S_xy (p), S_xx (p*p); then those of the posterior at the E step's
-    theta: S_xzb (p), S_bb (q*q), s_yzb, s_bzzb and the loglik.  Those are
-    enough to evaluate the expected residual sum at any beta, so the
-    maximization can move beta away from the anchor the E step was run at.
+    theta: S_xzb (p) and s_yzb, which are G b_hat summed, S_bb (q*q),
+    s_bzzb and the loglik.  Those are enough to evaluate the expected
+    residual sum at any beta, so the maximization can move beta away from
+    the anchor the E step was run at.
     """
 
     __slots__ = ("p", "q", "m", "n", "_acc")
@@ -365,7 +364,9 @@ class LmmSuffStats:
 class LmmShard:
     """A worker's subset held resident for a run (`LmmModel.prepare`): the
     samples' data moments stacked once, in the shapes the kernel reads.  It
-    keeps no reference to the samples.
+    keeps no reference to the samples.  X'Z and Z'y are the rows of one
+    array G = [X y]'Z, so Z'r = (-beta, 1) G and the E step's
+    (X'Z b_hat, Z'y . b_hat) = G b_hat are one batched product each.
 
     `DDArray.sum_rows` reduces every column on its own, in a tree whose
     shape depends only on m, so the compensated sum of the data-only
@@ -376,11 +377,12 @@ class LmmShard:
     last `local_loglik` call, which alone writes it.  An E step or loglik
     at that same `Theta` object reuses the posterior bitwise; `Theta` is
     frozen and its beta and L are read-only, so identity means equality.
+    A "finish" exact-loglik run hits it when a worker refreshed at
+    theta_{t-1} delivers its stale E step at theta_{t-1} next.
     """
 
     n: np.ndarray  # (m,) observations per sample
-    Zy: np.ndarray  # (m, q)
-    XZ: np.ndarray  # (m, p, q)
+    G: np.ndarray  # (m, p+1, q): X'Z over the row Z'y
     ZZ: np.ndarray  # (m, q, q)
     R: np.ndarray  # (m, p+1, p+1) triangular factor of [X y]
     const: np.ndarray  # (m, 1 + p + p*p) rows of y'y, X'y, X'X
@@ -406,11 +408,10 @@ class _Posterior(NamedTuple):
     logdet_A: np.ndarray  # (m,)
 
 
-def _kl_total(kl: np.ndarray) -> float:
-    val = math.fsum(kl)
-    if not math.isfinite(val):
+def _finite_kl(kl: np.ndarray) -> np.ndarray:
+    if not np.isfinite(kl).all():
         raise NumericalDomainError("non-finite KL term")
-    return val
+    return kl
 
 
 class LmmModel(ModelContract):
@@ -432,8 +433,7 @@ class LmmModel(ModelContract):
         n = rec[:, c["n"]][:, 0]
         return LmmShard(
             n=n,
-            Zy=rec[:, c["Zy"]],
-            XZ=rec[:, c["XZ"]].reshape(m, p, q),
+            G=rec[:, c["G"]].reshape(m, p + 1, q),
             ZZ=rec[:, c["ZZ"]].reshape(m, q, q),
             R=rec[:, c["R"]].reshape(m, p + 1, p + 1),
             const=rec[:, c["const"]],
@@ -444,17 +444,16 @@ class LmmModel(ModelContract):
         return subset if isinstance(subset, LmmShard) else self.prepare(subset)
 
     # -- per-sample conditional Gaussian -----------------------------------
-    def _posterior(self, ZZ: np.ndarray, XZ: np.ndarray, Zy: np.ndarray,
-                   Dinv: np.ndarray, beta: np.ndarray) -> _Posterior:
+    def _posterior(self, ZZ: np.ndarray, G: np.ndarray, Dinv: np.ndarray,
+                   resid_coef: np.ndarray) -> _Posterior:
         """Posterior of every sample's random effects, from data moments only.
 
-        ZZ, XZ and Zy are the samples' stacked Z'Z, X'Z and Z'y.  Dinv is
-        (q, q) or one (q, q) per sample, beta is (p,) or one (p,) per
-        sample.  Per sample: the q x q precision A = D^{-1} + Z'Z, its
-        Cholesky factor for log|A|, its inverse, and b_hat = A^{-1} Z'r with
-        Z'r = Z'y - (X'Z)' beta.  Each sample's outputs come from its own
-        row alone, so they do not depend on which other samples share the
-        batch.
+        ZZ and G are the samples' stacked Z'Z and [X y]'Z, Dinv is D^{-1}
+        and resid_coef is (-beta, 1).  Per sample: the q x q precision
+        A = D^{-1} + Z'Z, its Cholesky factor for log|A|, its inverse, and
+        b_hat = A^{-1} Z'r with Z'r = (-beta, 1) G = Z'y - (X'Z)' beta.  Each
+        sample's outputs come from its own row alone, so they do not depend
+        on which other samples share the batch.
         """
         A = Dinv + ZZ
         try:
@@ -464,13 +463,13 @@ class LmmModel(ModelContract):
                 "posterior precision not positive definite (corrupt data?)"
             ) from exc
         Ainv = np.linalg.inv(A)
-        ztr = Zy - (beta[..., None, :] @ XZ)[:, 0]
+        ztr = resid_coef @ G
         b_hat = (Ainv @ ztr[:, :, None])[:, :, 0]
         logdet_A = 2.0 * np.log(np.diagonal(cA, axis1=1, axis2=2)).sum(axis=1)
         return _Posterior(b_hat, ztr, A, Ainv, logdet_A)
 
     def _posterior_at(self, theta: Theta, shard: LmmShard) -> _Posterior:
-        return self._posterior(shard.ZZ, shard.XZ, shard.Zy, theta.Dinv, theta.beta)
+        return self._posterior(shard.ZZ, shard.G, theta.Dinv, theta.resid_coef)
 
     def _kernel(self, theta: Theta, shard: LmmShard):
         """The posterior at theta and the marginal log density of every
@@ -489,12 +488,9 @@ class LmmModel(ModelContract):
         Rv = shard.R @ theta.resid_coef
         quad = (Rv * Rv).sum(axis=1) - (post.ztr * post.b_hat).sum(axis=1)
         # via the determinant lemma: |Z D Z' + I| = |A| |D|
-        loglik = (
-            -0.5 * shard.n * theta.log_2pi_tau2
-            - 0.5 * (post.logdet_A + theta.logdet_D)
-            - 0.5 * quad / theta.tau2
-        )
-        if not np.all(np.isfinite(loglik)):
+        loglik = -0.5 * (shard.n * theta.log_2pi_tau2 + post.logdet_A
+                         + quad / theta.tau2 + theta.logdet_D)
+        if not np.isfinite(loglik).all():
             raise NumericalDomainError("non-finite marginal log density")
         return loglik
 
@@ -532,7 +528,8 @@ class LmmModel(ModelContract):
     def local_loglik(self, theta: Theta, subset: SubsetData | LmmShard) -> float:
         shard = self._shard(subset)
         post, loglik = self._kernel(theta, shard)
-        # an exact-loglik run E-steps each worker next at this same theta
+        # a "finish" exact-loglik run may deliver this worker's stale E
+        # step at this same theta next
         object.__setattr__(shard, "last", (theta, post, loglik))
         return math.fsum(loglik)
 
@@ -543,33 +540,29 @@ class LmmModel(ModelContract):
         m = len(shard)
         post, loglik = self._kernel(theta, shard)
         b_hat = post.b_hat
-        B = (b_hat[:, :, None] * b_hat[:, None, :] + theta.tau2 * post.Ainv).reshape(m, q * q)
-        # one row per sample of the statistics that depend on theta, in the
-        # LmmSuffStats layout; the data-only ones are summed once per shard
-        rows = np.concatenate(
-            [
-                (shard.XZ @ b_hat[:, :, None])[:, :, 0],
-                B,
-                (shard.Zy * b_hat).sum(axis=1)[:, None],
-                (shard.ZZ.reshape(m, q * q) * B).sum(axis=1)[:, None],
-                loglik[:, None],
-            ],
-            axis=1,
-        )
+        # one row per sample of the statistics that depend on theta, written
+        # in place in the LmmSuffStats layout: G b_hat (S_xzb, s_yzb), S_bb,
+        # s_bzzb, loglik; the data-only ones are summed once per shard
+        rows = np.empty((m, p + q * q + 3))
+        np.matmul(shard.G, b_hat[:, :, None], out=rows[:, : p + 1, None])
+        B = rows[:, p + 1 : -2]
+        np.multiply(b_hat[:, :, None], b_hat[:, None, :], out=B.reshape(m, q, q))
+        B += theta.tau2 * post.Ainv.reshape(m, q * q)
+        np.sum(shard.ZZ.reshape(m, q * q) * B, axis=1, out=rows[:, -2])
+        rows[:, -1] = loglik
         fresh, const = DDArray.sum_rows(rows), shard.const_sum
-        acc = DDArray.from_parts(np.concatenate([const.hi, fresh.hi]),
-                                 np.concatenate([const.lo, fresh.lo]))
+        acc = DDArray._wrap(np.concatenate([const.hi, fresh.hi]),
+                            np.concatenate([const.lo, fresh.lo]))
         return SuffStats(subset_id, anchor_tag, LmmSuffStats(p, q, acc, m, shard.n_total))
 
     def q_value(self, stats: LmmSuffStats, theta: Theta) -> float:
         """Expected complete-data log likelihood reconstructed from aggregates."""
         v = stats.values()
         logdet_D = 2.0 * np.sum(np.log(np.diag(theta.L)))
-        Dinv = _cho_solve(theta.L, np.eye(self.q))
         return (
             -0.5 * (stats.n + self.q * stats.m) * theta.log_2pi_tau2
             - 0.5 * stats.m * logdet_D
-            - 0.5 * (v.rss_exp(theta.beta) + float(np.sum(Dinv * v.S_bb))) / theta.tau2
+            - 0.5 * (v.rss_exp(theta.beta) + float(np.sum(theta.Dinv * v.S_bb))) / theta.tau2
         )
 
     def cm_steps(self, agg, theta_current: Theta) -> Theta:
@@ -592,13 +585,15 @@ class LmmModel(ModelContract):
         post = self._posterior_at(theta_eval, shard)
         anchor = self._posterior_at(theta_anchor, shard)
         log_ratio = self.q * math.log(theta_eval.tau2 / theta_anchor.tau2)
-        return _kl_total(self._kl(theta_eval, post, anchor, theta_anchor.tau2, log_ratio))
+        kl = self._kl(theta_eval, post, anchor, theta_anchor.tau2, log_ratio)
+        return math.fsum(_finite_kl(kl))
 
     def free_energy_path(self, thetas: Sequence[Theta], anchor_tags: Sequence[Sequence[int]],
                          subsets: Sequence[SubsetData]) -> list:
         """Per row j and subset k, local_loglik(thetas[j], subset) minus
         local_kl(thetas[j], thetas[anchor_tags[j][k]], subset), in one pass;
-        a tag the ModelContract rule does not allow is a ValueError.
+        a row without its point in thetas, or a tag the ModelContract rule
+        does not allow, is a ValueError.
 
         The samples are stacked once, and the posterior at each thetas[t]
         is computed once over all of them: at row t, or before row 0 for a
@@ -610,6 +605,9 @@ class LmmModel(ModelContract):
         what a call per subset gives.
         """
         q, K, R = self.q, len(subsets), len(anchor_tags)
+        if len(thetas) < R:
+            raise ValueError(f"row {len(thetas)}: no point in thetas, which has "
+                             f"{len(thetas)} for {R} rows")
         sizes = [len(subset) for subset in subsets]
         shard = self.prepare([s for subset in subsets for s in subset])
         m = len(shard)
@@ -657,9 +655,9 @@ class LmmModel(ModelContract):
             ratio = {t: q * math.log(theta.tau2 / thetas[t].tau2) for t in set(tags)}
             tau2_a = np.array([thetas[t].tau2 for t in tags])[group]
             log_ratio = np.array([ratio[t] for t in tags])[group]
-            kl = self._kl(theta, post, anchor, tau2_a, log_ratio).tolist()
+            kl = _finite_kl(self._kl(theta, post, anchor, tau2_a, log_ratio)).tolist()
             loglik = self._loglik(theta, shard, post).tolist()
-            out.append([-_kl_total(kl[a:b]) + math.fsum(loglik[a:b])
+            out.append([math.fsum(loglik[a:b]) - math.fsum(kl[a:b])
                         for a, b in zip(starts, ends)])
         return out
 

@@ -16,6 +16,13 @@ lags the current parameter by one round and is stale for non-reporting
 workers; traces carry a flag saying which mode produced them.  Iteration 1
 reuses the seeding-round results (everyone just reported at theta0), so
 the stopping rule only starts comparing at iteration 2.
+
+In exact-loglik mode iteration t computes the exact L(theta_{t-1}) instead:
+a worker whose cached result is fresh at theta_{t-1} has its term in that
+reply's payload, and only the others are sent a loglik request.  Row t-1 of
+the trace gets that value, so the stopping rule compares the same
+iterations as in the default mode, and the last row's value comes from the
+closing loglik round that every run makes at its final parameter.
 """
 from __future__ import annotations
 
@@ -104,13 +111,23 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
     stale deliveries first (completion "finish"), then E steps at the last
     broadcast until ceil(gamma * K) are in.  It then reruns the conditional
     maximization on the combined cache and broadcasts.
+
+    Every E step the manager starts enters an M step.  After the loop one
+    loglik round at the final parameter gives `final_loglik`.  In
+    exact-loglik mode iteration t >= 1 first computes L(theta_{t-1}) from
+    the cached results fresh at theta_{t-1} plus one loglik request per
+    other worker (none at gamma = 1 with "restart"), and the closing round
+    fills the last row; so the run stops at the same iteration as a
+    default-mode one and sends 2K + sum(|accept_sets[1:]|) round trips plus
+    those loglik requests.
     """
     K = len(subsets)
     if K != config.K:
         raise ProtocolError(f"config.K={config.K} but {K} subsets supplied")
     N = config.accept_threshold
+    exact = config.exact_loglik_check
     monitor = ConvergenceMonitor(tol=config.tol)
-    trace = Trace(loglik_exact=config.exact_loglik_check, config=config.to_dict())
+    trace = Trace(loglik_exact=exact, config=config.to_dict())
     in_flight: dict[int, int] = {}  # worker -> anchor tag of a pending E step
     pool = make_pool(config.transport, model, subsets)
     try:
@@ -138,26 +155,34 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
                         in_flight[k] = t - 1
                 cache.update(accepted)
             agg = aggregate_stats(cache, K)
+            if not exact:
+                L = agg.payload.loglik
+            elif t == 0:
+                L = None  # the closing round or iteration 1 fills row 0
+            else:
+                # L(theta_{t-1}), for row t-1: fresh replies carry their term
+                L = math.fsum(
+                    cache[k].payload.loglik if cache[k].anchor_tag == t - 1
+                    else pool.loglik(k, theta) for k in range(K)
+                )
             if t > 0:
                 theta = model.cm_steps(agg, theta)
                 trace.accept_sets.append(sorted(int(k) for k in accepted))
-            L = (
-                _full_loglik(pool, theta, K)
-                if config.exact_loglik_check
-                else agg.payload.loglik
-            )
             trace.thetas.append(theta)
-            trace.logliks.append(L)
             trace.anchor_tags.append(agg.anchor_tags)
             trace.staleness.append([t - a for a in agg.anchor_tags])
             trace.wall_times.append(time.perf_counter() - t0)
-            converged = monitor.update(t, L)
-            if converged and (t >= 2 or config.exact_loglik_check):
+            if L is None:
+                continue
+            trace.logliks.append(L)
+            if monitor.update(t, L) and t >= 2:
                 trace.converged = True
                 break
         else:
             trace.hit_max_iter = True
-        trace.final_loglik = L if config.exact_loglik_check else _full_loglik(pool, theta, K)
+        trace.final_loglik = _full_loglik(pool, theta, K)
+        if exact:
+            trace.logliks.append(trace.final_loglik)
     finally:
         pool.close()
     trace.messages_sent = pool.messages_sent

@@ -14,8 +14,10 @@ serving requests.
 A worker keeps the parameter of its previous request: a request whose
 payload bytes equal the previous one's gets that same `Theta` object, so
 the terms it caches are derived once per parameter, and a model may keep
-what it computed at it (an `LmmShard` keeps its last loglik's posterior
-for the E step at the same parameter).
+what it computed at it.  An `LmmShard` keeps its last loglik's posterior:
+in a "finish" exact-loglik run a worker whose loglik was refreshed at a
+parameter often delivers its stale E step at that parameter next, and
+reuses it.
 
 The manager waits at most REPLY_TIMEOUT_S seconds for each reply.  A
 worker that does not answer in time, or whose connection drops, is a

@@ -267,10 +267,10 @@ def test_audit_prepares_once_and_one_posterior_per_theta(small_dataset):
             self.prepared += 1
             return super().prepare(subset)
 
-        def _posterior(self, ZZ, XZ, Zy, Dinv, beta):
+        def _posterior(self, ZZ, *args):
             # count the earlier posteriors still reachable from the audit
             self.held.append(sum(any(ref() is not None for ref in refs) for refs in self.alive))
-            post = super()._posterior(ZZ, XZ, Zy, Dinv, beta)
+            post = super()._posterior(ZZ, *args)
             self.rows += len(ZZ)
             self.alive.append([weakref.ref(x) for x in post])
             return post

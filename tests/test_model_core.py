@@ -214,3 +214,11 @@ def test_path_rejects_tags_it_cannot_serve(small_dataset):
         tags[row][1] = tag
         with pytest.raises(ValueError, match=rf"row {row}: anchor tag {tag} "):
             model.free_energy_path(thetas, tags, subsets)
+
+
+def test_path_names_the_first_row_without_a_point(small_dataset):
+    # a trace's anchor tags with one point fewer than its rows
+    model, subsets, tr = _fractional_run(small_dataset[0])
+    last = len(tr.thetas) - 1
+    with pytest.raises(ValueError, match=rf"^row {last}: no point in thetas"):
+        model.free_energy_path(tr.thetas[:-1], tr.anchor_tags, subsets)

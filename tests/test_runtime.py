@@ -1,3 +1,4 @@
+import math
 import socket
 import struct
 import threading
@@ -145,19 +146,104 @@ def test_every_started_estep_is_used(fitted_pieces, transport, completion, force
 
 @pytest.mark.parametrize("transport", ["in_process", "socket"])
 def test_exact_run_reports_its_last_loglik(fitted_pieces, transport):
-    """An exact-loglik run's last iteration already computed the exact
-    log likelihood at the final parameter, so no closing loglik round
-    follows: one round trip per seeding E step, per loglik of each
-    iteration and per later accepted result."""
+    """An exact-loglik run takes L(theta_{t-1}) from the E-step replies
+    fresh at theta_{t-1} and sends a loglik request to each other worker;
+    the closing loglik round fills its last row.  Round trips: K seeding
+    ones, one per later accepted result, one per refresh and K closing.
+    Both completion policies are checked."""
     samples, model, theta0 = fitted_pieces
     K = 5
+    for completion in ("restart", "finish"):
+        _, tr = run_dem(RunConfig(K=K, gamma=0.4, seed=9, transport=transport,
+                                  completion=completion, exact_loglik_check=True),
+                        model, partition(samples, K, seed=0), theta0)
+        assert tr.converged
+        assert len(tr.logliks) == len(tr.thetas)
+        assert tr.final_loglik == tr.logliks[-1]
+        refreshes = sum(tag != t - 1 for t in range(2, len(tr.anchor_tags))
+                        for tag in tr.anchor_tags[t])
+        assert refreshes > 0
+        assert tr.messages_sent / 2 == (K + sum(len(a) for a in tr.accept_sets[1:])
+                                        + refreshes + K)
+
+
+@pytest.mark.parametrize("transport", ["in_process", "socket"])
+def test_exact_run_matches_header_run_at_gamma_one(fitted_pieces, transport):
+    """At gamma = 1 every cached result is fresh, so an exact-loglik run
+    sends no loglik request but the closing round: it makes the M steps,
+    stops and sends the messages of a header run and of ecme0, and each
+    row's loglik is the exact sum over the subsets at that row's theta."""
+    samples, model, theta0 = fitted_pieces
+    K = 4
+    subsets = partition(samples, K, seed=0)
+    _, exact = run_dem(RunConfig(K=K, transport=transport, exact_loglik_check=True),
+                       model, subsets, theta0)
+    _, header = run_dem(RunConfig(K=K, transport=transport), model, subsets, theta0)
+    _, base = run_ecme0(RunConfig(K=1), model, samples, theta0)
+    assert exact.converged and header.converged
+    for tr in (header, base):
+        assert len(exact.thetas) == len(tr.thetas)
+        assert all(thetas_equal(a, b) for a, b in zip(exact.thetas, tr.thetas))
+    assert exact.accept_sets == header.accept_sets
+    # K seeding round trips, K per M step after the first, K closing ones
+    assert exact.messages_sent == header.messages_sent == 2 * K * len(exact.thetas)
+    assert exact.logliks == [math.fsum(model.local_loglik(theta, s) for s in subsets)
+                             for theta in exact.thetas]
+
+
+@pytest.mark.parametrize("K", [1, 4, 20])
+def test_fresh_estep_loglik_is_local_loglik(fitted_pieces, K):
+    """A fresh E step's payload loglik is bitwise local_loglik on the same
+    shard and theta: an exact-loglik run sums the two kinds together."""
+    samples, model, theta0 = fitted_pieces
+    subsets = partition(samples, K, seed=0)
+    _, tr = run_dem(RunConfig(K=K, gamma=0.5, seed=1), model, subsets, theta0)
+    for theta in tr.thetas:
+        for subset in subsets:
+            shard = model.prepare(subset)
+            fresh = model.local_estep(theta, shard).payload.loglik
+            assert shard.last is None
+            assert fresh == model.local_loglik(theta, model.prepare(subset))
+
+
+class PosteriorCountingModel(LmmModel):
+    """Records (shard, D^{-1}, (-beta, 1)) of every posterior it computes;
+    socket workers share the model, so the record covers every thread."""
+
+    def __init__(self, p, q):
+        super().__init__(p, q)
+        self.posteriors = []
+
+    def _posterior(self, ZZ, G, Dinv, resid_coef):
+        self.posteriors.append((id(ZZ), Dinv.tobytes(), resid_coef.tobytes()))
+        return super()._posterior(ZZ, G, Dinv, resid_coef)
+
+
+@pytest.mark.parametrize("transport", ["in_process", "socket"])
+def test_stale_delivery_reuses_refresh_posterior(fitted_pieces, transport):
+    """In a "finish" exact-loglik run a worker refreshed at theta_{t-1}
+    delivers its stale E step at that same theta next, and the shard's slot
+    (over sockets, with the worker's previous Theta) serves its posterior:
+    fewer posteriors than E-step plus loglik calls."""
+    samples, _, theta0 = fitted_pieces
+    K = 5
+    model = PosteriorCountingModel(3, 3)
     _, tr = run_dem(RunConfig(K=K, gamma=0.4, seed=9, transport=transport,
-                              exact_loglik_check=True),
+                              completion="finish", exact_loglik_check=True),
+                    model, partition(samples, K, seed=0), theta0)
+    assert tr.converged and tr.max_staleness >= 2
+    assert len(model.posteriors) < tr.messages_sent // 2
+
+
+@pytest.mark.parametrize("transport", ["in_process", "socket"])
+def test_gamma_one_exact_run_one_posterior_per_worker_and_theta(fitted_pieces, transport):
+    samples, _, theta0 = fitted_pieces
+    K = 4
+    model = PosteriorCountingModel(3, 3)
+    _, tr = run_dem(RunConfig(K=K, transport=transport, exact_loglik_check=True),
                     model, partition(samples, K, seed=0), theta0)
     assert tr.converged
-    assert tr.final_loglik == tr.logliks[-1]
-    assert tr.messages_sent / 2 == (K + K * len(tr.thetas)
-                                    + sum(len(a) for a in tr.accept_sets[1:]))
+    assert len(set(model.posteriors)) == len(model.posteriors) == K * len(tr.thetas)
 
 
 @contextmanager
@@ -473,9 +559,10 @@ def test_pool_close_releases_dead_connections(fitted_pieces, monkeypatch):
 
 
 def test_socket_worker_unpacks_each_theta_once(fitted_pieces):
-    """In an exact-loglik socket run each worker unpacks each parameter it
-    is sent once: the E step at theta_t reuses the Theta of the loglik at
-    theta_t.  The trace is that of the in-process run."""
+    """In a gamma = 1 exact-loglik socket run each worker is sent each
+    parameter once, theta_0 .. theta_{T-1} for its E steps and theta_T for
+    the closing loglik, and unpacks it once.  The trace is that of the
+    in-process run."""
     samples, _, theta0 = fitted_pieces
     unpacked = []
 
