@@ -175,6 +175,7 @@ def cmd_diagnose(args) -> int:
     speed = speed_matrices(info)
     report = {
         "grad_norm": info.grad_norm,
+        "newton_decrement": info.newton_decrement,
         "warnings": info.warnings,
         "identity_residual": speed.identity_residual,
         "lam_min_S_EM": speed.lam_min_S_EM,
@@ -221,22 +222,30 @@ _COMMANDS = {
 }
 
 
+def _set_config_defaults(sub, command: str, path) -> None:
+    """Make the JSON object in the file at path the defaults of sub."""
+    with open(path) as fh:
+        try:
+            defaults = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(defaults, dict):
+        raise ValueError(f"config {path} is not a JSON object")
+    known = {a.dest for a in sub._actions}
+    bad = set(defaults) - known
+    if bad:
+        raise SystemExit(f"config keys not recognized for {command}: {sorted(bad)}")
+    sub.set_defaults(**defaults)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        with open(args.config) as fh:
-            defaults = json.load(fh)
-        sub = subparsers[args.command]
-        known = {a.dest for a in sub._actions}
-        bad = set(defaults) - known
-        if bad:
-            raise SystemExit(f"config keys not recognized for {args.command}: "
-                             f"{sorted(bad)}")
-        sub.set_defaults(**defaults)
-        args = parser.parse_args(argv)  # explicit flags override config defaults
     try:
+        if args.config:
+            _set_config_defaults(subparsers[args.command], args.command, args.config)
+            args = parser.parse_args(argv)  # explicit flags override config defaults
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, np.linalg.LinAlgError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)

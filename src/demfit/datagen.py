@@ -164,9 +164,19 @@ def load_dataset(path) -> tuple[list[Sample], dict]:
         y, X, Z, sample_id = arc["y"], arc["X"], arc["Z"], arc["sample_id"]
     sidecar_path = path.with_suffix(".json")
     meta = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
+    # sample ids are contiguous blocks, one id per row, as save_dataset
+    # writes them; anything else would split or merge samples silently
+    rows = {y.shape[0], X.shape[0], Z.shape[0]}
+    if sample_id.ndim != 1 or rows != {sample_id.size}:
+        raise ValueError(f"{path.with_suffix('.npz')}: sample_id has shape "
+                         f"{sample_id.shape}, not one entry per row of y, X and Z "
+                         f"({', '.join(map(str, sorted(rows)))} rows)")
+    steps = np.diff(sample_id)
+    if (steps < 0).any():
+        raise ValueError(f"{path.with_suffix('.npz')}: sample_id decreases at row "
+                         f"{int(np.argmax(steps < 0)) + 1}; it must be non-decreasing")
     samples = []
-    # sample ids are contiguous blocks as written by save_dataset
-    bounds = np.flatnonzero(np.diff(sample_id)) + 1
+    bounds = np.flatnonzero(steps) + 1
     for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, sample_id.size]):
         samples.append(Sample(y=y[lo:hi], X=X[lo:hi], Z=Z[lo:hi]))
     return samples, meta

@@ -22,7 +22,13 @@ import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .ddsum import DDArray
-from .model import ModelContract, NumericalDomainError, RankDeficiencyError, SuffStats
+from .model import (
+    ConvergenceMonitor,
+    ModelContract,
+    NumericalDomainError,
+    RankDeficiencyError,
+    SuffStats,
+)
 
 # LAPACK's Cholesky factor and solve, called directly: the results are
 # bitwise those of scipy's cho_factor/cho_solve, without their per-call
@@ -371,14 +377,9 @@ class LmmShard:
     `DDArray.sum_rows` reduces every column on its own, in a tree whose
     shape depends only on m, so the compensated sum of the data-only
     statistics (`const_sum`) is computed once, on first use, and every E
-    step reuses it bitwise as if it had summed those columns again.
-
-    `last` is a one-entry slot: (theta, _Posterior, (m,) logliks) of the
-    last `local_loglik` call, which alone writes it.  An E step or loglik
-    at that same `Theta` object reuses the posterior bitwise; `Theta` is
-    frozen and its beta and L are read-only, so identity means equality.
-    A "finish" exact-loglik run hits it when a worker refreshed at
-    theta_{t-1} delivers its stale E step at theta_{t-1} next.
+    step reuses it bitwise as if it had summed those columns again.  Apart
+    from that cache a shard never changes after `prepare`: each E step or
+    loglik computes its posterior afresh.
     """
 
     n: np.ndarray  # (m,) observations per sample
@@ -387,7 +388,6 @@ class LmmShard:
     R: np.ndarray  # (m, p+1, p+1) triangular factor of [X y]
     const: np.ndarray  # (m, 1 + p + p*p) rows of y'y, X'y, X'X
     n_total: int
-    last: tuple | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return self.n.size
@@ -471,16 +471,6 @@ class LmmModel(ModelContract):
     def _posterior_at(self, theta: Theta, shard: LmmShard) -> _Posterior:
         return self._posterior(shard.ZZ, shard.G, theta.Dinv, theta.resid_coef)
 
-    def _kernel(self, theta: Theta, shard: LmmShard):
-        """The posterior at theta and the marginal log density of every
-        sample, as (_Posterior, (m,) logliks); read from the shard's slot
-        when its last loglik was at this theta."""
-        last = shard.last
-        if last is not None and last[0] is theta:
-            return last[1:]
-        post = self._posterior_at(theta, shard)
-        return post, self._loglik(theta, shard, post)
-
     def _loglik(self, theta: Theta, shard: LmmShard, post: _Posterior) -> np.ndarray:
         """Marginal log density of every sample, given its posterior at theta."""
         # r'r = ||R (-beta, 1)||^2 for r = y - X beta; the expansion
@@ -527,18 +517,14 @@ class LmmModel(ModelContract):
     # -- ModelContract operations -------------------------------------------
     def local_loglik(self, theta: Theta, subset: SubsetData | LmmShard) -> float:
         shard = self._shard(subset)
-        post, loglik = self._kernel(theta, shard)
-        # a "finish" exact-loglik run may deliver this worker's stale E
-        # step at this same theta next
-        object.__setattr__(shard, "last", (theta, post, loglik))
-        return math.fsum(loglik)
+        return math.fsum(self._loglik(theta, shard, self._posterior_at(theta, shard)))
 
     def local_estep(self, theta: Theta, subset: SubsetData | LmmShard, subset_id: int = 0,
                     anchor_tag: int = 0) -> SuffStats:
         p, q = self.p, self.q
         shard = self._shard(subset)
         m = len(shard)
-        post, loglik = self._kernel(theta, shard)
+        post = self._posterior_at(theta, shard)
         b_hat = post.b_hat
         # one row per sample of the statistics that depend on theta, written
         # in place in the LmmSuffStats layout: G b_hat (S_xzb, s_yzb), S_bb,
@@ -549,7 +535,7 @@ class LmmModel(ModelContract):
         np.multiply(b_hat[:, :, None], b_hat[:, None, :], out=B.reshape(m, q, q))
         B += theta.tau2 * post.Ainv.reshape(m, q * q)
         np.sum(shard.ZZ.reshape(m, q * q) * B, axis=1, out=rows[:, -2])
-        rows[:, -1] = loglik
+        rows[:, -1] = self._loglik(theta, shard, post)
         fresh, const = DDArray.sum_rows(rows), shard.const_sum
         acc = DDArray._wrap(np.concatenate([const.hi, fresh.hi]),
                             np.concatenate([const.lo, fresh.lo]))
@@ -728,6 +714,7 @@ class InfoMatrices:
     i_obs_Ac: np.ndarray
     i_com_Ac: np.ndarray
     grad_norm: float
+    newton_decrement: float  # g' i_obs^{-1} g / 2, the gain a Newton step predicts
     warnings: list = field(default_factory=list)
 
 
@@ -746,6 +733,13 @@ def information_matrices(
     likelihood; i_com differentiates the reconstructed expected
     complete-data objective anchored at theta_hat.  Each subset is
     prepared once and every difference quotient runs on its shard.
+
+    theta_hat may not be stationary when the Newton decrement
+    g' i_obs^{-1} g / 2 of the log likelihood gradient g, the gain a Newton
+    step predicts, exceeds the default stopping tolerance of a fit.  Unlike
+    the norm of g it does not depend on the scale of the parameters or of
+    n.  A decrement that is not finite and positive, or an i_obs that
+    cannot be solved, is a warning too.
     """
     p, q = model.p, model.q
     u0 = theta_to_vec(theta_hat)
@@ -757,11 +751,7 @@ def information_matrices(
         th = vec_to_theta(u, p, q)
         return math.fsum(model.local_loglik(th, shard) for shard in shards)
 
-    grad_norm = float(np.linalg.norm(fd_gradient(total_loglik, u0, rel)))
-    if grad_norm > 1e-4:
-        notes.append(
-            f"gradient norm {grad_norm:.3e} > 1e-4: theta_hat may not be stationary"
-        )
+    grad = fd_gradient(total_loglik, u0, rel)
 
     P = _unconstrained_size(p, q)
     obs_A = np.zeros((P, P))
@@ -782,17 +772,32 @@ def information_matrices(
         else:
             obs_Ac += h_obs
             com_Ac += h_com
+    i_obs = obs_A + obs_Ac
+    try:
+        decrement = float(grad @ np.linalg.solve(i_obs, grad)) / 2.0
+    except np.linalg.LinAlgError:
+        decrement = math.nan
+        notes.append("i_obs is singular: cannot test theta_hat for stationarity")
+    else:
+        tol = ConvergenceMonitor.tol
+        if not (math.isfinite(decrement) and decrement > 0):
+            notes.append(f"Newton decrement {decrement:.3e} is not finite and "
+                         "positive: i_obs is not positive definite at theta_hat")
+        elif decrement > tol:
+            notes.append(f"Newton decrement {decrement:.3e} > {tol:g}: "
+                         "theta_hat may not be stationary")
     i_com = com_A + com_Ac
     if np.any(np.linalg.eigvalsh(0.5 * (i_com + i_com.T)) <= 0):
         notes.append("i_com is not positive definite: not at a maximizer")
     return InfoMatrices(
-        i_obs=obs_A + obs_Ac,
+        i_obs=i_obs,
         i_com=i_com,
         i_obs_A=obs_A,
         i_com_A=com_A,
         i_obs_Ac=obs_Ac,
         i_com_Ac=com_Ac,
-        grad_norm=grad_norm,
+        grad_norm=float(np.linalg.norm(grad)),
+        newton_decrement=decrement,
         warnings=notes,
     )
 

@@ -48,10 +48,9 @@ class ModelContract(ABC):
     they are built, and pass what it returns as the subset of every later
     local_estep and local_loglik call on that worker.  Those two must
     accept both a prepared and a plain subset and give the same results.
-    The default keeps the subset as it is.  A prepared subset may keep
-    what its last local_loglik computed and reuse it in a later call at
-    the same parameter object, if the results stay bitwise those of a
-    fresh computation.
+    The default keeps the subset as it is.  A prepared subset holds data
+    only: no call leaves state in it that a later call reads, apart from
+    caches of the data alone.
 
     local_estep returns a SuffStats whose header names the subset and
     anchor tag it was given.  Its payload provides combine(*others), the

@@ -11,13 +11,8 @@ with an error frame (KIND_ERROR) in place of the reply: same header, with
 the UTF-8 text "ExceptionType: message" as its payload; it then goes on
 serving requests.
 
-A worker keeps the parameter of its previous request: a request whose
-payload bytes equal the previous one's gets that same `Theta` object, so
-the terms it caches are derived once per parameter, and a model may keep
-what it computed at it.  An `LmmShard` keeps its last loglik's posterior:
-in a "finish" exact-loglik run a worker whose loglik was refreshed at a
-parameter often delivers its stale E step at that parameter next, and
-reuses it.
+A worker keeps nothing between requests but its prepared shard: it
+unpacks the parameter of every request and answers from that alone.
 
 The manager waits at most REPLY_TIMEOUT_S seconds for each reply.  A
 worker that does not answer in time, or whose connection drops, is a
@@ -169,7 +164,6 @@ class SocketPool:
         try:
             if _recv_exact(conn, len(MAGIC)) != MAGIC:
                 return
-            raw = None  # payload bytes theta was unpacked from
             while True:
                 kind, subset_id, iteration, payload = read_frame(conn)
                 if kind == KIND_SHUTDOWN:
@@ -177,10 +171,7 @@ class SocketPool:
                 # a failing request is reported to the manager, and the
                 # worker stays up for the next one
                 try:
-                    request = payload.tobytes()
-                    if request != raw:
-                        theta = self.model.unpack_theta(payload)
-                        raw = request
+                    theta = self.model.unpack_theta(payload)
                     if kind == KIND_ESTEP_REQ:
                         stats = self.model.local_estep(
                             theta, shard, subset_id=k, anchor_tag=iteration

@@ -104,6 +104,20 @@ def test_config_unknown_key_rejected(workspace, tmp_path):
              "--out", workspace / "x"])
 
 
+@pytest.mark.parametrize("content", [None, "{\"K\": 4,", "[]"],
+                         ids=["missing", "malformed", "not_an_object"])
+def test_config_file_error_is_reported(workspace, tmp_path, capsys, content):
+    """A --config file that does not exist, is not JSON or holds no JSON
+    object is an error line naming the file, not a traceback."""
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert run(["--config", cfg, "fit", "--data", workspace / "data",
+                "--out", tmp_path / "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg) in err
+
+
 def test_diagnose(workspace, capsys):
     assert run(["diagnose", "--data", workspace / "data",
                 "--theta", workspace / "base.theta.json", "--K", 4,
@@ -111,6 +125,24 @@ def test_diagnose(workspace, capsys):
     report = json.loads((workspace / "diag.json").read_text())
     assert report["identity_residual"] < 1e-6
     assert len(report["S_EM"]) == 3 + 6 + 1  # beta, vech(L), tau2
+
+
+def test_diagnose_walkthrough_fit_is_stationary(tmp_path, capsys):
+    """The README walkthrough's ecme0 fit stops within its tolerance of the
+    maximum: the Newton decrement is far below it, although the gradient
+    norm (about 1e-3) is not small.  diagnose warns of nothing."""
+    assert run(["simulate", "--m", 60, "--n", 480, "--p", 4, "--q", 3,
+                "--seed", 0, "--out", tmp_path / "data"]) == 0
+    assert run(["fit", "--data", tmp_path / "data", "--algo", "ecme0",
+                "--out", tmp_path / "base"]) == 0
+    capsys.readouterr()
+    assert run(["diagnose", "--data", tmp_path / "data",
+                "--theta", tmp_path / "base.theta.json", "--K", 4,
+                "--split", "0,1", "--out", tmp_path / "diag.json"]) == 0
+    assert "warning" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "diag.json").read_text())
+    assert report["warnings"] == []
+    assert 0 < report["newton_decrement"] < 1e-7 < report["grad_norm"]
 
 
 def test_ingest_and_fit(workspace, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from demfit import (
     LmmModel,
     RunConfig,
+    Sample,
     SimDesign,
     Theta,
     canonical_sigma,
@@ -130,3 +131,26 @@ def test_dataset_roundtrip(tmp_path):
         np.testing.assert_array_equal(s.y, t.y)
         np.testing.assert_array_equal(s.X, t.X)
         np.testing.assert_array_equal(s.Z, t.Z)
+
+
+@pytest.mark.parametrize("sample_id", [[0, 0, 1, 0, 1, 1], [0, 0, 1, 1]],
+                         ids=["decreasing", "short"])
+def test_bad_sample_id_column_is_an_error(tmp_path, capsys, sample_id):
+    """A sample_id column that decreases, or that has not one entry per
+    row, would load as the wrong samples: load_dataset names the file, and
+    dem fit reports it as an error."""
+    from demfit.cli import main
+
+    rng = np.random.default_rng(0)
+    samples = [Sample(y=rng.standard_normal(3), X=rng.standard_normal((3, 2)),
+                      Z=rng.standard_normal((3, 1))) for _ in range(2)]
+    path = tmp_path / "ds"
+    save_dataset(path, samples)
+    with np.load(path.with_suffix(".npz")) as arc:
+        cols = dict(arc)
+    cols["sample_id"] = np.array(sample_id, dtype=np.int64)
+    np.savez(path.with_suffix(".npz"), **cols)
+    with pytest.raises(ValueError, match="ds.npz: sample_id"):
+        load_dataset(path)
+    assert main(["fit", "--data", str(path), "--out", str(tmp_path / "fit")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

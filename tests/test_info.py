@@ -87,6 +87,7 @@ def test_information_symmetry_and_definiteness(converged_instance):
     for M in (info.i_obs, info.i_com, info.i_com_A):
         np.testing.assert_allclose(M, M.T, atol=1e-4 * np.linalg.norm(M))
     assert info.grad_norm < 1e-4
+    assert 0 < info.newton_decrement < 1e-12
     assert info.warnings == []
     # complete-data information exceeds observed (missing info is PSD)
     missing = 0.5 * (info.i_com - info.i_obs + (info.i_com - info.i_obs).T)
@@ -127,3 +128,4 @@ def test_not_at_optimum_warning(converged_instance):
     off = Theta(theta.beta + 0.3, theta.L, theta.tau2)
     info = information_matrices(model, off, subsets, split=[0])
     assert any("not be stationary" in w for w in info.warnings)
+    assert info.newton_decrement > 1.0

@@ -246,6 +246,15 @@ def test_model_keeps_no_per_call_state(small_dataset):
                     Theta.default_start(4, 3))
     assert check_monotone_F(tr, model, subsets) == []
     assert vars(model) == before
+    # a shard holds its data and, once summed, const_sum; E steps and
+    # logliks leave nothing else in it
+    shard = model.prepare(subsets[0])
+    data = dict(vars(shard))
+    for theta in tr.thetas:
+        model.local_loglik(theta, shard)
+        model.local_estep(theta, shard)
+    assert set(vars(shard)) == set(data) | {"const_sum"}
+    assert all(vars(shard)[name] is value for name, value in data.items())
 
 
 def test_audit_prepares_once_and_one_posterior_per_theta(small_dataset):
@@ -363,83 +372,6 @@ def test_shard_matches_samples_bitwise(monkeypatch):
         ref = DDArray.sum_rows(np.array(one_rows).reshape(len(subset), sa._acc.hi.size))
         assert np.array_equal(sa._acc.hi, ref.hi)
         assert np.array_equal(sa._acc.lo, ref.lo)
-
-
-def _count_posteriors(monkeypatch) -> list:
-    """Patch LmmModel._posterior to record each call in the returned list."""
-    calls = []
-    posterior = LmmModel._posterior
-
-    def counting(self, *args):
-        calls.append(len(args[0]))
-        return posterior(self, *args)
-
-    monkeypatch.setattr(LmmModel, "_posterior", counting)
-    return calls
-
-
-def _esteps_equal(a, b) -> bool:
-    """Bitwise equal statistics, sizes, logliks and headers."""
-    sa, sb = a.payload, b.payload
-    return (
-        np.array_equal(sa._acc.hi, sb._acc.hi)
-        and np.array_equal(sa._acc.lo, sb._acc.lo)
-        and (sa.m, sa.n, sa.loglik) == (sb.m, sb.n, sb.loglik)
-        and (a.subset_id, a.anchor_tag) == (b.subset_id, b.anchor_tag)
-    )
-
-
-def test_estep_reuses_posterior_of_last_loglik(monkeypatch):
-    """local_loglik(theta) then local_estep(theta) on one shard computes
-    the posterior once, and the E step is bitwise that of a fresh shard;
-    a second loglik at theta (the final exact round) reuses it too."""
-    rng = np.random.default_rng(28)
-    p, q = 3, 2
-    model = LmmModel(p, q)
-    theta = random_theta(rng, p, q)
-    samples = [random_sample(rng, p, q) for _ in range(7)]
-    fresh = model.local_estep(theta, model.prepare(samples), subset_id=2, anchor_tag=5)
-    fresh_ll = model.local_loglik(theta, model.prepare(samples))
-    shard = model.prepare(samples)
-    calls = _count_posteriors(monkeypatch)
-    assert model.local_loglik(theta, shard) == fresh_ll
-    assert _esteps_equal(model.local_estep(theta, shard, subset_id=2, anchor_tag=5), fresh)
-    assert model.local_loglik(theta, shard) == fresh_ll
-    assert calls == [len(samples)]
-
-
-def test_loglik_slot_matches_theta_by_identity(monkeypatch):
-    """An equal-valued but distinct Theta and a different theta both miss
-    the slot and recompute, with the same results as a fresh shard; only
-    local_loglik moves the slot."""
-    rng = np.random.default_rng(29)
-    p, q = 3, 2
-    model = LmmModel(p, q)
-    theta, other = random_theta(rng, p, q), random_theta(rng, p, q)
-    twin = Theta(theta.beta, theta.L, theta.tau2)
-    samples = [random_sample(rng, p, q) for _ in range(6)]
-    shard = model.prepare(samples)
-    model.local_loglik(theta, shard)
-    for th in (twin, other):
-        expected = model.local_estep(th, model.prepare(samples))
-        calls = _count_posteriors(monkeypatch)
-        assert _esteps_equal(model.local_estep(th, shard), expected)
-        assert calls == [len(samples)] and shard.last[0] is theta
-        monkeypatch.undo()
-    calls = _count_posteriors(monkeypatch)
-    assert model.local_loglik(other, shard) == model.local_loglik(other, samples)
-    assert calls == [len(samples)] * 2 and shard.last[0] is other
-
-
-def test_esteps_alone_leave_slot_empty(small_dataset):
-    """E steps (header-loglik runs) never fill the slot, so they keep no
-    posterior alive between calls."""
-    samples, truth = small_dataset
-    model = LmmModel(4, 3)
-    shard = model.prepare(samples[:10])
-    for theta in (truth, Theta.default_start(4, 3), truth):
-        model.local_estep(theta, shard)
-        assert shard.last is None
 
 
 def test_rss_exp_matches_direct_expectation():

@@ -202,7 +202,6 @@ def test_fresh_estep_loglik_is_local_loglik(fitted_pieces, K):
         for subset in subsets:
             shard = model.prepare(subset)
             fresh = model.local_estep(theta, shard).payload.loglik
-            assert shard.last is None
             assert fresh == model.local_loglik(theta, model.prepare(subset))
 
 
@@ -220,19 +219,20 @@ class PosteriorCountingModel(LmmModel):
 
 
 @pytest.mark.parametrize("transport", ["in_process", "socket"])
-def test_stale_delivery_reuses_refresh_posterior(fitted_pieces, transport):
-    """In a "finish" exact-loglik run a worker refreshed at theta_{t-1}
-    delivers its stale E step at that same theta next, and the shard's slot
-    (over sockets, with the worker's previous Theta) serves its posterior:
-    fewer posteriors than E-step plus loglik calls."""
+@pytest.mark.parametrize("completion", ["restart", "finish"])
+@pytest.mark.parametrize("exact", [False, True])
+def test_one_posterior_per_round_trip(fitted_pieces, transport, completion, exact):
+    """A worker keeps nothing between requests: every E step and loglik it
+    answers computes one posterior, also when a "finish" exact-loglik run
+    delivers a stale E step at the theta its loglik was refreshed at."""
     samples, _, theta0 = fitted_pieces
     K = 5
     model = PosteriorCountingModel(3, 3)
     _, tr = run_dem(RunConfig(K=K, gamma=0.4, seed=9, transport=transport,
-                              completion="finish", exact_loglik_check=True),
+                              completion=completion, exact_loglik_check=exact),
                     model, partition(samples, K, seed=0), theta0)
     assert tr.converged and tr.max_staleness >= 2
-    assert len(model.posteriors) < tr.messages_sent // 2
+    assert len(model.posteriors) == tr.messages_sent // 2
 
 
 @pytest.mark.parametrize("transport", ["in_process", "socket"])
