@@ -732,7 +732,8 @@ def information_matrices(
     leave the valid domain.  i_obs differentiates the marginal log
     likelihood; i_com differentiates the reconstructed expected
     complete-data objective anchored at theta_hat.  Each subset is
-    prepared once and every difference quotient runs on its shard.
+    prepared once and every difference quotient runs on its shard.  A
+    split id outside 0..K-1 for the K subsets is a ValueError.
 
     theta_hat may not be stationary when the Newton decrement
     g' i_obs^{-1} g / 2 of the log likelihood gradient g, the gain a Newton
@@ -744,6 +745,9 @@ def information_matrices(
     p, q = model.p, model.q
     u0 = theta_to_vec(theta_hat)
     split = sorted(set(split))
+    bad = [k for k in split if not 0 <= k < len(subsets)]
+    if bad:
+        raise ValueError(f"split ids {bad} lie outside 0..K-1 for K={len(subsets)}")
     notes = []
     shards = [model.prepare(subset) for subset in subsets]
 

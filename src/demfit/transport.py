@@ -4,7 +4,8 @@ Both transports expose the same blocking request/reply surface, so the
 manager loop fully determines message ordering and the resulting traces
 are identical across transports.
 
-Socket wire format: a connection opens with the magic bytes b"DEMX1";
+Socket wire format: a worker's connection is one end of a connected socket
+pair (nothing listens on a port) and opens with the magic bytes b"DEMX1";
 every frame is little-endian {u32 body-length, u8 msg-kind, u32 subset_id,
 u64 iteration, f64-array payload}.  A worker whose request fails answers
 with an error frame (KIND_ERROR) in place of the reply: same header, with
@@ -19,8 +20,8 @@ worker that does not answer in time, or whose connection drops, is a
 ProtocolError naming it; after a timeout the manager closes that
 connection, so a late reply cannot answer a later request.  Workers block
 on their reads without a limit, because they sit idle between iterations.
-A worker whose connection fails, opens without the magic bytes or sends a
-malformed frame closes it and exits quietly.
+A worker whose connection closes or fails, opens without the magic bytes
+or sends a malformed frame closes it and exits quietly.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ KIND_ESTEP_REQ = 1
 KIND_ESTEP_REP = 2
 KIND_LOGLIK_REQ = 3
 KIND_LOGLIK_REP = 4
-KIND_SHUTDOWN = 5
+KIND_SHUTDOWN = 5  # no longer sent: a worker ends when its connection closes
 KIND_ERROR = 6
 
 
@@ -125,12 +126,13 @@ class InProcessPool:
 
 
 class SocketPool:
-    """Worker endpoints served over localhost TCP sockets.
+    """Worker endpoints served over socket pairs.
 
-    One serving thread per subset; the manager side issues blocking RPCs,
-    so ordering is still controlled by the caller.  Every worker's shard
-    (`model.prepare`) is built before any socket or thread exists, so a
-    subset the model rejects leaves nothing to clean up.
+    One thread per subset serves one end of a socket pair, and the manager
+    issues blocking RPCs on the other, so the caller controls ordering.
+    Every worker's shard (`model.prepare`) is built before any socket or
+    thread exists, so a subset the model rejects leaves nothing to clean
+    up; a worker that fails to start closes the pool.
     """
 
     def __init__(self, model: ModelContract, subsets):
@@ -139,35 +141,32 @@ class SocketPool:
         self.messages_sent = 0
         self._conns = []
         self._threads = []
-        for k, shard in enumerate(shards):
-            server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            server.bind(("127.0.0.1", 0))
-            server.listen(1)
-            port = server.getsockname()[1]
-            thread = threading.Thread(
-                target=self._serve, args=(server, k, shard), daemon=True
-            )
-            thread.start()
-            conn = socket.create_connection(("127.0.0.1", port))
-            conn.settimeout(REPLY_TIMEOUT_S)
-            conn.sendall(MAGIC)
-            self._conns.append(conn)
-            self._threads.append(thread)
+        try:
+            for k, shard in enumerate(shards):
+                conn, worker_end = socket.socketpair()
+                self._conns.append(conn)
+                conn.settimeout(REPLY_TIMEOUT_S)
+                conn.sendall(MAGIC)
+                thread = threading.Thread(target=self._serve, args=(worker_end, k, shard),
+                                          daemon=True)
+                thread.start()
+                self._threads.append(thread)
+        except BaseException:
+            if len(self._threads) < len(self._conns):  # no thread owns worker_end
+                worker_end.close()
+            self.close()
+            raise
 
-    def _serve(self, server, k: int, shard):
-        """Answer worker k's requests until a shutdown frame.  A connection
-        that opens without the magic bytes, sends a malformed frame, or
-        fails later because its manager has gone, is closed and the worker
-        returns quietly: there is no one left to report to."""
-        conn, _ = server.accept()
-        server.close()
+    def _serve(self, conn, k: int, shard):
+        """Answer worker k's requests on conn until the manager closes its
+        end.  A connection that opens without the magic bytes, sends a
+        malformed frame, or fails because its manager has gone, is closed
+        and the worker returns quietly: there is no one left to report to."""
         try:
             if _recv_exact(conn, len(MAGIC)) != MAGIC:
                 return
             while True:
                 kind, subset_id, iteration, payload = read_frame(conn)
-                if kind == KIND_SHUTDOWN:
-                    return
                 # a failing request is reported to the manager, and the
                 # worker stays up for the next one
                 try:
@@ -227,10 +226,6 @@ class SocketPool:
 
     def close(self):
         for conn in self._conns:
-            try:
-                write_frame(conn, KIND_SHUTDOWN, 0, 0, np.empty(0))
-            except OSError:
-                pass  # the worker's connection is gone already
             conn.close()
         for t in self._threads:
             t.join(timeout=5)

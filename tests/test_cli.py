@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from demfit import LmmModel
+from demfit import LmmModel, Theta
 from demfit.cli import main
+from demfit.diagnostics import theta_to_json
 from demfit.transport import SocketPool
 
 
@@ -127,6 +128,19 @@ def test_diagnose(workspace, capsys):
     assert len(report["S_EM"]) == 3 + 6 + 1  # beta, vech(L), tau2
 
 
+@pytest.mark.parametrize("split", [["--split", "0,7"], ["--split", "9"], ["--split=-1"]])
+def test_diagnose_split_out_of_range_is_an_error(workspace, tmp_path, capsys, split):
+    (tmp_path / "start.theta.json").write_text(
+        json.dumps(theta_to_json(Theta.default_start(3, 3))))
+    assert run(["diagnose", "--data", workspace / "data",
+                "--theta", tmp_path / "start.theta.json", "--K", 4, *split,
+                "--out", tmp_path / "diag.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: split ids [")
+    assert "lie outside 0..K-1 for K=4" in err
+    assert not (tmp_path / "diag.json").exists()
+
+
 def test_diagnose_walkthrough_fit_is_stationary(tmp_path, capsys):
     """The README walkthrough's ecme0 fit stops within its tolerance of the
     maximum: the Newton decrement is far below it, although the gradient
@@ -229,9 +243,7 @@ def test_socket_worker_failure_is_an_error(workspace, tmp_path, capsys, monkeypa
 
 
 def test_dead_socket_worker_is_an_error(workspace, tmp_path, capsys, monkeypatch):
-    def dead_worker(self, server, k, shard):
-        conn, _ = server.accept()
-        server.close()
+    def dead_worker(self, conn, k, shard):
         conn.close()
 
     monkeypatch.setattr(SocketPool, "_serve", dead_worker)

@@ -119,7 +119,10 @@ def test_socket_transport_identical_trace(fitted_pieces, completion, forced_spli
     cfg = dict(K=4, gamma=0.5, seed=2, completion=completion,
                forced_split=forced_split, exact_loglik_check=exact)
     _, tr_mem = run_dem(RunConfig(**cfg, transport="in_process"), model, subsets, theta0)
+    threads = set(threading.enumerate())
     _, tr_sock = run_dem(RunConfig(**cfg, transport="socket"), model, subsets, theta0)
+    # closing the pool's connections ends every serving thread
+    assert set(threading.enumerate()) == threads
     assert traces_equal(tr_mem, tr_sock)
     assert tr_mem.accept_sets == tr_sock.accept_sets
     assert tr_mem.anchor_tags == tr_sock.anchor_tags
@@ -309,6 +312,46 @@ def test_mismatched_samples_rejected_when_pool_is_built(fitted_pieces, transport
     with pytest.raises(ValueError, match="samples do not match the model's p=4, q=3"):
         run_dem(RunConfig(K=2, transport=transport), LmmModel(4, 3),
                 partition(samples, 2, seed=0), Theta.default_start(4, 3))
+    assert set(threading.enumerate()) == threads
+
+
+def test_socket_run_needs_no_listening_port(fitted_pieces, monkeypatch):
+    """Socket workers are served over socket pairs: a host where no socket
+    may bind or listen still gives the in-process trace."""
+    samples, model, theta0 = fitted_pieces
+    subsets = partition(samples, 4, seed=0)
+    cfg = dict(K=4, gamma=0.5, seed=2, exact_loglik_check=True)
+    _, tr_mem = run_dem(RunConfig(**cfg, transport="in_process"), model, subsets, theta0)
+
+    def refuse(self, *args):
+        raise PermissionError("no listening sockets here")
+
+    monkeypatch.setattr(socket.socket, "bind", refuse)
+    monkeypatch.setattr(socket.socket, "listen", refuse)
+    _, tr_sock = run_dem(RunConfig(**cfg, transport="socket"), model, subsets, theta0)
+    assert traces_equal(tr_mem, tr_sock)
+    assert tr_mem.messages_sent == tr_sock.messages_sent
+
+
+def test_pool_closes_started_workers_when_one_fails_to_start(fitted_pieces, monkeypatch):
+    """A worker thread that cannot start fails the pool, and the workers
+    started before it are ended, not left blocked on their connections."""
+    samples, model, theta0 = fitted_pieces
+    threads = set(threading.enumerate())
+    start, started = threading.Thread.start, []
+
+    def start_once(self):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(self)
+        start(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(threading.Thread, "start", start_once)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            run_dem(RunConfig(K=4, transport="socket"), model,
+                    partition(samples, 4, seed=0), theta0)
+    assert len(started) == 1
     assert set(threading.enumerate()) == threads
 
 
@@ -527,10 +570,12 @@ def test_worker_closes_connection_with_bad_magic(fitted_pieces, monkeypatch):
     pool = SocketPool(model, partition(samples, 1, seed=0))
     try:
         for case, sent in cases.items():
-            server = socket.create_server(("127.0.0.1", 0))
-            worker = threading.Thread(target=pool._serve, args=(server, 0, shard), daemon=True)
+            client, worker_end = socket.socketpair()
+            worker = threading.Thread(target=pool._serve, args=(worker_end, 0, shard),
+                                      daemon=True)
             worker.start()
-            with socket.create_connection(server.getsockname(), timeout=5) as client:
+            with client:
+                client.settimeout(5)
                 client.sendall(sent)
                 assert client.recv(1) == b"", case  # closed by the worker
             worker.join(timeout=5)
@@ -541,13 +586,11 @@ def test_worker_closes_connection_with_bad_magic(fitted_pieces, monkeypatch):
 
 
 def test_pool_close_releases_dead_connections(fitted_pieces, monkeypatch):
-    """close() closes every connection, also those whose worker is gone
-    and whose shutdown frame cannot be sent."""
+    """close() closes every connection, also those whose worker is gone:
+    it writes nothing to them."""
     samples, model, theta0 = fitted_pieces
 
-    def dead_worker(self, server, k, shard):
-        conn, _ = server.accept()
-        server.close()
+    def dead_worker(self, conn, k, shard):
         conn.close()
 
     monkeypatch.setattr(SocketPool, "_serve", dead_worker)
