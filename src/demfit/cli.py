@@ -17,6 +17,10 @@ from .lmm import LmmModel, Theta, information_matrices, speed_matrices
 from .model import ProtocolError
 from .runtime import COMPLETION_POLICIES, TRANSPORTS, RunConfig, run_dem, run_ecme0
 
+# the fit flags ecme0 does not read, at the value it runs with
+_ECME0_FIXED = {"gamma": None, "K": 1, "transport": "in_process", "completion": "restart",
+                "exact_loglik_check": False, "forced_split": False}
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -96,8 +100,10 @@ def cmd_fit(args) -> int:
     theta0 = Theta.default_start(p, q)
 
     if args.algo == "ecme0":
-        if args.gamma is not None:
-            raise SystemExit("--gamma is incompatible with --algo ecme0")
+        bad = [dest for dest, value in _ECME0_FIXED.items() if getattr(args, dest) != value]
+        if bad:
+            flags = ", ".join("--" + dest.replace("_", "-") for dest in bad)
+            raise SystemExit(f"--algo ecme0 is incompatible with {flags}")
         config = RunConfig(K=1, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
         theta, trace = run_ecme0(config, model, samples, theta0)
     else:

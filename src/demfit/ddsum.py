@@ -92,9 +92,6 @@ class DDArray:
         s, e = _two_sum(self.hi, other.hi)
         self.hi, self.lo = _renorm(s, e + (self.lo + other.lo))
 
-    def copy(self) -> "DDArray":
-        return DDArray.from_parts(self.hi, self.lo)
-
     def value(self) -> np.ndarray:
         # hi + lo rounds the accumulated value to the nearest double.
         return self.hi + self.lo

@@ -14,8 +14,8 @@ Trace JSON schema (written by `write_trace_json`):
     "loglik_exact": bool,             # exact per-iteration values vs cached results
     "accept_sets": [[int, ...], ...], # fresh workers behind each M step
     "anchor_tags": [[int, ...], ...], # per-worker anchor index into thetas
-    "staleness": [[int, ...], ...],   # staleness[j][k] = j - anchor_tags[j][k];
-                                      # ecme0 records 1 from iteration 1 on
+    "staleness": [[int, ...], ...],   # derived: j - anchor_tags[j][k]; ecme0
+                                      # reads 1 from iteration 1 on
     "wall_times": [float, ...],
     "messages_sent": int,             # 2 per round trip: K seeding E steps, one per
                                       # later accepted result, K closing logliks, and

@@ -564,22 +564,13 @@ class LmmModel(ModelContract):
         D = v.S_bb / (stats.m * tau2)
         return Theta.from_cov(beta, D, tau2)
 
-    def local_kl(self, theta_eval: Theta, theta_anchor: Theta,
-                 subset: SubsetData | LmmShard) -> float:
-        """Sum of Gaussian KL(posterior at anchor || posterior at eval)."""
-        shard = self._shard(subset)
-        post = self._posterior_at(theta_eval, shard)
-        anchor = self._posterior_at(theta_anchor, shard)
-        log_ratio = self.q * math.log(theta_eval.tau2 / theta_anchor.tau2)
-        kl = self._kl(theta_eval, post, anchor, theta_anchor.tau2, log_ratio)
-        return math.fsum(_finite_kl(kl))
-
     def free_energy_path(self, thetas: Sequence[Theta], anchor_tags: Sequence[Sequence[int]],
                          subsets: Sequence[SubsetData]) -> list:
-        """Per row j and subset k, local_loglik(thetas[j], subset) minus
-        local_kl(thetas[j], thetas[anchor_tags[j][k]], subset), in one pass;
-        a row without its point in thetas, or a tag the ModelContract rule
-        does not allow, is a ValueError.
+        """Per row j and subset k, local_loglik(thetas[j], subset) minus the
+        summed Gaussian KL(posterior at thetas[anchor_tags[j][k]] ||
+        posterior at thetas[j]) over its samples, in one pass; a row
+        without its point in thetas, or a tag the ModelContract rule does
+        not allow, is a ValueError.
 
         The samples are stacked once, and the posterior at each thetas[t]
         is computed once over all of them: at row t, or before row 0 for a

@@ -41,7 +41,8 @@ class SuffStats:
 
 
 class ModelContract(ABC):
-    """Operations a model plugin must provide.
+    """Everything the manager loop, a transport pool and the audit call on
+    a model; a subclass missing an abstract method cannot be instantiated.
 
     prepare(subset) turns a worker's subset into the form the model keeps
     resident for a run: the transport pools call it once per worker, when
@@ -69,6 +70,13 @@ class ModelContract(ABC):
     nothing of it after the call.  With every tag of row j equal to j the
     terms must equal the subsets' local_loglik values at thetas[j], and
     local_loglik must stay finite on the valid parameter domain.
+
+    The wire methods are all a socket pool knows of the model.
+    pack_theta(theta) and pack_stats(stats) flatten a parameter and an
+    E-step result into float64 arrays, and unpack_theta and
+    unpack_stats(arr, subset_id, anchor_tag) invert them with bitwise the
+    same effect on every later call; unpack_stats rebuilds the SuffStats
+    header from its two arguments, which the frame header carries.
     """
 
     def prepare(self, subset):
@@ -85,6 +93,18 @@ class ModelContract(ABC):
 
     @abstractmethod
     def free_energy_path(self, thetas, anchor_tags, subsets) -> list: ...
+
+    @abstractmethod
+    def pack_theta(self, theta): ...
+
+    @abstractmethod
+    def unpack_theta(self, arr): ...
+
+    @abstractmethod
+    def pack_stats(self, stats: SuffStats): ...
+
+    @abstractmethod
+    def unpack_stats(self, arr, subset_id: int, anchor_tag: int) -> SuffStats: ...
 
 
 def aggregate_stats(cache: dict, K: int) -> SuffStats:
@@ -167,7 +187,7 @@ class Trace:
     anchor_tags[j] gives, for each subset, the index in 0..j into thetas of
     the parameter its cached E-step result was computed at when thetas[j]
     was current, and accept_sets[j-1] lists the workers whose fresh
-    results the j-th M step used.
+    results the j-th M step used.  staleness is derived from anchor_tags.
     """
 
     thetas: list = field(default_factory=list)
@@ -175,7 +195,6 @@ class Trace:
     loglik_exact: bool = False
     accept_sets: list = field(default_factory=list)
     anchor_tags: list = field(default_factory=list)
-    staleness: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
     messages_sent: int = 0
     converged: bool = False
@@ -186,6 +205,12 @@ class Trace:
     @property
     def n_iterations(self) -> int:
         return len(self.thetas) - 1
+
+    @property
+    def staleness(self) -> list:
+        """staleness[j][k] = j - anchor_tags[j][k]: the M steps since
+        subset k's cached result was computed."""
+        return [[j - a for a in tags] for j, tags in enumerate(self.anchor_tags)]
 
     @property
     def max_staleness(self) -> int:

@@ -170,7 +170,6 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
                 trace.accept_sets.append(sorted(int(k) for k in accepted))
             trace.thetas.append(theta)
             trace.anchor_tags.append(agg.anchor_tags)
-            trace.staleness.append([t - a for a in agg.anchor_tags])
             trace.wall_times.append(time.perf_counter() - t0)
             if L is None:
                 continue
@@ -191,8 +190,8 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
 
 def run_ecme0(config: RunConfig, model: ModelContract, data: Sequence, theta0):
     """Non-distributed baseline: the manager loop with one worker holding
-    all the data and gamma = 1.  Likelihood ascent is asserted over the
-    recorded log likelihoods."""
+    all the data and gamma = 1, whose config the trace records.  Likelihood
+    ascent is asserted over the recorded log likelihoods."""
     theta, trace = run_dem(
         dataclasses.replace(config, K=1, gamma=1.0, transport="in_process",
                             exact_loglik_check=False),
@@ -205,7 +204,7 @@ def run_ecme0(config: RunConfig, model: ModelContract, data: Sequence, theta0):
                 f"log likelihood decreased at iteration {t}: {L} -> {L_new}"
             )
     trace.loglik_exact = True
-    trace.config = config.to_dict() | {"algo": "ecme0"}
+    trace.config["algo"] = "ecme0"
     trace.messages_sent = 0
     return theta, trace
 

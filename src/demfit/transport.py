@@ -7,9 +7,10 @@ are identical across transports.
 Socket wire format: a worker's connection is one end of a connected socket
 pair (nothing listens on a port) and opens with the magic bytes b"DEMX1";
 every frame is little-endian {u32 body-length, u8 msg-kind, u32 subset_id,
-u64 iteration, f64-array payload}.  A worker whose request fails answers
-with an error frame (KIND_ERROR) in place of the reply: same header, with
-the UTF-8 text "ExceptionType: message" as its payload; it then goes on
+u64 iteration, f64-array payload}; the ModelContract wire methods encode
+and decode the payloads.  A worker whose request fails answers with an
+error frame (KIND_ERROR) in place of the reply: same header, with the
+UTF-8 text "ExceptionType: message" as its payload; it then goes on
 serving requests.
 
 A worker keeps nothing between requests but its prepared shard: it

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from demfit import LmmModel, Sample, SimDesign, Theta, simulate
+from demfit.lmm import _finite_kl
 
 
 def random_sample(rng, p, q, n_i=None):
@@ -18,6 +21,18 @@ def random_theta(rng, p, q):
     D = A @ A.T + q * np.eye(q)
     tau2 = float(rng.uniform(0.5, 3.0))
     return Theta.from_cov(beta, D, tau2)
+
+
+def local_kl(model, theta_eval, theta_anchor, subset):
+    """Sum over a subset's samples of the Gaussian KL(posterior at
+    theta_anchor || posterior at theta_eval), from the kernels the
+    free-energy audit runs."""
+    shard = model._shard(subset)
+    post = model._posterior_at(theta_eval, shard)
+    anchor = model._posterior_at(theta_anchor, shard)
+    log_ratio = model.q * math.log(theta_eval.tau2 / theta_anchor.tau2)
+    kl = model._kl(theta_eval, post, anchor, theta_anchor.tau2, log_ratio)
+    return math.fsum(_finite_kl(kl))
 
 
 @pytest.fixture(scope="session")

@@ -76,6 +76,20 @@ def test_gamma_with_ecme0_rejected(workspace):
              "--gamma", 0.5, "--K", 4, "--out", workspace / "bad"])
 
 
+@pytest.mark.parametrize("flag", [["--K", 4], ["--transport", "socket"],
+                                  ["--completion", "finish"], ["--exact-loglik-check"],
+                                  ["--forced-split"]],
+                         ids=["K", "transport", "completion", "exact", "forced_split"])
+def test_ecme0_rejects_flags_it_does_not_read(workspace, flag):
+    # ecme0 runs one worker in process with header logliks: any other
+    # setting would be dropped without a word
+    with pytest.raises(SystemExit, match=f"--algo ecme0 is incompatible with {flag[0]}$"):
+        run(["fit", "--data", workspace / "data", "--algo", "ecme0", *flag,
+             "--out", workspace / "bad"])
+    assert run(["fit", "--data", workspace / "data", "--algo", "ecme0", "--K", 1,
+                "--transport", "in_process", "--out", workspace / "ecme0_k1"]) == 0
+
+
 def test_maxiter_exit_code(workspace):
     args = ["fit", "--data", workspace / "data", "--algo", "dem", "--K", 4,
             "--gamma", 0.5, "--max-iter", 3, "--out", workspace / "short"]

@@ -152,7 +152,6 @@ def test_trace_json_roundtrip(tmp_path):
     tr.logliks = [-10.0, -9.0, -8.999]
     tr.accept_sets = [[0], [1]]
     tr.anchor_tags = [[0, 0], [0, 1], [1, 1]]
-    tr.staleness = [[0, 0], [1, 0], [1, 1]]
     tr.wall_times = [0.1, 0.1, 0.1]
     tr.converged = True
     tr.final_loglik = -8.999
@@ -161,3 +160,4 @@ def test_trace_json_roundtrip(tmp_path):
     back = load_trace_json(path)
     assert back == trace_to_json(tr)
     assert back["n_iterations"] == 2 and back["converged"]
+    assert back["staleness"] == [[0, 0], [1, 0], [1, 1]]

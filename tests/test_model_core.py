@@ -18,7 +18,7 @@ from demfit import (
     partition,
     run_dem,
 )
-from conftest import random_sample, random_theta
+from conftest import local_kl, random_sample, random_theta
 
 
 def _cache(model, theta, subsets):
@@ -122,7 +122,7 @@ def test_evaluate_F_matches_subset_definition(small_dataset):
         anchors = [tr.thetas[tag] for tag in tr.anchor_tags[t]] + [tr.thetas[0]]
         expected = 0.0
         for anchor, subset in zip(anchors, subsets):
-            expected += -model.local_kl(theta, anchor, subset) + model.local_loglik(theta, subset)
+            expected += -local_kl(model, theta, anchor, subset) + model.local_loglik(theta, subset)
         assert evaluate_F(theta, anchors, model, subsets) == expected
 
 
@@ -150,10 +150,6 @@ def test_audit_one_model_call_per_audit(small_dataset):
             self._count("free_energy_path")
             return super().free_energy_path(thetas, anchor_tags, subsets)
 
-        def local_kl(self, theta_eval, theta_anchor, subset):
-            self._count("local_kl")
-            return super().local_kl(theta_eval, theta_anchor, subset)
-
     _, subsets, tr = _fractional_run(small_dataset[0])
     model = CountingModel(4, 3)
     assert check_monotone_F(tr, model, subsets) == []
@@ -180,10 +176,11 @@ def test_path_matches_evaluate_F_bitwise(small_dataset):
 
 def test_trace_properties():
     tr = Trace()
-    tr.thetas = [None, None, None]
-    tr.staleness = [[0, 0], [1, 2], [1, 3]]
-    tr.wall_times = [0.5, 0.25, 0.25]
-    assert tr.n_iterations == 2
+    tr.thetas = [None, None, None, None]
+    tr.anchor_tags = [[0, 0], [0, 1], [1, 0], [2, 0]]
+    tr.wall_times = [0.5, 0.25, 0.125, 0.125]
+    assert tr.n_iterations == 3
+    assert tr.staleness == [[0, 0], [1, 0], [1, 2], [1, 3]]
     assert tr.max_staleness == 3
     assert tr.total_wall_time == pytest.approx(1.0)
 

@@ -15,6 +15,7 @@ from demfit import (
     Theta,
     check_monotone_F,
     deterministic_schedule,
+    empirical_gamma,
     partition,
     run_dem,
     run_ecme0,
@@ -101,6 +102,17 @@ def test_gamma_one_equals_baseline(fitted_pieces):
         subsets = partition(samples, K, seed=0)
         _, tr = run_dem(RunConfig(K=K, gamma=1.0), model, subsets, theta0)
         assert traces_equal(tr, tr_base), f"K={K} trajectory diverged"
+
+
+def test_ecme0_trace_records_the_config_it_ran(fitted_pieces):
+    samples, model, theta0 = fitted_pieces
+    cfg = RunConfig(K=4, gamma=0.5, transport="socket", completion="finish",
+                    exact_loglik_check=True)
+    _, tr = run_ecme0(cfg, model, samples, theta0)
+    assert all(len(tags) == 1 for tags in tr.anchor_tags)
+    ran = dict(K=1, gamma=1.0, transport="in_process", exact_loglik_check=False)
+    assert tr.config == cfg.to_dict() | ran | {"algo": "ecme0"}
+    assert empirical_gamma(tr).tolist() == [1.0]
 
 
 def test_subset_count_must_match_config(fitted_pieces):
