@@ -46,7 +46,7 @@ def _build_parser():
     p.add_argument("--gamma", type=float, default=None,
                    help="fresh fraction gating each M step (dem only; default 1)")
     p.add_argument("--K", type=int, default=1, help="number of worker subsets")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=RunConfig.tol)
     p.add_argument("--max-iter", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--transport", choices=TRANSPORTS, default="in_process")

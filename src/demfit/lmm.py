@@ -233,10 +233,6 @@ def _record_layout(p: int, q: int) -> dict:
     return out
 
 
-def _unconstrained_size(p: int, q: int) -> int:
-    return p + q * (q + 1) // 2 + 1
-
-
 def theta_to_vec(theta: Theta) -> np.ndarray:
     """Map to the unconstrained space (beta, vech(L) with log diagonal, log tau2)."""
     rows, cols, diag = _tril(theta.q)
@@ -660,30 +656,23 @@ class LmmModel(ModelContract):
 # -- information and speed matrices ---------------------------------------
 
 
-def fd_gradient(f, u0: np.ndarray, rel: float = 1e-5) -> np.ndarray:
-    u0 = np.asarray(u0, dtype=float)
-    g = np.zeros_like(u0)
-    for i in range(u0.size):
-        h = rel * (1.0 + abs(u0[i]))
-        up, dn = u0.copy(), u0.copy()
-        up[i] += h
-        dn[i] -= h
-        g[i] = (f(up) - f(dn)) / (2.0 * h)
-    return g
-
-
-def fd_hessian(f, u0: np.ndarray, rel: float = 1e-5) -> np.ndarray:
-    """Central-difference Hessian with per-coordinate steps rel*(1+|u_i|)."""
+def fd_derivatives(f, u0: np.ndarray, rel: float = 1e-5) -> tuple:
+    """Central-difference gradient and Hessian (g, H) of f at u0, with
+    per-coordinate steps rel*(1+|u_i|).  The gradient reuses the function
+    values of the Hessian's diagonal quotients."""
     u0 = np.asarray(u0, dtype=float)
     n = u0.size
     h = rel * (1.0 + np.abs(u0))
+    g = np.zeros(n)
     H = np.zeros((n, n))
     f0 = f(u0)
     for i in range(n):
         up, dn = u0.copy(), u0.copy()
         up[i] += h[i]
         dn[i] -= h[i]
-        H[i, i] = (f(up) - 2.0 * f0 + f(dn)) / h[i] ** 2
+        f_up, f_dn = f(up), f(dn)
+        g[i] = (f_up - f_dn) / (2.0 * h[i])
+        H[i, i] = (f_up - 2.0 * f0 + f_dn) / h[i] ** 2
         for j in range(i):
             pp, pm, mp, mm = u0.copy(), u0.copy(), u0.copy(), u0.copy()
             pp[[i, j]] += [h[i], h[j]]
@@ -693,7 +682,7 @@ def fd_hessian(f, u0: np.ndarray, rel: float = 1e-5) -> np.ndarray:
             mp[j] += h[j]
             mm[[i, j]] -= [h[i], h[j]]
             H[i, j] = H[j, i] = (f(pp) - f(pm) - f(mp) + f(mm)) / (4.0 * h[i] * h[j])
-    return H
+    return g, H
 
 
 @dataclass
@@ -722,9 +711,9 @@ def information_matrices(
     (beta, vech(L) with log diagonal, log tau2) so difference steps never
     leave the valid domain.  i_obs differentiates the marginal log
     likelihood; i_com differentiates the reconstructed expected
-    complete-data objective anchored at theta_hat.  Each subset is
-    prepared once and every difference quotient runs on its shard.  A
-    split id outside 0..K-1 for the K subsets is a ValueError.
+    complete-data objective anchored at theta_hat.  The split's subsets
+    form one shard and the rest another; each is differenced once, so the
+    cost does not depend on K.  A split id outside 0..K-1 is a ValueError.
 
     theta_hat may not be stationary when the Newton decrement
     g' i_obs^{-1} g / 2 of the log likelihood gradient g, the gain a Newton
@@ -740,33 +729,21 @@ def information_matrices(
     if bad:
         raise ValueError(f"split ids {bad} lie outside 0..K-1 for K={len(subsets)}")
     notes = []
-    shards = [model.prepare(subset) for subset in subsets]
 
-    def total_loglik(u):
-        th = vec_to_theta(u, p, q)
-        return math.fsum(model.local_loglik(th, shard) for shard in shards)
-
-    grad = fd_gradient(total_loglik, u0, rel)
-
-    P = _unconstrained_size(p, q)
-    obs_A = np.zeros((P, P))
-    obs_Ac = np.zeros((P, P))
-    com_A = np.zeros((P, P))
-    com_Ac = np.zeros((P, P))
-    for k, shard in enumerate(shards):
-        h_obs = -fd_hessian(
+    def block(ids):
+        shard = model.prepare([s for k in ids for s in subsets[k]])
+        g, h_obs = fd_derivatives(
             lambda u: model.local_loglik(vec_to_theta(u, p, q), shard), u0, rel
         )
-        stats_k = model.local_estep(theta_hat, shard).payload
-        h_com = -fd_hessian(
-            lambda u: model.q_value(stats_k, vec_to_theta(u, p, q)), u0, rel
+        stats = model.local_estep(theta_hat, shard).payload
+        _, h_com = fd_derivatives(
+            lambda u: model.q_value(stats, vec_to_theta(u, p, q)), u0, rel
         )
-        if k in split:
-            obs_A += h_obs
-            com_A += h_com
-        else:
-            obs_Ac += h_obs
-            com_Ac += h_com
+        return g, -h_obs, -h_com
+
+    g_A, obs_A, com_A = block(split)
+    g_Ac, obs_Ac, com_Ac = block([k for k in range(len(subsets)) if k not in split])
+    grad = g_A + g_Ac
     i_obs = obs_A + obs_Ac
     try:
         decrement = float(grad @ np.linalg.solve(i_obs, grad)) / 2.0
@@ -827,15 +804,12 @@ def speed_matrices(info: InfoMatrices, tol: float = 1e-4) -> SpeedReport:
     denom = np.linalg.norm(S_EM)
     residual = float(np.linalg.norm(S_EM - recon) / denom) if denom > 0 else 0.0
 
-    def smin(a):
-        return float(np.linalg.svd(a, compute_uv=False)[-1])
-
-    def smax(a):
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-
-    lam_em = smin(S_EM)
-    lo = smin(S_DEM) / (1.0 + smax(C)) + smin(O)
-    hi = smin(S_DEM) / (1.0 + smin(C)) + smin(O)
+    sv_em, sv_dem, sv_c, sv_o = (
+        np.linalg.svd(a, compute_uv=False) for a in (S_EM, S_DEM, C, O)
+    )
+    lam_em = float(sv_em[-1])
+    lo = float(sv_dem[-1] / (1.0 + sv_c[0]) + sv_o[-1])
+    hi = float(sv_dem[-1] / (1.0 + sv_c[-1]) + sv_o[-1])
     ok = residual < 1e-6 and (lo - tol) <= lam_em <= (hi + tol)
     return SpeedReport(
         S_EM=S_EM,

@@ -149,9 +149,22 @@ def parse_line(line: str) -> RatingsRecord:
     )
 
 
+def _parse_lines(path, parse, **open_args) -> Iterator:
+    """parse(line) for each non-blank line of the file at path; a
+    ValueError names the file and line."""
+    with open(path, **open_args) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                value = parse(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            yield value
+
+
 def read_ratings_file(path) -> list[RatingsRecord]:
-    with open(path) as fh:
-        return [parse_line(line) for line in fh if line.strip()]
+    return list(_parse_lines(path, parse_line))
 
 
 def write_ratings_file(path, records: Iterable[RatingsRecord]) -> int:
@@ -181,24 +194,24 @@ def genre_bits_from_names(names: Iterable[str]) -> tuple:
 
 def read_dat(ratings_path, movies_path) -> Iterator[RatingsRecord]:
     """Stream the records of a "::"-separated ratings.dat/movies.dat pair; a
-    rating of a movie not in movies.dat is a ValueError naming its line."""
-    genres_by_movie = {}
-    with open(movies_path, encoding="utf-8", errors="replace") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            movie_id, _title, genre_field = line.rstrip("\n").split("::")
-            genres_by_movie[int(movie_id)] = genre_bits_from_names(genre_field.split("|"))
-    with open(ratings_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            user, movie, rating, ts = line.rstrip("\n").split("::")
-            genres = genres_by_movie.get(int(movie))
-            if genres is None:
-                raise ValueError(f"{ratings_path}:{lineno}: movie {int(movie)} "
-                                 f"is not in {movies_path}")
-            yield RatingsRecord(int(user), int(movie), float(rating), int(ts), genres)
+    malformed line, or a rating of a movie not in movies.dat, is a
+    ValueError naming its file and line."""
+
+    def movie_line(line):
+        movie_id, _title, genre_field = line.rstrip("\n").split("::")
+        return int(movie_id), genre_bits_from_names(genre_field.split("|"))
+
+    genres_by_movie = dict(_parse_lines(movies_path, movie_line,
+                                        encoding="utf-8", errors="replace"))
+
+    def rating_line(line):
+        user, movie, rating, ts = line.rstrip("\n").split("::")
+        genres = genres_by_movie.get(int(movie))
+        if genres is None:
+            raise ValueError(f"movie {int(movie)} is not in {movies_path}")
+        return RatingsRecord(int(user), int(movie), float(rating), int(ts), genres)
+
+    yield from _parse_lines(ratings_path, rating_line)
 
 
 def convert_dat(ratings_path, movies_path, out_path) -> int:

@@ -51,7 +51,7 @@ COMPLETION_POLICIES = ("restart", "finish")
 class RunConfig:
     K: int
     gamma: float = 1.0
-    tol: float = 1e-7
+    tol: float = ConvergenceMonitor.tol
     max_iter: int = 1000
     seed: int = 0
     transport: str = "in_process"

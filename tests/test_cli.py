@@ -90,6 +90,16 @@ def test_ecme0_rejects_flags_it_does_not_read(workspace, flag):
                 "--transport", "in_process", "--out", workspace / "ecme0_k1"]) == 0
 
 
+def test_one_default_stop_tolerance():
+    from demfit.cli import _build_parser
+    from demfit.model import ConvergenceMonitor
+    from demfit.runtime import RunConfig
+
+    parser, _ = _build_parser()
+    args = parser.parse_args(["fit", "--data", "d", "--out", "o"])
+    assert args.tol == RunConfig(K=1).tol == ConvergenceMonitor().tol
+
+
 def test_maxiter_exit_code(workspace):
     args = ["fit", "--data", workspace / "data", "--algo", "dem", "--K", 4,
             "--gamma", 0.5, "--max-iter", 3, "--out", workspace / "short"]
@@ -233,6 +243,33 @@ def test_ingest_unknown_movie_is_an_error(tmp_path, capsys):
                 "--out", tmp_path / "ml"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "movie 42" in err and ":2:" in err
+
+
+@pytest.mark.parametrize("bad_file, bad_line", [
+    ("ratings.dat", "7::1::4"),
+    ("ratings.dat", "7::1::4.2::101"),
+    ("movies.dat", "x::Other Film (2000)::Comedy"),
+    ("movies.dat", "2::Other Film (2000)"),
+    ("movies.dat", "2::Other Film (2000)::Jazz"),
+    ("ratings.csv", "7,1,4.0,101"),
+    ("ratings.csv", "7,1,4.2,101," + "0" * 19),
+], ids=["dat_3_fields", "dat_off_grid", "movie_id_x", "movies_2_fields",
+        "unknown_genre", "csv_4_fields", "csv_off_grid"])
+def test_ingest_malformed_line_names_file_and_line(tmp_path, capsys, bad_file, bad_line):
+    good = {"movies.dat": "1::Some Film (1999)::Action",
+            "ratings.dat": "7::1::4::100",
+            "ratings.csv": "7,1,4.0,100,1" + "0" * 18}
+    for name, line in good.items():
+        # the blank line counts: the bad line is line 3
+        lines = [line, "", bad_line] if name == bad_file else [line]
+        (tmp_path / name).write_text("".join(f"{ln}\n" for ln in lines))
+    if bad_file == "ratings.csv":
+        source = ["--ratings", tmp_path / "ratings.csv"]
+    else:
+        source = ["--ratings-dat", tmp_path / "ratings.dat",
+                  "--movies-dat", tmp_path / "movies.dat"]
+    assert run(["ingest", *source, "--out", tmp_path / "ml"]) == 1
+    assert f"error: {tmp_path / bad_file}:3: " in capsys.readouterr().err
 
 
 def test_scheduler_option_removed(workspace, tmp_path):

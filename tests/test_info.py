@@ -14,7 +14,7 @@ from demfit import (
     partition,
     speed_matrices,
 )
-from demfit.lmm import fd_gradient, fd_hessian, theta_to_vec
+from demfit.lmm import fd_derivatives, theta_to_vec, vec_to_theta
 from conftest import random_sample, random_theta
 
 
@@ -29,8 +29,9 @@ def test_fd_hessian_exact_on_quadratic():
 
     u0 = rng.standard_normal(4)
     # central differences are exact on quadratics up to roundoff eps/h^2
-    np.testing.assert_allclose(fd_hessian(f, u0), A, atol=5e-6)
-    np.testing.assert_allclose(fd_gradient(f, u0), A @ u0 + b, atol=1e-8)
+    g, H = fd_derivatives(f, u0)
+    np.testing.assert_allclose(H, A, atol=5e-6)
+    np.testing.assert_allclose(g, A @ u0 + b, atol=1e-8)
 
 
 def test_loglik_hessian_matches_analytic_q1():
@@ -62,7 +63,7 @@ def test_loglik_hessian_matches_analytic_q1():
     H_sym = sp.lambdify(syms, sp.hessian(ll, syms), "numpy")
     u0 = theta_to_vec(theta)
     H_ref = np.array(H_sym(*u0), dtype=float)
-    H_fd = fd_hessian(lambda v: model.local_loglik(
+    _, H_fd = fd_derivatives(lambda v: model.local_loglik(
         Theta(v[:2], np.array([[math.exp(v[2])]]), math.exp(v[3])), [s]), u0)
     np.testing.assert_allclose(H_fd, H_ref, atol=1e-3)
 
@@ -93,6 +94,51 @@ def test_information_symmetry_and_definiteness(converged_instance):
     missing = 0.5 * (info.i_com - info.i_obs + (info.i_com - info.i_obs).T)
     assert np.all(np.linalg.eigvalsh(missing) > -1e-4)
     assert np.all(np.linalg.eigvalsh(0.5 * (info.i_com + info.i_com.T)) > 0)
+
+
+class CountingModel(LmmModel):
+    """An LmmModel that counts the shards it prepares."""
+
+    prepared = 0
+
+    def prepare(self, subset):
+        self.prepared += 1
+        return super().prepare(subset)
+
+
+@pytest.mark.parametrize("K", [5, 20])
+def test_information_prepares_two_shards_for_any_K(converged_instance, K):
+    _, theta, subsets = converged_instance
+    samples = [s for subset in subsets for s in subset]
+    model = CountingModel(2, 1)
+    information_matrices(model, theta, partition(samples, K, seed=0), split=[0, 1])
+    assert model.prepared == 2
+
+
+def test_blocks_equal_per_subset_sums(converged_instance):
+    # the blocks as sums of per-subset differences, one shard per subset
+    model, theta, subsets = converged_instance
+    split = [1, 3]
+    u0 = theta_to_vec(theta)
+
+    def subset_information(subset):
+        shard = model.prepare(subset)
+        stats = model.local_estep(theta, shard).payload
+        _, h_obs = fd_derivatives(
+            lambda u: model.local_loglik(vec_to_theta(u, 2, 1), shard), u0)
+        _, h_com = fd_derivatives(
+            lambda u: model.q_value(stats, vec_to_theta(u, 2, 1)), u0)
+        return -h_obs, -h_com
+
+    per_subset = [subset_information(subset) for subset in subsets]
+    info = information_matrices(model, theta, subsets, split)
+    for ids, i_obs, i_com in [
+        (split, info.i_obs_A, info.i_com_A),
+        ([k for k in range(len(subsets)) if k not in split], info.i_obs_Ac, info.i_com_Ac),
+    ]:
+        for got, which in [(i_obs, 0), (i_com, 1)]:
+            ref = sum(per_subset[k][which] for k in ids)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-4 * np.abs(ref).max())
 
 
 def test_information_split_additivity(converged_instance):
