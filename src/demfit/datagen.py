@@ -12,7 +12,6 @@ dimensions, the seed, and the generating parameters when simulated.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -59,7 +58,6 @@ class SimDesign:
     p: int
     q: int = 3
     seed: int = 0
-    tau2_true: float = 1.0
     Sigma_true: Optional[np.ndarray] = None  # custom mode; else canonical
 
     def __post_init__(self):
@@ -80,9 +78,7 @@ class SimDesign:
         return self.Sigma_true if self.Sigma_true is not None else canonical_sigma(self.q)
 
     def true_theta(self) -> Theta:
-        return Theta.from_cov(
-            canonical_beta(self.p), self.sigma() / self.tau2_true, self.tau2_true
-        )
+        return Theta.from_cov(canonical_beta(self.p), self.sigma(), 1.0)
 
 
 def simulate(design: SimDesign) -> tuple[list[Sample], Theta]:
@@ -106,8 +102,7 @@ def simulate(design: SimDesign) -> tuple[list[Sample], Theta]:
         X = rng.integers(0, 2, size=(n_i, p)) * 2.0 - 1.0
         Z = rng.integers(0, 2, size=(n_i, q)) * 2.0 - 1.0
         b = cS @ rng.standard_normal(q)
-        e = math.sqrt(design.tau2_true) * rng.standard_normal(n_i)
-        y = X @ theta.beta + Z @ b + e
+        y = X @ theta.beta + Z @ b + rng.standard_normal(n_i)
         samples.append(Sample(y=y, X=X, Z=Z))
     return samples, theta
 

@@ -67,8 +67,12 @@ class RunConfig:
             raise ValueError("K must be >= 1")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must be in (0, 1]")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.completion not in COMPLETION_POLICIES:
@@ -95,10 +99,6 @@ def deterministic_schedule(
         return np.arange(K)
     rng = np.random.default_rng([int(seed), int(t)])
     return rng.permutation(K)
-
-
-def _full_loglik(pool, theta, K: int) -> float:
-    return math.fsum(pool.loglik(k, theta) for k in range(K))
 
 
 def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
@@ -179,7 +179,7 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
                 break
         else:
             trace.hit_max_iter = True
-        trace.final_loglik = _full_loglik(pool, theta, K)
+        trace.final_loglik = math.fsum(pool.loglik(k, theta) for k in range(K))
         if exact:
             trace.logliks.append(trace.final_loglik)
     finally:
@@ -190,11 +190,13 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
 
 def run_ecme0(config: RunConfig, model: ModelContract, data: Sequence, theta0):
     """Non-distributed baseline: the manager loop with one worker holding
-    all the data and gamma = 1, whose config the trace records.  Likelihood
+    all the data and gamma = 1, whose config the trace records; a single
+    worker reads no schedule seed, completion policy or split.  Likelihood
     ascent is asserted over the recorded log likelihoods."""
     theta, trace = run_dem(
-        dataclasses.replace(config, K=1, gamma=1.0, transport="in_process",
-                            exact_loglik_check=False),
+        dataclasses.replace(config, K=1, gamma=1.0, seed=0, transport="in_process",
+                            exact_loglik_check=False, forced_split=False,
+                            completion="restart"),
         model, [data], theta0,
     )
     for t in range(1, len(trace.logliks)):

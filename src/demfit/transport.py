@@ -4,8 +4,8 @@ Both transports expose the same blocking request/reply surface, so the
 manager loop fully determines message ordering and the resulting traces
 are identical across transports.
 
-Socket wire format: a worker's connection is one end of a connected socket
-pair (nothing listens on a port) and opens with the magic bytes b"DEMX1";
+Socket wire format: a worker's connection is one end of a socket pair that
+the pool creates (nothing listens on a port, so no other peer can connect);
 every frame is little-endian {u32 body-length, u8 msg-kind, u32 subset_id,
 u64 iteration, f64-array payload}; the ModelContract wire methods encode
 and decode the payloads.  A worker whose request fails answers with an
@@ -21,8 +21,8 @@ worker that does not answer in time, or whose connection drops, is a
 ProtocolError naming it; after a timeout the manager closes that
 connection, so a late reply cannot answer a later request.  Workers block
 on their reads without a limit, because they sit idle between iterations.
-A worker whose connection closes or fails, opens without the magic bytes
-or sends a malformed frame closes it and exits quietly.
+A worker whose connection closes or fails, or that reads a malformed frame,
+closes it and exits quietly.
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ import numpy as np
 
 from .model import ModelContract, ProtocolError, SuffStats
 
-MAGIC = b"DEMX1"
 # seconds the manager waits for a reply: far above one E step on a
 # paper-sized shard (10^4 samples, p=10, q=3: about 40 ms on 2 cores);
 # with a timeout each socket call polls first, about 3 us per RPC
@@ -147,7 +146,6 @@ class SocketPool:
                 conn, worker_end = socket.socketpair()
                 self._conns.append(conn)
                 conn.settimeout(REPLY_TIMEOUT_S)
-                conn.sendall(MAGIC)
                 thread = threading.Thread(target=self._serve, args=(worker_end, k, shard),
                                           daemon=True)
                 thread.start()
@@ -160,12 +158,10 @@ class SocketPool:
 
     def _serve(self, conn, k: int, shard):
         """Answer worker k's requests on conn until the manager closes its
-        end.  A connection that opens without the magic bytes, sends a
-        malformed frame, or fails because its manager has gone, is closed
-        and the worker returns quietly: there is no one left to report to."""
+        end.  A connection that carries a malformed frame, or fails because
+        its manager has gone, is closed and the worker returns quietly:
+        there is no one left to report to."""
         try:
-            if _recv_exact(conn, len(MAGIC)) != MAGIC:
-                return
             while True:
                 kind, subset_id, iteration, payload = read_frame(conn)
                 # a failing request is reported to the manager, and the

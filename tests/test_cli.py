@@ -100,6 +100,27 @@ def test_one_default_stop_tolerance():
     assert args.tol == RunConfig(K=1).tol == ConvergenceMonitor().tol
 
 
+@pytest.mark.parametrize("flag", [["--tol", "nan"], ["--tol", -1], ["--seed", -1]],
+                         ids=["tol_nan", "tol_negative", "seed_negative"])
+def test_fit_rejects_bad_tol_and_seed(workspace, tmp_path, capsys, flag):
+    assert run(["fit", "--data", workspace / "data", *flag, "--out", tmp_path / "bad"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag[0][2:]} must be")
+
+
+def test_compare_needs_two_runs(workspace, tmp_path):
+    with pytest.raises(SystemExit, match="compare needs at least two run prefixes"):
+        run(["compare", workspace / "base", "--out", tmp_path / "cmp.csv"])
+
+
+@pytest.mark.parametrize("source, message", [
+    ([], "ingest needs --ratings or --ratings-dat/--movies-dat"),
+    (["--ratings-dat", "ratings.dat"], "--ratings-dat requires --movies-dat"),
+], ids=["no_source", "dat_without_movies"])
+def test_ingest_needs_a_whole_source(tmp_path, source, message):
+    with pytest.raises(SystemExit, match=message):
+        run(["ingest", *source, "--out", tmp_path / "ml"])
+
+
 def test_maxiter_exit_code(workspace):
     args = ["fit", "--data", workspace / "data", "--algo", "dem", "--K", 4,
             "--gamma", 0.5, "--max-iter", 3, "--out", workspace / "short"]

@@ -23,7 +23,7 @@ from demfit import (
     run_dem,
 )
 from demfit.ddsum import DDArray
-from demfit.lmm import LmmShard, LmmSuffStats, theta_to_vec, vec_to_theta
+from demfit.lmm import LmmShard, theta_to_vec, vec_to_theta
 from conftest import local_kl, random_sample, random_theta
 
 
@@ -395,7 +395,7 @@ def test_stats_pack_unpack_roundtrip():
     model = LmmModel(2, 3)
     theta = random_theta(rng, 2, 3)
     st = model.local_estep(theta, [random_sample(rng, 2, 3) for _ in range(3)]).payload
-    rt = LmmSuffStats.unpack(st.pack(), 2, 3)
+    rt = model.unpack_stats(st.pack(), subset_id=0, anchor_tag=0).payload
     np.testing.assert_array_equal(rt._acc.hi, st._acc.hi)
     np.testing.assert_array_equal(rt._acc.lo, st._acc.lo)
     assert (rt.m, rt.n, rt.loglik) == (st.m, st.n, st.loglik)
@@ -460,8 +460,9 @@ def test_cm_steps_and_q_value_match_scipy_cholesky():
     model = LmmModel(4, 3)
     for _ in range(10):
         theta = random_theta(rng, 4, 3)
-        stats = model.local_estep(theta, [random_sample(rng, 4, 3) for _ in range(8)]).payload
-        got = model.cm_steps(stats, theta)
+        agg = model.local_estep(theta, [random_sample(rng, 4, 3) for _ in range(8)])
+        stats = agg.payload
+        got = model.cm_steps(agg, theta)
         ref = _reference_cm_steps(stats)
         np.testing.assert_array_equal(got.beta, ref.beta)
         np.testing.assert_array_equal(got.L, ref.L)

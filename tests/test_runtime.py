@@ -23,6 +23,7 @@ from demfit import (
 )
 from demfit.lmm import LmmShard
 from demfit.transport import (
+    KIND_ERROR,
     KIND_ESTEP_REP,
     KIND_ESTEP_REQ,
     KIND_LOGLIK_REP,
@@ -70,6 +71,12 @@ def test_config_validation():
         RunConfig(K=4, completion="abandon")
     with pytest.raises(ValueError, match="max_iter"):
         RunConfig(K=4, max_iter=-1)
+    for tol in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            RunConfig(K=4, tol=tol)
+    assert RunConfig(K=4, tol=0.0).tol == 0.0  # runs exactly max_iter iterations
+    with pytest.raises(ValueError, match="seed"):
+        RunConfig(K=4, seed=-1)
     # the scheduler and the scheme are no settings: run_scheme picks the scheme
     with pytest.raises(TypeError):
         RunConfig(K=4, scheduler="real")
@@ -106,13 +113,16 @@ def test_gamma_one_equals_baseline(fitted_pieces):
 
 def test_ecme0_trace_records_the_config_it_ran(fitted_pieces):
     samples, model, theta0 = fitted_pieces
-    cfg = RunConfig(K=4, gamma=0.5, transport="socket", completion="finish",
-                    exact_loglik_check=True)
+    cfg = RunConfig(K=4, gamma=0.5, seed=5, transport="socket", completion="finish",
+                    exact_loglik_check=True, forced_split=True)
     _, tr = run_ecme0(cfg, model, samples, theta0)
     assert all(len(tags) == 1 for tags in tr.anchor_tags)
-    ran = dict(K=1, gamma=1.0, transport="in_process", exact_loglik_check=False)
+    ran = dict(K=1, gamma=1.0, seed=0, transport="in_process", exact_loglik_check=False,
+               forced_split=False, completion="restart")
     assert tr.config == cfg.to_dict() | ran | {"algo": "ecme0"}
     assert empirical_gamma(tr).tolist() == [1.0]
+    _, ref = run_ecme0(RunConfig(K=1), model, samples, theta0)
+    assert traces_equal(tr, ref)
 
 
 def test_subset_count_must_match_config(fitted_pieces):
@@ -564,36 +574,62 @@ def test_worker_whose_manager_timed_out_exits_quietly(fitted_pieces, monkeypatch
     assert unhandled == []
 
 
-def test_worker_closes_connection_with_bad_magic(fitted_pieces, monkeypatch):
-    """A worker whose connection opens without the DEMX1 magic, or whose
-    peer then sends a malformed frame, closes the connection and returns
-    without an unhandled exception."""
+@contextmanager
+def raw_worker(model, shard):
+    """Run `SocketPool._serve` on shard as worker 0 over one end of a socket
+    pair and yield the other end; join the worker once that end closes."""
+    client, worker_end = socket.socketpair()
+    worker = threading.Thread(target=SocketPool(model, [])._serve,
+                              args=(worker_end, 0, shard), daemon=True)
+    worker.start()
+    with client:
+        client.settimeout(5)
+        yield client
+    worker.join(timeout=5)
+    assert not worker.is_alive()
+
+
+def test_worker_reads_a_request_frame_first(fitted_pieces):
+    """A worker's first bytes are a request frame, with no preamble: an E
+    step is answered with the in-process result, bitwise."""
+    samples, model, theta0 = fitted_pieces
+    shard = model.prepare(samples)
+    with raw_worker(model, shard) as client:
+        write_frame(client, KIND_ESTEP_REQ, 0, 3, model.pack_theta(theta0))
+        kind, subset_id, iteration, payload = read_frame(client)
+    assert (kind, subset_id, iteration) == (KIND_ESTEP_REP, 0, 3)
+    got = model.unpack_stats(payload, subset_id=0, anchor_tag=3)
+    want = model.local_estep(theta0, shard)
+    np.testing.assert_array_equal(got.payload.pack(), want.payload.pack())
+
+
+def test_worker_answers_unknown_kind_and_keeps_serving(fitted_pieces):
+    samples, model, theta0 = fitted_pieces
+    packed = model.pack_theta(theta0)
+    with raw_worker(model, model.prepare(samples)) as client:
+        write_frame(client, 9, 0, 1, packed)
+        assert read_frame(client) == (KIND_ERROR, 0, 1, "ProtocolError: unknown request kind 9")
+        write_frame(client, KIND_ESTEP_REQ, 0, 2, packed)
+        assert read_frame(client)[:3] == (KIND_ESTEP_REP, 0, 2)
+
+
+def test_worker_closes_connection_on_malformed_frame(fitted_pieces, monkeypatch):
+    """A worker whose peer sends a malformed frame closes the connection
+    and returns without an unhandled exception."""
     samples, model, _ = fitted_pieces
     shard = model.prepare(samples)
     ragged = struct.pack("<BIQ", KIND_ESTEP_REQ, 0, 0) + bytes(5)
     cases = {
-        "bad magic": b"DEMX0",
-        "3-byte body": b"DEMX1" + struct.pack("<I", 3) + bytes(3),
-        "5-byte payload": b"DEMX1" + struct.pack("<I", len(ragged)) + ragged,
+        "3-byte body": struct.pack("<I", 3) + bytes(3),
+        "5-byte payload": struct.pack("<I", len(ragged)) + ragged,
     }
     unhandled = []  # (case, exception type) of each worker that raised
     monkeypatch.setattr(threading, "excepthook",
                         lambda args: unhandled.append((case, args.exc_type)))
-    pool = SocketPool(model, partition(samples, 1, seed=0))
-    try:
-        for case, sent in cases.items():
-            client, worker_end = socket.socketpair()
-            worker = threading.Thread(target=pool._serve, args=(worker_end, 0, shard),
-                                      daemon=True)
-            worker.start()
-            with client:
-                client.settimeout(5)
-                client.sendall(sent)
-                assert client.recv(1) == b"", case  # closed by the worker
-            worker.join(timeout=5)
-            assert not worker.is_alive(), case
-    finally:
-        pool.close()
+    for case, sent in cases.items():
+        with raw_worker(model, shard) as client:
+            client.sendall(sent)
+            assert client.recv(1) == b"", case  # closed by the worker
     assert unhandled == []
 
 
