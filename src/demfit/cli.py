@@ -28,9 +28,9 @@ def _build_parser():
     )
     parser.add_argument("--config", help="JSON file of flag defaults (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
 
     p = sub.add_parser("simulate", help="generate a simulated dataset")
+    p.set_defaults(run=cmd_simulate)
     p.add_argument("--m", type=int, required=True, help="number of samples")
     p.add_argument("--n", type=int, required=True, help="total observations")
     p.add_argument("--p", type=int, default=10, help="fixed-effect columns")
@@ -38,9 +38,9 @@ def _build_parser():
                    help="random-effect columns")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="dataset path prefix")
-    subparsers["simulate"] = p
 
     p = sub.add_parser("fit", help="fit the mixed model")
+    p.set_defaults(run=cmd_fit)
     p.add_argument("--data", required=True, help="dataset path prefix")
     p.add_argument("--algo", choices=("ecme0", "iem", "dem"), default="dem")
     p.add_argument("--gamma", type=float, default=None,
@@ -56,14 +56,14 @@ def _build_parser():
     p.add_argument("--allow-maxiter", action="store_true",
                    help="exit 0 even if max_iter was hit")
     p.add_argument("--out", required=True, help="output path prefix")
-    subparsers["fit"] = p
 
     p = sub.add_parser("compare", help="compare fit outputs against the first")
+    p.set_defaults(run=cmd_compare)
     p.add_argument("runs", nargs="+", help="fit output prefixes; first is reference")
     p.add_argument("--out", required=True, help="CSV output path")
-    subparsers["compare"] = p
 
     p = sub.add_parser("diagnose", help="information/speed-matrix report")
+    p.set_defaults(run=cmd_diagnose)
     p.add_argument("--data", required=True, help="dataset path prefix")
     p.add_argument("--theta", required=True, help="fit output .theta.json")
     p.add_argument("--K", type=int, required=True)
@@ -71,16 +71,15 @@ def _build_parser():
     p.add_argument("--split", required=True,
                    help="comma-separated subset ids of the fresh block")
     p.add_argument("--out", required=True, help="JSON report path")
-    subparsers["diagnose"] = p
 
     p = sub.add_parser("ingest", help="build per-user samples from ratings")
+    p.set_defaults(run=cmd_ingest)
     p.add_argument("--ratings", help="delimited ratings file")
     p.add_argument("--ratings-dat", help='"::"-separated ratings file')
     p.add_argument("--movies-dat", help='"::"-separated movies file')
     p.add_argument("--out", required=True, help="dataset path prefix")
-    subparsers["ingest"] = p
 
-    return parser, subparsers
+    return parser, sub
 
 
 def cmd_simulate(args) -> int:
@@ -219,17 +218,9 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "fit": cmd_fit,
-    "compare": cmd_compare,
-    "diagnose": cmd_diagnose,
-    "ingest": cmd_ingest,
-}
-
-
 def _set_config_defaults(sub, command: str, path) -> None:
-    """Make the JSON object in the file at path the defaults of sub."""
+    """Make the JSON object in the file at path the defaults of sub, each
+    value read as the same flag on the command line would be."""
     with open(path) as fh:
         try:
             defaults = json.load(fh)
@@ -237,22 +228,34 @@ def _set_config_defaults(sub, command: str, path) -> None:
             raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(defaults, dict):
         raise ValueError(f"config {path} is not a JSON object")
-    known = {a.dest for a in sub._actions}
-    bad = set(defaults) - known
+    actions = {a.dest: a for a in sub._actions}
+    bad = set(defaults) - set(actions)
     if bad:
         raise SystemExit(f"config keys not recognized for {command}: {sorted(bad)}")
+    for key, value in defaults.items():
+        action = actions[key]
+        try:
+            if action.nargs != 0:
+                value = (action.type or str)(str(value))
+            elif not isinstance(value, bool):
+                raise ValueError("a switch takes true or false")
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"choose from {list(action.choices)}")
+        except ValueError as exc:
+            raise ValueError(f"config {path}: {key}={defaults[key]!r}: {exc}") from exc
+        defaults[key] = value
     sub.set_defaults(**defaults)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = _build_parser()
+    parser, sub = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _set_config_defaults(subparsers[args.command], args.command, args.config)
+            _set_config_defaults(sub.choices[args.command], args.command, args.config)
             args = parser.parse_args(argv)  # explicit flags override config defaults
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError, np.linalg.LinAlgError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -126,9 +126,7 @@ def ratio_report(trace_dem: Trace, trace_base: Trace) -> dict:
 
 def empirical_gamma(trace: Trace) -> np.ndarray:
     """Per-worker fraction of iterations whose accept set contained it."""
-    K = int(trace.config.get("K", 0)) or (
-        max((max(s) for s in trace.accept_sets if s), default=-1) + 1
-    )
+    K = int(trace.config["K"])
     T = len(trace.accept_sets)
     counts = np.zeros(K)
     for accepted in trace.accept_sets:

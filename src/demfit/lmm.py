@@ -26,6 +26,7 @@ from .model import (
     ConvergenceMonitor,
     ModelContract,
     NumericalDomainError,
+    ProtocolError,
     RankDeficiencyError,
     SuffStats,
 )
@@ -212,11 +213,18 @@ class Sample:
 SubsetData = Sequence[Sample]
 
 
+def _slices(widths) -> dict:
+    """Consecutive column slices, by name, for (name, width) pairs."""
+    out, i0 = {}, 0
+    for name, size in widths:
+        out[name] = slice(i0, i0 + size)
+        i0 += size
+    return out
+
+
 def _record_layout(p: int, q: int) -> dict:
     """Column slices of the stacked `Sample.moments` records."""
-    out = {}
-    i0 = 0
-    for name, size in [
+    out = _slices([
         ("n", 1),
         ("yy", 1),
         ("Xy", p),
@@ -224,10 +232,8 @@ def _record_layout(p: int, q: int) -> dict:
         ("G", (p + 1) * q),
         ("ZZ", q * q),
         ("R", (p + 1) * (p + 1)),
-    ]:
-        out[name] = slice(i0, i0 + size)
-        i0 += size
-    out["width"] = i0
+    ])
+    out["width"] = out["R"].stop
     # the moments that are statistics as they are, in accumulator order
     out["const"] = slice(out["yy"].start, out["XX"].stop)
     return out
@@ -277,9 +283,7 @@ class _StatsValues(NamedTuple):
 @lru_cache(maxsize=16)
 def _stats_layout(p: int, q: int) -> tuple:
     """Slices of the `_StatsValues` fields in the flat accumulator."""
-    out = {}
-    i0 = 0
-    for name, size in [
+    out = _slices([
         ("s_yy", 1),
         ("S_xy", p),
         ("S_xx", p * p),
@@ -288,9 +292,7 @@ def _stats_layout(p: int, q: int) -> tuple:
         ("S_bb", q * q),
         ("s_bzzb", 1),
         ("loglik", 1),
-    ]:
-        out[name] = slice(i0, i0 + size)
-        i0 += size
+    ])
     return tuple(out[name] for name in _StatsValues._fields)
 
 
@@ -428,18 +430,16 @@ class LmmModel(ModelContract):
         return subset if isinstance(subset, LmmShard) else self.prepare(subset)
 
     # -- per-sample conditional Gaussian -----------------------------------
-    def _posterior(self, ZZ: np.ndarray, G: np.ndarray, Dinv: np.ndarray,
-                   resid_coef: np.ndarray) -> _Posterior:
+    def _posterior(self, theta: Theta, shard: LmmShard) -> _Posterior:
         """Posterior of every sample's random effects, from data moments only.
 
-        ZZ and G are the samples' stacked Z'Z and [X y]'Z, Dinv is D^{-1}
-        and resid_coef is (-beta, 1).  Per sample: the q x q precision
+        Per sample of the shard, at theta: the q x q precision
         A = D^{-1} + Z'Z, its Cholesky factor for log|A|, its inverse, and
         b_hat = A^{-1} Z'r with Z'r = (-beta, 1) G = Z'y - (X'Z)' beta.  Each
         sample's outputs come from its own row alone, so they do not depend
         on which other samples share the batch.
         """
-        A = Dinv + ZZ
+        A = theta.Dinv + shard.ZZ
         try:
             cA = np.linalg.cholesky(A)
         except np.linalg.LinAlgError as exc:
@@ -447,13 +447,10 @@ class LmmModel(ModelContract):
                 "posterior precision not positive definite (corrupt data?)"
             ) from exc
         Ainv = np.linalg.inv(A)
-        ztr = resid_coef @ G
+        ztr = theta.resid_coef @ shard.G
         b_hat = (Ainv @ ztr[:, :, None])[:, :, 0]
         logdet_A = 2.0 * np.log(np.diagonal(cA, axis1=1, axis2=2)).sum(axis=1)
         return _Posterior(b_hat, ztr, A, Ainv, logdet_A)
-
-    def _posterior_at(self, theta: Theta, shard: LmmShard) -> _Posterior:
-        return self._posterior(shard.ZZ, shard.G, theta.Dinv, theta.resid_coef)
 
     def _loglik(self, theta: Theta, shard: LmmShard, post: _Posterior) -> np.ndarray:
         """Marginal log density of every sample, given its posterior at theta."""
@@ -498,20 +495,20 @@ class LmmModel(ModelContract):
         which equals the standard W = Z D Z^T + I conditioning without ever
         forming the n_i-dimensional inverse.
         """
-        post = self._posterior_at(theta, self.prepare([s]))
+        post = self._posterior(theta, self.prepare([s]))
         return post.b_hat[0], theta.tau2 * post.Ainv[0]
 
     # -- ModelContract operations -------------------------------------------
     def local_loglik(self, theta: Theta, subset: SubsetData | LmmShard) -> float:
         shard = self._shard(subset)
-        return math.fsum(self._loglik(theta, shard, self._posterior_at(theta, shard)))
+        return math.fsum(self._loglik(theta, shard, self._posterior(theta, shard)))
 
     def local_estep(self, theta: Theta, subset: SubsetData | LmmShard, subset_id: int = 0,
                     anchor_tag: int = 0) -> SuffStats:
         p, q = self.p, self.q
         shard = self._shard(subset)
         m = len(shard)
-        post = self._posterior_at(theta, shard)
+        post = self._posterior(theta, shard)
         b_hat = post.b_hat
         # one row per sample of the statistics that depend on theta, written
         # in place in the LmmSuffStats layout: G b_hat (S_xzb, s_yzb), S_bb,
@@ -556,14 +553,13 @@ class LmmModel(ModelContract):
         """Per row j and subset k, local_loglik(thetas[j], subset) minus the
         summed Gaussian KL(posterior at thetas[anchor_tags[j][k]] ||
         posterior at thetas[j]) over its samples, in one pass; a row
-        without its point in thetas, or a tag the ModelContract rule does
-        not allow, is a ValueError.
+        without its point in thetas, or a tag of row j outside 0..j, is a
+        ValueError.
 
         The samples are stacked once, and the posterior at each thetas[t]
-        is computed once over all of them: at row t, or before row 0 for a
-        tag past the last row.  Its rows for every subset that switches to
-        tag t are copied out then, so the pass holds one posterior beside
-        the anchor-side rows.  A row rewrites those only for the subsets
+        is computed once over all of them, at row t.  Its rows for every
+        subset that switches to tag t are copied out then, so the pass
+        holds one posterior beside the anchor-side rows.  A row rewrites those only for the subsets
         whose tag changed, and computes q log(tau2 / tau2_a) once per
         distinct tag.  Rows are batch-independent, so every term is bitwise
         what a call per subset gives.
@@ -588,30 +584,22 @@ class LmmModel(ModelContract):
             changed = defaultdict(list)
             for k, (tag, old) in enumerate(zip(tags, prev)):
                 if tag != old:
-                    if not (0 <= tag <= j or R <= tag < len(thetas)):
-                        raise ValueError(f"row {j}: anchor tag {tag} is neither a row up to "
-                                         f"{j} nor one of thetas past the last row")
+                    if not 0 <= tag <= j:
+                        raise ValueError(f"row {j}: anchor tag {tag} is not a row up to {j}")
                     changed[tag].append(members[k])
             for tag, idx in changed.items():
                 switches[tag].append((j, np.concatenate(idx)))
             prev = tags
 
         pending = defaultdict(list)  # row -> (idx, Ainv, b_hat, logdet_A) it writes
-
-        def posterior(t):
-            post = self._posterior_at(thetas[t], shard)
-            for row, idx in switches.pop(t, ()):
-                pending[row].append(
-                    (idx, post.Ainv[idx], post.b_hat[idx], post.logdet_A[idx]))
-            return post
-
-        for t in [t for t in switches if t >= R]:
-            posterior(t)
         anchor = _Posterior(np.empty((m, q)), None, None, np.empty((m, q, q)), np.empty(m))
         out = []
         for j, tags in enumerate(anchor_tags):
             theta = thetas[j]
-            post = posterior(j)
+            post = self._posterior(theta, shard)
+            for row, idx in switches.pop(j, ()):
+                pending[row].append(
+                    (idx, post.Ainv[idx], post.b_hat[idx], post.logdet_A[idx]))
             for idx, Ainv, b_hat, logdet_A in pending.pop(j, ()):
                 anchor.Ainv[idx] = Ainv
                 anchor.b_hat[idx] = b_hat
@@ -643,6 +631,9 @@ class LmmModel(ModelContract):
     def unpack_stats(self, arr: np.ndarray, subset_id: int, anchor_tag: int) -> SuffStats:
         p, q = self.p, self.q
         size = _stats_layout(p, q)[-1].stop
+        if len(arr) != 2 + 2 * size:
+            raise ProtocolError(f"subset {subset_id}: statistics payload of {len(arr)} "
+                                f"values, expected {2 + 2 * size}")
         acc = DDArray.from_parts(arr[2 : 2 + size], arr[2 + size : 2 + 2 * size])
         return SuffStats(subset_id, anchor_tag,
                          LmmSuffStats(p, q, acc, int(arr[0]), int(arr[1])))

@@ -62,13 +62,11 @@ class ModelContract(ABC):
     free_energy_path(thetas, anchor_tags, subsets) returns, for row j of
     anchor_tags and subset k, the local log likelihood at thetas[j] minus
     KL(posterior at thetas[anchor_tags[j][k]] || posterior at thetas[j]).
-    A tag of row j is at most j, as in a `run_dem` trace, or past the last
-    row, as evaluate_F's extra anchors are; a negative tag, one naming a
-    later row or one past the end of thetas is a ValueError.  So one call
-    for a whole trace can compute the posterior at each thetas[t] once, at
-    row t or before row 0, for every subset whose tag is t, and keeps
-    nothing of it after the call.  With every tag of row j equal to j the
-    terms must equal the subsets' local_loglik values at thetas[j], and
+    A tag of row j is in 0..j, as in a `run_dem` trace; any other tag is a
+    ValueError.  So one call for a whole trace can compute the posterior at
+    each thetas[t] once, at row t, for every subset whose tag is t, and
+    keeps nothing of it after the call.  With every tag of row j equal to j
+    the terms must equal the subsets' local_loglik values at thetas[j], and
     local_loglik must stay finite on the valid parameter domain.
 
     The wire methods are all a socket pool knows of the model.
@@ -76,7 +74,9 @@ class ModelContract(ABC):
     E-step result into float64 arrays, and unpack_theta and
     unpack_stats(arr, subset_id, anchor_tag) invert them with bitwise the
     same effect on every later call; unpack_stats rebuilds the SuffStats
-    header from its two arguments, which the frame header carries.
+    header from its two arguments, which the frame header carries, and
+    raises a ProtocolError naming the subset for an array whose length is
+    not one pack_stats writes.
     """
 
     def prepare(self, subset):
@@ -147,22 +147,19 @@ def evaluate_F(theta, anchors: Sequence, model: ModelContract, subsets: Sequence
     minus the KL gap between the anchored posterior and the posterior at theta.
 
     With every anchor equal to theta this collapses to the full-data log
-    likelihood.  It is a one-row call of the model's free_energy_path, in
-    which an anchor shared by several subsets, or equal to theta, is one
+    likelihood.  It is the last row of a free_energy_path call whose
+    earlier rows are the distinct anchors other than theta, one row each,
+    so an anchor shared by several subsets, or equal to theta, is one
     parameter point.
     """
     if len(anchors) != len(subsets):
         raise ValueError(
             f"need one anchor per subset: got {len(anchors)} anchors, {len(subsets)} subsets"
         )
-    thetas, tags = [theta], []
-    for anchor in anchors:
-        tag = next((t for t, seen in enumerate(thetas) if seen is anchor), len(thetas))
-        if tag == len(thetas):
-            thetas.append(anchor)
-        tags.append(tag)
-    (terms,) = model.free_energy_path(thetas, [tags], subsets)
-    return _free_energy(terms)
+    thetas = [*{id(a): a for a in anchors if a is not theta}.values(), theta]
+    tags = [next(t for t, seen in enumerate(thetas) if seen is anchor) for anchor in anchors]
+    rows = [[t] * len(tags) for t in range(len(thetas) - 1)] + [tags]
+    return _free_energy(model.free_energy_path(thetas, rows, subsets)[-1])
 
 
 @dataclass

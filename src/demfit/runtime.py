@@ -41,9 +41,9 @@ from .model import (
     Trace,
     aggregate_stats,
 )
-from .transport import make_pool
+from .transport import POOLS, make_pool
 
-TRANSPORTS = ("in_process", "socket")
+TRANSPORTS = tuple(POOLS)
 COMPLETION_POLICIES = ("restart", "finish")
 
 

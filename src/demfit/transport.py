@@ -228,9 +228,8 @@ class SocketPool:
             t.join(timeout=5)
 
 
+POOLS = {"in_process": InProcessPool, "socket": SocketPool}
+
+
 def make_pool(transport: str, model, subsets):
-    if transport == "in_process":
-        return InProcessPool(model, subsets)
-    if transport == "socket":
-        return SocketPool(model, subsets)
-    raise ValueError(f"unknown transport {transport!r}")
+    return POOLS[transport](model, subsets)

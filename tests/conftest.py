@@ -27,8 +27,8 @@ def local_kl(model, theta_eval, theta_anchor, subset):
     theta_anchor || posterior at theta_eval), from the kernels the
     free-energy audit runs."""
     shard = model._shard(subset)
-    post = model._posterior_at(theta_eval, shard)
-    anchor = model._posterior_at(theta_anchor, shard)
+    post = model._posterior(theta_eval, shard)
+    anchor = model._posterior(theta_anchor, shard)
     log_ratio = model.q * math.log(theta_eval.tau2 / theta_anchor.tau2)
     return math.fsum(model._kl(theta_eval, post, anchor, theta_anchor.tau2, log_ratio))
 

@@ -130,11 +130,13 @@ def test_maxiter_exit_code(workspace):
 
 def test_config_file_with_flag_override(workspace, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"algo": "dem", "K": 4, "gamma": 0.5, "seed": 3}))
+    cfg.write_text(json.dumps({"algo": "dem", "K": 4, "gamma": 0.5, "seed": 3,
+                               "max_iter": 300, "exact_loglik_check": True}))
     assert run(["--config", cfg, "fit", "--data", workspace / "data",
                 "--out", workspace / "cfgrun"]) == 0
     trace = json.loads((workspace / "cfgrun.trace.json").read_text())
     assert trace["config"]["gamma"] == 0.5 and trace["config"]["K"] == 4
+    assert trace["config"]["max_iter"] == 300 and trace["config"]["exact_loglik_check"] is True
     # explicit flag wins over the config value
     assert run(["--config", cfg, "fit", "--data", workspace / "data",
                 "--gamma", 0.75, "--out", workspace / "cfgrun2"]) == 0
@@ -162,6 +164,21 @@ def test_config_file_error_is_reported(workspace, tmp_path, capsys, content):
                 "--out", tmp_path / "x"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(cfg) in err
+
+
+@pytest.mark.parametrize("key, value", [("algo", "foo"), ("exact_loglik_check", "no"),
+                                        ("K", True), ("max_iter", 2.5)])
+def test_config_value_is_read_like_its_flag(workspace, tmp_path, capsys, key, value):
+    """A config value goes through its flag's type and choices, and a
+    switch takes only true or false; a bad one is an error line naming the
+    file and the key."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run(["--config", cfg, "fit", "--data", workspace / "data",
+                "--out", tmp_path / "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg}: {key}=")
+    assert not (tmp_path / "x.trace.json").exists()
 
 
 def test_diagnose(workspace, capsys):
@@ -312,6 +329,17 @@ def test_socket_worker_failure_is_an_error(workspace, tmp_path, capsys, monkeypa
     assert run(["fit", "--data", workspace / "data", "--K", 2,
                 "--transport", "socket", "--out", tmp_path / "sock"]) == 1
     assert "error: worker 0 failed: RuntimeError: boom in 0" in capsys.readouterr().err
+
+
+def test_socket_reply_of_the_wrong_length_is_an_error(workspace, tmp_path, capsys,
+                                                       monkeypatch):
+    def long_reply(self, stats):
+        return np.concatenate([stats.payload.pack(), [0.0, 0.0]])
+
+    monkeypatch.setattr(LmmModel, "pack_stats", long_reply)
+    assert run(["fit", "--data", workspace / "data", "--K", 2,
+                "--transport", "socket", "--out", tmp_path / "long"]) == 1
+    assert "error: subset 0: statistics payload of 60 values" in capsys.readouterr().err
 
 
 def test_dead_socket_worker_is_an_error(workspace, tmp_path, capsys, monkeypatch):

@@ -14,6 +14,7 @@ from scipy.stats import multivariate_normal, norm
 from demfit import (
     LmmModel,
     NumericalDomainError,
+    ProtocolError,
     RankDeficiencyError,
     RunConfig,
     Sample,
@@ -276,11 +277,11 @@ def test_audit_prepares_once_and_one_posterior_per_theta(small_dataset):
             self.prepared += 1
             return super().prepare(subset)
 
-        def _posterior(self, ZZ, *args):
+        def _posterior(self, theta, shard):
             # count the earlier posteriors still reachable from the audit
             self.held.append(sum(any(ref() is not None for ref in refs) for refs in self.alive))
-            post = super()._posterior(ZZ, *args)
-            self.rows += len(ZZ)
+            post = super()._posterior(theta, shard)
+            self.rows += len(shard)
             self.alive.append([weakref.ref(x) for x in post])
             return post
 
@@ -344,8 +345,8 @@ def test_shard_matches_samples_bitwise(monkeypatch):
         widths.clear()
         assert model.local_loglik(theta, shard) == model.local_loglik(theta, subset)
         assert local_kl(model, theta, anchor, shard) == local_kl(model, theta, anchor, subset)
-        assert model.free_energy_path([theta, anchor], [[1]], [subset]) == [
-            [-local_kl(model, theta, anchor, shard) + model.local_loglik(theta, shard)]
+        assert model.free_energy_path([anchor, theta], [[0], [0]], [subset])[-1] == [
+            -local_kl(model, theta, anchor, shard) + model.local_loglik(theta, shard)
         ]
         if subset:
             model.posterior_moments(theta, subset[0])
@@ -399,6 +400,19 @@ def test_stats_pack_unpack_roundtrip():
     np.testing.assert_array_equal(rt._acc.hi, st._acc.hi)
     np.testing.assert_array_equal(rt._acc.lo, st._acc.lo)
     assert (rt.m, rt.n, rt.loglik) == (st.m, st.n, st.loglik)
+
+
+@pytest.mark.parametrize("extra", [2, -3], ids=["two_long", "three_short"])
+def test_unpack_stats_rejects_a_payload_of_the_wrong_length(extra):
+    # p=q=3: 2 header values and two 28-word accumulator halves
+    rng = np.random.default_rng(16)
+    model = LmmModel(3, 3)
+    st = model.local_estep(random_theta(rng, 3, 3), [random_sample(rng, 3, 3)]).payload
+    packed = st.pack()
+    arr = np.concatenate([packed, np.zeros(extra)]) if extra > 0 else packed[:extra]
+    with pytest.raises(ProtocolError, match=f"^subset 4: statistics payload of "
+                                            f"{len(arr)} values, expected 58$"):
+        model.unpack_stats(arr, subset_id=4, anchor_tag=0)
 
 
 # -- CM steps ------------------------------------------------------------------

@@ -238,9 +238,10 @@ class PosteriorCountingModel(LmmModel):
         super().__init__(p, q)
         self.posteriors = []
 
-    def _posterior(self, ZZ, G, Dinv, resid_coef):
-        self.posteriors.append((id(ZZ), Dinv.tobytes(), resid_coef.tobytes()))
-        return super()._posterior(ZZ, G, Dinv, resid_coef)
+    def _posterior(self, theta, shard):
+        self.posteriors.append(
+            (id(shard.ZZ), theta.Dinv.tobytes(), theta.resid_coef.tobytes()))
+        return super()._posterior(theta, shard)
 
 
 @pytest.mark.parametrize("transport", ["in_process", "socket"])
@@ -587,6 +588,21 @@ def raw_worker(model, shard):
         yield client
     worker.join(timeout=5)
     assert not worker.is_alive()
+
+
+def test_socket_reply_of_the_wrong_length_is_an_error(fitted_pieces):
+    """A worker whose statistics payload is longer than the layout is a
+    ProtocolError naming the subset, not a reply with its tail dropped."""
+    samples, _, theta0 = fitted_pieces
+
+    class LongReplyModel(LmmModel):
+        def pack_stats(self, stats):
+            return np.concatenate([super().pack_stats(stats), [0.0, 0.0]])
+
+    with pytest.raises(ProtocolError, match="subset 0: statistics payload of 60 values, "
+                                            "expected 58"):
+        run_dem(RunConfig(K=2, transport="socket"), LongReplyModel(3, 3),
+                partition(samples, 2, seed=0), theta0)
 
 
 def test_worker_reads_a_request_frame_first(fitted_pieces):

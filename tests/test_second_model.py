@@ -67,7 +67,7 @@ class NormalMeans(ModelContract):
         for j, tags in enumerate(anchor_tags):
             row = []
             for tag, subset in zip(tags, subsets):
-                if not (0 <= tag <= j or len(anchor_tags) <= tag < len(thetas)):
+                if not 0 <= tag <= j:
                     raise ValueError(f"row {j}: anchor tag {tag}")
                 *_, b, var = self._posterior(thetas[j], subset)
                 *_, b_a, var_a = self._posterior(thetas[tag], subset)
