@@ -505,25 +505,45 @@ class LmmModel(ModelContract):
 
     def local_estep(self, theta: Theta, subset: SubsetData | LmmShard, subset_id: int = 0,
                     anchor_tag: int = 0) -> SuffStats:
+        return self.local_esteps(theta, [self._shard(subset)], [subset_id], anchor_tag)[0]
+
+    def local_esteps(self, theta: Theta, shards: Sequence[LmmShard], subset_ids: Sequence[int],
+                     anchor_tag: int) -> list:
+        """E steps of several shards at one theta, in one pass over their
+        samples stacked together: the posterior, the loglik and the rows of
+        the theta-dependent statistics are computed once for the batch.
+        Each sample's row comes from its own data alone, and each shard sums
+        its own rows in the tree `DDArray.sum_rows` builds for its size, so
+        every result is bitwise that of the shard on its own."""
         p, q = self.p, self.q
-        shard = self._shard(subset)
-        m = len(shard)
-        post = self._posterior(theta, shard)
+        # the stacked shard holds only the arrays the kernel reads; each
+        # shard's data-only sums and n_total are read off the shard itself
+        stacked = shards[0] if len(shards) == 1 else LmmShard(
+            *(np.concatenate([getattr(s, f) for s in shards]) for f in ("n", "G", "ZZ", "R")),
+            const=None, n_total=None,
+        )
+        m = len(stacked)
+        post = self._posterior(theta, stacked)
         b_hat = post.b_hat
         # one row per sample of the statistics that depend on theta, written
         # in place in the LmmSuffStats layout: G b_hat (S_xzb, s_yzb), S_bb,
         # s_bzzb, loglik; the data-only ones are summed once per shard
         rows = np.empty((m, p + q * q + 3))
-        np.matmul(shard.G, b_hat[:, :, None], out=rows[:, : p + 1, None])
+        np.matmul(stacked.G, b_hat[:, :, None], out=rows[:, : p + 1, None])
         B = rows[:, p + 1 : -2]
         np.multiply(b_hat[:, :, None], b_hat[:, None, :], out=B.reshape(m, q, q))
         B += theta.tau2 * post.Ainv.reshape(m, q * q)
-        np.sum(shard.ZZ.reshape(m, q * q) * B, axis=1, out=rows[:, -2])
-        rows[:, -1] = self._loglik(theta, shard, post)
-        fresh, const = DDArray.sum_rows(rows), shard.const_sum
-        acc = DDArray._wrap(np.concatenate([const.hi, fresh.hi]),
-                            np.concatenate([const.lo, fresh.lo]))
-        return SuffStats(subset_id, anchor_tag, LmmSuffStats(p, q, acc, m, shard.n_total))
+        np.sum(stacked.ZZ.reshape(m, q * q) * B, axis=1, out=rows[:, -2])
+        rows[:, -1] = self._loglik(theta, stacked, post)
+        out, end = [], 0
+        for shard, k in zip(shards, subset_ids):
+            start, end = end, end + len(shard)
+            fresh, const = DDArray.sum_rows(rows[start:end]), shard.const_sum
+            acc = DDArray._wrap(np.concatenate([const.hi, fresh.hi]),
+                                np.concatenate([const.lo, fresh.lo]))
+            out.append(SuffStats(k, anchor_tag,
+                                 LmmSuffStats(p, q, acc, len(shard), shard.n_total)))
+        return out
 
     def q_value(self, stats: LmmSuffStats, theta: Theta) -> float:
         """Expected complete-data log likelihood reconstructed from aggregates."""

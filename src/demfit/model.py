@@ -46,9 +46,11 @@ class ModelContract(ABC):
 
     prepare(subset) turns a worker's subset into the form the model keeps
     resident for a run: the transport pools call it once per worker, when
-    they are built, and pass what it returns as the subset of every later
-    local_estep and local_loglik call on that worker.  Those two must
-    accept both a prepared and a plain subset and give the same results.
+    they are built, and pass what it returns as the shard or subset of
+    every later local_estep, local_esteps and local_loglik call on that
+    worker.
+    local_estep and local_loglik must accept both a prepared and a plain
+    subset and give the same results.
     The default keeps the subset as it is.  A prepared subset holds data
     only: no call leaves state in it that a later call reads, apart from
     caches of the data alone.
@@ -57,7 +59,13 @@ class ModelContract(ABC):
     anchor tag it was given.  Its payload provides combine(*others), the
     statistics of it and the others together; n, the number of
     observations behind them; and loglik, their local log likelihood at
-    the anchor.
+    the anchor.  local_esteps(theta, shards, subset_ids, anchor_tag) gives
+    the E steps of several prepared subsets at one theta, one SuffStats per
+    shard in their order, each bitwise what local_estep gives for that
+    shard alone: the in-process pool serves a batch of requests through
+    it, while a socket worker, which holds one shard, calls local_estep.
+    The default calls local_estep per shard; a model may serve the batch in
+    one pass instead.
 
     free_energy_path(thetas, anchor_tags, subsets) returns, for row j of
     anchor_tags and subset k, the local log likelihood at thetas[j] minus
@@ -87,6 +95,10 @@ class ModelContract(ABC):
 
     @abstractmethod
     def local_estep(self, theta, subset, subset_id=0, anchor_tag=0) -> SuffStats: ...
+
+    def local_esteps(self, theta, shards, subset_ids, anchor_tag) -> list:
+        return [self.local_estep(theta, shard, k, anchor_tag)
+                for shard, k in zip(shards, subset_ids)]
 
     @abstractmethod
     def cm_steps(self, agg, theta_current): ...

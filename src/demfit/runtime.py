@@ -3,9 +3,11 @@
 A single manager gates the M step on a gamma-fraction of fresh worker
 E-step results and keeps the latest copy of every worker's statistics for
 the rest.  One manager loop, `run_dem`, serves every algorithm.  A seeded
-permutation of the workers fixes each iteration's completion order, and
-the E steps run one at a time through the transport pool, so every run is
-exactly reproducible on either transport.  ECME (`run_ecme0`) is the loop
+permutation of the workers fixes each iteration's completion order, from
+which the manager lists the iteration's E-step requests before any of
+them runs; the transport pool serves the list as one batch, as it serves
+each round of loglik requests, so every run is exactly reproducible on
+either transport.  ECME (`run_ecme0`) is the loop
 with one worker and gamma = 1, and the synchronous schemes (`run_scheme`)
 are gamma = 1 over K workers.
 
@@ -101,6 +103,22 @@ def deterministic_schedule(
     return rng.permutation(K)
 
 
+def _esteps(pool, requests) -> list:
+    """The pool's results for a batch of (k, theta, anchor_tag) E-step
+    requests, in request order.  A pool with no batch surface is asked one
+    request at a time, which gives the same results."""
+    if hasattr(pool, "esteps"):
+        return pool.esteps(requests)
+    return [pool.estep(k, theta, anchor_tag=tag) for k, theta, tag in requests]
+
+
+def _logliks(pool, ks, theta) -> list:
+    """The pool's local log likelihoods of workers ks at theta, in order."""
+    if hasattr(pool, "logliks"):
+        return pool.logliks(ks, theta)
+    return [pool.loglik(k, theta) for k in ks]
+
+
 def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
     """Manager loop over K worker subsets.
 
@@ -109,17 +127,19 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
     head of the iteration-1 permutation).  Afterwards iteration t takes its
     fresh results in the order of `deterministic_schedule(seed, t, ...)`:
     stale deliveries first (completion "finish"), then E steps at the last
-    broadcast until ceil(gamma * K) are in.  It then reruns the conditional
-    maximization on the combined cache and broadcasts.
+    broadcast until ceil(gamma * K) are in.  That list needs no reply, so
+    it is sent to the pool as one batch (`pool.esteps`).  The manager then
+    reruns the conditional maximization on the combined cache and
+    broadcasts.
 
     Every E step the manager starts enters an M step.  After the loop one
     loglik round at the final parameter gives `final_loglik`.  In
     exact-loglik mode iteration t >= 1 first computes L(theta_{t-1}) from
-    the cached results fresh at theta_{t-1} plus one loglik request per
-    other worker (none at gamma = 1 with "restart"), and the closing round
-    fills the last row; so the run stops at the same iteration as a
-    default-mode one and sends 2K + sum(|accept_sets[1:]|) round trips plus
-    those loglik requests.
+    the cached results fresh at theta_{t-1} plus one batch of loglik
+    requests to the other workers (none at gamma = 1 with "restart"), and
+    the closing round fills the last row; so the run stops at the same
+    iteration as a default-mode one and sends 2K + sum(|accept_sets[1:]|)
+    round trips plus those loglik requests.
     """
     K = len(subsets)
     if K != config.K:
@@ -135,25 +155,29 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
         for t in range(config.max_iter + 1):
             t0 = time.perf_counter()
             if t == 0:
-                cache = {k: pool.estep(k, theta0, anchor_tag=0) for k in range(K)}
+                cache = dict(enumerate(_esteps(pool, [(k, theta0, 0) for k in range(K)])))
             elif t == 1:
                 # the seeding messages are iteration 1's fresh results
                 accepted = deterministic_schedule(config.seed, 1, K, config.forced_split)[:N]
             else:
-                accepted = {}
+                # (worker, theta, anchor tag) of every E step this iteration
+                # takes, fixed before any runs: no choice depends on a reply
+                requests = []
                 for k in sorted(in_flight):
-                    if len(accepted) >= N:
+                    if len(requests) >= N:
                         break
                     tag = in_flight.pop(k)
-                    accepted[k] = pool.estep(k, trace.thetas[tag], anchor_tag=tag)
+                    requests.append((k, trace.thetas[tag], tag))
+                accepted = [k for k, _, _ in requests]
                 for k in deterministic_schedule(config.seed, t, K, config.forced_split):
                     if k in accepted or k in in_flight:
                         continue
                     if len(accepted) < N:
-                        accepted[k] = pool.estep(k, theta, anchor_tag=t - 1)
+                        requests.append((k, theta, t - 1))
+                        accepted.append(k)
                     elif config.completion == "finish":
                         in_flight[k] = t - 1
-                cache.update(accepted)
+                cache.update(zip(accepted, _esteps(pool, requests)))
             agg = aggregate_stats(cache, K)
             if not exact:
                 L = agg.payload.loglik
@@ -161,10 +185,9 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
                 L = None  # the closing round or iteration 1 fills row 0
             else:
                 # L(theta_{t-1}), for row t-1: fresh replies carry their term
-                L = math.fsum(
-                    cache[k].payload.loglik if cache[k].anchor_tag == t - 1
-                    else pool.loglik(k, theta) for k in range(K)
-                )
+                stale = [k for k in range(K) if cache[k].anchor_tag != t - 1]
+                fresh = [cache[k].payload.loglik for k in range(K) if cache[k].anchor_tag == t - 1]
+                L = math.fsum(_logliks(pool, stale, theta) + fresh)
             if t > 0:
                 theta = model.cm_steps(agg, theta)
                 trace.accept_sets.append(sorted(int(k) for k in accepted))
@@ -179,7 +202,7 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
                 break
         else:
             trace.hit_max_iter = True
-        trace.final_loglik = math.fsum(pool.loglik(k, theta) for k in range(K))
+        trace.final_loglik = math.fsum(_logliks(pool, range(K), theta))
         if exact:
             trace.logliks.append(trace.final_loglik)
     finally:

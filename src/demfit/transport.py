@@ -1,8 +1,18 @@
 """Message transports between the manager and the worker endpoints.
 
-Both transports expose the same blocking request/reply surface, so the
-manager loop fully determines message ordering and the resulting traces
-are identical across transports.
+Both transports serve the same batch surface: `esteps(requests)` takes
+one iteration's (worker, parameter, anchor tag) E-step requests and
+`logliks(ks, theta)` a round of loglik requests, and each returns the
+results in request order.  The manager loop builds every batch before
+sending it, so it fully determines what is computed, and the resulting
+traces are identical across transports.  In process, one `local_esteps`
+call serves all requests of a batch that share an anchor tag; over
+sockets, every request of a batch is sent before the first reply is read.
+Each pool also answers a lone request, `estep(k, theta, anchor_tag)` or
+`loglik(k, theta)`, through the model's `local_estep` or `local_loglik`;
+the manager falls back to those, one request at a time, for a pool that
+offers nothing else (a wrapper that times each request, say).
+`messages_sent` counts 2 per answered request on every path.
 
 Socket wire format: a worker's connection is one end of a socket pair that
 the pool creates (nothing listens on a port, so no other peer can connect);
@@ -19,7 +29,10 @@ unpacks the parameter of every request and answers from that alone.
 The manager waits at most REPLY_TIMEOUT_S seconds for each reply.  A
 worker that does not answer in time, or whose connection drops, is a
 ProtocolError naming it; after a timeout the manager closes that
-connection, so a late reply cannot answer a later request.  Workers block
+connection, so a late reply cannot answer a later request.  A failed
+request does not stop its batch: the manager reads every other reply of
+the batch before it raises the earliest failure, so no connection is left
+holding a reply that a later request would read.  Workers block
 on their reads without a limit, because they sit idle between iterations.
 A worker whose connection closes or fails, or that reads a malformed frame,
 closes it and exits quietly.
@@ -29,10 +42,11 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+from collections import defaultdict
 
 import numpy as np
 
-from .model import ModelContract, ProtocolError, SuffStats
+from .model import ModelContract, ProtocolError
 
 # seconds the manager waits for a reply: far above one E step on a
 # paper-sized shard (10^4 samples, p=10, q=3: about 40 ms on 2 cores);
@@ -104,7 +118,9 @@ class InProcessPool:
     """Direct-call worker endpoints for single-threaded deterministic runs.
 
     Each worker's subset is prepared (`model.prepare`) once, when the pool
-    is built, and that shard is what every call on the worker passes.
+    is built, and that shard is what every call on the worker passes.  A
+    batch of E-step requests is served by one `local_esteps` call per
+    anchor tag and parameter.
     """
 
     def __init__(self, model: ModelContract, subsets):
@@ -112,14 +128,33 @@ class InProcessPool:
         self.shards = [model.prepare(subset) for subset in subsets]
         self.messages_sent = 0
 
-    def estep(self, k: int, theta, anchor_tag: int) -> SuffStats:
+    def esteps(self, requests) -> list:
+        """Results of the (k, theta, anchor_tag) requests, in their order."""
+        groups = defaultdict(list)  # (anchor tag, theta) -> request positions
+        for i, (_, theta, tag) in enumerate(requests):
+            groups[tag, id(theta)].append(i)
+        out = [None] * len(requests)
+        for (tag, _), idx in groups.items():
+            ks = [requests[i][0] for i in idx]
+            stats = self.model.local_esteps(requests[idx[0]][1], [self.shards[k] for k in ks],
+                                            ks, tag)
+            for i, s in zip(idx, stats):
+                out[i] = s
+            self.messages_sent += 2 * len(idx)  # request out, reply back
+        return out
+
+    def logliks(self, ks, theta) -> list:
+        return [self.loglik(k, theta) for k in ks]
+
+    def estep(self, k: int, theta, anchor_tag: int):
+        stats = self.model.local_estep(theta, self.shards[k], subset_id=k, anchor_tag=anchor_tag)
         self.messages_sent += 2  # request out, reply back
-        return self.model.local_estep(theta, self.shards[k], subset_id=k,
-                                      anchor_tag=anchor_tag)
+        return stats
 
     def loglik(self, k: int, theta) -> float:
+        ll = self.model.local_loglik(theta, self.shards[k])
         self.messages_sent += 2
-        return self.model.local_loglik(theta, self.shards[k])
+        return ll
 
     def close(self):
         pass
@@ -129,7 +164,10 @@ class SocketPool:
     """Worker endpoints served over socket pairs.
 
     One thread per subset serves one end of a socket pair, and the manager
-    issues blocking RPCs on the other, so the caller controls ordering.
+    holds the other.  A batch of requests is written out whole before any
+    reply is read, so the workers of a batch compute while the manager
+    writes and reads; replies are read in request order, so the caller
+    still fixes the order of every result.
     Every worker's shard (`model.prepare`) is built before any socket or
     thread exists, so a subset the model rejects leaves nothing to clean
     up; a worker that fails to start closes the pool.
@@ -169,9 +207,8 @@ class SocketPool:
                 try:
                     theta = self.model.unpack_theta(payload)
                     if kind == KIND_ESTEP_REQ:
-                        stats = self.model.local_estep(
-                            theta, shard, subset_id=k, anchor_tag=iteration
-                        )
+                        stats = self.model.local_estep(theta, shard, subset_id=k,
+                                                       anchor_tag=iteration)
                         reply = KIND_ESTEP_REP, self.model.pack_stats(stats)
                     elif kind == KIND_LOGLIK_REQ:
                         ll = self.model.local_loglik(theta, shard)
@@ -187,13 +224,38 @@ class SocketPool:
         finally:
             conn.close()
 
-    def _rpc(self, k: int, kind: int, reply_kind: int, iteration: int, theta):
-        """Send one request to worker k and return the payload of its reply,
-        which must carry the expected kind, subset id and iteration."""
+    def _exchange(self, kind: int, reply_kind: int, requests) -> list:
+        """Send every (k, theta, iteration) request of a batch, then read the
+        replies in request order and return their payloads; each distinct
+        theta is packed once.  A request that fails does not stop the
+        batch: every other reply is still read, so none is left for a later
+        request to find, and then the failure of the earliest request is
+        raised."""
+        packed = {id(theta): self.model.pack_theta(theta) for _, theta, _ in requests}
+        failed, sent = {}, []
+        for i, (k, theta, iteration) in enumerate(requests):
+            try:
+                self._io(k, write_frame, kind, k, iteration, packed[id(theta)])
+                sent.append(i)
+            except ProtocolError as exc:
+                failed[i] = exc
+        out = []
+        for i in sent:
+            k, _, iteration = requests[i]
+            try:
+                out.append(self._reply(k, reply_kind, iteration))
+            except ProtocolError as exc:
+                failed[i] = exc
+        if failed:
+            raise failed[min(failed)]
+        return out
+
+    def _io(self, k: int, call, *args):
+        """call(worker k's connection, *args), raising any failure as a
+        ProtocolError that names worker k."""
         conn = self._conns[k]
         try:
-            write_frame(conn, kind, k, iteration, self.model.pack_theta(theta))
-            got = read_frame(conn)
+            return call(conn, *args)
         except TimeoutError as exc:
             waited = conn.gettimeout()
             # a late reply must never be read as the answer to a later request
@@ -203,6 +265,11 @@ class SocketPool:
             raise ProtocolError(f"worker {k}: connection lost: {exc}") from exc
         except ProtocolError as exc:
             raise ProtocolError(f"worker {k}: {exc}") from exc
+
+    def _reply(self, k: int, reply_kind: int, iteration: int):
+        """The payload of worker k's next reply, which must carry the
+        expected kind, subset id and iteration; counted once accepted."""
+        got = self._io(k, read_frame)
         if got[0] == KIND_ERROR:
             raise ProtocolError(f"worker {k} failed: {got[3]}")
         expected = (reply_kind, int(k), int(iteration))
@@ -214,12 +281,22 @@ class SocketPool:
         self.messages_sent += 2
         return got[3]
 
-    def estep(self, k: int, theta, anchor_tag: int) -> SuffStats:
-        payload = self._rpc(k, KIND_ESTEP_REQ, KIND_ESTEP_REP, anchor_tag, theta)
-        return self.model.unpack_stats(payload, subset_id=k, anchor_tag=anchor_tag)
+    def esteps(self, requests) -> list:
+        """Results of the (k, theta, anchor_tag) requests, in their order:
+        all are sent before the first reply is read."""
+        payloads = self._exchange(KIND_ESTEP_REQ, KIND_ESTEP_REP, requests)
+        return [self.model.unpack_stats(payload, subset_id=k, anchor_tag=tag)
+                for payload, (k, _, tag) in zip(payloads, requests)]
+
+    def logliks(self, ks, theta) -> list:
+        payloads = self._exchange(KIND_LOGLIK_REQ, KIND_LOGLIK_REP, [(k, theta, 0) for k in ks])
+        return [float(payload[0]) for payload in payloads]
+
+    def estep(self, k: int, theta, anchor_tag: int):
+        return self.esteps([(k, theta, anchor_tag)])[0]
 
     def loglik(self, k: int, theta) -> float:
-        return float(self._rpc(k, KIND_LOGLIK_REQ, KIND_LOGLIK_REP, 0, theta)[0])
+        return self.logliks([k], theta)[0]
 
     def close(self):
         for conn in self._conns:

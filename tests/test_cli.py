@@ -322,10 +322,10 @@ def test_scheduler_option_removed(workspace, tmp_path):
 
 
 def test_socket_worker_failure_is_an_error(workspace, tmp_path, capsys, monkeypatch):
-    def failing_estep(self, theta, subset, subset_id=0, anchor_tag=0):
-        raise RuntimeError(f"boom in {subset_id}")
+    def failing_esteps(self, theta, shards, subset_ids, anchor_tag):
+        raise RuntimeError(f"boom in {subset_ids[0]}")
 
-    monkeypatch.setattr(LmmModel, "local_estep", failing_estep)
+    monkeypatch.setattr(LmmModel, "local_esteps", failing_esteps)
     assert run(["fit", "--data", workspace / "data", "--K", 2,
                 "--transport", "socket", "--out", tmp_path / "sock"]) == 1
     assert "error: worker 0 failed: RuntimeError: boom in 0" in capsys.readouterr().err

@@ -238,6 +238,26 @@ def test_batch_composition_bitwise():
     assert (whole.m, whole.n) == (combined.m, combined.n)
 
 
+@pytest.mark.parametrize("q", [3, 6])
+def test_stacked_esteps_match_one_shard_each(q):
+    """One local_esteps batch over shards of 1, 2, 3, 4, 5, 8 and 10 samples
+    gives each shard bitwise the statistics local_estep gives it alone,
+    header included, at two parameter points."""
+    rng = np.random.default_rng(40 + q)
+    p = 4
+    model = LmmModel(p, q)
+    sizes = (1, 2, 3, 4, 5, 8, 10)
+    shards = [model.prepare([random_sample(rng, p, q) for _ in range(m)]) for m in sizes]
+    ids = [7 * k + 1 for k in range(len(sizes))]
+    for theta in (random_theta(rng, p, q), random_theta(rng, p, q)):
+        batch = model.local_esteps(theta, shards, ids, 5)
+        assert len(batch) == len(sizes)
+        for shard, k, got in zip(shards, ids, batch):
+            want = model.local_estep(theta, shard, k, 5)
+            assert (got.subset_id, got.anchor_tag) == (k, 5)
+            assert model.pack_stats(got).tobytes() == model.pack_stats(want).tobytes()
+
+
 def test_model_keeps_no_per_call_state(small_dataset):
     samples, _ = small_dataset
     model = LmmModel(4, 3)

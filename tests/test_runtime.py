@@ -1,9 +1,10 @@
 import math
 import socket
+from collections import Counter
 import struct
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from demfit.transport import (
     KIND_ESTEP_REQ,
     KIND_LOGLIK_REP,
     KIND_LOGLIK_REQ,
+    InProcessPool,
     SocketPool,
+    make_pool,
     read_frame,
     write_frame,
 )
@@ -152,6 +155,58 @@ def test_socket_transport_identical_trace(fitted_pieces, completion, forced_spli
     assert tr_mem.messages_sent == tr_sock.messages_sent
 
 
+class PerRequestPool:
+    """A pool wrapper with only the per-request surface, as a wrapper that
+    times each request has."""
+
+    def __init__(self, pool):
+        self._pool = pool
+
+    @property
+    def messages_sent(self):
+        return self._pool.messages_sent
+
+    def estep(self, k, theta, anchor_tag):
+        return self._pool.estep(k, theta, anchor_tag)
+
+    def loglik(self, k, theta):
+        return self._pool.loglik(k, theta)
+
+    def close(self):
+        self._pool.close()
+
+
+@pytest.mark.parametrize("transport", ["in_process", "socket"])
+@pytest.mark.parametrize("completion", ["restart", "finish"])
+def test_pool_without_batch_surface_is_asked_per_request(fitted_pieces, monkeypatch,
+                                                         transport, completion):
+    """run_dem asks a pool that offers only estep and loglik one request at
+    a time: the run is bitwise that of the batched pool, with the same
+    messages_sent, and each E step is one local_estep call on its shard."""
+    samples, _, theta0 = fitted_pieces
+    subsets = partition(samples, 4, seed=0)
+    estepped = []
+
+    class PerCallModel(LmmModel):
+        def local_estep(self, theta, subset, subset_id=0, anchor_tag=0):
+            estepped.append(len(subset))
+            return super().local_estep(theta, subset, subset_id, anchor_tag)
+
+    cfg = RunConfig(K=4, gamma=0.5, seed=2, completion=completion, transport=transport,
+                    exact_loglik_check=True)
+    _, tr_batch = run_dem(cfg, LmmModel(3, 3), subsets, theta0)
+    make = make_pool
+    monkeypatch.setattr("demfit.runtime.make_pool",
+                        lambda *args: PerRequestPool(make(*args)))
+    _, tr = run_dem(cfg, PerCallModel(3, 3), subsets, theta0)
+    assert traces_equal(tr, tr_batch)
+    assert tr.accept_sets == tr_batch.accept_sets
+    assert tr.anchor_tags == tr_batch.anchor_tags
+    assert tr.messages_sent == tr_batch.messages_sent
+    sizes = [len(s) for s in subsets]
+    assert sum(estepped) == sum(sizes) + sum(sizes[k] for a in tr.accept_sets[1:] for k in a)
+
+
 @pytest.mark.parametrize("transport", ["in_process", "socket"])
 @pytest.mark.parametrize("completion", ["restart", "finish"])
 @pytest.mark.parametrize("forced_split", [False, True])
@@ -230,17 +285,21 @@ def test_fresh_estep_loglik_is_local_loglik(fitted_pieces, K):
             assert fresh == model.local_loglik(theta, model.prepare(subset))
 
 
+def theta_bytes(theta):
+    return theta.Dinv.tobytes() + theta.resid_coef.tobytes()
+
+
 class PosteriorCountingModel(LmmModel):
-    """Records (shard, D^{-1}, (-beta, 1)) of every posterior it computes;
-    socket workers share the model, so the record covers every thread."""
+    """Counts the sample rows of every posterior it computes, by the bytes
+    of its D^{-1} and (-beta, 1); socket workers share the model, so the
+    count covers every thread."""
 
     def __init__(self, p, q):
         super().__init__(p, q)
-        self.posteriors = []
+        self.rows = Counter()
 
     def _posterior(self, theta, shard):
-        self.posteriors.append(
-            (id(shard.ZZ), theta.Dinv.tobytes(), theta.resid_coef.tobytes()))
+        self.rows[theta_bytes(theta)] += len(shard)
         return super()._posterior(theta, shard)
 
 
@@ -248,17 +307,34 @@ class PosteriorCountingModel(LmmModel):
 @pytest.mark.parametrize("completion", ["restart", "finish"])
 @pytest.mark.parametrize("exact", [False, True])
 def test_one_posterior_per_round_trip(fitted_pieces, transport, completion, exact):
-    """A worker keeps nothing between requests: every E step and loglik it
-    answers computes one posterior, also when a "finish" exact-loglik run
-    delivers a stale E step at the theta its loglik was refreshed at."""
+    """A worker keeps nothing between requests: the samples of every E step
+    and loglik it answers enter exactly one posterior, at that request's
+    theta, also when a "finish" exact-loglik run delivers a stale E step at
+    the theta its loglik was refreshed at.  The requests are read off the
+    trace: the seeding round, each accepted E step at its anchor, each
+    refresh at theta_{t-1} and the closing round."""
     samples, _, theta0 = fitted_pieces
     K = 5
+    subsets = partition(samples, K, seed=0)
     model = PosteriorCountingModel(3, 3)
     _, tr = run_dem(RunConfig(K=K, gamma=0.4, seed=9, transport=transport,
                               completion=completion, exact_loglik_check=exact),
-                    model, partition(samples, K, seed=0), theta0)
+                    model, subsets, theta0)
     assert tr.converged and tr.max_staleness >= 2
-    assert len(model.posteriors) == tr.messages_sent // 2
+    want = Counter()
+
+    def asked(theta, ks):
+        want[theta_bytes(theta)] += sum(len(subsets[k]) for k in ks)
+
+    asked(tr.thetas[0], range(K))
+    for t in range(2, len(tr.anchor_tags)):
+        tags = tr.anchor_tags[t]
+        for k in tr.accept_sets[t - 1]:
+            asked(tr.thetas[tags[k]], [k])
+        if exact:
+            asked(tr.thetas[t - 1], [k for k in range(K) if tags[k] != t - 1])
+    asked(tr.thetas[-1], range(K))
+    assert model.rows == want
 
 
 @pytest.mark.parametrize("transport", ["in_process", "socket"])
@@ -269,7 +345,9 @@ def test_gamma_one_exact_run_one_posterior_per_worker_and_theta(fitted_pieces, t
     _, tr = run_dem(RunConfig(K=K, transport=transport, exact_loglik_check=True),
                     model, partition(samples, K, seed=0), theta0)
     assert tr.converged
-    assert len(set(model.posteriors)) == len(model.posteriors) == K * len(tr.thetas)
+    # every worker's samples enter one posterior per theta, and only those
+    assert len(set(map(theta_bytes, tr.thetas))) == len(tr.thetas)
+    assert model.rows == {theta_bytes(theta): len(samples) for theta in tr.thetas}
 
 
 @contextmanager
@@ -309,9 +387,9 @@ def test_pools_prepare_once_per_worker(fitted_pieces, transport):
             self.prepared += 1
             return super().prepare(subset)
 
-        def local_estep(self, theta, subset, subset_id=0, anchor_tag=0):
-            self.received.append(type(subset))
-            return super().local_estep(theta, subset, subset_id, anchor_tag)
+        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
+            self.received.extend(map(type, shards))
+            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
 
         def local_loglik(self, theta, subset):
             self.received.append(type(subset))
@@ -456,9 +534,9 @@ def test_socket_reply_checked_without_assert(fitted_pieces):
 
     with socketpair_worker(pool, wrong_kind_worker):
         with pytest.raises(ProtocolError):
-            pool.estep(0, theta0, anchor_tag=3)
+            pool.esteps([(0, theta0, 3)])
         with pytest.raises(ProtocolError):
-            pool.loglik(0, theta0)
+            pool.logliks([0], theta0)
         assert pool.messages_sent == 0
 
 
@@ -478,7 +556,7 @@ def test_malformed_reply_frame_is_protocol_error(fitted_pieces, body, match):
 
     with socketpair_worker(pool, malformed_worker):
         with pytest.raises(ProtocolError, match=f"worker 0: .*{match}"):
-            pool.estep(0, theta0, anchor_tag=3)
+            pool.esteps([(0, theta0, 3)])
         assert pool.messages_sent == 0
 
 
@@ -488,23 +566,122 @@ def test_socket_worker_error_reaches_manager(fitted_pieces):
     samples, _, theta0 = fitted_pieces
 
     class FailingModel(LmmModel):
-        def local_estep(self, theta, subset, subset_id=0, anchor_tag=0):
+        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
             if anchor_tag >= 2:
                 raise RuntimeError(f"boom at {anchor_tag}")
-            return super().local_estep(theta, subset, subset_id, anchor_tag)
+            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
 
     model = FailingModel(3, 3)
     subsets = partition(samples, 2, seed=0)
     pool = SocketPool(model, subsets)
     try:
         with pytest.raises(ProtocolError, match="worker 1 failed: RuntimeError: boom at 2"):
-            pool.estep(1, theta0, anchor_tag=2)
-        assert pool.loglik(1, theta0) == model.local_loglik(theta0, subsets[1])
-        assert pool.estep(1, theta0, anchor_tag=1).anchor_tag == 1
+            pool.esteps([(1, theta0, 2)])
+        assert pool.logliks([1], theta0) == [model.local_loglik(theta0, subsets[1])]
+        assert pool.esteps([(1, theta0, 1)])[0].anchor_tag == 1
     finally:
         pool.close()
     with pytest.raises(ProtocolError, match="RuntimeError: boom at 2"):
         run_dem(RunConfig(K=2, transport="socket"), model, subsets, theta0)
+
+
+@pytest.mark.parametrize("transport", ["in_process", "socket"])
+def test_pools_count_answered_requests(fitted_pieces, transport):
+    """messages_sent counts 2 per answered request on both pools, batched or
+    not: a request whose E step raises is not counted, an answered one of
+    its batch is."""
+    samples, _, theta0 = fitted_pieces
+
+    class FailingModel(LmmModel):
+        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
+            if anchor_tag >= 2:
+                raise RuntimeError(f"boom at {anchor_tag}")
+            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
+
+    pool = make_pool(transport, FailingModel(3, 3), partition(samples, 2, seed=0))
+    try:
+        with pytest.raises(RuntimeError, match="boom at 2"):
+            pool.esteps([(0, theta0, 1), (1, theta0, 2)])
+        assert pool.messages_sent == 2
+        with pytest.raises(RuntimeError, match="boom at 3"):
+            pool.esteps([(1, theta0, 3)])
+        assert pool.messages_sent == 2
+        pool.logliks([0, 1], theta0)
+        assert pool.messages_sent == 6
+        # the per-request surface counts the same way
+        with pytest.raises(RuntimeError, match="boom at 3"):
+            pool.estep(1, theta0, 3)
+        pool.loglik(0, theta0)
+        assert pool.messages_sent == 8
+    finally:
+        pool.close()
+
+
+@pytest.mark.parametrize("failure", ["error_frame", "connection_lost"])
+def test_socket_batch_reads_every_reply_past_a_failure(fitted_pieces, failure):
+    """Worker 0 fails in a batch that worker 1 answers: the ProtocolError
+    names worker 0, only worker 1's answer is counted, and worker 1's next
+    request gets its own reply, not the one left over from the batch."""
+    samples, _, theta0 = fitted_pieces
+
+    class FailingModel(LmmModel):
+        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
+            if subset_ids == [0]:
+                raise RuntimeError("boom in 0")
+            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
+
+    model = FailingModel(3, 3)
+    subsets = partition(samples, 2, seed=0)
+    theta1 = Theta(np.ones(3), 2.0 * np.eye(3), 3.0)
+    pool = SocketPool(model, subsets)
+
+    def dropping_worker(sock):
+        read_frame(sock)
+        sock.close()
+
+    if failure == "connection_lost":
+        match, worker_0 = "worker 0: connection lost", socketpair_worker(pool, dropping_worker)
+    else:
+        match, worker_0 = "worker 0 failed: RuntimeError: boom in 0", nullcontext()
+    with worker_0:
+        try:
+            with pytest.raises(ProtocolError, match=match):
+                pool.esteps([(0, theta0, 1), (1, theta0, 1)])
+            assert pool.messages_sent == 2
+            (stats,) = pool.esteps([(1, theta1, 2)])
+            assert pool.messages_sent == 4
+        finally:
+            pool.close()
+    want = model.local_estep(theta1, model.prepare(subsets[1]), 1, 2)
+    assert (stats.subset_id, stats.anchor_tag) == (1, 2)
+    assert model.pack_stats(stats).tobytes() == model.pack_stats(want).tobytes()
+
+
+def test_in_process_batch_mixing_anchor_tags(fitted_pieces):
+    """A "finish" iteration's batch, stale deliveries at an older tag beside
+    fresh E steps at the newest, is served by one local_esteps call per
+    tag; each result, in request order, is bitwise local_estep on its own
+    shard at its own theta."""
+    samples, _, theta0 = fitted_pieces
+    calls = []
+
+    class CallModel(LmmModel):
+        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
+            calls.append((anchor_tag, list(subset_ids)))
+            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
+
+    model = CallModel(3, 3)
+    subsets = partition(samples, 5, seed=0)
+    theta1 = Theta(np.ones(3), 2.0 * np.eye(3), 3.0)
+    requests = [(3, theta0, 1), (0, theta0, 1), (4, theta1, 3), (1, theta1, 3)]
+    pool = InProcessPool(model, subsets)
+    got = pool.esteps(requests)
+    assert calls == [(1, [3, 0]), (3, [4, 1])]
+    assert pool.messages_sent == 2 * len(requests)
+    for (k, theta, tag), stats in zip(requests, got):
+        want = LmmModel(3, 3).local_estep(theta, subsets[k], k, tag)
+        assert (stats.subset_id, stats.anchor_tag) == (k, tag)
+        assert model.pack_stats(stats).tobytes() == model.pack_stats(want).tobytes()
 
 
 def test_silent_worker_times_out(fitted_pieces, monkeypatch):
@@ -524,13 +701,13 @@ def test_silent_worker_times_out(fitted_pieces, monkeypatch):
         try:
             t0 = time.perf_counter()
             with pytest.raises(ProtocolError, match=r"worker 0: no reply within 0\.2 s") as info:
-                pool.estep(0, theta0, anchor_tag=1)
+                pool.esteps([(0, theta0, 1)])
             assert time.perf_counter() - t0 < 5
             assert isinstance(info.value.__cause__, TimeoutError)
             # the connection is closed, so no later request can read the
             # late reply as its own
             with pytest.raises(ProtocolError, match="worker 0: connection lost"):
-                pool.loglik(0, theta0)
+                pool.logliks([0], theta0)
             assert pool.messages_sent == 0
         finally:
             release.set()
@@ -542,8 +719,8 @@ def test_closed_worker_connection_is_protocol_error(fitted_pieces):
     samples, model, theta0 = fitted_pieces
     pool = SocketPool(model, partition(samples, 2, seed=0))
     with socketpair_worker(pool, lambda sock: sock.close()):
-        for call in (lambda: pool.estep(0, theta0, anchor_tag=1),
-                     lambda: pool.loglik(0, theta0)):
+        for call in (lambda: pool.esteps([(0, theta0, 1)]),
+                     lambda: pool.logliks([0], theta0)):
             with pytest.raises(ProtocolError, match="worker 0: connection lost") as info:
                 call()
             assert isinstance(info.value.__cause__, ConnectionError)
@@ -561,14 +738,14 @@ def test_worker_whose_manager_timed_out_exits_quietly(fitted_pieces, monkeypatch
     monkeypatch.setattr(threading, "excepthook", unhandled.append)
 
     class SlowModel(LmmModel):
-        def local_estep(self, theta, subset, subset_id=0, anchor_tag=0):
+        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
             time.sleep(0.5)
-            return super().local_estep(theta, subset, subset_id, anchor_tag)
+            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
 
     pool = SocketPool(SlowModel(3, 3), partition(samples, 2, seed=0))
     try:
         with pytest.raises(ProtocolError, match=r"worker 0: no reply within 0\.2 s"):
-            pool.estep(0, theta0, anchor_tag=1)
+            pool.esteps([(0, theta0, 1)])
     finally:
         pool.close()
     assert not any(t.is_alive() for t in pool._threads)
@@ -660,7 +837,7 @@ def test_pool_close_releases_dead_connections(fitted_pieces, monkeypatch):
     monkeypatch.setattr(SocketPool, "_serve", dead_worker)
     pool = SocketPool(model, partition(samples, 2, seed=0))
     with pytest.raises(ProtocolError, match="worker 0: connection lost"):
-        pool.estep(0, theta0, anchor_tag=0)
+        pool.esteps([(0, theta0, 0)])
     pool.close()
     assert [conn.fileno() for conn in pool._conns] == [-1, -1]
 
@@ -788,14 +965,15 @@ def test_ecme0_asserts_ascent(fitted_pieces):
     class DroppingModel(LmmModel):
         """The E-step loglik header (and payload total) drops at iteration 2."""
 
-        def local_estep(self, theta, subset, subset_id=0, anchor_tag=0):
-            stats = super().local_estep(theta, subset, subset_id, anchor_tag)
+        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
+            out = super().local_esteps(theta, shards, subset_ids, anchor_tag)
             if anchor_tag != 1:
-                return stats
+                return out
+            (stats,) = out  # ecme0 has one worker
             packed = self.pack_stats(stats)
             # layout: m, n, then the hi and lo words; the last hi word is the loglik
             packed[1 + (packed.size - 2) // 2] -= 1e3
-            return self.unpack_stats(packed, subset_id, anchor_tag)
+            return [self.unpack_stats(packed, stats.subset_id, anchor_tag)]
 
     with pytest.raises(AssertionError, match="log likelihood decreased at iteration 2"):
         run_ecme0(RunConfig(K=1), DroppingModel(3, 3), samples, theta0)
