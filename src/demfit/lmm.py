@@ -400,6 +400,32 @@ class _Posterior(NamedTuple):
     logdet_A: np.ndarray  # (m,)
 
 
+class _Thetas(NamedTuple):
+    """Parameter points stacked on a leading row axis, with a unit sample
+    axis, so the kernels broadcast them against a shard's samples.  Each
+    field holds, row by row, the `Theta` property of its name."""
+
+    Dinv: np.ndarray  # (rows, 1, q, q)
+    resid_coef: np.ndarray  # (rows, 1, p+1)
+    tau2: np.ndarray  # (rows, 1)
+    log_2pi_tau2: np.ndarray  # (rows, 1)
+    logdet_D: np.ndarray  # (rows, 1)
+
+    @classmethod
+    def stack(cls, thetas: Sequence[Theta]) -> "_Thetas":
+        return cls(*(np.array([getattr(t, f) for t in thetas])[:, None] for f in cls._fields))
+
+
+def _finite_loglik(loglik: np.ndarray) -> np.ndarray:
+    if not np.isfinite(loglik).all():
+        raise NumericalDomainError("non-finite marginal log density")
+    return loglik
+
+
+# (row, sample) pairs per block of `LmmModel.free_energy_path`
+BLOCK = 1024
+
+
 class LmmModel(ModelContract):
     """ModelContract implementation for the linear mixed-effects model."""
 
@@ -430,14 +456,16 @@ class LmmModel(ModelContract):
         return subset if isinstance(subset, LmmShard) else self.prepare(subset)
 
     # -- per-sample conditional Gaussian -----------------------------------
-    def _posterior(self, theta: Theta, shard: LmmShard) -> _Posterior:
+    def _posterior(self, theta: Theta | _Thetas, shard: LmmShard) -> _Posterior:
         """Posterior of every sample's random effects, from data moments only.
 
         Per sample of the shard, at theta: the q x q precision
         A = D^{-1} + Z'Z, its Cholesky factor for log|A|, its inverse, and
         b_hat = A^{-1} Z'r with Z'r = (-beta, 1) G = Z'y - (X'Z)' beta.  Each
         sample's outputs come from its own row alone, so they do not depend
-        on which other samples share the batch.
+        on which other samples share the batch.  For a `_Thetas` stack every
+        output gains a leading row axis, and each row is bitwise what that
+        row's Theta gives: the per-matrix kernels do not see the stack.
         """
         A = theta.Dinv + shard.ZZ
         try:
@@ -447,46 +475,44 @@ class LmmModel(ModelContract):
                 "posterior precision not positive definite (corrupt data?)"
             ) from exc
         Ainv = np.linalg.inv(A)
-        ztr = theta.resid_coef @ shard.G
-        b_hat = (Ainv @ ztr[:, :, None])[:, :, 0]
-        logdet_A = 2.0 * np.log(np.diagonal(cA, axis1=1, axis2=2)).sum(axis=1)
+        ztr = (theta.resid_coef[..., None, :] @ shard.G)[..., 0, :]
+        b_hat = (Ainv @ ztr[..., None])[..., 0]
+        logdet_A = 2.0 * np.log(np.diagonal(cA, axis1=-2, axis2=-1)).sum(axis=-1)
         return _Posterior(b_hat, ztr, A, Ainv, logdet_A)
 
-    def _loglik(self, theta: Theta, shard: LmmShard, post: _Posterior) -> np.ndarray:
-        """Marginal log density of every sample, given its posterior at theta."""
+    def _loglik(self, theta: Theta | _Thetas, shard: LmmShard,
+                post: _Posterior) -> np.ndarray:
+        """Marginal log density of every sample, given its posterior at theta
+        (and per row of a `_Thetas` stack).  The terms are not checked: a
+        caller names the terms it finds not finite."""
         # r'r = ||R (-beta, 1)||^2 for r = y - X beta; the expansion
         # y'y - 2 beta'X'y + beta'X'X beta would cancel when r is small
-        Rv = shard.R @ theta.resid_coef
-        quad = (Rv * Rv).sum(axis=1) - (post.ztr * post.b_hat).sum(axis=1)
+        Rv = (shard.R @ theta.resid_coef[..., None])[..., 0]
+        quad = (Rv * Rv).sum(axis=-1) - (post.ztr * post.b_hat).sum(axis=-1)
         # via the determinant lemma: |Z D Z' + I| = |A| |D|
-        loglik = -0.5 * (shard.n * theta.log_2pi_tau2 + post.logdet_A
-                         + quad / theta.tau2 + theta.logdet_D)
-        if not np.isfinite(loglik).all():
-            raise NumericalDomainError("non-finite marginal log density")
-        return loglik
+        return -0.5 * (shard.n * theta.log_2pi_tau2 + post.logdet_A
+                       + quad / theta.tau2 + theta.logdet_D)
 
-    def _kl(self, theta: Theta, post: _Posterior, anchor: _Posterior,
+    def _kl(self, theta: Theta | _Thetas, post: _Posterior, anchor: _Posterior,
             tau2_a, log_ratio) -> np.ndarray:
         """Every sample's Gaussian KL(posterior at its anchor || posterior at
-        theta), as (m,) terms.
+        theta), as (m,) terms, or (rows, m) for a `_Thetas` stack.
 
         post is the posterior at theta; anchor holds each sample's Ainv,
-        b_hat and logdet_A at its anchor.  tau2_a and log_ratio, which is
-        q log(theta.tau2 / tau2_a), are given per sample, or as scalars for
-        one anchor.  A term that is not finite is a NumericalDomainError.
+        b_hat and logdet_A at its anchor, in post's shape.  tau2_a and
+        log_ratio, which is q log(theta.tau2 / tau2_a), are given per
+        sample, or as scalars for one anchor.  The terms are not checked:
+        `free_energy_path` names the row and subset of one not finite.
         """
         q = self.q
-        m = len(post.b_hat)
         # C = tau2 A^{-1}, so C_e^{-1} = A_e / tau2_e needs no factorization
         # and log|C| = q log tau2 - log|A|
-        tr = (tau2_a / theta.tau2) * (post.A * anchor.Ainv).reshape(m, q * q).sum(axis=1)
+        AAinv = post.A * anchor.Ainv
+        tr = (tau2_a / theta.tau2) * AAinv.reshape(AAinv.shape[:-2] + (q * q,)).sum(axis=-1)
         d = post.b_hat - anchor.b_hat
-        quad = ((post.A @ d[:, :, None])[:, :, 0] * d).sum(axis=1) / theta.tau2
+        quad = ((post.A @ d[..., None])[..., 0] * d).sum(axis=-1) / theta.tau2
         logdet = log_ratio - post.logdet_A + anchor.logdet_A
-        kl = 0.5 * (tr + quad - q + logdet)
-        if not np.isfinite(kl).all():
-            raise NumericalDomainError("non-finite KL term")
-        return kl
+        return 0.5 * (tr + quad - q + logdet)
 
     def posterior_moments(self, theta: Theta, s: Sample):
         """Mean and covariance of the random effects given the data.
@@ -501,7 +527,7 @@ class LmmModel(ModelContract):
     # -- ModelContract operations -------------------------------------------
     def local_loglik(self, theta: Theta, subset: SubsetData | LmmShard) -> float:
         shard = self._shard(subset)
-        return math.fsum(self._loglik(theta, shard, self._posterior(theta, shard)))
+        return math.fsum(_finite_loglik(self._loglik(theta, shard, self._posterior(theta, shard))))
 
     def local_estep(self, theta: Theta, subset: SubsetData | LmmShard, subset_id: int = 0,
                     anchor_tag: int = 0) -> SuffStats:
@@ -534,7 +560,7 @@ class LmmModel(ModelContract):
         np.multiply(b_hat[:, :, None], b_hat[:, None, :], out=B.reshape(m, q, q))
         B += theta.tau2 * post.Ainv.reshape(m, q * q)
         np.sum(stacked.ZZ.reshape(m, q * q) * B, axis=1, out=rows[:, -2])
-        rows[:, -1] = self._loglik(theta, stacked, post)
+        rows[:, -1] = _finite_loglik(self._loglik(theta, stacked, post))
         out, end = [], 0
         for shard, k in zip(shards, subset_ids):
             start, end = end, end + len(shard)
@@ -572,17 +598,24 @@ class LmmModel(ModelContract):
                          subsets: Sequence[SubsetData]) -> list:
         """Per row j and subset k, local_loglik(thetas[j], subset) minus the
         summed Gaussian KL(posterior at thetas[anchor_tags[j][k]] ||
-        posterior at thetas[j]) over its samples, in one pass; a row
-        without its point in thetas, or a tag of row j outside 0..j, is a
-        ValueError.
+        posterior at thetas[j]) over its samples, in one pass.  A row
+        without its point in thetas, with the wrong number of tags or with
+        a tag outside 0..j is a ValueError, raised before any posterior is
+        computed; a term that is not finite is a NumericalDomainError
+        naming the first such row and subset.
 
-        The samples are stacked once, and the posterior at each thetas[t]
-        is computed once over all of them, at row t.  Its rows for every
-        subset that switches to tag t are copied out then, so the pass
-        holds one posterior beside the anchor-side rows.  A row rewrites those only for the subsets
-        whose tag changed, and computes q log(tau2 / tau2_a) once per
-        distinct tag.  Rows are batch-independent, so every term is bitwise
-        what a call per subset gives.
+        The samples are stacked once, and the rows run in blocks of
+        max(1, BLOCK // m) over all m samples: one posterior call gives
+        every row of a block its posterior, one loglik call and one KL call
+        every term.  Each (row, sample) anchor is gathered from the
+        posterior at the row its tag names: the block's own, the anchors
+        carried from the row before the block, or a copy.  The samples of
+        the posterior at thetas[t] that a row after t's block switches to
+        are copied out at t's block, so the pass holds one block's arrays
+        beside those copies, never an array per row.  It computes
+        q log(tau2 / tau2_a) once per distinct tag of a row.  The kernels
+        treat each row and sample on its own, so every term is bitwise what
+        a call per row and subset gives.
         """
         q, K, R = self.q, len(subsets), len(anchor_tags)
         if len(thetas) < R:
@@ -595,7 +628,7 @@ class LmmModel(ModelContract):
         starts = [end - size for end, size in zip(ends, sizes)]
         members = [np.arange(a, b) for a, b in zip(starts, ends)]
         group = np.repeat(np.arange(K), sizes)
-        # switches[t]: (row, sample indices) for each row where subsets take tag t
+        # switches[t]: (row, subsets) for each row where subsets take tag t
         switches = defaultdict(list)
         prev = [None] * K
         for j, tags in enumerate(anchor_tags):
@@ -606,31 +639,70 @@ class LmmModel(ModelContract):
                 if tag != old:
                     if not 0 <= tag <= j:
                         raise ValueError(f"row {j}: anchor tag {tag} is not a row up to {j}")
-                    changed[tag].append(members[k])
-            for tag, idx in changed.items():
-                switches[tag].append((j, np.concatenate(idx)))
+                    changed[tag].append(k)
+            for tag, ks in changed.items():
+                switches[tag].append((j, ks))
             prev = tags
 
-        pending = defaultdict(list)  # row -> (idx, Ainv, b_hat, logdet_A) it writes
-        anchor = _Posterior(np.empty((m, q)), None, None, np.empty((m, q, q)), np.empty(m))
+        rows = max(1, BLOCK // max(m, 1))
+        tau2 = [theta.tau2 for theta in thetas[:R]]
+        tau2_rows = np.array(tau2)
+        within = np.arange(m) - np.repeat(starts, sizes)  # each sample's place in its subset
+        fields = ("b_hat", "Ainv", "logdet_A")  # what a KL reads of an anchor
+        # the anchors of the row before the block; no row reads them at row 0
+        carry = [np.empty((m, q)), np.empty((m, q, q)), np.empty(m)]
+        pending = defaultdict(list)  # row -> (subsets, their anchors) it switches to
         out = []
-        for j, tags in enumerate(anchor_tags):
-            theta = thetas[j]
-            post = self._posterior(theta, shard)
-            for row, idx in switches.pop(j, ()):
-                pending[row].append(
-                    (idx, post.Ainv[idx], post.b_hat[idx], post.logdet_A[idx]))
-            for idx, Ainv, b_hat, logdet_A in pending.pop(j, ()):
-                anchor.Ainv[idx] = Ainv
-                anchor.b_hat[idx] = b_hat
-                anchor.logdet_A[idx] = logdet_A
-            ratio = {t: q * math.log(theta.tau2 / thetas[t].tau2) for t in set(tags)}
-            tau2_a = np.array([thetas[t].tau2 for t in tags])[group]
-            log_ratio = np.array([ratio[t] for t in tags])[group]
-            kl = self._kl(theta, post, anchor, tau2_a, log_ratio).tolist()
-            loglik = self._loglik(theta, shard, post).tolist()
-            out.append([math.fsum(loglik[a:b]) - math.fsum(kl[a:b])
-                        for a, b in zip(starts, ends)])
+        for j0 in range(0, R, rows):
+            j1 = min(j0 + rows, R)
+            n = j1 - j0
+            block = _Thetas.stack(thetas[j0:j1])
+            post = self._posterior(block, shard)
+            here = defaultdict(list)  # row -> (tag, subsets) for tags in the block
+            for t in range(j0, j1):
+                for row, ks in switches.pop(t, ()):
+                    if row < j1:
+                        here[row].append((t, ks))
+                    else:
+                        idx = np.concatenate([members[k] for k in ks])
+                        pending[row].append((ks, [getattr(post, f)[t - j0, idx] for f in fields]))
+            # a row's anchors are gathered from the carried ones, the block's
+            # posteriors and the copies pending holds for the block's rows,
+            # stacked in that order; base[k] is where subset k's anchors start
+            base, size = list(starts), (n + 1) * m
+            bases, copied, log_ratio = [], [], []
+            for j in range(j0, j1):
+                for t, ks in here.pop(j, ()):
+                    for k in ks:
+                        base[k] = (1 + t - j0) * m + starts[k]
+                for ks, copies in pending.pop(j, ()):
+                    for k in ks:
+                        base[k], size = size, size + sizes[k]
+                    copied.append(copies)
+                bases.append(list(base))
+                tags = anchor_tags[j]
+                ratio = {t: q * math.log(tau2[j] / tau2[t]) for t in set(tags)}
+                log_ratio.append([ratio[t] for t in tags])
+            at = np.array(bases, dtype=np.intp).reshape(n, K)[:, group] + within
+            b_hat, Ainv, logdet_A = (
+                np.concatenate([c, getattr(post, f).reshape(n * m, *c.shape[1:]),
+                                *(copies[i] for copies in copied)])[at]
+                for i, (c, f) in enumerate(zip(carry, fields)))
+            tag_rows = np.array(anchor_tags[j0:j1], dtype=np.intp).reshape(n, K)
+            kl = self._kl(block, post, _Posterior(b_hat, None, None, Ainv, logdet_A),
+                          tau2_rows[tag_rows[:, group]],
+                          np.array(log_ratio).reshape(n, K)[:, group])
+            loglik = self._loglik(block, shard, post)
+            finite = np.isfinite(kl) & np.isfinite(loglik)
+            if not finite.all():
+                r, i = np.argwhere(~finite)[0]
+                raise NumericalDomainError(
+                    f"row {j0 + r}, subset {group[i]}: non-finite free-energy term")
+            carry = [a[-1].copy() for a in (b_hat, Ainv, logdet_A)]
+            out.extend([math.fsum(ll[a:b]) - math.fsum(kk[a:b]) for a, b in zip(starts, ends)]
+                       for ll, kk in zip(loglik.tolist(), kl.tolist()))
+            # so the next block's arrays replace this block's, not join them
+            del post, b_hat, Ainv, logdet_A, kl, loglik
         return out
 
     # -- wire serialization --------------------------------------------------

@@ -72,10 +72,13 @@ class ModelContract(ABC):
     KL(posterior at thetas[anchor_tags[j][k]] || posterior at thetas[j]).
     A tag of row j is in 0..j, as in a `run_dem` trace; any other tag is a
     ValueError.  So one call for a whole trace can compute the posterior at
-    each thetas[t] once, at row t, for every subset whose tag is t, and
-    keeps nothing of it after the call.  With every tag of row j equal to j
-    the terms must equal the subsets' local_loglik values at thetas[j], and
-    local_loglik must stay finite on the valid parameter domain.
+    each thetas[t] once, with row t or with a block of rows around it, for
+    every subset whose tag is t, and keeps nothing of it after the call.
+    With every tag of row j equal to j the terms must equal the subsets'
+    local_loglik values at thetas[j], and local_loglik must stay finite on
+    the valid parameter domain.  A term that is not finite is a
+    NumericalDomainError, raised by the model naming the first such row
+    and subset, or by evaluate_F and check_monotone_F naming the subset.
 
     The wire methods are all a socket pool knows of the model.
     pack_theta(theta) and pack_stats(stats) flatten a parameter and an

@@ -33,6 +33,19 @@ def local_kl(model, theta_eval, theta_anchor, subset):
     return math.fsum(model._kl(theta_eval, post, anchor, theta_anchor.tau2, log_ratio))
 
 
+def theta_bytes(theta):
+    return theta.Dinv.tobytes() + theta.resid_coef.tobytes()
+
+
+def point_bytes(theta):
+    """theta_bytes of each point a posterior call gets: one Theta, or every
+    row of the stack the free-energy audit passes."""
+    q = theta.Dinv.shape[-1]
+    Dinv = np.reshape(theta.Dinv, (-1, q, q))
+    return [d.tobytes() + c.tobytes()
+            for d, c in zip(Dinv, np.reshape(theta.resid_coef, (len(Dinv), -1)))]
+
+
 @pytest.fixture(scope="session")
 def small_dataset():
     samples, truth = simulate(SimDesign(m=60, n=1200, p=4, q=3, seed=11))

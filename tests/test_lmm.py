@@ -23,9 +23,10 @@ from demfit import (
     partition,
     run_dem,
 )
+from demfit import lmm
 from demfit.ddsum import DDArray
 from demfit.lmm import LmmShard, theta_to_vec, vec_to_theta
-from conftest import local_kl, random_sample, random_theta
+from conftest import local_kl, point_bytes, random_sample, random_theta, theta_bytes
 
 
 # -- independent oracles -----------------------------------------------------
@@ -278,7 +279,7 @@ def test_model_keeps_no_per_call_state(small_dataset):
     assert all(vars(shard)[name] is value for name, value in data.items())
 
 
-def test_audit_prepares_once_and_one_posterior_per_theta(small_dataset):
+def test_audit_prepares_once_and_one_posterior_per_theta(small_dataset, monkeypatch):
     # a "finish" run delivers E steps at tags that no subset holds at the
     # rows in between, so a posterior kept until its last reference would
     # outlive the rows that refer to it
@@ -291,31 +292,37 @@ def test_audit_prepares_once_and_one_posterior_per_theta(small_dataset):
     class CountingModel(LmmModel):
         def __init__(self, p, q):
             super().__init__(p, q)
-            self.prepared, self.rows, self.held, self.alive = 0, 0, [], []
+            self.prepared, self.calls, self.held, self.alive = 0, [], [], []
 
         def prepare(self, subset):
             self.prepared += 1
             return super().prepare(subset)
 
         def _posterior(self, theta, shard):
-            # count the earlier posteriors still reachable from the audit
+            # count the earlier calls' posteriors still reachable from the audit
             self.held.append(sum(any(ref() is not None for ref in refs) for refs in self.alive))
             post = super()._posterior(theta, shard)
-            self.rows += len(shard)
+            self.calls.append((point_bytes(theta), len(shard)))
             self.alive.append([weakref.ref(x) for x in post])
             return post
 
-    model = CountingModel(4, 3)
-    assert check_monotone_F(tr, model, subsets) == []
-    assert model.prepared == 1
-    assert model.rows == len(samples) * len(tr.thetas)
-    # row j computes the posterior at thetas[j]: with it, the audit holds at
-    # most one posterior more than row j has distinct anchor tags; in fact
-    # only the previous row's is still alive
-    assert len(model.held) == len(tr.thetas)
-    for held, tags in zip(model.held, tr.anchor_tags):
-        assert held <= len(set(tags))
-    assert max(model.held) == 1
+    # the default block, then blocks of 1, 2 and 3 rows
+    for per_block in (None, 1, 2, 3):
+        if per_block:
+            monkeypatch.setattr(lmm, "BLOCK", per_block * len(samples))
+        rows = max(1, lmm.BLOCK // len(samples))
+        model = CountingModel(4, 3)
+        assert check_monotone_F(tr, model, subsets) == []
+        assert model.prepared == 1
+        # each block of rows is one call over every sample, and each theta
+        # enters exactly one call, in row order
+        assert [n for _, n in model.calls] == [len(samples)] * -(-len(tr.thetas) // rows)
+        assert [p for points, _ in model.calls for p in points] == list(
+            map(theta_bytes, tr.thetas))
+        assert all(len(points) == rows for points, _ in model.calls[:-1])
+        # at most one block's posteriors are alive: each block's are gone
+        # before the next block's are computed
+        assert model.held == [0] * len(model.calls)
 
 
 def test_moments_computed_concurrently():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from demfit import (
     partition,
     run_dem,
 )
+from demfit import lmm
 from conftest import local_kl, random_sample, random_theta
 
 
@@ -110,6 +112,17 @@ def _fractional_run(samples):
     return model, subsets, tr
 
 
+def _finish_run(samples):
+    """A "finish" trace over 8 subsets, which delivers stale E steps, and
+    its tags for those subsets and an empty ninth one anchored at row 0."""
+    subsets = partition(samples, 8, seed=0)
+    model = LmmModel(4, 3)
+    _, tr = run_dem(RunConfig(K=8, gamma=0.25, seed=3, completion="finish"), model,
+                    subsets, Theta.default_start(4, 3))
+    assert tr.max_staleness >= 2
+    return model, subsets + [[]], tr, [list(row) + [0] for row in tr.anchor_tags]
+
+
 def test_evaluate_F_matches_subset_definition(small_dataset):
     # the batched pass over all subsets gives exactly the per-subset sum, at
     # every iteration whose anchors differ across subsets
@@ -158,13 +171,8 @@ def test_audit_one_model_call_per_audit(small_dataset):
 
 def test_path_matches_evaluate_F_bitwise(small_dataset):
     # completion "finish" delivers stale E steps, so subsets take tags that
-    # no subset held at the row before; the empty subset is anchored at 0
-    subsets = partition(small_dataset[0], 8, seed=0) + [[]]
-    model = LmmModel(4, 3)
-    _, tr = run_dem(RunConfig(K=8, gamma=0.25, seed=3, completion="finish"), model,
-                    subsets[:-1], Theta.default_start(4, 3))
-    assert tr.max_staleness >= 2
-    tags = [list(row) + [0] for row in tr.anchor_tags]
+    # no subset held at the row before
+    model, subsets, tr, tags = _finish_run(small_dataset[0])
     rows = model.free_energy_path(tr.thetas, tags, subsets)
     assert len(rows) == len(tr.thetas)
     expected = [evaluate_F(tr.thetas[j], [tr.thetas[t] for t in row], model, subsets)
@@ -201,20 +209,126 @@ def test_audit_reports_a_decrease(small_dataset, completion):
     assert after < before
 
 
+class PosteriorCallsModel(LmmModel):
+    """Counts its posterior calls."""
+
+    def __init__(self, p, q):
+        super().__init__(p, q)
+        self.posteriors = 0
+
+    def _posterior(self, theta, shard):
+        self.posteriors += 1
+        return super()._posterior(theta, shard)
+
+
 def test_path_rejects_tags_it_cannot_serve(small_dataset):
-    # a tag must be at most its row, also where thetas has a point past it
-    model, subsets, tr = _fractional_run(small_dataset[0])
+    # a tag must be at most its row, also where thetas has a point past it;
+    # the whole plan is checked before the first block's posterior
+    _, subsets, tr = _fractional_run(small_dataset[0])
+    model = PosteriorCallsModel(4, 3)
     thetas = tr.thetas + [tr.thetas[1]]
-    for row, tag in [(0, -1), (2, 3), (3, len(thetas)), (0, len(tr.thetas))]:
+    last = len(tr.thetas) - 1
+    for row, tag in [(0, -1), (2, 3), (3, len(thetas)), (0, len(tr.thetas)), (last, last + 1)]:
         tags = [list(r) for r in tr.anchor_tags]
         tags[row][1] = tag
         with pytest.raises(ValueError, match=rf"row {row}: anchor tag {tag} "):
             model.free_energy_path(thetas, tags, subsets)
+    tags = [list(r) for r in tr.anchor_tags]
+    tags[last].append(0)
+    with pytest.raises(ValueError, match=rf"^row {last}: need one anchor tag per subset"):
+        model.free_energy_path(tr.thetas, tags, subsets)
+    assert model.posteriors == 0
 
 
 def test_path_names_the_first_row_without_a_point(small_dataset):
     # a trace's anchor tags with one point fewer than its rows
-    model, subsets, tr = _fractional_run(small_dataset[0])
+    _, subsets, tr = _fractional_run(small_dataset[0])
+    model = PosteriorCallsModel(4, 3)
     last = len(tr.thetas) - 1
     with pytest.raises(ValueError, match=rf"^row {last}: no point in thetas"):
         model.free_energy_path(tr.thetas[:-1], tr.anchor_tags, subsets)
+    assert model.posteriors == 0
+
+
+def test_path_blocks_match_subset_definition(small_dataset, monkeypatch):
+    """Blocks of 1, 2 and 3 rows, and the default, give every row and
+    subset bitwise its per-subset definition, on a trace and on the rows
+    of evaluate_F, whose last row takes the subsets back to earlier
+    points."""
+    samples = small_dataset[0]
+    model, subsets, tr, tags = _finish_run(samples)
+    mixed = [t for t, row in enumerate(tr.anchor_tags) if len(set(row)) > 2]
+    assert mixed
+    for per_block in (1, 2, 3, None):
+        if per_block:
+            monkeypatch.setattr(lmm, "BLOCK", per_block * len(samples))
+        else:
+            monkeypatch.undo()
+        rows = model.free_energy_path(tr.thetas, tags, subsets)
+        assert len(rows) == len(tr.thetas)
+        for theta, row, terms in zip(tr.thetas, tags, rows):
+            assert terms == [model.local_loglik(theta, subset)
+                             - local_kl(model, theta, tr.thetas[t], subset)
+                             for t, subset in zip(row, subsets)]
+        for t in mixed:
+            theta = tr.thetas[t]
+            anchors = [tr.thetas[tag] for tag in tags[t]]
+            expected = 0.0
+            for anchor, subset in zip(anchors, subsets):
+                expected += -local_kl(model, theta, anchor, subset) + model.local_loglik(
+                    theta, subset)
+            assert evaluate_F(theta, anchors, model, subsets) == expected
+
+
+def test_path_memory_does_not_grow_with_rows(small_dataset):
+    """The audit keeps no anchors per row: on a trace's rows repeated 4x
+    over the same data its tracemalloc peak is within one block's array of
+    its peak on the trace."""
+    samples = small_dataset[0]
+    model, subsets, tr, tags = _finish_run(samples)
+    R = len(tags)
+    thetas4 = tr.thetas * 4
+    tags4 = [[t + c * R for t in row] for c in range(4) for row in tags]
+
+    def peak(thetas, tags):
+        tracemalloc.start()
+        try:
+            model.free_energy_path(thetas, tags, subsets)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # one (rows, m, q, q) float array of a block, such as the posterior's A
+    m, q = len(samples), model.q
+    block = max(1, lmm.BLOCK // m) * m * q * q * 8
+    assert R > lmm.BLOCK // m
+    once, four = peak(tr.thetas, tags), peak(thetas4, tags4)
+    assert abs(four - once) < block
+
+
+def test_path_names_the_first_non_finite_term(monkeypatch):
+    """A term that is not finite is named by its row and subset, the first
+    in row order, whatever rows a block holds."""
+    rng = np.random.default_rng(5)
+    model = LmmModel(2, 2)
+    theta = random_theta(rng, 2, 2)
+    subsets = [[random_sample(rng, 2, 2) for _ in range(3)] for _ in range(3)]
+    bad = subsets[1][2]
+    nan_subsets = [subsets[0], subsets[1][:2] + [Sample(y=np.append(bad.y[:-1], np.nan),
+                                                         X=bad.X, Z=bad.Z)], subsets[2]]
+    # an error variance so small that the marginal density's quadratic
+    # form overflows, at row 3 of 5 only; the first subset is empty
+    tiny = Theta(theta.beta, theta.L, 1e-320)
+    thetas = [random_theta(rng, 2, 2) for _ in range(3)] + [tiny, theta]
+    rows = [[0, j, max(0, j - 1), j] for j in range(5)]
+    m = sum(map(len, subsets))
+    for per_block in (1, 2, 3, None):
+        if per_block:
+            monkeypatch.setattr(lmm, "BLOCK", per_block * m)
+        else:
+            monkeypatch.undo()
+        with pytest.raises(NumericalDomainError, match=r"^row 0, subset 1: non-finite"):
+            evaluate_F(theta, [theta] * 3, model, nan_subsets)
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericalDomainError, match=r"^row 3, subset 1: non-finite"):
+            model.free_energy_path(thetas, rows, [[]] + subsets)

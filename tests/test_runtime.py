@@ -35,6 +35,7 @@ from demfit.transport import (
     read_frame,
     write_frame,
 )
+from conftest import point_bytes, theta_bytes
 
 
 def thetas_equal(a: Theta, b: Theta) -> bool:
@@ -285,21 +286,22 @@ def test_fresh_estep_loglik_is_local_loglik(fitted_pieces, K):
             assert fresh == model.local_loglik(theta, model.prepare(subset))
 
 
-def theta_bytes(theta):
-    return theta.Dinv.tobytes() + theta.resid_coef.tobytes()
-
-
 class PosteriorCountingModel(LmmModel):
     """Counts the sample rows of every posterior it computes, by the bytes
-    of its D^{-1} and (-beta, 1); socket workers share the model, so the
-    count covers every thread."""
+    of each point's D^{-1} and (-beta, 1), and lists the points of each
+    call; socket workers share the model, so the count covers every
+    thread."""
 
     def __init__(self, p, q):
         super().__init__(p, q)
         self.rows = Counter()
+        self.calls = []
 
     def _posterior(self, theta, shard):
-        self.rows[theta_bytes(theta)] += len(shard)
+        points = point_bytes(theta)
+        self.calls.append(points)
+        for point in points:
+            self.rows[point] += len(shard)
         return super()._posterior(theta, shard)
 
 
@@ -348,6 +350,13 @@ def test_gamma_one_exact_run_one_posterior_per_worker_and_theta(fitted_pieces, t
     # every worker's samples enter one posterior per theta, and only those
     assert len(set(map(theta_bytes, tr.thetas))) == len(tr.thetas)
     assert model.rows == {theta_bytes(theta): len(samples) for theta in tr.thetas}
+    # so does the audit, and each theta enters exactly one posterior call
+    model.rows.clear()
+    model.calls.clear()
+    assert check_monotone_F(tr, model, partition(samples, K, seed=0)) == []
+    assert model.rows == {theta_bytes(theta): len(samples) for theta in tr.thetas}
+    assert sorted(p for points in model.calls for p in points) == sorted(
+        map(theta_bytes, tr.thetas))
 
 
 @contextmanager
