@@ -525,9 +525,34 @@ class LmmModel(ModelContract):
         return post.b_hat[0], theta.tau2 * post.Ainv[0]
 
     # -- ModelContract operations -------------------------------------------
+    @staticmethod
+    def _stack(shards: Sequence[LmmShard]) -> LmmShard:
+        """The samples of several shards as one shard of the arrays the
+        kernel reads; each shard's data-only sums and n_total are read off
+        the shard itself."""
+        if len(shards) == 1:
+            return shards[0]
+        return LmmShard(
+            *(np.concatenate([getattr(s, f) for s in shards]) for f in ("n", "G", "ZZ", "R")),
+            const=None, n_total=None,
+        )
+
     def local_loglik(self, theta: Theta, subset: SubsetData | LmmShard) -> float:
-        shard = self._shard(subset)
-        return math.fsum(_finite_loglik(self._loglik(theta, shard, self._posterior(theta, shard))))
+        return self.local_logliks(theta, [self._shard(subset)])[0]
+
+    def local_logliks(self, theta: Theta, shards: Sequence[LmmShard]) -> list:
+        """Local log likelihoods of several shards at one theta, from one
+        posterior and loglik pass over their samples stacked together.
+        Each sample's term comes from its own data alone, and each shard's
+        terms are summed on their own by `math.fsum`, so every value is
+        bitwise that of the shard on its own."""
+        if not shards:
+            return []
+        stacked = self._stack(shards)
+        post = self._posterior(theta, stacked)
+        terms = _finite_loglik(self._loglik(theta, stacked, post)).tolist()
+        ends = list(itertools.accumulate(len(shard) for shard in shards))
+        return [math.fsum(terms[end - len(shard) : end]) for shard, end in zip(shards, ends)]
 
     def local_estep(self, theta: Theta, subset: SubsetData | LmmShard, subset_id: int = 0,
                     anchor_tag: int = 0) -> SuffStats:
@@ -542,12 +567,7 @@ class LmmModel(ModelContract):
         its own rows in the tree `DDArray.sum_rows` builds for its size, so
         every result is bitwise that of the shard on its own."""
         p, q = self.p, self.q
-        # the stacked shard holds only the arrays the kernel reads; each
-        # shard's data-only sums and n_total are read off the shard itself
-        stacked = shards[0] if len(shards) == 1 else LmmShard(
-            *(np.concatenate([getattr(s, f) for s in shards]) for f in ("n", "G", "ZZ", "R")),
-            const=None, n_total=None,
-        )
+        stacked = self._stack(shards)
         m = len(stacked)
         post = self._posterior(theta, stacked)
         b_hat = post.b_hat

@@ -6,7 +6,9 @@ results, and convergence monitoring.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
@@ -62,10 +64,13 @@ class ModelContract(ABC):
     the anchor.  local_esteps(theta, shards, subset_ids, anchor_tag) gives
     the E steps of several prepared subsets at one theta, one SuffStats per
     shard in their order, each bitwise what local_estep gives for that
-    shard alone: the in-process pool serves a batch of requests through
-    it, while a socket worker, which holds one shard, calls local_estep.
-    The default calls local_estep per shard; a model may serve the batch in
-    one pass instead.
+    shard alone, and local_logliks(theta, shards) their local log
+    likelihoods, each bitwise local_loglik of its shard.  The pools serve
+    a batch of requests through them: the in-process pool all requests at
+    one theta (and anchor tag), a socket endpoint those of its share, and
+    a lone request on a socket endpoint goes to local_estep or
+    local_loglik.  The defaults call those once per shard; a model may
+    serve the batch in one pass instead.
 
     free_energy_path(thetas, anchor_tags, subsets) returns, for row j of
     anchor_tags and subset k, the local log likelihood at thetas[j] minus
@@ -102,6 +107,9 @@ class ModelContract(ABC):
     def local_esteps(self, theta, shards, subset_ids, anchor_tag) -> list:
         return [self.local_estep(theta, shard, k, anchor_tag)
                 for shard, k in zip(shards, subset_ids)]
+
+    def local_logliks(self, theta, shards) -> list:
+        return [self.local_loglik(theta, shard) for shard in shards]
 
     @abstractmethod
     def cm_steps(self, agg, theta_current): ...
@@ -149,11 +157,15 @@ def aggregate_stats(cache: dict, K: int) -> SuffStats:
 
 
 def _free_energy(terms) -> float:
-    total = 0.0
-    for k, term in enumerate(terms):
-        if not math.isfinite(term):
-            raise NumericalDomainError(f"non-finite free-energy term for subset {k}")
-        total += term
+    """The terms summed left to right.  Only a total that is not finite
+    has its terms scanned: a term that is not finite is a
+    NumericalDomainError naming its subset, while finite terms whose sum
+    overflows give an infinite total."""
+    total = functools.reduce(operator.add, terms, 0.0)
+    if not math.isfinite(total):
+        for k, term in enumerate(terms):
+            if not math.isfinite(term):
+                raise NumericalDomainError(f"non-finite free-energy term for subset {k}")
     return total
 
 

@@ -343,7 +343,7 @@ def test_socket_reply_of_the_wrong_length_is_an_error(workspace, tmp_path, capsy
 
 
 def test_dead_socket_worker_is_an_error(workspace, tmp_path, capsys, monkeypatch):
-    def dead_worker(self, conn, k, shard):
+    def dead_worker(self, conn, shards):
         conn.close()
 
     monkeypatch.setattr(SocketPool, "_serve", dead_worker)

@@ -259,6 +259,26 @@ def test_stacked_esteps_match_one_shard_each(q):
             assert model.pack_stats(got).tobytes() == model.pack_stats(want).tobytes()
 
 
+@pytest.mark.parametrize("q", [3, 6])
+def test_stacked_logliks_match_one_shard_each(q):
+    """One local_logliks call over empty, 1-sample and mixed-size shards
+    gives each shard bitwise its local_loglik, at two parameter points."""
+    rng = np.random.default_rng(60 + q)
+    p = 4
+    model = LmmModel(p, q)
+    sizes = (0, 1, 3, 0, 10, 1, 6)
+    shards = [model.prepare([random_sample(rng, p, q) for _ in range(m)]) for m in sizes]
+    assert model.local_logliks(random_theta(rng, p, q), []) == []
+    for theta in (random_theta(rng, p, q), random_theta(rng, p, q)):
+        got = model.local_logliks(theta, shards)
+        want = [model.local_loglik(theta, shard) for shard in shards]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert got[0] == got[3] == 0.0
+        # one shard alone, and the samples of a shard as a plain subset
+        assert model.local_logliks(theta, shards[2:3]) == want[2:3]
+        assert model.local_loglik(theta, [random_sample(rng, p, q)]) != 0.0
+
+
 def test_model_keeps_no_per_call_state(small_dataset):
     samples, _ = small_dataset
     model = LmmModel(4, 3)

@@ -150,6 +150,56 @@ def test_evaluate_F_non_finite_subset():
         evaluate_F(theta, [theta] * 3, model, subsets)
 
 
+def test_free_energy_tests_only_the_total(monkeypatch):
+    """A row's free energy is its terms summed left to right, bitwise.  Only
+    a total that is not finite has its terms scanned: a term that is not
+    finite is a NumericalDomainError naming its subset, while finite terms
+    whose sum overflows give an infinite total without raising."""
+    from demfit import model as model_mod
+
+    checked = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def isfinite(self, x):
+            checked.append(x)
+            return math.isfinite(x)
+
+    monkeypatch.setattr(model_mod, "math", CountingMath())
+    terms = [0.1, 0.2, 0.3, -1e-17, 7.0]
+    total = 0.0
+    for term in terms:
+        total += term
+    assert model_mod._free_energy(terms).hex() == total.hex()
+    assert len(checked) == 1
+    assert model_mod._free_energy([1e308, 1e308, -1.0]) == math.inf
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NumericalDomainError, match="^non-finite free-energy term for subset 2$"):
+            model_mod._free_energy([1.0, 2.0, bad, math.inf])
+
+    class RowsModel:
+        """Hands check_monotone_F fixed rows of terms."""
+
+        def __init__(self, rows):
+            self.rows = rows
+
+        def free_energy_path(self, thetas, anchor_tags, subsets):
+            return self.rows
+
+    trace = Trace(thetas=[None] * 3, anchor_tags=[[0, 0]] * 3)
+    checked.clear()
+    rows = [[-2.0, -1.0], [-1.5, -1.0], [-3.0, -1.0]]
+    assert check_monotone_F(trace, RowsModel(rows), [[], []]) == [(2, -2.5, -4.0)]
+    assert len(checked) == len(rows)
+    with pytest.raises(NumericalDomainError, match="for subset 1$"):
+        check_monotone_F(trace, RowsModel([[-2.0, -1.0], [-1.5, math.nan], [0.0, 0.0]]),
+                         [[], []])
+    assert check_monotone_F(trace, RowsModel([[-2.0, -1.0], [1e308, 1e308], [1e308, 1e308]]),
+                            [[], []]) == []
+
+
 def test_audit_one_model_call_per_audit(small_dataset):
     class CountingModel(LmmModel):
         def __init__(self, p, q):

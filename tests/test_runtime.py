@@ -22,6 +22,7 @@ from demfit import (
     run_ecme0,
     run_scheme,
 )
+import demfit.transport as transport_mod
 from demfit.lmm import LmmShard
 from demfit.transport import (
     KIND_ERROR,
@@ -36,6 +37,11 @@ from demfit.transport import (
     write_frame,
 )
 from conftest import point_bytes, theta_bytes
+
+
+def pin_endpoints(monkeypatch, n: int):
+    """Serve every later socket pool from min(K, n) endpoints."""
+    monkeypatch.setattr(transport_mod, "ENDPOINTS", n)
 
 
 def thetas_equal(a: Theta, b: Theta) -> bool:
@@ -361,9 +367,9 @@ def test_gamma_one_exact_run_one_posterior_per_worker_and_theta(fitted_pieces, t
 
 @contextmanager
 def socketpair_worker(pool, serve):
-    """Swap worker 0's connection for a socketpair, with the same reply
-    timeout, whose peer runs serve(sock) on a thread; restore it, close the
-    pool and join the thread afterwards."""
+    """Swap the connection of endpoint 0, which serves subset 0, for a
+    socketpair, with the same reply timeout, whose peer runs serve(sock) on
+    a thread; restore it, close the pool and join the thread afterwards."""
     manager_end, worker_end = socket.socketpair()
     manager_end.settimeout(pool._conns[0].gettimeout())
     real_conn, pool._conns[0] = pool._conns[0], manager_end
@@ -400,9 +406,10 @@ def test_pools_prepare_once_per_worker(fitted_pieces, transport):
             self.received.extend(map(type, shards))
             return super().local_esteps(theta, shards, subset_ids, anchor_tag)
 
-        def local_loglik(self, theta, subset):
-            self.received.append(type(subset))
-            return super().local_loglik(theta, subset)
+        # LmmModel answers a lone E step or loglik through these as well
+        def local_logliks(self, theta, shards):
+            self.received.extend(map(type, shards))
+            return super().local_logliks(theta, shards)
 
     K = 4
     model = CountingModel(3, 3)
@@ -444,9 +451,11 @@ def test_socket_run_needs_no_listening_port(fitted_pieces, monkeypatch):
 
 
 def test_pool_closes_started_workers_when_one_fails_to_start(fitted_pieces, monkeypatch):
-    """A worker thread that cannot start fails the pool, and the workers
-    started before it are ended, not left blocked on their connections."""
+    """An endpoint thread that cannot start fails the pool, and the
+    endpoints started before it are ended, not left blocked on their
+    connections."""
     samples, model, theta0 = fitted_pieces
+    pin_endpoints(monkeypatch, 4)
     threads = set(threading.enumerate())
     start, started = threading.Thread.start, []
 
@@ -627,15 +636,18 @@ def test_pools_count_answered_requests(fitted_pieces, transport):
 
 
 @pytest.mark.parametrize("failure", ["error_frame", "connection_lost"])
-def test_socket_batch_reads_every_reply_past_a_failure(fitted_pieces, failure):
-    """Worker 0 fails in a batch that worker 1 answers: the ProtocolError
-    names worker 0, only worker 1's answer is counted, and worker 1's next
-    request gets its own reply, not the one left over from the batch."""
+def test_socket_batch_reads_every_reply_past_a_failure(fitted_pieces, failure, monkeypatch):
+    """Worker 0 fails in a batch that worker 1, on the other endpoint,
+    answers: the ProtocolError names worker 0, only worker 1's answer is
+    counted, and worker 1's next request gets its own reply, not the one
+    left over from the batch."""
     samples, _, theta0 = fitted_pieces
+    pin_endpoints(monkeypatch, 2)
 
     class FailingModel(LmmModel):
+        # fails whenever subset 0 is among the shards, alone or grouped
         def local_esteps(self, theta, shards, subset_ids, anchor_tag):
-            if subset_ids == [0]:
+            if 0 in subset_ids:
                 raise RuntimeError("boom in 0")
             return super().local_esteps(theta, shards, subset_ids, anchor_tag)
 
@@ -691,6 +703,27 @@ def test_in_process_batch_mixing_anchor_tags(fitted_pieces):
         want = LmmModel(3, 3).local_estep(theta, subsets[k], k, tag)
         assert (stats.subset_id, stats.anchor_tag) == (k, tag)
         assert model.pack_stats(stats).tobytes() == model.pack_stats(want).tobytes()
+
+
+def test_in_process_batch_retries_a_failing_group_per_request(fitted_pieces):
+    """In process, as on a socket endpoint, a grouped call that raises is
+    retried one request at a time: the failure raised is subset 0's, and
+    the other subsets of its group are answered and counted."""
+    samples, _, theta0 = fitted_pieces
+    calls = []
+
+    class FailingModel(LmmModel):
+        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
+            calls.append(list(subset_ids))
+            if 0 in subset_ids:
+                raise RuntimeError("boom in 0")
+            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
+
+    pool = InProcessPool(FailingModel(3, 3), partition(samples, 3, seed=0))
+    with pytest.raises(RuntimeError, match="^boom in 0$"):
+        pool.esteps([(2, theta0, 1), (0, theta0, 1), (1, theta0, 1)])
+    assert calls == [[2, 0, 1], [2], [0], [1]]
+    assert pool.messages_sent == 2 * 2
 
 
 def test_silent_worker_times_out(fitted_pieces, monkeypatch):
@@ -763,11 +796,12 @@ def test_worker_whose_manager_timed_out_exits_quietly(fitted_pieces, monkeypatch
 
 @contextmanager
 def raw_worker(model, shard):
-    """Run `SocketPool._serve` on shard as worker 0 over one end of a socket
-    pair and yield the other end; join the worker once that end closes."""
+    """Run `SocketPool._serve` as an endpoint holding shard as subset 0
+    over one end of a socket pair and yield the other end; join the
+    endpoint once that end closes."""
     client, worker_end = socket.socketpair()
     worker = threading.Thread(target=SocketPool(model, [])._serve,
-                              args=(worker_end, 0, shard), daemon=True)
+                              args=(worker_end, {0: shard}), daemon=True)
     worker.start()
     with client:
         client.settimeout(5)
@@ -839,8 +873,9 @@ def test_pool_close_releases_dead_connections(fitted_pieces, monkeypatch):
     """close() closes every connection, also those whose worker is gone:
     it writes nothing to them."""
     samples, model, theta0 = fitted_pieces
+    pin_endpoints(monkeypatch, 2)
 
-    def dead_worker(self, conn, k, shard):
+    def dead_worker(self, conn, shards):
         conn.close()
 
     monkeypatch.setattr(SocketPool, "_serve", dead_worker)
@@ -851,11 +886,12 @@ def test_pool_close_releases_dead_connections(fitted_pieces, monkeypatch):
     assert [conn.fileno() for conn in pool._conns] == [-1, -1]
 
 
-def test_socket_worker_unpacks_each_theta_once(fitted_pieces):
-    """In a gamma = 1 exact-loglik socket run each worker is sent each
-    parameter once, theta_0 .. theta_{T-1} for its E steps and theta_T for
-    the closing loglik, and unpacks it once.  The trace is that of the
-    in-process run."""
+def test_socket_worker_unpacks_each_theta_once(fitted_pieces, monkeypatch):
+    """In a gamma = 1 exact-loglik socket run each endpoint is sent each
+    parameter once per batch, theta_0 .. theta_{T-1} for its E steps and
+    theta_T for the closing loglik, and unpacks it once, however many
+    subsets it serves: with 1, 2 or K = 3 endpoints.  The trace is that of
+    the in-process run."""
     samples, _, theta0 = fitted_pieces
     unpacked = []
 
@@ -867,12 +903,226 @@ def test_socket_worker_unpacks_each_theta_once(fitted_pieces):
     K = 3
     subsets = partition(samples, K, seed=0)
     cfg = dict(K=K, exact_loglik_check=True)
-    _, tr = run_dem(RunConfig(**cfg, transport="socket"), CountingModel(3, 3),
-                    subsets, theta0)
     _, ref = run_dem(RunConfig(**cfg), LmmModel(3, 3), subsets, theta0)
-    assert traces_equal(tr, ref) and tr.messages_sent == ref.messages_sent
+    for endpoints in (1, 2, K):
+        pin_endpoints(monkeypatch, endpoints)
+        unpacked.clear()
+        _, tr = run_dem(RunConfig(**cfg, transport="socket"), CountingModel(3, 3),
+                        subsets, theta0)
+        assert traces_equal(tr, ref) and tr.messages_sent == ref.messages_sent
+        assert tr.final_loglik == ref.final_loglik
+        assert len(set(unpacked)) == len(unpacked) == endpoints * len(tr.thetas)
+
+
+@pytest.mark.parametrize("endpoints", [1, 2, 100])
+def test_pool_serves_subsets_from_endpoints(fitted_pieces, monkeypatch, endpoints):
+    """A socket pool starts min(K, endpoints) endpoint threads, and subset k
+    is served by endpoint k mod E."""
+    samples, model, _ = fitted_pieces
+    pin_endpoints(monkeypatch, endpoints)
+    served = []
+    serve = SocketPool._serve
+
+    def recording_serve(self, conn, shards):
+        served.append(sorted(shards))
+        serve(self, conn, shards)
+
+    monkeypatch.setattr(SocketPool, "_serve", recording_serve)
+    pool = SocketPool(model, partition(samples, 5, seed=0))
+    pool.close()
+    E = min(5, endpoints)
+    assert len(pool._threads) == len(pool._conns) == E
+    assert sorted(served) == [list(range(e, 5, E)) for e in range(E)]
+
+
+@pytest.mark.parametrize("endpoints", [1, 2, "K"])
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+@pytest.mark.parametrize("completion", ["restart", "finish"])
+@pytest.mark.parametrize("exact", [False, True])
+def test_endpoint_layouts_give_the_in_process_trace(fitted_pieces, monkeypatch, endpoints,
+                                                    gamma, completion, exact):
+    """Whether one endpoint serves every subset, two share them unevenly or
+    each subset has its own, a socket run's trace and messages_sent are
+    bitwise those of the in-process run."""
+    samples, model, theta0 = fitted_pieces
+    K = 5
+    subsets = partition(samples, K, seed=0)
+    cfg = dict(K=K, gamma=gamma, seed=3, completion=completion, exact_loglik_check=exact)
+    _, ref = run_dem(RunConfig(**cfg), model, subsets, theta0)
+    pin_endpoints(monkeypatch, K if endpoints == "K" else endpoints)
+    threads = set(threading.enumerate())
+    _, tr = run_dem(RunConfig(**cfg, transport="socket"), model, subsets, theta0)
+    assert set(threading.enumerate()) == threads
+    assert tr.converged and ref.converged
+    assert traces_equal(tr, ref)
+    assert tr.accept_sets == ref.accept_sets
+    assert tr.anchor_tags == ref.anchor_tags
+    assert tr.messages_sent == ref.messages_sent
     assert tr.final_loglik == ref.final_loglik
-    assert len(set(unpacked)) == len(unpacked) == K * len(tr.thetas)
+
+
+@pytest.mark.parametrize("endpoints", [1, 2])
+@pytest.mark.parametrize("kind", ["estep", "loglik"])
+def test_failing_subset_named_while_its_endpoint_answers_the_rest(
+        fitted_pieces, monkeypatch, endpoints, kind):
+    """Subset 0 fails inside a grouped call on its endpoint: the endpoint
+    retries its share one request at a time, so the ProtocolError names
+    subset 0, the other subsets of the endpoint (2, and 1 and 3 at E = 1)
+    are answered and counted, and each later request gets its own reply."""
+    samples, _, theta0 = fitted_pieces
+    pin_endpoints(monkeypatch, endpoints)
+    subsets = partition(samples, 4, seed=0)
+    grouped = []
+
+    class FailingModel(LmmModel):
+        # fails whenever subset 0 is among the shards, alone or grouped
+        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
+            grouped.append(len(shards))
+            if 0 in subset_ids:
+                raise RuntimeError("boom in 0")
+            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
+
+        def local_logliks(self, theta, shards):
+            grouped.append(len(shards))
+            if any(s is self.zero for s in shards):
+                raise RuntimeError("boom in 0")
+            return super().local_logliks(theta, shards)
+
+        def prepare(self, subset):
+            shard = super().prepare(subset)
+            if subset is subsets[0]:
+                self.zero = shard
+            return shard
+
+    model = FailingModel(3, 3)
+    theta1 = Theta(np.ones(3), 2.0 * np.eye(3), 3.0)
+    pool = SocketPool(model, subsets)
+    try:
+        with pytest.raises(ProtocolError, match="^worker 0 failed: RuntimeError: boom in 0$"):
+            if kind == "estep":
+                pool.esteps([(2, theta0, 1), (0, theta0, 1), (1, theta0, 1), (3, theta0, 1)])
+            else:
+                pool.logliks([2, 0, 1, 3], theta0)
+        assert max(grouped) == 4 // endpoints  # the share went to one grouped call first
+        assert pool.messages_sent == 2 * 3
+        got = pool.esteps([(3, theta1, 2), (2, theta1, 2), (1, theta1, 2)])
+        lls = pool.logliks([3, 1, 2], theta1)
+        assert pool.messages_sent == 2 * 9
+    finally:
+        pool.close()
+    ref = LmmModel(3, 3)
+    for k, stats in zip([3, 2, 1], got):
+        want = ref.local_estep(theta1, ref.prepare(subsets[k]), k, 2)
+        assert (stats.subset_id, stats.anchor_tag) == (k, 2)
+        assert model.pack_stats(stats).tobytes() == model.pack_stats(want).tobytes()
+    assert lls == [ref.local_loglik(theta1, subsets[k]) for k in (3, 1, 2)]
+
+
+def test_dropped_endpoint_loses_every_subset_on_it(fitted_pieces, monkeypatch):
+    """The endpoint serving subsets 0 and 2 is gone: every request for
+    either is "worker k: connection lost", in a batch and after it, while
+    subsets 1 and 3 on the other endpoint are answered and counted."""
+    samples, model, theta0 = fitted_pieces
+    pin_endpoints(monkeypatch, 2)
+    serve = SocketPool._serve
+
+    def serve_or_drop(self, conn, shards):
+        if 0 in shards:
+            conn.close()
+        else:
+            serve(self, conn, shards)
+
+    monkeypatch.setattr(SocketPool, "_serve", serve_or_drop)
+    pool = SocketPool(model, partition(samples, 4, seed=0))
+    try:
+        with pytest.raises(ProtocolError, match="^worker 2: connection lost"):
+            pool.esteps([(2, theta0, 1), (1, theta0, 1), (0, theta0, 1), (3, theta0, 1)])
+        assert pool.messages_sent == 4
+        for k in (0, 2):
+            with pytest.raises(ProtocolError, match=f"^worker {k}: connection lost"):
+                pool.esteps([(k, theta0, 2)])
+            with pytest.raises(ProtocolError, match=f"^worker {k}: connection lost"):
+                pool.logliks([k], theta0)
+        assert len(pool.logliks([3, 1], theta0)) == 2
+        assert pool.messages_sent == 8
+    finally:
+        pool.close()
+
+
+@pytest.mark.parametrize("endpoints", [1, 2])
+def test_batch_larger_than_the_socket_buffers_completes(fitted_pieces, monkeypatch,
+                                                        endpoints):
+    """An endpoint's share of requests and its replies each exceed what its
+    socket pair buffers: the batch still completes, because an endpoint
+    writes nothing before it has read its whole share.  A deadlock would
+    end in the reply timeout, not hang."""
+    samples, model, theta0 = fitted_pieces
+    monkeypatch.setattr(transport_mod, "REPLY_TIMEOUT_S", 20.0)
+    pin_endpoints(monkeypatch, endpoints)
+    socketpair, buffered = socket.socketpair, []
+
+    def small_socketpair():
+        pair = socketpair()
+        for sock in pair:
+            for opt in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+                sock.setsockopt(socket.SOL_SOCKET, opt, 4096)
+                buffered.append(sock.getsockopt(socket.SOL_SOCKET, opt))
+        return pair
+
+    monkeypatch.setattr(transport_mod.socket, "socketpair", small_socketpair)
+    K = 400
+    subsets = [[samples[k % len(samples)]] for k in range(K)]
+    pool = SocketPool(model, subsets)
+    try:
+        requests = [(k, theta0, 1) for k in range(K)]
+        got = pool.esteps(requests)
+        lls = pool.logliks(range(K), theta0)
+    finally:
+        pool.close()
+    share = K // endpoints
+    theta_bytes_out = 8 * len(model.pack_theta(theta0))
+    stats_bytes = 8 * len(model.pack_stats(got[0]))
+    assert share * (17 + theta_bytes_out) > 2 * max(buffered)
+    assert share * (17 + stats_bytes) > 2 * max(buffered)
+    want = InProcessPool(model, subsets)
+    assert [model.pack_stats(s).tobytes() for s in got] == [
+        model.pack_stats(s).tobytes() for s in want.esteps(requests)]
+    assert lls == want.logliks(range(K), theta0)
+    assert pool.messages_sent == want.messages_sent == 4 * K
+
+
+def test_endpoint_unpacks_each_theta_of_a_batch_once(fitted_pieces, monkeypatch):
+    """A batch mixing two parameters and two anchor tags over two endpoints
+    is unpacked once per endpoint and parameter, and served by one grouped
+    call per endpoint, parameter and tag; the results are the in-process
+    ones, bitwise."""
+    samples, _, theta0 = fitted_pieces
+    pin_endpoints(monkeypatch, 2)
+    unpacked, calls = [], []
+
+    class CountingModel(LmmModel):
+        def unpack_theta(self, arr):
+            unpacked.append((threading.get_ident(), arr.tobytes()))
+            return super().unpack_theta(arr)
+
+        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
+            calls.append((anchor_tag, sorted(subset_ids)))
+            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
+
+    theta1 = Theta(np.ones(3), 2.0 * np.eye(3), 3.0)
+    subsets = partition(samples, 8, seed=0)
+    requests = [(k, theta0, 1) for k in (0, 1, 2, 3)] + [(k, theta1, 2) for k in (4, 5, 6, 7)]
+    model = CountingModel(3, 3)
+    pool = SocketPool(model, subsets)
+    try:
+        got = pool.esteps(requests)
+    finally:
+        pool.close()
+    assert len(set(unpacked)) == len(unpacked) == 4
+    assert sorted(calls) == [(1, [0, 2]), (1, [1, 3]), (2, [4, 6]), (2, [5, 7])]
+    want = InProcessPool(LmmModel(3, 3), subsets).esteps(requests)
+    assert [model.pack_stats(s).tobytes() for s in got] == [
+        model.pack_stats(s).tobytes() for s in want]
 
 
 def test_incremental_pattern_single_fresh_worker(fitted_pieces):
