@@ -16,6 +16,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -222,8 +223,10 @@ def _slices(widths) -> dict:
     return out
 
 
-def _record_layout(p: int, q: int) -> dict:
-    """Column slices of the stacked `Sample.moments` records."""
+@lru_cache(maxsize=16)
+def _record_layout(p: int, q: int) -> MappingProxyType:
+    """Column slices of the stacked `Sample.moments` records, read-only,
+    since every caller shares them."""
     out = _slices([
         ("n", 1),
         ("yy", 1),
@@ -236,7 +239,7 @@ def _record_layout(p: int, q: int) -> dict:
     out["width"] = out["R"].stop
     # the moments that are statistics as they are, in accumulator order
     out["const"] = slice(out["yy"].start, out["XX"].stop)
-    return out
+    return MappingProxyType(out)
 
 
 def theta_to_vec(theta: Theta) -> np.ndarray:
@@ -358,13 +361,14 @@ class LmmSuffStats:
         )
 
 
-@dataclass(frozen=True, eq=False)
 class LmmShard:
-    """A worker's subset held resident for a run (`LmmModel.prepare`): the
-    samples' data moments stacked once, in the shapes the kernel reads.  It
-    keeps no reference to the samples.  X'Z and Z'y are the rows of one
-    array G = [X y]'Z, so Z'r = (-beta, 1) G and the E step's
-    (X'Z b_hat, Z'y . b_hat) = G b_hat are one batched product each.
+    """A worker's subset held resident for a run (`LmmModel.prepare`): one
+    row per sample of its data moments (`Sample.moments`), and views of
+    those rows in the shapes the kernel reads.  It keeps no reference to
+    the samples.  X'Z and Z'y are the rows of one array G = [X y]'Z, so
+    Z'r = (-beta, 1) G and the E step's (X'Z b_hat, Z'y . b_hat) = G b_hat
+    are one batched product each.  Shards stack into one by stacking their
+    rows (`LmmModel._stack`).
 
     `DDArray.sum_rows` reduces every column on its own, in a tree whose
     shape depends only on m, so the compensated sum of the data-only
@@ -374,15 +378,19 @@ class LmmShard:
     loglik computes its posterior afresh.
     """
 
-    n: np.ndarray  # (m,) observations per sample
-    G: np.ndarray  # (m, p+1, q): X'Z over the row Z'y
-    ZZ: np.ndarray  # (m, q, q)
-    R: np.ndarray  # (m, p+1, p+1) triangular factor of [X y]
-    const: np.ndarray  # (m, 1 + p + p*p) rows of y'y, X'y, X'X
-    n_total: int
+    def __init__(self, rec: np.ndarray, p: int, q: int, n_total: int | None = None):
+        c = _record_layout(p, q)
+        m = len(rec)
+        self.rec = rec  # (m, width) rows of Sample.moments
+        self.n = rec[:, 0]  # (m,) observations per sample
+        self.G = rec[:, c["G"]].reshape(m, p + 1, q)  # X'Z over the row Z'y
+        self.ZZ = rec[:, c["ZZ"]].reshape(m, q, q)
+        self.R = rec[:, c["R"]].reshape(m, p + 1, p + 1)  # triangular factor of [X y]
+        self.const = rec[:, c["const"]]  # (m, 1 + p + p*p) rows of y'y, X'y, X'X
+        self.n_total = n_total  # observations in all; None for a stack of shards
 
     def __len__(self) -> int:
-        return self.n.size
+        return len(self.rec)
 
     @cached_property
     def const_sum(self) -> DDArray:
@@ -432,25 +440,16 @@ class LmmModel(ModelContract):
     def __init__(self, p: int, q: int):
         self.p = p
         self.q = q
-        self._rec = _record_layout(p, q)
 
     # -- resident subsets ---------------------------------------------------
     def prepare(self, subset: SubsetData) -> LmmShard:
         """The subset's `Sample.moments` stacked once into a shard."""
-        p, q, c = self.p, self.q, self._rec
-        rec = np.array([s.moments for s in subset]) if subset else np.empty((0, c["width"]))
-        if rec.shape[1:] != (c["width"],):
+        p, q = self.p, self.q
+        width = _record_layout(p, q)["width"]
+        rec = np.array([s.moments for s in subset]) if subset else np.empty((0, width))
+        if rec.shape[1:] != (width,):
             raise ValueError(f"samples do not match the model's p={p}, q={q}")
-        m = rec.shape[0]
-        n = rec[:, c["n"]][:, 0]
-        return LmmShard(
-            n=n,
-            G=rec[:, c["G"]].reshape(m, p + 1, q),
-            ZZ=rec[:, c["ZZ"]].reshape(m, q, q),
-            R=rec[:, c["R"]].reshape(m, p + 1, p + 1),
-            const=rec[:, c["const"]],
-            n_total=int(n.sum()),
-        )
+        return LmmShard(rec, p, q, int(rec[:, 0].sum()))
 
     def _shard(self, subset: SubsetData | LmmShard) -> LmmShard:
         return subset if isinstance(subset, LmmShard) else self.prepare(subset)
@@ -460,25 +459,63 @@ class LmmModel(ModelContract):
         """Posterior of every sample's random effects, from data moments only.
 
         Per sample of the shard, at theta: the q x q precision
-        A = D^{-1} + Z'Z, its Cholesky factor for log|A|, its inverse, and
-        b_hat = A^{-1} Z'r with Z'r = (-beta, 1) G = Z'y - (X'Z)' beta.  Each
-        sample's outputs come from its own row alone, so they do not depend
-        on which other samples share the batch.  For a `_Thetas` stack every
-        output gains a leading row axis, and each row is bitwise what that
-        row's Theta gives: the per-matrix kernels do not see the stack.
+        A = D^{-1} + Z'Z, log|A|, A^{-1} and b_hat = A^{-1} Z'r with
+        Z'r = (-beta, 1) G = Z'y - (X'Z)' beta.
+
+        The kernel is batch-major, since a per-matrix LAPACK call costs
+        about as much as the arithmetic of a whole batch: the samples, and
+        the rows of a `_Thetas` stack, lie on the last axes of one array
+        [A | Z'r | I] of q rows by 2q + 1 entries, and each step is one
+        array operation over all of them.  Step k checks the pivot d_k (a
+        NaN fails too) and eliminates column k from the rows below, each
+        row read right of its diagonal, that is from A's lower triangle.
+        This is the Cholesky factorization in its square-root-free form
+        A = L diag(d) L' with unit lower triangular L: row k ends as
+        [d_k L[k+1:, k]' | y_k | N[k]] with N = L^{-1} and y = N Z'r, and
+        the diagonal keeps d_k, so log|A| = sum_k log d_k.  Once every
+        pivot has passed, the rows [y N] are divided by sqrt(d), and one
+        per-matrix product of [y N]' with its transpose gives
+        b_hat = N' diag(d)^{-1} y and A^{-1} = N' diag(d)^{-1} N, copied out
+        contiguous for their readers.
+
+        Every operation is elementwise IEEE arithmetic or matmul's own
+        per-matrix loop: the reversed row axis gives the product a negative
+        stride, so numpy never hands it to BLAS, whose kernel it would pick
+        from the batch's strides, and a batch of one runs the loop a larger
+        batch runs.  So each sample's outputs come from its own entries
+        alone: they do not depend on which other samples share the batch,
+        and for a `_Thetas` stack, where every output gains a leading row
+        axis, each row is bitwise what that row's Theta gives.
         """
         A = theta.Dinv + shard.ZZ
-        try:
-            cA = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalDomainError(
-                "posterior precision not positive definite (corrupt data?)"
-            ) from exc
-        Ainv = np.linalg.inv(A)
         ztr = (theta.resid_coef[..., None, :] @ shard.G)[..., 0, :]
-        b_hat = (Ainv @ ztr[..., None])[..., 0]
-        logdet_A = 2.0 * np.log(np.diagonal(cA, axis1=-2, axis2=-1)).sum(axis=-1)
-        return _Posterior(b_hat, ztr, A, Ainv, logdet_A)
+        q = self.q
+        w = 2 * q + 1
+        batch = A.shape[-3::-1]  # the sample and row axes, in the order .T gives
+        aug = np.zeros((q, w) + batch)
+        aug[:, :q] = A.T
+        aug[:, q] = ztr.T
+        entries = aug.reshape((q * w,) + batch)
+        entries[q + 1 :: w + 1] = 1.0
+        for k in range(q):
+            pivot = aug[k, k]
+            if not np.minimum.reduce(pivot, axis=None, initial=np.inf) > 0:
+                raise NumericalDomainError(
+                    "posterior precision not positive definite (corrupt data?)")
+            if k + 1 < q:
+                # row k is zero past column q + 1 + k
+                below = aug[k + 1 :, k + 1 : q + 2 + k]
+                below -= (aug[k, k + 1 : q] / pivot)[:, None] * aug[k, k + 1 : q + 2 + k]
+        pivots = entries[:: w + 1]
+        log_pivots = np.log(pivots)
+        logdet_A = log_pivots[0]
+        for k in range(1, q):
+            logdet_A = logdet_A + log_pivots[k]
+        yN = aug[:, q:]
+        yN /= np.sqrt(pivots)[:, None]
+        yN = yN[::-1].T
+        S = yN @ yN.swapaxes(-1, -2)  # [[y' diag(d)^{-1} y, b_hat'], [b_hat, A^{-1}]] per sample
+        return _Posterior(S[..., 0, 1:].copy(), ztr, A, S[..., 1:, 1:].copy(), logdet_A.T)
 
     def _loglik(self, theta: Theta | _Thetas, shard: LmmShard,
                 post: _Posterior) -> np.ndarray:
@@ -525,17 +562,13 @@ class LmmModel(ModelContract):
         return post.b_hat[0], theta.tau2 * post.Ainv[0]
 
     # -- ModelContract operations -------------------------------------------
-    @staticmethod
-    def _stack(shards: Sequence[LmmShard]) -> LmmShard:
-        """The samples of several shards as one shard of the arrays the
-        kernel reads; each shard's data-only sums and n_total are read off
-        the shard itself."""
+    def _stack(self, shards: Sequence[LmmShard]) -> LmmShard:
+        """The samples of several shards as one shard, by one stacking of
+        their records; each shard's data-only sums and n_total are read
+        off the shard itself."""
         if len(shards) == 1:
             return shards[0]
-        return LmmShard(
-            *(np.concatenate([getattr(s, f) for s in shards]) for f in ("n", "G", "ZZ", "R")),
-            const=None, n_total=None,
-        )
+        return LmmShard(np.concatenate([s.rec for s in shards]), self.p, self.q)
 
     def local_loglik(self, theta: Theta, subset: SubsetData | LmmShard) -> float:
         return self.local_logliks(theta, [self._shard(subset)])[0]
@@ -594,10 +627,9 @@ class LmmModel(ModelContract):
     def q_value(self, stats: LmmSuffStats, theta: Theta) -> float:
         """Expected complete-data log likelihood reconstructed from aggregates."""
         v = stats.values()
-        logdet_D = 2.0 * np.sum(np.log(np.diag(theta.L)))
         return (
             -0.5 * (stats.n + self.q * stats.m) * theta.log_2pi_tau2
-            - 0.5 * stats.m * logdet_D
+            - 0.5 * stats.m * theta.logdet_D
             - 0.5 * (v.rss_exp(theta.beta) + float(np.sum(theta.Dinv * v.S_bb))) / theta.tau2
         )
 

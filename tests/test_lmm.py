@@ -1,6 +1,7 @@
 import copy
 import math
 import sys
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -279,6 +280,116 @@ def test_stacked_logliks_match_one_shard_each(q):
         assert model.local_loglik(theta, [random_sample(rng, p, q)]) != 0.0
 
 
+# -- the batch-major posterior kernel ------------------------------------------
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 6])
+def test_posterior_rows_bitwise_alone_stacked_and_in_a_block(q):
+    """Each sample's b_hat, Ainv and logdet_A are bitwise the same computed
+    alone, inside two shards stacked in either order, and as one row of a
+    _Thetas block."""
+    rng = np.random.default_rng(80 + q)
+    p = 3
+    model = LmmModel(p, q)
+    samples = [random_sample(rng, p, q) for _ in range(11)]
+    first, second = model.prepare(samples[:7]), model.prepare(samples[7:])
+    thetas = [random_theta(rng, p, q) for _ in range(3)]
+    block = model._posterior(lmm._Thetas.stack(thetas), model._stack([first, second]))
+    for row, theta in enumerate(thetas):
+        ab = model._posterior(theta, model._stack([first, second]))
+        ba = model._posterior(theta, model._stack([second, first]))
+        for i, s in enumerate(samples):
+            alone = model._posterior(theta, model.prepare([s]))
+            for f in ("b_hat", "Ainv", "logdet_A"):
+                want = getattr(alone, f)[0].tobytes()
+                assert getattr(ab, f)[i].tobytes() == want
+                assert getattr(ba, f)[(i - 7) % 11].tobytes() == want
+                assert getattr(block, f)[row, i].tobytes() == want
+
+
+def _with_precisions(model, shard, ZZ):
+    """A hand-built copy of shard whose Z'Z blocks are ZZ."""
+    rec = shard.rec.copy()
+    rec[:, lmm._record_layout(model.p, model.q)["ZZ"]] = np.reshape(ZZ, (len(ZZ), -1))
+    return LmmShard(rec, model.p, model.q, shard.n_total)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 6])
+def test_posterior_matches_lapack_inverse_solve_and_slogdet(q):
+    """Against np.linalg.inv, solve and slogdet of the precision A the kernel
+    formed.  Ill-conditioning that comes from the scale of the random
+    effects, up to cond(A) = 1e8, leaves 1e-12 relative.  A rotated spectrum
+    of cond(A) = 1e8 costs any backward-stable inverse about cond(A) * eps,
+    LAPACK's included, and the two agree to that."""
+    rng = np.random.default_rng(70 + q)
+    p = 3
+    model = LmmModel(p, q)
+    # D = 1e8 I, so A is Z'Z but for 1e-8 on its diagonal
+    theta = Theta.from_cov(rng.standard_normal(p), 1e8 * np.eye(q), 1.7)
+    for cond in (1e2, 1e5, 1e8):
+        W = rng.standard_normal((12, q, 3 * q))
+        scaled = W @ W.swapaxes(-1, -2) / (3 * q) + np.eye(q)
+        scale = np.sqrt(np.geomspace(1.0, cond, q))
+        scaled *= scale[:, None] * scale[None, :]
+        Q = np.linalg.qr(rng.standard_normal((12, q, q)))[0]
+        rotated = (Q * np.geomspace(1.0, cond, q)) @ Q.swapaxes(-1, -2)
+        rotated = 0.5 * (rotated + rotated.swapaxes(-1, -2))
+        for ZZ, tol in ((scaled, 1e-12), (rotated, 1e-15 * cond)):
+            shard = model.prepare([random_sample(rng, p, q) for _ in ZZ])
+            post = model._posterior(theta, _with_precisions(model, shard, ZZ))
+            inv = np.linalg.inv(post.A)
+            sign, logdet = np.linalg.slogdet(post.A)
+            b = np.linalg.solve(post.A, post.ztr[..., None])[..., 0]
+            assert (sign == 1).all()
+            assert (np.linalg.norm(post.Ainv - inv, axis=(1, 2))
+                    <= tol * np.linalg.norm(inv, axis=(1, 2))).all()
+            assert (np.linalg.norm(post.b_hat - b, axis=1)
+                    <= tol * np.linalg.norm(b, axis=1)).all()
+            assert (abs(post.logdet_A - logdet) <= tol * np.maximum(1.0, abs(logdet))).all()
+
+
+def test_posterior_rejects_a_precision_not_positive_definite(monkeypatch):
+    """A sample whose Z holds NaN, and a hand-built shard whose Z'Z is
+    indefinite, each raise the kernel's NumericalDomainError from
+    local_esteps, local_logliks and free_energy_path, the last at blocks of
+    1, 2 and 3 rows and at the default block, with no RuntimeWarning."""
+    rng = np.random.default_rng(90)
+    p, q = 3, 3
+    samples = [random_sample(rng, p, q) for _ in range(6)]
+    Z = samples[2].Z.copy()
+    Z[0, 1] = np.nan
+    with_nan = [*samples[:2], Sample(samples[2].y, samples[2].X, Z), *samples[3:]]
+    indefinite = np.array([[1.0, 10.0, 0.0], [10.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+    class IndefiniteModel(LmmModel):
+        """Prepares every subset as a shard whose last Z'Z is indefinite."""
+
+        def prepare(self, subset):
+            good = super().prepare(subset)
+            ZZ = good.ZZ.copy()
+            ZZ[-1] = indefinite
+            return _with_precisions(self, good, ZZ)
+
+    thetas = [random_theta(rng, p, q) for _ in range(4)]
+    tags = [[0, 0], [0, 1], [1, 1], [2, 1]]
+    message = "posterior precision not positive definite"
+    for model, data in ((LmmModel(p, q), with_nan), (IndefiniteModel(p, q), samples)):
+        subsets = [data[:3], data[3:]]
+        shards = [model.prepare(s) for s in subsets]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalDomainError, match=message):
+                model.local_esteps(thetas[0], shards, [0, 1], 0)
+            with pytest.raises(NumericalDomainError, match=message):
+                model.local_logliks(thetas[0], shards)
+            for rows in (None, 1, 2, 3):
+                if rows:
+                    monkeypatch.setattr(lmm, "BLOCK", rows * len(data))
+                with pytest.raises(NumericalDomainError, match=message):
+                    model.free_energy_path(thetas, tags, subsets)
+            monkeypatch.undo()
+
+
 def test_model_keeps_no_per_call_state(small_dataset):
     samples, _ = small_dataset
     model = LmmModel(4, 3)
@@ -510,7 +621,7 @@ def _reference_q_value(model, stats, theta):
     Dinv = sla.cho_solve((theta.L, True), np.eye(model.q), check_finite=False)
     return (
         -0.5 * (stats.n + model.q * stats.m) * math.log(2.0 * math.pi * theta.tau2)
-        - 0.5 * stats.m * 2.0 * np.sum(np.log(np.diag(theta.L)))
+        - 0.5 * stats.m * 2.0 * math.fsum(np.log(np.diag(theta.L)))
         - 0.5 * (v.rss_exp(theta.beta) + float(np.sum(Dinv * v.S_bb))) / theta.tau2
     )
 
