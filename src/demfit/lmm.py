@@ -341,8 +341,9 @@ class LmmSuffStats:
         """The statistics of self and others together.
 
         All accumulators are summed in one compensated pairwise pass
-        (`DDArray.sum_rows` over their hi and lo words); with one other
-        this is exactly `DDArray.merge`.
+        (`DDArray.sum_rows`, the one-segment case of the tree an E-step
+        batch sums its shards in, over their hi and lo words); with one
+        other this is exactly `DDArray.merge`.
         """
         if any((o.p, o.q) != (self.p, self.q) for o in others):
             raise ValueError("incompatible statistic shapes")
@@ -370,12 +371,13 @@ class LmmShard:
     are one batched product each.  Shards stack into one by stacking their
     rows (`LmmModel._stack`).
 
-    `DDArray.sum_rows` reduces every column on its own, in a tree whose
-    shape depends only on m, so the compensated sum of the data-only
-    statistics (`const_sum`) is computed once, on first use, and every E
-    step reuses it bitwise as if it had summed those columns again.  Apart
-    from that cache a shard never changes after `prepare`: each E step or
-    loglik computes its posterior afresh.
+    The compensated tree (`DDArray.sum_segments`) reduces every column on
+    its own, and each shard's words depend only on its own rows, whether it
+    is summed alone or as one segment of an E-step batch.  So the sum of
+    the data-only statistics (`const_sum`) is computed once, on first use,
+    and every E step reuses it bitwise as if it had summed those columns
+    again.  Apart from that cache a shard never changes after `prepare`:
+    each E step or loglik computes its posterior afresh.
     """
 
     def __init__(self, rec: np.ndarray, p: int, q: int, n_total: int | None = None):
@@ -596,9 +598,10 @@ class LmmModel(ModelContract):
         """E steps of several shards at one theta, in one pass over their
         samples stacked together: the posterior, the loglik and the rows of
         the theta-dependent statistics are computed once for the batch.
-        Each sample's row comes from its own data alone, and each shard sums
-        its own rows in the tree `DDArray.sum_rows` builds for its size, so
-        every result is bitwise that of the shard on its own."""
+        Each sample's row comes from its own data alone, and one segmented
+        compensated tree (`DDArray.sum_segments`) sums every shard's rows,
+        each shard's words bitwise those of its own tree, so every result
+        is bitwise that of the shard on its own."""
         p, q = self.p, self.q
         stacked = self._stack(shards)
         m = len(stacked)
@@ -614,15 +617,17 @@ class LmmModel(ModelContract):
         B += theta.tau2 * post.Ainv.reshape(m, q * q)
         np.sum(stacked.ZZ.reshape(m, q * q) * B, axis=1, out=rows[:, -2])
         rows[:, -1] = _finite_loglik(self._loglik(theta, stacked, post))
-        out, end = [], 0
-        for shard, k in zip(shards, subset_ids):
-            start, end = end, end + len(shard)
-            fresh, const = DDArray.sum_rows(rows[start:end]), shard.const_sum
-            acc = DDArray._wrap(np.concatenate([const.hi, fresh.hi]),
-                                np.concatenate([const.lo, fresh.lo]))
-            out.append(SuffStats(k, anchor_tag,
-                                 LmmSuffStats(p, q, acc, len(shard), shard.n_total)))
-        return out
+        # one accumulator row per shard: its const_sum words, then the sums
+        # of its theta-dependent rows, all shards in one segmented tree
+        fresh = DDArray.sum_segments(rows, [len(shard) for shard in shards])
+        consts = [shard.const_sum for shard in shards]
+        hi = np.concatenate([[c.hi for c in consts], fresh.hi], axis=1)
+        lo = np.concatenate([[c.lo for c in consts], fresh.lo], axis=1)
+        return [
+            SuffStats(k, anchor_tag, LmmSuffStats(p, q, DDArray._wrap(hi[i], lo[i]),
+                                                  len(shard), shard.n_total))
+            for i, (shard, k) in enumerate(zip(shards, subset_ids))
+        ]
 
     def q_value(self, stats: LmmSuffStats, theta: Theta) -> float:
         """Expected complete-data log likelihood reconstructed from aggregates."""

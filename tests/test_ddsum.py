@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from demfit.ddsum import DDArray, _two_sum
 
@@ -80,3 +81,104 @@ def test_grouping_independence():
             total.merge(a)
         assert np.array_equal(total.value(), single.value())
 
+
+
+
+def oracle_tree(hi_rows, lo_rows, width):
+    """The documented tree of one segment in plain Python floats.  A single
+    row is returned as it is and no rows sum to zero; otherwise the rows
+    are zero-padded to a power of two and row i is merged with row
+    i + size/2 by TwoSum then renormalisation, one level at a time.  Lo
+    words, when given, are added from the first level on; without them the
+    first level's errors are the first lo words, added from the second."""
+    if len(hi_rows) == 1:
+        return list(hi_rows[0]), list(lo_rows[0]) if lo_rows else [0.0] * width
+    if not hi_rows:
+        return [0.0] * width, [0.0] * width
+    size = 1
+    while size < len(hi_rows):
+        size *= 2
+    pad = [[0.0] * width] * (size - len(hi_rows))
+    hi, lo = hi_rows + pad, None if lo_rows is None else lo_rows + pad
+    while size > 1:
+        size //= 2
+        new_hi, new_lo = [], []
+        for i in range(size):
+            new_hi.append([])
+            new_lo.append([])
+            for j in range(width):
+                a, b = hi[i][j], hi[i + size][j]
+                s = a + b
+                bb = s - a
+                e = (a - (s - bb)) + (b - bb)
+                if lo is not None:
+                    e = e + (lo[i][j] + lo[i + size][j])
+                h = s + e
+                new_hi[i].append(h)
+                new_lo[i].append(e - (h - s))
+        hi, lo = new_hi, new_lo
+    return hi[0], lo[0]
+
+
+def random_rows(rng, n, width):
+    """n rows at exponents from 1e-12 to 1e12, with +0.0 and -0.0 entries."""
+    rows = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-12, 13, size=(n, width))
+    zeros = rng.random((n, width)) < 0.15
+    rows[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+    return rows
+
+
+def with_lo_words(rng, rows):
+    """rows as normalised hi and lo words, as a renormalisation leaves
+    them: the TwoSum of each entry and a tiny perturbation of it; zero
+    entries keep their sign and get a zero lo word."""
+    s, e = _two_sum(rows, rows * 2.0 ** -60 * rng.standard_normal(rows.shape))
+    return np.where(rows == 0, rows, s), np.where(rows == 0, 0.0, e)
+
+
+def as_bytes(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("lo_words", [False, True])
+def test_sum_segments_match_the_oracle_tree(lo_words):
+    """Every segment of a batch comes back bitwise its own tree, however far
+    past its own power of two the batch pads it: batches of 1-24 segments
+    of 0-33 rows, each edge length (0, 1, 2^k, 2^k + 1) in some batch."""
+    rng = np.random.default_rng(11 + lo_words)
+    width = 3
+    edges = [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33]
+    for trial in range(60):
+        lengths = [int(n) for n in rng.integers(0, 34, size=int(rng.integers(1, 25)))]
+        lengths[int(rng.integers(len(lengths)))] = edges[trial % len(edges)]
+        if trial % 3 == 0:
+            lengths[0] = 1  # one-row segments beside longer ones
+        hi, lo = random_rows(rng, sum(lengths), width), None
+        if lo_words:
+            hi, lo = with_lo_words(rng, hi)
+        got = DDArray.sum_segments(hi, lengths, lo)
+        assert got.hi.shape == got.lo.shape == (len(lengths), width)
+        start = 0
+        for k, n in enumerate(lengths):
+            seg_lo = None if lo is None else lo[start : start + n].tolist()
+            want = oracle_tree(hi[start : start + n].tolist(), seg_lo, width)
+            start += n
+            assert as_bytes(got.hi[k]) == as_bytes(want[0]), (trial, k, n)
+            assert as_bytes(got.lo[k]) == as_bytes(want[1]), (trial, k, n)
+        # sum_rows is the one-segment case of the same tree
+        if lengths[-1]:
+            one = DDArray.sum_rows(hi[-lengths[-1]:], None if lo is None else lo[-lengths[-1]:])
+            assert as_bytes(one.hi) == as_bytes(got.hi[-1])
+            assert as_bytes(one.lo) == as_bytes(got.lo[-1])
+
+
+def test_one_row_segment_is_its_row():
+    """A one-row segment keeps its -0.0 entries; merging it with a padding
+    row, as a batch whose longest segment has 4 rows would, loses them."""
+    row = [-0.0, 1.5, -0.0]
+    rows = np.array([row] + [[1.0, 2.0, 3.0]] * 4)
+    got = DDArray.sum_segments(rows, [1, 4])
+    assert as_bytes(got.hi[0]) == as_bytes(row)
+    assert as_bytes(got.lo[0]) == as_bytes([0.0] * 3)
+    padded = oracle_tree([row, [0.0] * 3], None, 3)
+    assert padded[0] == row and as_bytes(padded[0]) != as_bytes(row)

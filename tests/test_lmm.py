@@ -242,13 +242,14 @@ def test_batch_composition_bitwise():
 
 @pytest.mark.parametrize("q", [3, 6])
 def test_stacked_esteps_match_one_shard_each(q):
-    """One local_esteps batch over shards of 1, 2, 3, 4, 5, 8 and 10 samples
-    gives each shard bitwise the statistics local_estep gives it alone,
-    header included, at two parameter points."""
+    """One local_esteps batch over shards of 0, 1, 2, 3, 4, 5, 8, 10, 16 and
+    17 samples gives each shard bitwise the statistics local_estep gives it
+    alone, header included, at two parameter points.  The batch's tree pads
+    every shard to 32 rows, past each shard's own power of two."""
     rng = np.random.default_rng(40 + q)
     p = 4
     model = LmmModel(p, q)
-    sizes = (1, 2, 3, 4, 5, 8, 10)
+    sizes = (1, 2, 3, 4, 0, 5, 8, 10, 16, 17)
     shards = [model.prepare([random_sample(rng, p, q) for _ in range(m)]) for m in sizes]
     ids = [7 * k + 1 for k in range(len(sizes))]
     for theta in (random_theta(rng, p, q), random_theta(rng, p, q)):
@@ -489,13 +490,14 @@ def test_shard_matches_samples_bitwise(monkeypatch):
     samples = [random_sample(rng, p, q) for _ in range(9)]
     const_width, fresh_width = 1 + p + p * p, p + q * q + 3
     widths = []
-    sum_rows = DDArray.sum_rows.__func__
+    sum_segments = DDArray.sum_segments.__func__
 
-    def recording_sum_rows(cls, rows, lo=None):
+    def recording_sum_segments(cls, rows, lengths, lo=None):
+        # every compensated tree, sum_rows included, is a sum_segments call
         widths.append(rows.shape[1])
-        return sum_rows(cls, rows, lo)
+        return sum_segments(cls, rows, lengths, lo)
 
-    monkeypatch.setattr(DDArray, "sum_rows", classmethod(recording_sum_rows))
+    monkeypatch.setattr(DDArray, "sum_segments", classmethod(recording_sum_segments))
     # an empty subset, one sample, and all samples in one subset (K=1)
     for subset in ([], samples[:1], samples):
         shard = model.prepare(subset)
