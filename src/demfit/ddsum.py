@@ -52,10 +52,6 @@ class DDArray:
         return out
 
     @classmethod
-    def from_parts(cls, hi: np.ndarray, lo: np.ndarray) -> "DDArray":
-        return cls._wrap(np.array(hi, dtype=float), np.array(lo, dtype=float))
-
-    @classmethod
     def sum_rows(cls, rows: np.ndarray, lo: np.ndarray | None = None) -> "DDArray":
         """Compensated sum of the rows of a 2-D array: `sum_segments` with
         one segment.  The result may share memory with rows."""

@@ -17,10 +17,13 @@ Trace JSON schema (written by `write_trace_json`):
     "staleness": [[int, ...], ...],   # derived: j - anchor_tags[j][k]; ecme0
                                       # reads 1 from iteration 1 on
     "wall_times": [float, ...],
-    "messages_sent": int,             # 2 per round trip: K seeding E steps, one per
-                                      # later accepted result, K closing logliks, and
-                                      # (loglik_exact) one per refresh; naive_allpairs:
-                                      # K - 1 per E step; ecme0: 0
+    "messages_sent": int,             # 2 per answered request (a request/reply pair,
+                                      # not frames: a socket batch sends one frame
+                                      # each way per endpoint share): K seeding E
+                                      # steps, one per later accepted result, K
+                                      # closing logliks, and (loglik_exact) one per
+                                      # refresh; naive_allpairs: K - 1 per E step;
+                                      # ecme0: 0
     "converged": bool,
     "hit_max_iter": bool,
     "final_loglik": float,            # always exact, at the final parameter, from the

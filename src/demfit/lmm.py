@@ -783,7 +783,9 @@ class LmmModel(ModelContract):
         if len(arr) != 2 + 2 * size:
             raise ProtocolError(f"subset {subset_id}: statistics payload of {len(arr)} "
                                 f"values, expected {2 + 2 * size}")
-        acc = DDArray.from_parts(arr[2 : 2 + size], arr[2 + size : 2 + 2 * size])
+        # arr is the caller's private array (a socket pool's slice of the
+        # reply it read), so the accumulator keeps views of it
+        acc = DDArray._wrap(arr[2 : 2 + size], arr[2 + size :])
         return SuffStats(subset_id, anchor_tag,
                          LmmSuffStats(p, q, acc, int(arr[0]), int(arr[1])))
 

@@ -67,10 +67,10 @@ class ModelContract(ABC):
     shard alone, and local_logliks(theta, shards) their local log
     likelihoods, each bitwise local_loglik of its shard.  The pools serve
     a batch of requests through them: the in-process pool all requests at
-    one theta (and anchor tag), a socket endpoint those of its share, and
-    a lone request on a socket endpoint goes to local_estep or
-    local_loglik.  The defaults call those once per shard; a model may
-    serve the batch in one pass instead.
+    one theta (and anchor tag), a socket endpoint those of its share of
+    the batch.  A request alone in its group, in either pool, still goes
+    to local_estep or local_loglik.  The defaults call those once per
+    shard; a model may serve the batch in one pass instead.
 
     free_energy_path(thetas, anchor_tags, subsets) returns, for row j of
     anchor_tags and subset k, the local log likelihood at thetas[j] minus
@@ -85,14 +85,18 @@ class ModelContract(ABC):
     NumericalDomainError, raised by the model naming the first such row
     and subset, or by evaluate_F and check_monotone_F naming the subset.
 
-    The wire methods are all a socket pool knows of the model.
+    The wire methods are all a socket pool knows of the model, and each
+    handles one parameter or one result: a share frame carries one packed
+    parameter per distinct theta and one pack_stats payload per request.
     pack_theta(theta) and pack_stats(stats) flatten a parameter and an
     E-step result into float64 arrays, and unpack_theta and
     unpack_stats(arr, subset_id, anchor_tag) invert them with bitwise the
     same effect on every later call; unpack_stats rebuilds the SuffStats
-    header from its two arguments, which the frame header carries, and
-    raises a ProtocolError naming the subset for an array whose length is
-    not one pack_stats writes.
+    header from its two arguments, which the share's request table
+    carries, and raises a ProtocolError naming the subset for an array
+    whose length is not one pack_stats writes.  The array unpack_stats is
+    given is private to it (a socket pool passes each result's slice of
+    the reply frame it read), so the SuffStats may keep views of it.
     """
 
     def prepare(self, subset):

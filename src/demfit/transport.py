@@ -21,32 +21,43 @@ endpoints, each a thread holding a round-robin share of the prepared
 shards (subset k lives on endpoint k mod E) behind one end of a socket
 pair that the pool creates (nothing listens on a port, so no other peer
 can connect).  Every frame is little-endian {u32 body-length, u8 msg-kind,
-u32 subset_id, u64 iteration, f64-array payload}; the ModelContract wire
-methods encode and decode the payloads.  A batch sends each endpoint its
-share as one frame per request, in request order, with the MORE bit set
-in the kind byte of every frame but the last: that frame tells the
-endpoint its share is complete.  Only then does the endpoint answer, one
-reply per request, in frame order, so an endpoint never writes while its
-manager may still be writing to it.  An endpoint unpacks each distinct
-parameter of its share once and answers its share through `answer`.  A
-request whose work fails is answered with an error frame (KIND_ERROR) of
-its own: same header, with the UTF-8 text "ExceptionType: message" as its
-payload; the endpoint goes on serving requests.
+u32 count, u64 extra, f64-array payload}.  The unit on the wire is an
+endpoint's share of a batch, not a request: a batch sends each endpoint
+one request frame and the endpoint answers with one reply frame, so a
+lone request is one frame each way.  A request frame of n requests at T
+distinct parameters has count n and extra T; its payload is a table of n
+int64 rows (subset, anchor tag, parameter index), then the T parameters
+packed by `pack_theta`, each once, in equal parts.  The reply frame has
+count n and extra 0; its payload is a table of n int64 sizes, then each
+request's result in request order: a size s >= 0 is a result of s f64
+values (`pack_stats`, or one loglik), and s < 0 marks a failed request,
+whose slot holds the UTF-8 text "ExceptionType: message", -s bytes long,
+zero-padded to whole f64 words.  The int64 tables travel as the bits of
+f64 words.  An endpoint answers only after it has read its whole share,
+so it never writes while its manager may still be writing to it; it
+unpacks each parameter of its share once and answers the share through
+`answer`, and it goes on serving after a failed request.  A share of a
+kind the endpoint does not serve is answered with a KIND_ERROR frame in
+which every request holds that error.
 
 An endpoint keeps nothing between batches but its prepared shards: it
 unpacks the parameters of every batch and answers from those alone.
 
 The manager waits at most REPLY_TIMEOUT_S seconds for each reply.  A
-subset whose reply does not come in time, or whose endpoint's connection
-drops, is a ProtocolError naming that subset, "worker k"; after a timeout
-the manager closes that endpoint's connection, so a late reply cannot
-answer a later request.  A failed request does not stop its batch: the
-manager reads every other reply of the batch before it raises the
-earliest failure, so no connection is left holding a reply that a later
-request would read.  Endpoints block on their reads without a limit,
-because they sit idle between iterations.  An endpoint whose connection
-closes or fails, or that reads a malformed frame, closes it and exits
-quietly.
+share whose reply does not come in time, or whose endpoint's connection
+drops, is a ProtocolError naming the share's first subset, "worker k",
+and every subset on that endpoint is lost with it; after a timeout the
+manager closes that endpoint's connection, so a late reply cannot answer
+a later request.  A reply of the wrong kind or count, or whose size
+table does not cover its payload, is a ProtocolError naming the share's
+first subset, and no request of it is counted.  A failed request names
+its own subset, "worker k failed: ...".  A failure does not stop its
+batch: the manager reads every other reply of the batch before it raises
+the failure of the earliest request, so no connection is left holding a
+reply that a later request would read.  Endpoints block on their reads
+without a limit, because they sit idle between iterations.  An endpoint
+whose connection closes or fails, or that reads a malformed frame or
+request share, closes it and exits quietly.
 """
 from __future__ import annotations
 
@@ -71,31 +82,20 @@ REPLY_TIMEOUT_S = 120.0
 # samples about 10% faster than one.  One endpoint per CPU waits for
 # endpoints that are processes.
 ENDPOINTS = 1
-_HEAD = struct.Struct("<BIQ")  # kind, subset_id, iteration
+_HEAD = struct.Struct("<BIQ")  # kind, count, extra
 
 KIND_ESTEP_REQ = 1
 KIND_ESTEP_REP = 2
 KIND_LOGLIK_REQ = 3
 KIND_LOGLIK_REP = 4
 KIND_SHUTDOWN = 5  # no longer sent: an endpoint ends when its connection closes
-KIND_ERROR = 6
-# set in a request's kind byte when more of the endpoint's share follows
-MORE = 0x80
+KIND_ERROR = 6  # answers a share of a kind the endpoint does not serve
+_REPLY = {KIND_ESTEP_REQ: KIND_ESTEP_REP, KIND_LOGLIK_REQ: KIND_LOGLIK_REP}
 
 
-def _send(sock, kind: int, subset_id: int, iteration: int, data: bytes):
-    body = _HEAD.pack(kind, subset_id, iteration) + data
+def write_frame(sock, kind: int, count: int, extra: int, payload: np.ndarray):
+    body = _HEAD.pack(kind, count, extra) + np.asarray(payload, dtype="<f8").tobytes()
     sock.sendall(struct.pack("<I", len(body)) + body)
-
-
-def write_frame(sock, kind: int, subset_id: int, iteration: int, payload: np.ndarray):
-    _send(sock, kind, subset_id, iteration, np.asarray(payload, dtype="<f8").tobytes())
-
-
-def write_error(sock, subset_id: int, iteration: int, exc: BaseException):
-    """Answer a failed request with its exception's type name and message."""
-    text = f"{type(exc).__name__}: {exc}"
-    _send(sock, KIND_ERROR, subset_id, iteration, text.encode("utf-8"))
 
 
 def _recv_exact(sock, n: int, frame_start: bool = False) -> bytearray:
@@ -114,25 +114,85 @@ def _recv_exact(sock, n: int, frame_start: bool = False) -> bytearray:
 
 
 def read_frame(sock):
-    """(kind, subset_id, iteration, payload); the payload of an error frame
-    is its text, of any other frame an f64 array.  A body shorter than the
-    header or a payload that is not whole f64 values is a ProtocolError."""
+    """(kind, count, extra, payload), the payload a private f64 array.  A
+    body shorter than the header or a payload that is not whole f64 values
+    is a ProtocolError."""
     (length,) = struct.unpack("<I", _recv_exact(sock, 4, frame_start=True))
     body = _recv_exact(sock, length)
     if length < _HEAD.size:
         raise ProtocolError(
             f"frame body of {length} bytes is shorter than its {_HEAD.size}-byte header"
         )
-    kind, subset_id, iteration = _HEAD.unpack_from(body)
-    if kind == KIND_ERROR:
-        return kind, subset_id, iteration, body[_HEAD.size :].decode("utf-8", "replace")
     if (length - _HEAD.size) % 8:
         raise ProtocolError(
             f"frame payload of {length - _HEAD.size} bytes is not a whole number "
             "of float64 values"
         )
+    kind, count, extra = _HEAD.unpack_from(body)
     payload = np.frombuffer(body, dtype="<f8", offset=_HEAD.size).copy()
-    return kind, subset_id, iteration, payload
+    return kind, count, extra, payload
+
+
+def _int_words(values) -> np.ndarray:
+    """int64 values as the f64 words that carry their bits."""
+    return np.array(values, dtype="<i8").view("<f8").ravel()
+
+
+def _split_request(n: int, T: int, payload: np.ndarray):
+    """The n (subset, anchor tag, parameter index) rows of a request share
+    and its T packed parameters; a table longer than the payload, a
+    parameter section that does not split into T equal parts or an index
+    outside 0..T-1 is a ProtocolError."""
+    rest = len(payload) - 3 * n
+    if rest < 0:
+        raise ProtocolError(f"request table of {n} rows is longer than its "
+                            f"{len(payload)}-value payload")
+    if rest % T if T else rest:
+        raise ProtocolError(f"{rest} parameter values do not split into {T} parameters")
+    rows = payload[: 3 * n].view("<i8").reshape(n, 3).tolist()
+    if any(not 0 <= j < T for _, _, j in rows):
+        raise ProtocolError(f"request table names a parameter outside 0..{T - 1}")
+    return rows, payload[3 * n :].reshape(T, rest // T if T else 0)
+
+
+def _join_replies(results) -> np.ndarray:
+    """The payload of a reply share: the size table, then each result, an
+    f64 array or the text of the exception its request raised."""
+    sizes, parts = [], []
+    for result in results:
+        if isinstance(result, Exception):
+            text = f"{type(result).__name__}: {result}".encode("utf-8")
+            sizes.append(-len(text))
+            parts.append(np.frombuffer(text + bytes(-len(text) % 8), dtype="<f8"))
+        else:
+            sizes.append(len(result))
+            parts.append(result)
+    return np.concatenate([_int_words(sizes), *parts])
+
+
+def _split_replies(ks, payload: np.ndarray, width) -> list:
+    """The results of a reply share for subsets ks, in their order: an f64
+    array (of width values, when width is given), or the ProtocolError
+    that names a failed request's subset and carries its text.  A table
+    that does not cover the payload exactly is a ProtocolError naming
+    ks[0]."""
+    n = len(ks)
+    if len(payload) < n:
+        raise ProtocolError(f"worker {ks[0]}: reply table of {n} sizes is longer than "
+                            f"its {len(payload)}-value payload")
+    out, start = [], n
+    for k, size in zip(ks, payload[:n].view("<i8").tolist()):
+        end = start + (size if size >= 0 else -(size // 8))
+        if end > len(payload) or (width is not None and 0 <= size != width):
+            break
+        chunk = payload[start:end]
+        out.append(chunk if size >= 0 else ProtocolError(
+            f"worker {k} failed: {chunk.tobytes()[:-size].decode('utf-8', 'replace')}"))
+        start = end
+    if len(out) < n or start != len(payload):
+        raise ProtocolError(f"worker {ks[0]}: reply sizes do not match its "
+                            f"{len(payload)}-value payload")
+    return out
 
 
 def answer(model: ModelContract, shards, requests, loglik: bool = False) -> list:
@@ -215,23 +275,16 @@ class InProcessPool:
         pass
 
 
-class _Frames(bytearray):
-    """Frames written here (`write_frame`, `write_error`) wait to be sent
-    in one sendall."""
-
-    def sendall(self, data):
-        self.extend(data)
-
-
 class SocketPool:
     """Worker endpoints served over socket pairs.
 
     The K subsets are served by E = min(K, ENDPOINTS) endpoints: subset k
     by endpoint k mod E, a thread that serves one end of a socket pair,
-    while the manager holds the other.  A batch of requests is written out
-    whole before any reply is read, each endpoint's share in one send, so
-    the endpoints compute while the manager writes and reads; replies are
-    read in request order, so the caller still fixes the order of every
+    while the manager holds the other.  A batch is written out whole, one
+    request frame per endpoint, before any reply is read, so the endpoints
+    compute while the manager writes and reads; each endpoint answers its
+    share with one reply frame, and every result goes back to its
+    request's position, so the caller still fixes the order of every
     result.  Every shard (`model.prepare`) is built before any socket or
     thread exists, so a subset the model rejects leaves nothing to clean
     up; an endpoint that fails to start closes the pool.
@@ -261,97 +314,92 @@ class SocketPool:
             raise
 
     def _serve(self, conn, shards: dict):
-        """Answer the requests for the subsets of shards ({k: shard}) on
-        conn, a share at a time, until the manager closes its end.  A
-        connection that carries a malformed frame, or fails because its
-        manager has gone, is closed and the endpoint returns quietly:
+        """Answer the request shares for the subsets of shards ({k: shard})
+        on conn, one reply frame per share, until the manager closes its
+        end.  A connection that carries a malformed frame, or fails because
+        its manager has gone, is closed and the endpoint returns quietly:
         there is no one left to report to."""
         try:
             while True:
-                frames = [read_frame(conn)]
-                while frames[-1][0] & MORE:
-                    frames.append(read_frame(conn))
-                out = _Frames()
-                for (_, k, iteration, _), reply in zip(frames, self._answer(frames, shards)):
-                    if isinstance(reply, Exception):
-                        write_error(out, k, iteration, reply)
-                    else:
-                        write_frame(out, reply[0], k, iteration, reply[1])
-                conn.sendall(out)
+                kind, n, T, payload = read_frame(conn)
+                results = self._answer(kind, *_split_request(n, T, payload), shards)
+                write_frame(conn, _REPLY.get(kind, KIND_ERROR), n, 0, _join_replies(results))
         except (OSError, ProtocolError):
             return
         finally:
             conn.close()
 
-    def _answer(self, frames, shards) -> list:
-        """One (reply kind, payload) per request frame, in their order, or
-        the exception that request raised; a failing request is reported
-        to the manager, and the endpoint stays up for the next batch."""
+    def _answer(self, kind: int, rows, thetas, shards) -> list:
+        """One f64 result per (k, anchor tag, parameter index) row of a share
+        of the given kind, in their order, or the exception that request
+        raised; a failing request is reported to the manager, and the
+        endpoint stays up for the next batch."""
         model = self.model
-        out = [None] * len(frames)
-        thetas = {}  # payload bytes -> its Theta, or the exception unpacking raised
-        asked = {KIND_ESTEP_REQ: [], KIND_LOGLIK_REQ: []}  # kind -> (position, request)
-        for i, (kind, k, iteration, payload) in enumerate(frames):
-            kind &= ~MORE
-            key = payload.tobytes()
-            if key not in thetas:
-                try:
-                    thetas[key] = model.unpack_theta(payload)
-                except Exception as exc:
-                    thetas[key] = exc
-            if isinstance(thetas[key], Exception):
-                out[i] = thetas[key]
-            elif kind not in asked:
-                out[i] = ProtocolError(f"unknown request kind {kind}")
+        if kind not in _REPLY:
+            return [ProtocolError(f"unknown request kind {kind}")] * len(rows)
+        loglik = kind == KIND_LOGLIK_REQ
+        unpacked = []  # each parameter's Theta, or the exception unpacking raised
+        for packed in thetas:
+            try:
+                unpacked.append(model.unpack_theta(packed))
+            except Exception as exc:
+                unpacked.append(exc)
+        out = [None] * len(rows)
+        asked = []  # (position, request)
+        for i, (k, tag, j) in enumerate(rows):
+            if isinstance(unpacked[j], Exception):
+                out[i] = unpacked[j]
             elif k not in shards:
                 out[i] = ProtocolError(f"subset {k} is not served by this endpoint")
             else:
-                asked[kind].append((i, (k, thetas[key], iteration)))
-        for kind, items in asked.items():
-            loglik = kind == KIND_LOGLIK_REQ
-            results = answer(model, shards, [request for _, request in items], loglik)
-            for (i, _), result in zip(items, results):
-                out[i] = result
-                if not isinstance(result, Exception):
-                    try:
-                        out[i] = ((KIND_LOGLIK_REP, np.array([result])) if loglik
-                                  else (KIND_ESTEP_REP, model.pack_stats(result)))
-                    except Exception as exc:
-                        out[i] = exc
+                asked.append((i, (k, unpacked[j], tag)))
+        results = answer(model, shards, [request for _, request in asked], loglik)
+        for (i, _), result in zip(asked, results):
+            out[i] = result
+            if not isinstance(result, Exception):
+                try:
+                    out[i] = [result] if loglik else model.pack_stats(result)
+                except Exception as exc:
+                    out[i] = exc
         return out
 
-    def _exchange(self, kind: int, reply_kind: int, requests) -> list:
-        """Send every (k, theta, iteration) request of a batch, then read the
-        replies in request order and return their payloads; each distinct
-        theta is packed once, and each endpoint's share of the batch is one
-        send whose last frame alone lacks the MORE bit.  A request that
-        fails does not stop the batch: every other reply is still read, so
-        none is left for a later request to find, and then the failure of
-        the earliest request is raised."""
-        packed = {id(theta): self.model.pack_theta(theta) for _, theta, _ in requests}
+    def _exchange(self, kind: int, requests, width=None) -> list:
+        """Send every (k, theta, tag) request of a batch, one frame per
+        endpoint share, then read each share's reply and return the result
+        payloads in request order; each distinct theta is packed once per
+        batch.  A request that fails does not stop the batch: every other
+        reply is still read, so none is left for a later request to find,
+        and then the failure of the earliest request is raised."""
+        packed = {}  # id(theta) -> its packed form
         shares = defaultdict(list)  # endpoint -> positions of its requests
-        for i, (k, _, _) in enumerate(requests):
+        for i, (k, theta, _) in enumerate(requests):
+            if id(theta) not in packed:
+                packed[id(theta)] = self.model.pack_theta(theta)
             shares[k % len(self._conns)].append(i)
         failed, sent = {}, []
         for e, idx in shares.items():
-            frames = _Frames()
+            index, rows = {}, []  # id(theta) -> its position in this share
             for i in idx:
-                k, theta, iteration = requests[i]
-                write_frame(frames, kind if i == idx[-1] else kind | MORE, k, iteration,
-                            packed[id(theta)])
+                k, theta, tag = requests[i]
+                rows.append((k, tag, index.setdefault(id(theta), len(index))))
+            payload = np.concatenate([_int_words(rows), *(packed[t] for t in index)])
             try:
-                self._conns[e].sendall(frames)
-                sent.extend(idx)
+                write_frame(self._conns[e], kind, len(idx), len(index), payload)
+                sent.append(idx)
             except OSError as exc:
-                for i in idx:
-                    failed[i] = self._failure(requests[i][0], exc)
-        out = []
-        for i in sorted(sent):
-            k, _, iteration = requests[i]
+                failed[idx[0]] = self._failure(requests[idx[0]][0], exc)
+        out = [None] * len(requests)
+        for idx in sent:
             try:
-                out.append(self._reply(k, reply_kind, iteration))
+                results = self._reply(_REPLY[kind], [requests[i][0] for i in idx], width)
             except ProtocolError as exc:
-                failed[i] = exc
+                failed[idx[0]] = exc
+                continue
+            for i, result in zip(idx, results):
+                if isinstance(result, Exception):
+                    failed[i] = result
+                else:
+                    out[i] = result
         if failed:
             raise failed[min(failed)]
         return out
@@ -372,33 +420,33 @@ class SocketPool:
         err.__cause__ = exc
         return err
 
-    def _reply(self, k: int, reply_kind: int, iteration: int):
-        """The payload of worker k's next reply, which must carry the
-        expected kind, subset id and iteration; counted once accepted."""
+    def _reply(self, reply_kind: int, ks, width) -> list:
+        """The results of the reply to the share of subsets ks, read from
+        the endpoint serving them: it must carry the expected kind and
+        count and a table that covers its payload, and then each answered
+        request is counted."""
         try:
-            got = read_frame(self._conns[k % len(self._conns)])
+            kind, n, _, payload = read_frame(self._conns[ks[0] % len(self._conns)])
         except (OSError, ProtocolError) as exc:
-            raise self._failure(k, exc)
-        if got[0] == KIND_ERROR:
-            raise ProtocolError(f"worker {k} failed: {got[3]}")
-        expected = (reply_kind, int(k), int(iteration))
-        if got[:3] != expected:
+            raise self._failure(ks[0], exc)
+        if (kind, n) != (reply_kind, len(ks)):
             raise ProtocolError(
-                f"worker {k}: expected reply (kind, subset, iteration) = "
-                f"{expected}, got {got[:3]}"
+                f"worker {ks[0]}: expected reply (kind, count) = "
+                f"{(reply_kind, len(ks))}, got {(kind, n)}"
             )
-        self.messages_sent += 2
-        return got[3]
+        results = _split_replies(ks, payload, width)
+        self.messages_sent += 2 * sum(not isinstance(r, Exception) for r in results)
+        return results
 
     def esteps(self, requests) -> list:
         """Results of the (k, theta, anchor_tag) requests, in their order:
         all are sent before the first reply is read."""
-        payloads = self._exchange(KIND_ESTEP_REQ, KIND_ESTEP_REP, requests)
+        payloads = self._exchange(KIND_ESTEP_REQ, requests)
         return [self.model.unpack_stats(payload, subset_id=k, anchor_tag=tag)
                 for payload, (k, _, tag) in zip(payloads, requests)]
 
     def logliks(self, ks, theta) -> list:
-        payloads = self._exchange(KIND_LOGLIK_REQ, KIND_LOGLIK_REP, [(k, theta, 0) for k in ks])
+        payloads = self._exchange(KIND_LOGLIK_REQ, [(k, theta, 0) for k in ks], width=1)
         return [float(payload[0]) for payload in payloads]
 
     def estep(self, k: int, theta, anchor_tag: int):

@@ -40,7 +40,7 @@ def test_sum_rows_of_dd_parts_matches_merge_fold():
             DDArray.sum_rows(rng.standard_normal((5, 4)) * 10.0 ** rng.integers(-8, 9, size=(5, 4)))
             for _ in range(n)
         ]
-        folded = DDArray.from_parts(parts[0].hi, parts[0].lo)
+        folded = DDArray._wrap(parts[0].hi.copy(), parts[0].lo.copy())
         for part in parts[1:]:
             folded.merge(part)
         total = DDArray.sum_rows(np.array([a.hi for a in parts]), np.array([a.lo for a in parts]))

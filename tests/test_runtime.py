@@ -1,6 +1,6 @@
 import math
 import socket
-from collections import Counter
+from collections import Counter, defaultdict
 import struct
 import threading
 import time
@@ -544,11 +544,11 @@ def test_socket_reply_checked_without_assert(fitted_pieces):
     pool = SocketPool(model, partition(samples, 2, seed=0))
 
     def wrong_kind_worker(sock):
-        # answers an E-step request with a loglik reply and vice versa
+        # answers an E-step share with a loglik reply and vice versa
         swapped = {KIND_ESTEP_REQ: KIND_LOGLIK_REP, KIND_LOGLIK_REQ: KIND_ESTEP_REP}
         for _ in range(2):
-            kind, subset_id, iteration, _ = read_frame(sock)
-            write_frame(sock, swapped[kind], subset_id, iteration, np.zeros(1))
+            kind, n, _, _ = read_frame(sock)
+            write_share_reply(sock, swapped[kind], [np.zeros(1)] * n)
 
     with socketpair_worker(pool, wrong_kind_worker):
         with pytest.raises(ProtocolError):
@@ -795,19 +795,60 @@ def test_worker_whose_manager_timed_out_exits_quietly(fitted_pieces, monkeypatch
 
 
 @contextmanager
-def raw_worker(model, shard):
-    """Run `SocketPool._serve` as an endpoint holding shard as subset 0
+def raw_worker(model, shards):
+    """Run `SocketPool._serve` as an endpoint holding shards ({k: shard})
     over one end of a socket pair and yield the other end; join the
     endpoint once that end closes."""
     client, worker_end = socket.socketpair()
     worker = threading.Thread(target=SocketPool(model, [])._serve,
-                              args=(worker_end, {0: shard}), daemon=True)
+                              args=(worker_end, shards), daemon=True)
     worker.start()
     with client:
         client.settimeout(5)
         yield client
     worker.join(timeout=5)
     assert not worker.is_alive()
+
+
+def int_words(values) -> np.ndarray:
+    return np.array(values, dtype="<i8").view("<f8").ravel()
+
+
+def write_share(sock, kind, rows, thetas):
+    """One request frame: the (subset, anchor tag, parameter index) rows,
+    then the packed parameters."""
+    write_frame(sock, kind, len(rows), len(thetas),
+                np.concatenate([int_words(rows), *thetas]))
+
+
+def write_share_reply(sock, kind, results):
+    """One reply frame whose results (f64 arrays, or error texts) follow a
+    table of their sizes, an error's as minus its byte length."""
+    sizes, parts = [], []
+    for result in results:
+        if isinstance(result, str):
+            raw = result.encode("utf-8")
+            sizes.append(-len(raw))
+            parts.append(np.frombuffer(raw + bytes(-len(raw) % 8), dtype="<f8"))
+        else:
+            sizes.append(len(result))
+            parts.append(np.asarray(result, dtype=float))
+    write_frame(sock, kind, len(results), 0, np.concatenate([int_words(sizes), *parts]))
+
+
+def read_share_reply(sock):
+    """(kind, results) of one reply frame: each result an f64 array, or a
+    failed request's error text."""
+    kind, n, extra, payload = read_frame(sock)
+    assert extra == 0
+    results, start = [], n
+    for size in payload[:n].view("<i8").tolist():
+        words = size if size >= 0 else math.ceil(-size / 8)
+        chunk = payload[start : start + words]
+        results.append(chunk if size >= 0 else chunk.tobytes()[:-size].decode("utf-8"))
+        start += words
+    assert start == len(payload)
+    return kind, results
 
 
 def test_socket_reply_of_the_wrong_length_is_an_error(fitted_pieces):
@@ -825,48 +866,183 @@ def test_socket_reply_of_the_wrong_length_is_an_error(fitted_pieces):
                 partition(samples, 2, seed=0), theta0)
 
 
-def test_worker_reads_a_request_frame_first(fitted_pieces):
-    """A worker's first bytes are a request frame, with no preamble: an E
-    step is answered with the in-process result, bitwise."""
+def test_worker_reads_a_request_share_first(fitted_pieces):
+    """A worker's first bytes are a request frame, with no preamble: a share
+    of E steps at two parameters and two tags, and then of logliks, is
+    answered in one reply frame each, every result bitwise the in-process
+    one, in request order."""
     samples, model, theta0 = fitted_pieces
-    shard = model.prepare(samples)
-    with raw_worker(model, shard) as client:
-        write_frame(client, KIND_ESTEP_REQ, 0, 3, model.pack_theta(theta0))
-        kind, subset_id, iteration, payload = read_frame(client)
-    assert (kind, subset_id, iteration) == (KIND_ESTEP_REP, 0, 3)
-    got = model.unpack_stats(payload, subset_id=0, anchor_tag=3)
-    want = model.local_estep(theta0, shard)
-    np.testing.assert_array_equal(got.payload.pack(), want.payload.pack())
+    theta1 = Theta(np.ones(3), 2.0 * np.eye(3), 3.0)
+    subsets = partition(samples, 3, seed=0)
+    shards = {k: model.prepare(s) for k, s in enumerate(subsets)}
+    thetas = [model.pack_theta(theta0), model.pack_theta(theta1)]
+    with raw_worker(model, shards) as client:
+        write_share(client, KIND_ESTEP_REQ, [(2, 3, 1), (0, 1, 0), (1, 3, 1)], thetas)
+        kind, got = read_share_reply(client)
+        assert kind == KIND_ESTEP_REP
+        write_share(client, KIND_LOGLIK_REQ, [(1, 0, 0), (2, 0, 0)], thetas[1:])
+        kind, lls = read_share_reply(client)
+        assert kind == KIND_LOGLIK_REP
+    want = InProcessPool(model, subsets).esteps([(2, theta1, 3), (0, theta0, 1), (1, theta1, 3)])
+    assert [g.tobytes() for g in got] == [model.pack_stats(w).tobytes() for w in want]
+    assert [ll.tolist() for ll in lls] == [[model.local_loglik(theta1, subsets[k])]
+                                           for k in (1, 2)]
 
 
 def test_worker_answers_unknown_kind_and_keeps_serving(fitted_pieces):
+    """A share of an unknown kind is answered per request, and the worker
+    then serves the next share."""
     samples, model, theta0 = fitted_pieces
     packed = model.pack_theta(theta0)
-    with raw_worker(model, model.prepare(samples)) as client:
-        write_frame(client, 9, 0, 1, packed)
-        assert read_frame(client) == (KIND_ERROR, 0, 1, "ProtocolError: unknown request kind 9")
-        write_frame(client, KIND_ESTEP_REQ, 0, 2, packed)
-        assert read_frame(client)[:3] == (KIND_ESTEP_REP, 0, 2)
+    shard = model.prepare(samples)
+    with raw_worker(model, {0: shard}) as client:
+        write_share(client, 9, [(0, 1, 0), (0, 2, 0)], [packed])
+        assert read_share_reply(client) == (
+            KIND_ERROR, ["ProtocolError: unknown request kind 9"] * 2)
+        write_share(client, KIND_ESTEP_REQ, [(0, 2, 0), (5, 2, 0)], [packed])
+        kind, (stats, missing) = read_share_reply(client)
+    assert kind == KIND_ESTEP_REP
+    assert stats.tobytes() == model.pack_stats(model.local_estep(theta0, shard, 0, 2)).tobytes()
+    assert missing == "ProtocolError: subset 5 is not served by this endpoint"
 
 
 def test_worker_closes_connection_on_malformed_frame(fitted_pieces, monkeypatch):
-    """A worker whose peer sends a malformed frame closes the connection
-    and returns without an unhandled exception."""
-    samples, model, _ = fitted_pieces
+    """A worker whose peer sends a malformed frame or request share closes
+    the connection and returns without an unhandled exception."""
+    samples, model, theta0 = fitted_pieces
     shard = model.prepare(samples)
-    ragged = struct.pack("<BIQ", KIND_ESTEP_REQ, 0, 0) + bytes(5)
+    packed = model.pack_theta(theta0)
+
+    def frame(kind, n, T, payload):
+        body = struct.pack("<BIQ", kind, n, T) + np.asarray(payload, "<f8").tobytes()
+        return struct.pack("<I", len(body)) + body
+
+    ragged = struct.pack("<BIQ", KIND_ESTEP_REQ, 1, 1) + bytes(5)
     cases = {
         "3-byte body": struct.pack("<I", 3) + bytes(3),
         "5-byte payload": struct.pack("<I", len(ragged)) + ragged,
+        "table longer than the payload": frame(KIND_ESTEP_REQ, 5, 1, int_words([(0, 1, 0)] * 4)),
+        "uneven parameter section": frame(KIND_ESTEP_REQ, 1, 2, np.concatenate(
+            [int_words([(0, 1, 0)]), packed, packed[:-1]])),
+        "parameter index past the section": frame(KIND_LOGLIK_REQ, 2, 1, np.concatenate(
+            [int_words([(0, 0, 0), (0, 0, 1)]), packed])),
+        "rows without parameters": frame(KIND_ESTEP_REQ, 1, 0, int_words([(0, 1, 0)])),
     }
     unhandled = []  # (case, exception type) of each worker that raised
     monkeypatch.setattr(threading, "excepthook",
                         lambda args: unhandled.append((case, args.exc_type)))
     for case, sent in cases.items():
-        with raw_worker(model, shard) as client:
+        with raw_worker(model, {0: shard}) as client:
             client.sendall(sent)
             assert client.recv(1) == b"", case  # closed by the worker
     assert unhandled == []
+
+
+@pytest.mark.parametrize("reply, match", [
+    (lambda sock, n, stats: write_share_reply(sock, KIND_ESTEP_REP, [stats] * (n - 1)),
+     r"expected reply \(kind, count\) = \(2, 2\), got \(2, 1\)"),
+    (lambda sock, n, stats: write_share_reply(sock, KIND_ESTEP_REP, [stats] * (n + 1)),
+     r"expected reply \(kind, count\) = \(2, 2\), got \(2, 3\)"),
+    # the table claims n whole results, the payload ends one value short
+    (lambda sock, n, stats: write_frame(sock, KIND_ESTEP_REP, n, 0, np.concatenate(
+        [int_words([len(stats)] * n), *[stats] * n])[:-1]), "reply sizes do not match"),
+], ids=["short_count", "long_count", "ragged_result"])
+def test_malformed_reply_share_is_protocol_error(fitted_pieces, reply, match):
+    """A reply share with the wrong count, or whose table does not cover its
+    payload, is a ProtocolError naming the share's first subset, and no
+    request of it is counted."""
+    samples, model, theta0 = fitted_pieces
+    pool = SocketPool(model, partition(samples, 2, seed=0))
+    stats = model.pack_stats(model.local_estep(theta0, samples))
+
+    def malformed_worker(sock):
+        _, n, _, _ = read_frame(sock)
+        reply(sock, n, stats)
+
+    with socketpair_worker(pool, malformed_worker):
+        with pytest.raises(ProtocolError, match=f"^worker 1: {match}"):
+            pool.esteps([(1, theta0, 3), (0, theta0, 3)])
+        assert pool.messages_sent == 0
+
+
+def test_loglik_reply_of_more_than_one_value_is_an_error(fitted_pieces):
+    """A loglik result of two values is a ragged reply: a ProtocolError
+    naming the share's first subset, with nothing of it counted."""
+    samples, model, theta0 = fitted_pieces
+    pool = SocketPool(model, partition(samples, 2, seed=0))
+
+    def long_loglik_worker(sock):
+        _, n, _, _ = read_frame(sock)
+        write_share_reply(sock, KIND_LOGLIK_REP, [np.zeros(1), np.zeros(2)][:n])
+
+    with socketpair_worker(pool, long_loglik_worker):
+        with pytest.raises(ProtocolError, match="^worker 0: reply sizes do not match"):
+            pool.logliks([0, 1], theta0)
+        assert pool.messages_sent == 0
+
+
+@pytest.mark.parametrize("endpoints", [1, 2, 3])
+def test_batch_is_one_frame_each_way_per_endpoint(fitted_pieces, monkeypatch, endpoints):
+    """A batch whose requests all succeed is one request frame and one reply
+    frame per endpoint, all through `write_frame`; a lone request is one
+    frame each way.  messages_sent counts 2 per answered request."""
+    samples, model, theta0 = fitted_pieces
+    pin_endpoints(monkeypatch, endpoints)
+    frames = []
+    write = transport_mod.write_frame
+
+    def counted_write_frame(sock, kind, count, extra, payload):
+        frames.append(kind)
+        write(sock, kind, count, extra, payload)
+
+    monkeypatch.setattr(transport_mod, "write_frame", counted_write_frame)
+    theta1 = Theta(np.ones(3), 2.0 * np.eye(3), 3.0)
+    pool = SocketPool(model, partition(samples, 5, seed=0))
+    try:
+        pool.esteps([(k, theta0 if k % 2 else theta1, 1 + k % 2) for k in range(5)])
+        assert Counter(frames) == {KIND_ESTEP_REQ: endpoints, KIND_ESTEP_REP: endpoints}
+        frames.clear()
+        pool.logliks([4, 0, 2], theta0)
+        shares = len({k % endpoints for k in (4, 0, 2)})
+        assert Counter(frames) == {KIND_LOGLIK_REQ: shares, KIND_LOGLIK_REP: shares}
+        frames.clear()
+        pool.estep(3, theta0, 2)
+        pool.loglik(1, theta1)
+        assert frames == [KIND_ESTEP_REQ, KIND_ESTEP_REP, KIND_LOGLIK_REQ, KIND_LOGLIK_REP]
+        assert pool.messages_sent == 2 * (5 + 3 + 2)
+    finally:
+        pool.close()
+
+
+@pytest.mark.parametrize("endpoints", [1, 2])
+def test_each_theta_is_packed_once_per_batch(fitted_pieces, monkeypatch, endpoints):
+    """The manager packs each distinct parameter of a batch once, however
+    many requests and endpoints share it: a batch of 20 requests at one
+    theta, a "finish" batch mixing two thetas and two tags, and a loglik
+    round."""
+    samples, _, theta0 = fitted_pieces
+    pin_endpoints(monkeypatch, endpoints)
+    packed = []
+
+    class CountingModel(LmmModel):
+        def pack_theta(self, theta):
+            packed.append(theta)
+            return super().pack_theta(theta)
+
+    theta1 = Theta(np.ones(3), 2.0 * np.eye(3), 3.0)
+    subsets = partition(samples, 20, seed=0)
+    pool = SocketPool(CountingModel(3, 3), subsets)
+    try:
+        pool.esteps([(k, theta0, 1) for k in range(20)])
+        assert packed == [theta0]
+        packed.clear()
+        pool.esteps([(0, theta0, 1), (3, theta1, 2), (1, theta0, 1), (2, theta1, 2)])
+        assert sorted(map(id, packed)) == sorted(map(id, [theta0, theta1]))
+        packed.clear()
+        pool.logliks(range(20), theta1)
+        assert packed == [theta1]
+    finally:
+        pool.close()
 
 
 def test_pool_close_releases_dead_connections(fitted_pieces, monkeypatch):
@@ -1052,7 +1228,7 @@ def test_dropped_endpoint_loses_every_subset_on_it(fitted_pieces, monkeypatch):
 @pytest.mark.parametrize("endpoints", [1, 2])
 def test_batch_larger_than_the_socket_buffers_completes(fitted_pieces, monkeypatch,
                                                         endpoints):
-    """An endpoint's share of requests and its replies each exceed what its
+    """An endpoint's request frame and its reply frame each exceed what its
     socket pair buffers: the batch still completes, because an endpoint
     writes nothing before it has read its whole share.  A deadlock would
     end in the reply timeout, not hang."""
@@ -1069,8 +1245,18 @@ def test_batch_larger_than_the_socket_buffers_completes(fitted_pieces, monkeypat
                 buffered.append(sock.getsockopt(socket.SOL_SOCKET, opt))
         return pair
 
+    written = defaultdict(list)  # kind -> bytes of each frame written
+    write = transport_mod.write_frame
+
+    def measured_write_frame(sock, kind, count, extra, payload):
+        written[kind].append(4 + 13 + 8 * len(payload))
+        write(sock, kind, count, extra, payload)
+
     monkeypatch.setattr(transport_mod.socket, "socketpair", small_socketpair)
-    K = 400
+    monkeypatch.setattr(transport_mod, "write_frame", measured_write_frame)
+    # theta travels once per share, so a request frame is mostly its table,
+    # 24 bytes per request, and a loglik reply 16 bytes per request
+    K = 2400
     subsets = [[samples[k % len(samples)]] for k in range(K)]
     pool = SocketPool(model, subsets)
     try:
@@ -1079,11 +1265,9 @@ def test_batch_larger_than_the_socket_buffers_completes(fitted_pieces, monkeypat
         lls = pool.logliks(range(K), theta0)
     finally:
         pool.close()
-    share = K // endpoints
-    theta_bytes_out = 8 * len(model.pack_theta(theta0))
-    stats_bytes = 8 * len(model.pack_stats(got[0]))
-    assert share * (17 + theta_bytes_out) > 2 * max(buffered)
-    assert share * (17 + stats_bytes) > 2 * max(buffered)
+    for kind in (KIND_ESTEP_REQ, KIND_ESTEP_REP, KIND_LOGLIK_REQ, KIND_LOGLIK_REP):
+        assert len(written[kind]) == endpoints
+        assert min(written[kind]) > 2 * max(buffered), kind
     want = InProcessPool(model, subsets)
     assert [model.pack_stats(s).tobytes() for s in got] == [
         model.pack_stats(s).tobytes() for s in want.esteps(requests)]
