@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -283,50 +284,84 @@ class _StatsValues(NamedTuple):
         )
 
 
-@lru_cache(maxsize=16)
-def _stats_layout(p: int, q: int) -> tuple:
-    """Slices of the `_StatsValues` fields in the flat accumulator."""
-    out = _slices([
-        ("s_yy", 1),
-        ("S_xy", p),
-        ("S_xx", p * p),
-        ("S_xzb", p),
-        ("s_yzb", 1),
-        ("S_bb", q * q),
-        ("s_bzzb", 1),
-        ("loglik", 1),
-    ])
-    return tuple(out[name] for name in _StatsValues._fields)
+def _sum_accs(accs: Sequence[DDArray]) -> DDArray:
+    """Compensated sum of accumulators, in one pairwise pass over their hi
+    and lo words (`DDArray.sum_rows`)."""
+    return DDArray.sum_rows(np.array([a.hi for a in accs]), np.array([a.lo for a in accs]))
+
+
+class LmmStatic:
+    """The statistics of a shard that depend on its data alone: s_yy, S_xy
+    (p) and S_xx (p*p), the compensated sum of its `Sample.moments` columns
+    y'y, X'y and X'X, in that order.  It is the static part of the shard's
+    E-step statistics (`LmmModel.static_stats`): no E step changes it, so
+    it is summed once per shard (`LmmShard.const_sum`) and never packed.
+
+    combine(*others) sums the parts in one compensated pass over their hi
+    and lo words, as `LmmSuffStats.combine` sums the theta-dependent words.
+    The tree reduces every column on its own, so these words are those a
+    single pass over all the columns together gives.  A part keeps the last
+    total it combined and returns it while the same others (the same
+    objects, in the same order) come back: a run whose shards stay
+    resident sums its static total once.  That cache is of data alone, and
+    other parts give a fresh sum.
+    """
+
+    __slots__ = ("acc", "_last")
+
+    def __init__(self, acc: DDArray):
+        self.acc = acc
+        self._last = None  # (others, the total of self and them)
+
+    def combine(self, *others: "LmmStatic") -> "LmmStatic":
+        last = self._last
+        if (last is not None and len(last[0]) == len(others)
+                and all(map(operator.is_, last[0], others))):
+            return last[1]
+        total = LmmStatic(_sum_accs([self.acc, *(o.acc for o in others)]))
+        self._last = (others, total)
+        return total
 
 
 class LmmSuffStats:
     """Additive subset aggregates for the mixed model.
 
-    The flat accumulator holds, in order, the statistics of the data alone:
-    s_yy, S_xy (p), S_xx (p*p); then those of the posterior at the E step's
-    theta: S_xzb (p) and s_yzb, which are G b_hat summed, S_bb (q*q),
-    s_bzzb and the loglik.  Those are enough to evaluate the expected
-    residual sum at any beta, so the maximization can move beta away from
-    the anchor the E step was run at.
+    Two compensated accumulators hold them.  The E step's own, the only
+    one packed for the wire, holds the statistics of the posterior at the
+    E step's theta: S_xzb (p) and s_yzb, which are G b_hat summed, S_bb
+    (q*q), s_bzzb and the loglik, p + q*q + 3 columns.  `static` holds
+    those of the data alone (an `LmmStatic`: s_yy, S_xy, S_xx), the same
+    object for every E step of a shard; it is None on a result just
+    unpacked, until its pool attaches the shard's part.  Together they are
+    enough to evaluate the expected residual sum at any beta, so the
+    maximization can move beta away from the anchor the E step was run at.
     """
 
-    __slots__ = ("p", "q", "m", "n", "_acc")
+    __slots__ = ("p", "q", "m", "n", "_acc", "static")
 
-    def __init__(self, p: int, q: int, acc: DDArray, m: int, n: int):
-        """Statistics of m samples with n observations, summed in acc."""
+    def __init__(self, p: int, q: int, acc: DDArray, m: int, n: int,
+                 static: LmmStatic | None = None):
+        """Statistics of m samples with n observations: the theta-dependent
+        ones summed in acc, the data-only ones in static."""
         self.p = p
         self.q = q
         self.m = m
         self.n = n
         self._acc = acc
+        self.static = static
 
     def values(self) -> _StatsValues:
-        """Every statistic, read from one rounding of the accumulator."""
+        """Every statistic, read from one rounding of each accumulator.  A
+        result without its static part is a ProtocolError."""
+        if self.static is None:
+            raise ProtocolError("statistics without their data-only part: an unpacked "
+                                "result needs its shard's static_stats")
         p, q = self.p, self.q
-        v = self._acc.value()
-        S_xx, S_xy, S_xzb, S_bb, *scalars = (v[sl] for sl in _stats_layout(p, q))
+        c, v = self.static.acc.value(), self._acc.value()
         return _StatsValues(
-            S_xx.reshape(p, p), S_xy, S_xzb, S_bb.reshape(q, q), *(float(x[0]) for x in scalars)
+            S_xx=c[1 + p :].reshape(p, p), S_xy=c[1 : 1 + p], S_xzb=v[:p],
+            S_bb=v[p + 1 : -2].reshape(q, q), s_yy=float(c[0]), s_yzb=float(v[p]),
+            s_bzzb=float(v[-2]), loglik=float(v[-1]),
         )
 
     @property
@@ -340,23 +375,28 @@ class LmmSuffStats:
     def combine(self, *others: "LmmSuffStats") -> "LmmSuffStats":
         """The statistics of self and others together.
 
-        All accumulators are summed in one compensated pairwise pass
-        (`DDArray.sum_rows`, the one-segment case of the tree an E-step
-        batch sums its shards in, over their hi and lo words); with one
-        other this is exactly `DDArray.merge`.
+        The theta-dependent accumulators are summed in one compensated
+        pairwise pass (`DDArray.sum_rows`, the one-segment case of the tree
+        an E-step batch sums its shards in, over their hi and lo words);
+        with one other this is exactly `DDArray.merge`.  The static parts
+        are combined by the first one (`LmmStatic.combine`), and only when
+        every part has one.
         """
         if any((o.p, o.q) != (self.p, self.q) for o in others):
             raise ValueError("incompatible statistic shapes")
         parts = (self, *others)
-        acc = DDArray.sum_rows(
-            np.array([s._acc.hi for s in parts]), np.array([s._acc.lo for s in parts])
-        )
+        acc = _sum_accs([s._acc for s in parts])
+        static = None
+        if all(s.static is not None for s in parts):
+            static = self.static.combine(*(o.static for o in others))
         return LmmSuffStats(
-            self.p, self.q, acc, sum(s.m for s in parts), sum(s.n for s in parts)
+            self.p, self.q, acc, sum(s.m for s in parts), sum(s.n for s in parts), static
         )
 
     # -- wire serialization ------------------------------------------------
     def pack(self) -> np.ndarray:
+        """m, n, then the hi and the lo words of the theta-dependent
+        accumulator: 2 + 2(p + q*q + 3) values."""
         return np.concatenate(
             [[float(self.m), float(self.n)], self._acc.hi, self._acc.lo]
         )
@@ -374,9 +414,12 @@ class LmmShard:
     The compensated tree (`DDArray.sum_segments`) reduces every column on
     its own, and each shard's words depend only on its own rows, whether it
     is summed alone or as one segment of an E-step batch.  So the sum of
-    the data-only statistics (`const_sum`) is computed once, on first use,
-    and every E step reuses it bitwise as if it had summed those columns
-    again.  Apart from that cache a shard never changes after `prepare`:
+    the data-only statistics (`const_sum`, the static part of the shard's
+    statistics) is computed once, on first use, and every E step's result
+    holds that one object, bitwise as if the E step had summed those
+    columns again; a manager combines it with the other shards' parts once
+    per run (`LmmStatic.combine`).  Apart from that cache, and the last
+    total the cached part keeps, a shard never changes after `prepare`:
     each E step or loglik computes its posterior afresh.
     """
 
@@ -395,9 +438,9 @@ class LmmShard:
         return len(self.rec)
 
     @cached_property
-    def const_sum(self) -> DDArray:
+    def const_sum(self) -> LmmStatic:
         """Compensated sum of the const rows: s_yy, S_xy and S_xx."""
-        return DDArray.sum_rows(self.const)
+        return LmmStatic(DDArray.sum_rows(self.const))
 
 
 class _Posterior(NamedTuple):
@@ -617,17 +660,18 @@ class LmmModel(ModelContract):
         B += theta.tau2 * post.Ainv.reshape(m, q * q)
         np.sum(stacked.ZZ.reshape(m, q * q) * B, axis=1, out=rows[:, -2])
         rows[:, -1] = _finite_loglik(self._loglik(theta, stacked, post))
-        # one accumulator row per shard: its const_sum words, then the sums
-        # of its theta-dependent rows, all shards in one segmented tree
+        # one accumulator row per shard, all shards in one segmented tree;
+        # each result holds its shard's data-only part as it is cached
         fresh = DDArray.sum_segments(rows, [len(shard) for shard in shards])
-        consts = [shard.const_sum for shard in shards]
-        hi = np.concatenate([[c.hi for c in consts], fresh.hi], axis=1)
-        lo = np.concatenate([[c.lo for c in consts], fresh.lo], axis=1)
         return [
-            SuffStats(k, anchor_tag, LmmSuffStats(p, q, DDArray._wrap(hi[i], lo[i]),
-                                                  len(shard), shard.n_total))
+            SuffStats(k, anchor_tag, LmmSuffStats(p, q, DDArray._wrap(fresh.hi[i], fresh.lo[i]),
+                                                  len(shard), shard.n_total, shard.const_sum))
             for i, (shard, k) in enumerate(zip(shards, subset_ids))
         ]
+
+    def static_stats(self, shard: SubsetData | LmmShard) -> LmmStatic:
+        """The shard's data-only statistics, summed once per shard."""
+        return self._shard(shard).const_sum
 
     def q_value(self, stats: LmmSuffStats, theta: Theta) -> float:
         """Expected complete-data log likelihood reconstructed from aggregates."""
@@ -768,8 +812,12 @@ class LmmModel(ModelContract):
         return np.concatenate([theta.beta, theta.L[rows, cols], [theta.tau2]])
 
     def unpack_theta(self, arr: np.ndarray) -> Theta:
+        """The Theta pack_theta packed; an array of another length is a
+        ProtocolError."""
         p, q = self.p, self.q
         rows, cols, _ = _tril(q)
+        if len(arr) != p + rows.size + 1:
+            raise ProtocolError(f"parameter of {len(arr)} values, expected {p + rows.size + 1}")
         L = np.zeros((q, q))
         L[rows, cols] = arr[p : p + rows.size]
         return Theta(arr[:p], L, float(arr[-1]))
@@ -779,12 +827,13 @@ class LmmModel(ModelContract):
 
     def unpack_stats(self, arr: np.ndarray, subset_id: int, anchor_tag: int) -> SuffStats:
         p, q = self.p, self.q
-        size = _stats_layout(p, q)[-1].stop
+        size = p + q * q + 3
         if len(arr) != 2 + 2 * size:
             raise ProtocolError(f"subset {subset_id}: statistics payload of {len(arr)} "
                                 f"values, expected {2 + 2 * size}")
         # arr is the caller's private array (a socket pool's slice of the
-        # reply it read), so the accumulator keeps views of it
+        # reply it read), so the accumulator keeps views of it; the static
+        # part is the pool's to attach
         acc = DDArray._wrap(arr[2 : 2 + size], arr[2 + size :])
         return SuffStats(subset_id, anchor_tag,
                          LmmSuffStats(p, q, acc, int(arr[0]), int(arr[1])))

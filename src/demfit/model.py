@@ -33,7 +33,8 @@ class SuffStats:
     The header routes the result: the subset it covers and the anchor tag
     of the parameter it was computed at.  The statistics themselves, the
     observation count `n` and the local log likelihood `loglik` live in
-    the payload.
+    the payload, and so does the static part of the statistics, for a
+    model that has one (`ModelContract.static_stats`).
     """
 
     subset_id: int
@@ -71,6 +72,20 @@ class ModelContract(ABC):
     the batch.  A request alone in its group, in either pool, still goes
     to local_estep or local_loglik.  The defaults call those once per
     shard; a model may serve the batch in one pass instead.
+
+    static_stats(shard) returns the static part of a prepared subset's
+    E-step statistics, the part that depends on its data alone, or None
+    (the default) for a model whose statistics all depend on theta.  A
+    payload of a model with a static part holds it in its `static`
+    attribute, the same object for every E step of a shard: local_estep
+    and local_esteps set it, pack_stats leaves it out, so a reply carries
+    only the theta-dependent part, and unpack_stats leaves it None, for
+    the socket pool to attach static_stats of the manager's own copy of
+    the shard.  A static part provides combine(*others) like a payload,
+    and a payload's combine combines the static parts through the first
+    one's; since no E step changes them, that combine may keep its last
+    total and return it while the same others come back, so a run sums
+    its static total once.
 
     free_energy_path(thetas, anchor_tags, subsets) returns, for row j of
     anchor_tags and subset k, the local log likelihood at thetas[j] minus
@@ -115,6 +130,9 @@ class ModelContract(ABC):
     def local_logliks(self, theta, shards) -> list:
         return [self.local_loglik(theta, shard) for shard in shards]
 
+    def static_stats(self, shard):
+        return None
+
     @abstractmethod
     def cm_steps(self, agg, theta_current): ...
 
@@ -139,10 +157,14 @@ def aggregate_stats(cache: dict, K: int) -> SuffStats:
 
     The cache must hold exactly one entry for every subset id 0..K-1; the
     M step must never run before every subset has reported once.  The
-    payloads are combined in one call, `first.combine(*rest)`, which
-    carries the total `n` and `loglik`; the aggregate's header routes
-    nothing (subset id and anchor tag -1) and lists every subset's
-    anchor tag in `anchor_tags`.
+    payloads are combined in one call, `first.combine(*rest)`, in subset
+    order, which carries the total `n` and `loglik` and, for a model with
+    a static part (`ModelContract.static_stats`), the combined static
+    part.  A cache refilled from resident shards holds the same K static
+    parts at every iteration, so their total is summed once per run and
+    each later aggregate sums only the theta-dependent statistics.  The
+    aggregate's header routes nothing (subset id and anchor tag -1) and
+    lists every subset's anchor tag in `anchor_tags`.
     """
     if not cache:
         raise ProtocolError("empty statistics cache")

@@ -25,10 +25,11 @@ u32 count, u64 extra, f64-array payload}.  The unit on the wire is an
 endpoint's share of a batch, not a request: a batch sends each endpoint
 one request frame and the endpoint answers with one reply frame, so a
 lone request is one frame each way.  A request frame of n requests at T
-distinct parameters has count n and extra T; its payload is a table of n
-int64 rows (subset, anchor tag, parameter index), then the T parameters
-packed by `pack_theta`, each once, in equal parts.  The reply frame has
-count n and extra 0; its payload is a table of n int64 sizes, then each
+distinct parameters has count n and extra T, 1 <= T <= n (T = 0 only
+when n = 0); its payload is a table of n int64 rows (subset, anchor tag,
+parameter index), then the T parameters packed by `pack_theta`, each
+once, in equal parts of at least one value.  The reply frame has count n
+and extra 0; its payload is a table of n int64 sizes, then each
 request's result in request order: a size s >= 0 is a result of s f64
 values (`pack_stats`, or one loglik), and s < 0 marks a failed request,
 whose slot holds the UTF-8 text "ExceptionType: message", -s bytes long,
@@ -42,6 +43,16 @@ which every request holds that error.
 
 An endpoint keeps nothing between batches but its prepared shards: it
 unpacks the parameters of every batch and answers from those alone.
+
+A reply carries only the statistics that depend on the E step's
+parameter.  The part of a subset's statistics that depends on its data
+alone (`ModelContract.static_stats`) never crosses the wire: the pool
+takes it from the manager's copy of each shard when it is built and
+attaches it to every result it unpacks, so it adds no frame.  For the
+mixed model at p=10, q=3 an E-step result is 46 f64 values (m, n, and
+the hi and lo words of 22 statistics, 368 bytes), and a 20-subset
+E-step share replies with about 7.5 KB; the 111 data-only statistics
+would add 222 values to every result.
 
 The manager waits at most REPLY_TIMEOUT_S seconds for each reply.  A
 share whose reply does not come in time, or whose endpoint's connection
@@ -83,6 +94,8 @@ REPLY_TIMEOUT_S = 120.0
 # endpoints that are processes.
 ENDPOINTS = 1
 _HEAD = struct.Struct("<BIQ")  # kind, count, extra
+# bytes a frame's body buffer starts at; it doubles as the body arrives
+_CHUNK = 1 << 20
 
 KIND_ESTEP_REQ = 1
 KIND_ESTEP_REP = 2
@@ -100,12 +113,19 @@ def write_frame(sock, kind: int, count: int, extra: int, payload: np.ndarray):
 
 def _recv_exact(sock, n: int, frame_start: bool = False) -> bytearray:
     """Read n bytes.  A peer that closes first is a ConnectionError, which
-    says "mid-frame" unless the read starts a frame and got no byte."""
-    buf = bytearray(n)
-    view = memoryview(buf)
+    says "mid-frame" unless the read starts a frame and got no byte.
+
+    The buffer starts at no more than _CHUNK bytes and doubles only when
+    the bytes already read fill it, so it never holds more than _CHUNK
+    bytes or twice what the peer has sent: a length word alone, whatever
+    it says, does not allocate its length."""
+    buf = bytearray(min(n, _CHUNK))
     got = 0
     while got < n:
-        k = sock.recv_into(view[got:])
+        if got == len(buf):
+            buf.extend(bytes(min(got, n - got)))
+        with memoryview(buf) as view, view[got:] as rest:
+            k = sock.recv_into(rest)
         if not k:
             where = "" if frame_start and not got else " mid-frame"
             raise ConnectionError(f"peer closed connection{where}")
@@ -116,7 +136,16 @@ def _recv_exact(sock, n: int, frame_start: bool = False) -> bytearray:
 def read_frame(sock):
     """(kind, count, extra, payload), the payload a private f64 array.  A
     body shorter than the header or a payload that is not whole f64 values
-    is a ProtocolError."""
+    is a ProtocolError.
+
+    The u32 length word may ask for up to 4 GiB, and no bound is put on
+    it: a share's reply grows with its requests (46 values per E step of
+    the p=10, q=3 model), and only the pool's two ends of a socket pair
+    ever write frames.  The body is read in a buffer that grows with the
+    bytes that arrive (`_recv_exact`), so a length word that overstates
+    its frame costs memory in proportion to the bytes its peer really
+    sent, and ends in the ConnectionError of a peer that closed
+    mid-frame."""
     (length,) = struct.unpack("<I", _recv_exact(sock, 4, frame_start=True))
     body = _recv_exact(sock, length)
     if length < _HEAD.size:
@@ -140,19 +169,24 @@ def _int_words(values) -> np.ndarray:
 
 def _split_request(n: int, T: int, payload: np.ndarray):
     """The n (subset, anchor tag, parameter index) rows of a request share
-    and its T packed parameters; a table longer than the payload, a
-    parameter section that does not split into T equal parts or an index
-    outside 0..T-1 is a ProtocolError."""
+    and its T packed parameters.  A share of n >= 1 rows holds 1 <= T <= n
+    parameters of at least one value each, and a share of no rows none.
+    Any other T, a table longer than the payload, a parameter section that
+    does not split into T equal parts or an index outside 0..T-1 is a
+    ProtocolError, the only exception a share can raise here."""
     rest = len(payload) - 3 * n
     if rest < 0:
         raise ProtocolError(f"request table of {n} rows is longer than its "
                             f"{len(payload)}-value payload")
-    if rest % T if T else rest:
+    if not (1 <= T <= n if n else T == 0):
+        raise ProtocolError(f"a share of {n} requests cannot hold {T} parameters")
+    width, extra = divmod(rest, T) if T else (0, rest)
+    if extra or (T and not width):
         raise ProtocolError(f"{rest} parameter values do not split into {T} parameters")
     rows = payload[: 3 * n].view("<i8").reshape(n, 3).tolist()
     if any(not 0 <= j < T for _, _, j in rows):
         raise ProtocolError(f"request table names a parameter outside 0..{T - 1}")
-    return rows, payload[3 * n :].reshape(T, rest // T if T else 0)
+    return rows, payload[3 * n :].reshape(T, width)
 
 
 def _join_replies(results) -> np.ndarray:
@@ -293,6 +327,10 @@ class SocketPool:
     def __init__(self, model: ModelContract, subsets):
         self.model = model
         shards = [model.prepare(subset) for subset in subsets]
+        # the data-only part of each subset's statistics, which no reply
+        # carries: taken from the manager's copy of the shard, before an
+        # endpoint that shares it exists
+        self._static = [model.static_stats(shard) for shard in shards]
         self.messages_sent = 0
         self._conns = []
         self._threads = []
@@ -442,8 +480,12 @@ class SocketPool:
         """Results of the (k, theta, anchor_tag) requests, in their order:
         all are sent before the first reply is read."""
         payloads = self._exchange(KIND_ESTEP_REQ, requests)
-        return [self.model.unpack_stats(payload, subset_id=k, anchor_tag=tag)
-                for payload, (k, _, tag) in zip(payloads, requests)]
+        out = [self.model.unpack_stats(payload, subset_id=k, anchor_tag=tag)
+               for payload, (k, _, tag) in zip(payloads, requests)]
+        for stats, (k, _, _) in zip(out, requests):
+            if self._static[k] is not None:
+                stats.payload.static = self._static[k]
+        return out
 
     def logliks(self, ks, theta) -> list:
         payloads = self._exchange(KIND_LOGLIK_REQ, [(k, theta, 0) for k in ks], width=1)

@@ -339,7 +339,7 @@ def test_socket_reply_of_the_wrong_length_is_an_error(workspace, tmp_path, capsy
     monkeypatch.setattr(LmmModel, "pack_stats", long_reply)
     assert run(["fit", "--data", workspace / "data", "--K", 2,
                 "--transport", "socket", "--out", tmp_path / "long"]) == 1
-    assert "error: subset 0: statistics payload of 60 values" in capsys.readouterr().err
+    assert "error: subset 0: statistics payload of 34 values" in capsys.readouterr().err
 
 
 def test_dead_socket_worker_is_an_error(workspace, tmp_path, capsys, monkeypatch):

@@ -33,6 +33,13 @@ from conftest import local_kl, point_bytes, random_sample, random_theta, theta_b
 # -- independent oracles -----------------------------------------------------
 
 
+def full_acc(stats):
+    """Both accumulators of an LmmSuffStats as one DDArray: the data-only
+    words, then the theta-dependent ones."""
+    parts = (stats.static.acc, stats._acc)
+    return DDArray._wrap(*(np.concatenate([getattr(a, w) for a in parts]) for w in ("hi", "lo")))
+
+
 def posterior_oracle(theta, s):
     """Condition the joint Gaussian of (y, b) directly; no Woodbury."""
     D, tau2 = theta.D, theta.tau2
@@ -214,7 +221,7 @@ def test_estep_permutation_invariance_bitwise():
     a = model.local_estep(theta, subset).payload
     order = rng.permutation(20)
     b = model.local_estep(theta, [subset[i] for i in order]).payload
-    np.testing.assert_array_equal(a._acc.value(), b._acc.value())
+    np.testing.assert_array_equal(full_acc(a).value(), full_acc(b).value())
     assert a.loglik == b.loglik
 
 
@@ -236,7 +243,7 @@ def test_batch_composition_bitwise():
     combined = model.local_estep(theta, subset[:1]).payload
     for s in subset[1:]:
         combined = combined.combine(model.local_estep(theta, [s]).payload)
-    assert np.array_equal(whole._acc.value(), combined._acc.value())
+    assert np.array_equal(full_acc(whole).value(), full_acc(combined).value())
     assert (whole.m, whole.n) == (combined.m, combined.n)
 
 
@@ -513,13 +520,13 @@ def test_shard_matches_samples_bitwise(monkeypatch):
         assert widths == []
         a = model.local_estep(theta, shard)
         again = model.local_estep(theta, shard).payload
-        assert np.array_equal(again._acc.hi, a.payload._acc.hi)
-        assert np.array_equal(again._acc.lo, a.payload._acc.lo)
+        assert np.array_equal(full_acc(again).hi, full_acc(a.payload).hi)
+        assert np.array_equal(full_acc(again).lo, full_acc(a.payload).lo)
         assert sorted(widths) == [fresh_width, fresh_width, const_width]
         b = model.local_estep(theta, subset)
         sa, sb = a.payload, b.payload
-        assert np.array_equal(sa._acc.hi, sb._acc.hi)
-        assert np.array_equal(sa._acc.lo, sb._acc.lo)
+        assert np.array_equal(full_acc(sa).hi, full_acc(sb).hi)
+        assert np.array_equal(full_acc(sa).lo, full_acc(sb).lo)
         assert (sa.m, sa.n, sa.loglik) == (sb.m, sb.n, sb.loglik)
         assert (sa.m, sa.n) == (len(subset), sum(s.n_obs for s in subset))
         # reference: the data-only statistics summed from the samples, then
@@ -527,12 +534,12 @@ def test_shard_matches_samples_bitwise(monkeypatch):
         ref_const = DDArray.sum_rows(np.array(
             [np.concatenate([[s.y @ s.y], s.X.T @ s.y, (s.X.T @ s.X).ravel()]) for s in subset]
         ).reshape(len(subset), const_width))
-        assert np.array_equal(sa._acc.hi[:const_width], ref_const.hi)
-        assert np.array_equal(sa._acc.lo[:const_width], ref_const.lo)
-        one_rows = [model.local_estep(theta, [s]).payload._acc.hi for s in subset]
-        ref = DDArray.sum_rows(np.array(one_rows).reshape(len(subset), sa._acc.hi.size))
-        assert np.array_equal(sa._acc.hi, ref.hi)
-        assert np.array_equal(sa._acc.lo, ref.lo)
+        assert np.array_equal(full_acc(sa).hi[:const_width], ref_const.hi)
+        assert np.array_equal(full_acc(sa).lo[:const_width], ref_const.lo)
+        one_rows = [full_acc(model.local_estep(theta, [s]).payload).hi for s in subset]
+        ref = DDArray.sum_rows(np.array(one_rows).reshape(len(subset), full_acc(sa).hi.size))
+        assert np.array_equal(full_acc(sa).hi, ref.hi)
+        assert np.array_equal(full_acc(sa).lo, ref.lo)
 
 
 def test_rss_exp_matches_direct_expectation():
@@ -564,14 +571,15 @@ def test_stats_pack_unpack_roundtrip():
 
 @pytest.mark.parametrize("extra", [2, -3], ids=["two_long", "three_short"])
 def test_unpack_stats_rejects_a_payload_of_the_wrong_length(extra):
-    # p=q=3: 2 header values and two 28-word accumulator halves
+    # p=q=3: 2 header values and the two 15-word halves of the
+    # theta-dependent accumulator
     rng = np.random.default_rng(16)
     model = LmmModel(3, 3)
     st = model.local_estep(random_theta(rng, 3, 3), [random_sample(rng, 3, 3)]).payload
     packed = st.pack()
     arr = np.concatenate([packed, np.zeros(extra)]) if extra > 0 else packed[:extra]
     with pytest.raises(ProtocolError, match=f"^subset 4: statistics payload of "
-                                            f"{len(arr)} values, expected 58$"):
+                                            f"{len(arr)} values, expected 32$"):
         model.unpack_stats(arr, subset_id=4, anchor_tag=0)
 
 
@@ -689,6 +697,11 @@ def test_theta_wire_roundtrip():
     np.testing.assert_array_equal(rt.beta, theta.beta)
     np.testing.assert_array_equal(rt.L, theta.L)
     assert rt.tau2 == theta.tau2
+    # 3 + 3 + 1 values: a value more or less is not a parameter
+    packed = model.pack_theta(theta)
+    for arr in (packed[:-1], np.append(packed, 1.0)):
+        with pytest.raises(ProtocolError, match=f"^parameter of {len(arr)} values, expected 7$"):
+            model.unpack_theta(arr)
 
 
 def test_theta_validation():

@@ -860,8 +860,8 @@ def test_socket_reply_of_the_wrong_length_is_an_error(fitted_pieces):
         def pack_stats(self, stats):
             return np.concatenate([super().pack_stats(stats), [0.0, 0.0]])
 
-    with pytest.raises(ProtocolError, match="subset 0: statistics payload of 60 values, "
-                                            "expected 58"):
+    with pytest.raises(ProtocolError, match="subset 0: statistics payload of 34 values, "
+                                            "expected 32"):
         run_dem(RunConfig(K=2, transport="socket"), LongReplyModel(3, 3),
                 partition(samples, 2, seed=0), theta0)
 
@@ -1416,7 +1416,9 @@ def test_ecme0_asserts_ascent(fitted_pieces):
             packed = self.pack_stats(stats)
             # layout: m, n, then the hi and lo words; the last hi word is the loglik
             packed[1 + (packed.size - 2) // 2] -= 1e3
-            return [self.unpack_stats(packed, stats.subset_id, anchor_tag)]
+            dropped = self.unpack_stats(packed, stats.subset_id, anchor_tag)
+            dropped.payload.static = stats.payload.static
+            return [dropped]
 
     with pytest.raises(AssertionError, match="log likelihood decreased at iteration 2"):
         run_ecme0(RunConfig(K=1), DroppingModel(3, 3), samples, theta0)
