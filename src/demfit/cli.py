@@ -15,11 +15,14 @@ import numpy as np
 from . import datagen, diagnostics, movielens
 from .lmm import LmmModel, Theta, information_matrices, speed_matrices
 from .model import ProtocolError
-from .runtime import COMPLETION_POLICIES, TRANSPORTS, RunConfig, run_dem, run_ecme0
-
-# the fit flags ecme0 does not read, at the value it runs with
-_ECME0_FIXED = {"gamma": None, "K": 1, "transport": "in_process", "completion": "restart",
-                "exact_loglik_check": False, "forced_split": False}
+from .runtime import (
+    COMPLETION_POLICIES,
+    ECME0_SETTINGS,
+    TRANSPORTS,
+    RunConfig,
+    run_dem,
+    run_ecme0,
+)
 
 
 def _build_parser():
@@ -99,11 +102,15 @@ def cmd_fit(args) -> int:
     theta0 = Theta.default_start(p, q)
 
     if args.algo == "ecme0":
-        bad = [dest for dest, value in _ECME0_FIXED.items() if getattr(args, dest) != value]
+        # ecme0 reads none of these flags: --gamma, which has no default,
+        # must not be given, and every other must keep the value ecme0 runs with
+        bad = ["gamma"] if args.gamma is not None else []
+        bad += [dest for dest, value in ECME0_SETTINGS.items()
+                if dest != "gamma" and getattr(args, dest) != value]
         if bad:
             flags = ", ".join("--" + dest.replace("_", "-") for dest in bad)
             raise SystemExit(f"--algo ecme0 is incompatible with {flags}")
-        config = RunConfig(K=1, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+        config = RunConfig(K=1, tol=args.tol, max_iter=args.max_iter)
         theta, trace = run_ecme0(config, model, samples, theta0)
     else:
         gamma = args.gamma
@@ -181,12 +188,16 @@ def cmd_diagnose(args) -> int:
     report = {
         "grad_norm": info.grad_norm,
         "newton_decrement": info.newton_decrement,
-        "warnings": info.warnings,
+        "warnings": info.warnings + speed.warnings,
         "identity_residual": speed.identity_residual,
         "lam_min_S_EM": speed.lam_min_S_EM,
         "lower_bound": speed.lower_bound,
         "upper_bound": speed.upper_bound,
         "eigen_bounds_ok": speed.eigen_bounds_ok,
+        "pencil_lam_min_S_EM": speed.pencil_lam_min_S_EM,
+        "pencil_lower_bound": speed.pencil_lower_bound,
+        "pencil_upper_bound": speed.pencil_upper_bound,
+        "pencil_bounds_ok": speed.pencil_bounds_ok,
         "S_EM": speed.S_EM.tolist(),
         "S_DEM": speed.S_DEM.tolist(),
         "C": speed.C.tolist(),
@@ -194,9 +205,17 @@ def cmd_diagnose(args) -> int:
     }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
-    verdict = "ok" if speed.eigen_bounds_ok else "FAILED"
-    print(f"identity residual {speed.identity_residual:.3e}, bounds {verdict}")
-    for note in info.warnings:
+    verdict = {True: "ok", False: "FAILED"}
+    # nan bounds: the eigenvalue form does not apply, and a warning says why
+    pencil = ("not applicable" if np.isnan(speed.pencil_lower_bound)
+              else verdict[speed.pencil_bounds_ok])
+    print(f"identity residual {speed.identity_residual:.3e}, "
+          f"singular-value bounds {verdict[speed.eigen_bounds_ok]}: "
+          f"{speed.lower_bound:.4f} <= {speed.lam_min_S_EM:.4f} <= {speed.upper_bound:.4f}, "
+          f"eigenvalue bounds {pencil}: "
+          f"{speed.pencil_lower_bound:.4f} <= {speed.pencil_lam_min_S_EM:.4f} "
+          f"<= {speed.pencil_upper_bound:.4f}")
+    for note in info.warnings + speed.warnings:
         print(f"warning: {note}", file=sys.stderr)
     return 0
 

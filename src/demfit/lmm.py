@@ -21,6 +21,7 @@ from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .ddsum import DDArray
@@ -970,12 +971,34 @@ class SpeedReport:
     upper_bound: float
     lam_min_S_EM: float
     eigen_bounds_ok: bool
+    # the eigenvalue form of the sandwich, each lam from a symmetric-definite
+    # pencil; the bounds are nan, not ok and warned of where it does not apply
+    pencil_lower_bound: float
+    pencil_upper_bound: float
+    pencil_lam_min_S_EM: float
+    pencil_bounds_ok: bool
+    warnings: list = field(default_factory=list)
 
 
 def speed_matrices(info: InfoMatrices) -> SpeedReport:
     """Speed matrices of the full and fractional EM maps, with the
-    decomposition identity and the smallest-singular-value sandwich, which
-    holds when lam_min(S_EM) lies within 1e-4 of its bounds."""
+    decomposition identity and two forms of the sandwich on lam_min(S_EM),
+    each of which holds when lam_min(S_EM) lies within 1e-4 of its bounds.
+
+    The singular-value form (lower_bound, upper_bound, lam_min_S_EM and
+    eigen_bounds_ok, which also asks for an identity residual below 1e-6)
+    is no theorem and can fail.  The eigenvalue form
+
+        lam_min(S_DEM) / (1 + lam_max(C)) + lam_min(O) <= lam_min(S_EM)
+            <= lam_min(S_DEM) / (1 + lam_min(C)) + lam_max(O)
+
+    is one whenever i_com_A and i_com are positive definite and
+    lam_min(S_DEM) >= 0, as at a maximizer: each matrix is B^-1 A for a
+    symmetric pencil (A, B), so its eigenvalues are the extremes of the
+    Rayleigh quotient x'Ax / x'Bx, and x' i_obs x / x' i_com x splits into
+    the S_DEM quotient times 1 / (1 + the C quotient), plus the O one.
+    Where either condition fails the form does not apply: its bounds are
+    nan, its verdict is False and a warning says why."""
     try:
         S_EM = np.linalg.solve(info.i_com, info.i_obs)
         S_DEM = np.linalg.solve(info.i_com_A, info.i_obs_A)
@@ -997,6 +1020,25 @@ def speed_matrices(info: InfoMatrices) -> SpeedReport:
     lo = float(sv_dem[-1] / (1.0 + sv_c[0]) + sv_o[-1])
     hi = float(sv_dem[-1] / (1.0 + sv_c[-1]) + sv_o[-1])
     ok = residual < 1e-6 and (lo - 1e-4) <= lam_em <= (hi + 1e-4)
+    notes = []
+    p_lo = p_hi = p_em = math.nan
+    try:
+        em, dem, c, o = (
+            eigh(a, b, eigvals_only=True)
+            for a, b in ((info.i_obs, info.i_com), (info.i_obs_A, info.i_com_A),
+                         (info.i_com_Ac, info.i_com_A), (info.i_obs_Ac, info.i_com))
+        )
+    except np.linalg.LinAlgError:
+        notes.append("i_com or i_com_A is not positive definite: "
+                     "the eigenvalue sandwich does not apply")
+    else:
+        p_em = float(em[0])
+        if dem[0] < 0:
+            notes.append(f"lam_min(S_DEM) {dem[0]:.3e} < 0, as away from a maximizer: "
+                         "the eigenvalue sandwich does not apply")
+        else:
+            p_lo = float(dem[0] / (1.0 + c[-1]) + o[0])
+            p_hi = float(dem[0] / (1.0 + c[0]) + o[-1])
     return SpeedReport(
         S_EM=S_EM,
         S_DEM=S_DEM,
@@ -1007,4 +1049,9 @@ def speed_matrices(info: InfoMatrices) -> SpeedReport:
         upper_bound=hi,
         lam_min_S_EM=lam_em,
         eigen_bounds_ok=ok,
+        pencil_lower_bound=p_lo,
+        pencil_upper_bound=p_hi,
+        pencil_lam_min_S_EM=p_em,
+        pencil_bounds_ok=bool(p_lo - 1e-4 <= p_em <= p_hi + 1e-4),
+        warnings=notes,
     )

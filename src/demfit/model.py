@@ -66,12 +66,10 @@ class ModelContract(ABC):
     the E steps of several prepared subsets at one theta, one SuffStats per
     shard in their order, each bitwise what local_estep gives for that
     shard alone, and local_logliks(theta, shards) their local log
-    likelihoods, each bitwise local_loglik of its shard.  The pools serve
-    a batch of requests through them: the in-process pool all requests at
-    one theta (and anchor tag), a socket endpoint those of its share of
-    the batch.  A request alone in its group, in either pool, still goes
-    to local_estep or local_loglik.  The defaults call those once per
-    shard; a model may serve the batch in one pass instead.
+    likelihoods, each bitwise local_loglik of its shard.  The pools group
+    the requests of a batch for them as `transport.answer` says.  The
+    defaults call local_estep or local_loglik once per shard; a model may
+    serve the batch in one pass instead.
 
     static_stats(shard) returns the static part of a prepared subset's
     E-step statistics, the part that depends on its data alone, or None

@@ -47,6 +47,11 @@ from .transport import POOLS, make_pool
 
 TRANSPORTS = tuple(POOLS)
 COMPLETION_POLICIES = ("restart", "finish")
+# the RunConfig settings `run_ecme0` runs with, whatever its config says:
+# one worker reads no schedule seed, completion policy or split
+ECME0_SETTINGS = {"gamma": 1.0, "K": 1, "seed": 0, "transport": "in_process",
+                  "completion": "restart", "exact_loglik_check": False,
+                  "forced_split": False}
 
 
 @dataclass
@@ -168,13 +173,14 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
                         break
                     tag = in_flight.pop(k)
                     requests.append((k, trace.thetas[tag], tag))
-                accepted = [k for k, _, _ in requests]
+                # ordered like requests, and a dict so membership is O(1)
+                accepted = dict.fromkeys(k for k, _, _ in requests)
                 for k in deterministic_schedule(config.seed, t, K, config.forced_split):
                     if k in accepted or k in in_flight:
                         continue
                     if len(accepted) < N:
                         requests.append((k, theta, t - 1))
-                        accepted.append(k)
+                        accepted[k] = None
                     elif config.completion == "finish":
                         in_flight[k] = t - 1
                 cache.update(zip(accepted, _esteps(pool, requests)))
@@ -213,15 +219,9 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
 
 def run_ecme0(config: RunConfig, model: ModelContract, data: Sequence, theta0):
     """Non-distributed baseline: the manager loop with one worker holding
-    all the data and gamma = 1, whose config the trace records; a single
-    worker reads no schedule seed, completion policy or split.  Likelihood
-    ascent is asserted over the recorded log likelihoods."""
-    theta, trace = run_dem(
-        dataclasses.replace(config, K=1, gamma=1.0, seed=0, transport="in_process",
-                            exact_loglik_check=False, forced_split=False,
-                            completion="restart"),
-        model, [data], theta0,
-    )
+    all the data, at ECME0_SETTINGS, whose config the trace records.
+    Likelihood ascent is asserted over the recorded log likelihoods."""
+    theta, trace = run_dem(dataclasses.replace(config, **ECME0_SETTINGS), model, [data], theta0)
     for t in range(1, len(trace.logliks)):
         L, L_new = trace.logliks[t - 1], trace.logliks[t]
         if L_new < L - 1e-9 * max(1.0, abs(L)):

@@ -1,20 +1,24 @@
 """Message transports between the manager and the worker endpoints.
 
-Both transports serve the same batch surface: `esteps(requests)` takes
-one iteration's (worker, parameter, anchor tag) E-step requests and
-`logliks(ks, theta)` a round of loglik requests, and each returns the
-results in request order.  The manager loop builds every batch before
-sending it, so it fully determines what is computed, and the resulting
-traces are identical across transports.  Both pools answer a batch
-through `answer`: the requests that share a parameter and an anchor tag
-are one `local_esteps` call, a loglik round at one parameter one
-`local_logliks` call, and a lone request one `local_estep` or
-`local_loglik` call; over sockets, every request of a batch is sent
-before the first reply is read.  Each pool also answers a lone request,
-`estep(k, theta, anchor_tag)` or `loglik(k, theta)`, as a batch of one;
-the manager falls back to those, one request at a time, for a pool that
-offers nothing else (a wrapper that times each request, say).
-`messages_sent` counts 2 per answered request on every path.
+Both pools serve one batch surface, written once in `InProcessPool` and
+inherited by `SocketPool`: `esteps(requests)` takes one iteration's
+(worker, parameter, anchor tag) E-step requests and `logliks(ks, theta)`
+a round of loglik requests, and each returns the results in request
+order.  A lone request, `estep(k, theta, anchor_tag)` or `loglik(k,
+theta)`, is a batch of one; the manager falls back to those, one request
+at a time, for a pool that offers nothing else (a wrapper that times
+each request, say).  The pools differ in one hook, `_results(requests,
+loglik)`, which returns each request's result, or the exception it met,
+in request order: in process it is `answer` on the pool's shards, over
+sockets a round trip to endpoints that answer through `answer` too.  The
+surface then counts 2 messages (request out, reply back) per answered
+request in `messages_sent` and raises the failure of the earliest failed
+request, so a failure does not stop its batch.  `answer` makes the
+requests that share a parameter and an anchor tag one `local_esteps`
+call, a loglik round at one parameter one `local_logliks` call, and a
+lone request one `local_estep` or `local_loglik` call.  The manager loop
+builds every batch before sending it, so it fully determines what is
+computed, and the resulting traces are identical across transports.
 
 Socket wire format: the K subsets are served by E = min(K, ENDPOINTS)
 endpoints, each a thread holding a round-robin share of the prepared
@@ -57,18 +61,18 @@ would add 222 values to every result.
 The manager waits at most REPLY_TIMEOUT_S seconds for each reply.  A
 share whose reply does not come in time, or whose endpoint's connection
 drops, is a ProtocolError naming the share's first subset, "worker k",
-and every subset on that endpoint is lost with it; after a timeout the
-manager closes that endpoint's connection, so a late reply cannot answer
-a later request.  A reply of the wrong kind or count, or whose size
-table does not cover its payload, is a ProtocolError naming the share's
-first subset, and no request of it is counted.  A failed request names
-its own subset, "worker k failed: ...".  A failure does not stop its
-batch: the manager reads every other reply of the batch before it raises
-the failure of the earliest request, so no connection is left holding a
-reply that a later request would read.  Endpoints block on their reads
-without a limit, because they sit idle between iterations.  An endpoint
-whose connection closes or fails, or that reads a malformed frame or
-request share, closes it and exits quietly.
+and every request on that endpoint holds it; after a timeout the manager
+closes that endpoint's connection, so a late reply cannot answer a later
+request.  A reply of the wrong kind or count, or whose size table does
+not cover its payload, is a ProtocolError naming the share's first
+subset, held by every request of the share.  A failed request holds a
+ProtocolError naming its own subset, "worker k failed: ...", and a
+result the model cannot unpack the exception unpacking raised.  Every
+reply of a batch is read before the surface raises, so no connection is
+left holding a reply that a later request would read.  Endpoints block
+on their reads without a limit, because they sit idle between
+iterations.  An endpoint whose connection closes or fails, or that reads
+a malformed frame or request share, closes it and exits quietly.
 """
 from __future__ import annotations
 
@@ -269,17 +273,24 @@ def _answer_group(model: ModelContract, shards, requests, loglik: bool) -> list:
 
 
 class InProcessPool:
-    """Direct-call worker endpoints for single-threaded deterministic runs.
+    """Direct-call worker endpoints for single-threaded deterministic runs,
+    and the batch surface every pool serves.
 
     Each worker's subset is prepared (`model.prepare`) once, when the pool
-    is built, and that shard is what every call on the worker passes.  A
-    batch is served through `answer`.
+    is built, and that shard is what every call on the worker passes.  The
+    surface asks `_results` for a batch's outcomes and hands them to
+    `_collect`; in process, `_results` is `answer` on the shards.
     """
 
     def __init__(self, model: ModelContract, subsets):
         self.model = model
         self.shards = [model.prepare(subset) for subset in subsets]
         self.messages_sent = 0
+
+    def _results(self, requests, loglik: bool) -> list:
+        """Each (k, theta, anchor_tag) request's result, or the exception it
+        met, in request order."""
+        return answer(self.model, self.shards, requests, loglik)
 
     def _collect(self, results) -> list:
         """results, each answered request counted (request out, reply
@@ -292,12 +303,11 @@ class InProcessPool:
 
     def esteps(self, requests) -> list:
         """Results of the (k, theta, anchor_tag) requests, in their order."""
-        return self._collect(answer(self.model, self.shards, requests))
+        return self._collect(self._results(requests, loglik=False))
 
     def logliks(self, ks, theta) -> list:
         """Local log likelihoods of workers ks at theta, in their order."""
-        return self._collect(answer(self.model, self.shards, [(k, theta, 0) for k in ks],
-                                    loglik=True))
+        return self._collect(self._results([(k, theta, 0) for k in ks], loglik=True))
 
     def estep(self, k: int, theta, anchor_tag: int):
         return self.esteps([(k, theta, anchor_tag)])[0]
@@ -309,8 +319,8 @@ class InProcessPool:
         pass
 
 
-class SocketPool:
-    """Worker endpoints served over socket pairs.
+class SocketPool(InProcessPool):
+    """The in-process surface with its `_results` served over socket pairs.
 
     The K subsets are served by E = min(K, ENDPOINTS) endpoints: subset k
     by endpoint k mod E, a thread that serves one end of a socket pair,
@@ -318,29 +328,28 @@ class SocketPool:
     request frame per endpoint, before any reply is read, so the endpoints
     compute while the manager writes and reads; each endpoint answers its
     share with one reply frame, and every result goes back to its
-    request's position, so the caller still fixes the order of every
-    result.  Every shard (`model.prepare`) is built before any socket or
-    thread exists, so a subset the model rejects leaves nothing to clean
-    up; an endpoint that fails to start closes the pool.
+    request's position.  Every shard is built before any socket or thread
+    exists, so a subset the model rejects leaves nothing to clean up; an
+    endpoint that fails to start closes the pool.
     """
 
     def __init__(self, model: ModelContract, subsets):
-        self.model = model
-        shards = [model.prepare(subset) for subset in subsets]
+        super().__init__(model, subsets)
         # the data-only part of each subset's statistics, which no reply
         # carries: taken from the manager's copy of the shard, before an
         # endpoint that shares it exists
-        self._static = [model.static_stats(shard) for shard in shards]
-        self.messages_sent = 0
+        self._static = [model.static_stats(shard) for shard in self.shards]
+        E = min(len(self.shards), ENDPOINTS)
+        self._endpoint = [k % E for k in range(len(self.shards))]  # serving subset k
         self._conns = []
         self._threads = []
-        E = min(len(shards), ENDPOINTS)
         try:
             for e in range(E):
                 conn, endpoint_end = socket.socketpair()
                 self._conns.append(conn)
                 conn.settimeout(REPLY_TIMEOUT_S)
-                share = {k: shards[k] for k in range(e, len(shards), E)}
+                share = {k: shard for k, shard in enumerate(self.shards)
+                         if self._endpoint[k] == e}
                 thread = threading.Thread(target=self._serve, args=(endpoint_end, share),
                                           daemon=True)
                 thread.start()
@@ -401,20 +410,22 @@ class SocketPool:
                     out[i] = exc
         return out
 
-    def _exchange(self, kind: int, requests, width=None) -> list:
+    def _results(self, requests, loglik: bool) -> list:
         """Send every (k, theta, tag) request of a batch, one frame per
-        endpoint share, then read each share's reply and return the result
-        payloads in request order; each distinct theta is packed once per
-        batch.  A request that fails does not stop the batch: every other
-        reply is still read, so none is left for a later request to find,
-        and then the failure of the earliest request is raised."""
+        endpoint share, then read each share's reply: each request's
+        result, or the exception it met, in request order.  Each distinct
+        theta is packed once per batch.  A failure that meets a whole share
+        (a write or read that fails, a malformed reply) is the outcome of
+        every request of that share; the other replies are still read, so
+        none is left for a later request to find."""
+        kind = KIND_LOGLIK_REQ if loglik else KIND_ESTEP_REQ
         packed = {}  # id(theta) -> its packed form
         shares = defaultdict(list)  # endpoint -> positions of its requests
         for i, (k, theta, _) in enumerate(requests):
             if id(theta) not in packed:
                 packed[id(theta)] = self.model.pack_theta(theta)
-            shares[k % len(self._conns)].append(i)
-        failed, sent = {}, []
+            shares[self._endpoint[k]].append(i)
+        out, sent = [None] * len(requests), []
         for e, idx in shares.items():
             index, rows = {}, []  # id(theta) -> its position in this share
             for i in idx:
@@ -423,30 +434,43 @@ class SocketPool:
             payload = np.concatenate([_int_words(rows), *(packed[t] for t in index)])
             try:
                 write_frame(self._conns[e], kind, len(idx), len(index), payload)
-                sent.append(idx)
+                sent.append((e, idx))
             except OSError as exc:
-                failed[idx[0]] = self._failure(requests[idx[0]][0], exc)
-        out = [None] * len(requests)
-        for idx in sent:
+                err = self._failure(e, rows[0][0], exc)
+                for i in idx:
+                    out[i] = err
+        for e, idx in sent:
+            ks = [requests[i][0] for i in idx]
             try:
-                results = self._reply(_REPLY[kind], [requests[i][0] for i in idx], width)
+                payloads = self._reply(e, _REPLY[kind], ks, 1 if loglik else None)
             except ProtocolError as exc:
-                failed[idx[0]] = exc
-                continue
-            for i, result in zip(idx, results):
-                if isinstance(result, Exception):
-                    failed[i] = result
-                else:
-                    out[i] = result
-        if failed:
-            raise failed[min(failed)]
+                payloads = [exc] * len(idx)
+            for i, payload in zip(idx, payloads):
+                out[i] = self._unpacked(payload, requests[i], loglik)
         return out
 
-    def _failure(self, k: int, exc: Exception) -> ProtocolError:
-        """exc, met on the connection serving subset k, as a ProtocolError
-        naming k.  A timeout closes that connection: a late reply must never
-        be read as the answer to a later request."""
-        conn = self._conns[k % len(self._conns)]
+    def _unpacked(self, payload, request, loglik: bool):
+        """The result that a reply payload carries for request (k, theta,
+        tag), with subset k's static statistics attached, or the exception
+        unpacking it raised; an exception payload is returned as it is."""
+        if isinstance(payload, Exception):
+            return payload
+        if loglik:
+            return float(payload[0])
+        k, _, tag = request
+        try:
+            stats = self.model.unpack_stats(payload, subset_id=k, anchor_tag=tag)
+        except Exception as exc:  # the request's outcome: the batch's replies are still read
+            return exc
+        if self._static[k] is not None:
+            stats.payload.static = self._static[k]
+        return stats
+
+    def _failure(self, e: int, k: int, exc: Exception) -> ProtocolError:
+        """exc, met on the connection of endpoint e, as a ProtocolError
+        naming subset k.  A timeout closes that connection: a late reply
+        must never be read as the answer to a later request."""
+        conn = self._conns[e]
         if isinstance(exc, TimeoutError):
             waited = conn.gettimeout()
             conn.close()
@@ -458,44 +482,20 @@ class SocketPool:
         err.__cause__ = exc
         return err
 
-    def _reply(self, reply_kind: int, ks, width) -> list:
-        """The results of the reply to the share of subsets ks, read from
-        the endpoint serving them: it must carry the expected kind and
-        count and a table that covers its payload, and then each answered
-        request is counted."""
+    def _reply(self, e: int, reply_kind: int, ks, width) -> list:
+        """The result payloads of endpoint e's reply to the share of subsets
+        ks: it must carry the expected kind and count and a table that
+        covers its payload."""
         try:
-            kind, n, _, payload = read_frame(self._conns[ks[0] % len(self._conns)])
+            kind, n, _, payload = read_frame(self._conns[e])
         except (OSError, ProtocolError) as exc:
-            raise self._failure(ks[0], exc)
+            raise self._failure(e, ks[0], exc)
         if (kind, n) != (reply_kind, len(ks)):
             raise ProtocolError(
                 f"worker {ks[0]}: expected reply (kind, count) = "
                 f"{(reply_kind, len(ks))}, got {(kind, n)}"
             )
-        results = _split_replies(ks, payload, width)
-        self.messages_sent += 2 * sum(not isinstance(r, Exception) for r in results)
-        return results
-
-    def esteps(self, requests) -> list:
-        """Results of the (k, theta, anchor_tag) requests, in their order:
-        all are sent before the first reply is read."""
-        payloads = self._exchange(KIND_ESTEP_REQ, requests)
-        out = [self.model.unpack_stats(payload, subset_id=k, anchor_tag=tag)
-               for payload, (k, _, tag) in zip(payloads, requests)]
-        for stats, (k, _, _) in zip(out, requests):
-            if self._static[k] is not None:
-                stats.payload.static = self._static[k]
-        return out
-
-    def logliks(self, ks, theta) -> list:
-        payloads = self._exchange(KIND_LOGLIK_REQ, [(k, theta, 0) for k in ks], width=1)
-        return [float(payload[0]) for payload in payloads]
-
-    def estep(self, k: int, theta, anchor_tag: int):
-        return self.esteps([(k, theta, anchor_tag)])[0]
-
-    def loglik(self, k: int, theta) -> float:
-        return self.logliks([k], theta)[0]
+        return _split_replies(ks, payload, width)
 
     def close(self):
         for conn in self._conns:

@@ -78,8 +78,9 @@ def test_gamma_with_ecme0_rejected(workspace):
 
 @pytest.mark.parametrize("flag", [["--K", 4], ["--transport", "socket"],
                                   ["--completion", "finish"], ["--exact-loglik-check"],
-                                  ["--forced-split"]],
-                         ids=["K", "transport", "completion", "exact", "forced_split"])
+                                  ["--forced-split"], ["--seed", 5]],
+                         ids=["K", "transport", "completion", "exact", "forced_split",
+                              "seed"])
 def test_ecme0_rejects_flags_it_does_not_read(workspace, flag):
     # ecme0 runs one worker in process with header logliks: any other
     # setting would be dropped without a word

@@ -14,7 +14,7 @@ from demfit import (
     partition,
     speed_matrices,
 )
-from demfit.lmm import fd_derivatives, theta_to_vec, vec_to_theta
+from demfit.lmm import InfoMatrices, fd_derivatives, theta_to_vec, vec_to_theta
 from conftest import random_sample, random_theta
 
 
@@ -167,6 +167,61 @@ def test_decomposition_identity_random_split(converged_instance):
     )
     assert report.identity_residual < 1e-6
     assert report.lower_bound <= report.lam_min_S_EM + 1e-4
+
+
+@pytest.mark.parametrize("design, fit, K, split", [
+    # the CLI walkthrough's design, where the singular-value form fails
+    (SimDesign(m=60, n=480, p=4, q=3, seed=0), {}, 4, [0, 1]),
+    # acceptance criterion 6's design
+    (SimDesign(m=100, n=1000, p=2, q=1, seed=42, Sigma_true=np.array([[1.2]])),
+     {"tol": 1e-12, "max_iter": 5000}, 5, [0, 1, 2]),
+], ids=["walkthrough", "criterion_6"])
+def test_eigenvalue_sandwich_holds(design, fit, K, split):
+    """lam_min(S_DEM)/(1 + lam_max(C)) + lam_min(O) <= lam_min(S_EM) <=
+    lam_min(S_DEM)/(1 + lam_min(C)) + lam_max(O), each lam a pencil
+    eigenvalue, at the maximum of either design."""
+    samples, _ = simulate(design)
+    model = LmmModel(design.p, design.q)
+    theta, trace = run_ecme0(RunConfig(K=1, **fit), model, samples,
+                             Theta.default_start(design.p, design.q))
+    assert trace.converged
+    report = speed_matrices(information_matrices(model, theta, partition(samples, K, seed=0),
+                                                 split))
+    assert report.pencil_bounds_ok
+    assert (report.pencil_lower_bound <= report.pencil_lam_min_S_EM
+            <= report.pencil_upper_bound)
+    # the pencil eigenvalues are those of S_EM = i_com^-1 i_obs itself
+    np.testing.assert_allclose(report.pencil_lam_min_S_EM,
+                               np.linalg.eigvals(report.S_EM).real.min(), rtol=1e-8)
+
+
+def test_eigenvalue_sandwich_needs_a_definite_pencil():
+    """The eigenvalue form applies only where i_com_A and i_com are positive
+    definite and lam_min(S_DEM) >= 0.  Elsewhere its bounds are nan, its
+    verdict fails and a warning says why, while the rest of the report is
+    still made."""
+    eye = np.eye(2)
+    info = InfoMatrices(i_obs=eye, i_com=np.diag([2.0, 1.5]), i_obs_A=0.5 * eye,
+                        i_com_A=np.diag([1.0, -0.5]), i_obs_Ac=0.5 * eye,
+                        i_com_Ac=np.diag([1.0, 2.0]), grad_norm=0.0, newton_decrement=0.0)
+    report = speed_matrices(info)
+    assert report.identity_residual < 1e-12
+    assert math.isnan(report.pencil_lam_min_S_EM) and math.isnan(report.pencil_upper_bound)
+    assert not report.pencil_bounds_ok
+    assert any("not positive definite" in note for note in report.warnings)
+
+    # lam_min(S_DEM) = -1 along the direction where C's eigenvalue is 0, so
+    # lam_min(S_DEM) / (1 + lam_max(C)) + lam_min(O) = -0.05 lies above
+    # lam_min(S_EM) = -0.5: the bound is not a theorem there
+    info = InfoMatrices(i_obs=np.diag([-0.5, 1.5]), i_com=np.diag([1.0, 10.0]),
+                        i_obs_A=np.diag([-1.0, 1.0]), i_com_A=eye, i_obs_Ac=0.5 * eye,
+                        i_com_Ac=np.diag([0.0, 9.0]), grad_norm=0.0, newton_decrement=0.0)
+    report = speed_matrices(info)
+    assert report.identity_residual < 1e-12
+    assert report.pencil_lam_min_S_EM == pytest.approx(-0.5)
+    assert math.isnan(report.pencil_lower_bound) and math.isnan(report.pencil_upper_bound)
+    assert not report.pencil_bounds_ok
+    assert any("lam_min(S_DEM)" in note for note in report.warnings)
 
 
 def test_not_at_optimum_warning(converged_instance):

@@ -866,6 +866,25 @@ def test_socket_reply_of_the_wrong_length_is_an_error(fitted_pieces):
                 partition(samples, 2, seed=0), theta0)
 
 
+def test_socket_reply_the_model_cannot_unpack_is_not_counted(fitted_pieces):
+    """A reply that unpack_stats rejects is not an answered request: the
+    batch raises the error of its earliest request and counts none, as
+    the in-process pool counts a request that failed."""
+    samples, _, theta0 = fitted_pieces
+
+    class LongReplyModel(LmmModel):
+        def pack_stats(self, stats):
+            return np.concatenate([super().pack_stats(stats), [0.0, 0.0]])
+
+    pool = SocketPool(LongReplyModel(3, 3), partition(samples, 2, seed=0))
+    try:
+        with pytest.raises(ProtocolError, match="subset 0: statistics payload"):
+            pool.esteps([(0, theta0, 0), (1, theta0, 0)])
+        assert pool.messages_sent == 0
+    finally:
+        pool.close()
+
+
 def test_worker_reads_a_request_share_first(fitted_pieces):
     """A worker's first bytes are a request frame, with no preamble: a share
     of E steps at two parameters and two tags, and then of logliks, is
