@@ -8,10 +8,15 @@ enough to break exact trajectory equivalence between the two code paths.
 Accumulating in an unevaluated hi/lo pair keeps ~32 significant digits, so
 the rounded-to-double result is independent of how the sum was grouped.
 
-Rows are summed in one pairwise tree, `DDArray.sum_segments`, which reduces
-any number of segments of rows together: an E-step batch sums every
-shard's rows in one pass, and each shard's words are bitwise those of the
-tree of its rows alone.  `DDArray.sum_rows` is its one-segment case.
+Two passes sum the two kinds of input.  A worker's rows of per-sample
+values are summed in one pairwise tree, `DDArray.sum_segments`, which
+reduces any number of segments of rows together: an E-step batch sums
+every shard's rows in one pass, and each shard's words are bitwise those
+of the tree of its rows alone.  `DDArray.sum_rows` is its one-segment
+case.  The manager's K double-double parts, one per subset, are summed by
+`DDArray.sum_parts` in one compensated pass, Sum2 of Ogita, Rump & Oishi
+(2005, "Accurate sum and dot product", SIAM J. Sci. Comput. 26:1955),
+over their hi and then their lo words: a dozen array operations for any K.
 """
 from __future__ import annotations
 
@@ -52,45 +57,39 @@ class DDArray:
         return out
 
     @classmethod
-    def sum_rows(cls, rows: np.ndarray, lo: np.ndarray | None = None) -> "DDArray":
+    def sum_rows(cls, rows: np.ndarray) -> "DDArray":
         """Compensated sum of the rows of a 2-D array: `sum_segments` with
         one segment.  The result may share memory with rows."""
-        acc = cls.sum_segments(rows, [len(rows)], lo)
+        acc = cls.sum_segments(rows, [len(rows)])
         return cls._wrap(acc.hi[0], acc.lo[0])
 
     @classmethod
-    def sum_segments(cls, rows: np.ndarray, lengths: Sequence[int],
-                     lo: np.ndarray | None = None) -> "DDArray":
+    def sum_segments(cls, rows: np.ndarray, lengths: Sequence[int]) -> "DDArray":
         """Compensated sums of consecutive segments of the rows of a 2-D
         array: one row of hi and lo words per segment, (B, width) each.
 
-        rows are hi words and lo, when given, the matching lo words, so the
-        rows may themselves be double-double values (the parts of a merge);
-        lo words must be normalised, as `merge` leaves them.  Each segment
-        is copied into a zero-padded buffer of S rows, S the power of two
-        of the longest segment, and all segments are merged pairwise
-        together, row i with row i + size/2, one vectorized level at a
-        time.  Two rows are merged exactly as `merge` merges them, and
-        without lo words the first level adds none.  A segment padded past
-        its own power of two meets only zero rows until its own tree
-        starts, and adding an exact zero changes at most the sign of a
-        zero, which no later level can see, so each segment's words are
-        bitwise those of its tree alone.  A one-row segment is returned as
-        its row, untouched (a -0.0 stays -0.0), and an empty one as zeros.
-        When every segment has S rows the buffer is a view of rows, and
-        the result may share memory with them.
+        Each segment is copied into a zero-padded buffer of S rows, S the
+        power of two of the longest segment, and all segments are merged
+        pairwise together, row i with row i + size/2, one vectorized level
+        at a time: the first level's TwoSum errors are the first lo words,
+        and each later level merges two rows exactly as `merge` merges
+        them.  A segment padded past its own power of two meets only zero
+        rows until its own tree starts, and adding an exact zero changes at
+        most the sign of a zero, which no later level can see, so each
+        segment's words are bitwise those of its tree alone.  A one-row
+        segment is returned as its row, untouched (a -0.0 stays -0.0), and
+        an empty one as zeros.  When every segment has S rows the buffer is
+        a view of rows, and the result may share memory with them.
         """
         width, n_seg = rows.shape[1], len(lengths)
         size = 1 << max(max(lengths, default=0) - 1, 0).bit_length()
-        lo_in, ones = lo, []
+        ones = []
         if len(rows) == n_seg * size:
             hi = rows.reshape(n_seg, size, width).swapaxes(0, 1)
-            lo = None if lo is None else lo.reshape(n_seg, size, width).swapaxes(0, 1)
         else:
             # one slice copy per segment; a one-row segment stays zero in
             # the tree and gets its row back at the end
             hi = np.zeros((size, n_seg, width))
-            lo = None if lo is None else np.zeros((size, n_seg, width))
             end = 0
             for k, n in enumerate(lengths):
                 start, end = end, end + n
@@ -98,14 +97,11 @@ class DDArray:
                     ones.append((k, start))
                 elif n:
                     hi[:n, k] = rows[start:end]
-                    if lo is not None:
-                        lo[:n, k] = lo_in[start:end]
-        if lo is None:
-            if size == 1:
-                lo = np.zeros_like(hi)
-            else:
-                size //= 2
-                hi, lo = _renorm(*_two_sum(hi[:size], hi[size:]))
+        if size == 1:
+            lo = np.zeros_like(hi)
+        else:
+            size //= 2
+            hi, lo = _renorm(*_two_sum(hi[:size], hi[size:]))
         while size > 1:
             size //= 2
             s, e = _two_sum(hi[:size], hi[size:])
@@ -114,9 +110,33 @@ class DDArray:
         if ones:
             k, start = map(list, zip(*ones))
             hi[k] = rows[start]
-            if lo_in is not None:
-                lo[k] = lo_in[start]
         return cls._wrap(hi, lo)
+
+    @classmethod
+    def sum_parts(cls, parts: Sequence["DDArray"]) -> "DDArray":
+        """Compensated sum of double-double parts of one width, in one Sum2
+        pass over their hi words, then their lo words, in part order.
+
+        The running sums of all 2K words come from one accumulate, the
+        TwoSum error of each of those additions from a few array
+        operations, and the errors are added in one reduce; a closing
+        TwoSum of the last running sum and the summed errors gives the hi
+        and lo words, so value() is Sum2's result.  Its error is at most
+        u|s| + gamma_{2K}^2 sum|p| (Ogita, Rump & Oishi 2005), which rounds
+        as the exact sum does for K in the hundreds unless the sum is
+        nearly a tie.  One part gives hi + lo rounded once, as value() of
+        that part does.
+        """
+        words = np.array([*(a.hi for a in parts), *(a.lo for a in parts)])
+        run = np.add.accumulate(words)
+        prev, cur = run[:-1], run[1:]
+        # TwoSum errors of cur = prev + words[1:], row by row
+        bb = cur - prev
+        err = cur - bb
+        np.subtract(prev, err, out=err)
+        np.subtract(words[1:], bb, out=bb)
+        err += bb
+        return cls._wrap(*_two_sum(run[-1], np.add.reduce(err)))
 
     def add(self, x: np.ndarray) -> None:
         s, e = _two_sum(self.hi, x)

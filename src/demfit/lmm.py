@@ -142,11 +142,13 @@ class Theta:
 
     @classmethod
     def from_cov(cls, beta, D, tau2) -> "Theta":
-        D = np.asarray(D, dtype=float)
-        try:
-            L = np.linalg.cholesky(D)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalDomainError("D is not positive definite") from exc
+        """The point with D = L L', L the lower Cholesky factor LAPACK's
+        potrf computes from the lower triangle of D, the upper triangle of
+        L zeroed.  A D that potrf finds not positive definite is a
+        NumericalDomainError, and so is one that leaves L non-finite."""
+        L, info = _potrf(np.asarray(D, dtype=float), lower=True)
+        if info != 0:
+            raise NumericalDomainError("D is not positive definite")
         return cls(np.asarray(beta, dtype=float), L, float(tau2))
 
     @classmethod
@@ -285,12 +287,6 @@ class _StatsValues(NamedTuple):
         )
 
 
-def _sum_accs(accs: Sequence[DDArray]) -> DDArray:
-    """Compensated sum of accumulators, in one pairwise pass over their hi
-    and lo words (`DDArray.sum_rows`)."""
-    return DDArray.sum_rows(np.array([a.hi for a in accs]), np.array([a.lo for a in accs]))
-
-
 class LmmStatic:
     """The statistics of a shard that depend on its data alone: s_yy, S_xy
     (p) and S_xx (p*p), the compensated sum of its `Sample.moments` columns
@@ -299,12 +295,12 @@ class LmmStatic:
     it is summed once per shard (`LmmShard.const_sum`) and never packed.
 
     combine(*others) sums the parts in one compensated pass over their hi
-    and lo words, as `LmmSuffStats.combine` sums the theta-dependent words.
-    The tree reduces every column on its own, so these words are those a
-    single pass over all the columns together gives.  A part keeps the last
-    total it combined and returns it while the same others (the same
-    objects, in the same order) come back: a run whose shards stay
-    resident sums its static total once.  That cache is of data alone, and
+    and lo words (`DDArray.sum_parts`), as `LmmSuffStats.combine` sums the
+    theta-dependent words.  The pass reduces every column on its own, so
+    these words are those a single pass over all the columns together
+    gives.  A part keeps the last total it combined and returns it while
+    the same others (the same objects, in the same order) come back: a run
+    whose shards stay resident sums its static total once.  That cache is of data alone, and
     other parts give a fresh sum.
     """
 
@@ -319,7 +315,7 @@ class LmmStatic:
         if (last is not None and len(last[0]) == len(others)
                 and all(map(operator.is_, last[0], others))):
             return last[1]
-        total = LmmStatic(_sum_accs([self.acc, *(o.acc for o in others)]))
+        total = LmmStatic(DDArray.sum_parts([self.acc, *(o.acc for o in others)]))
         self._last = (others, total)
         return total
 
@@ -377,16 +373,16 @@ class LmmSuffStats:
         """The statistics of self and others together.
 
         The theta-dependent accumulators are summed in one compensated
-        pairwise pass (`DDArray.sum_rows`, the one-segment case of the tree
-        an E-step batch sums its shards in, over their hi and lo words);
-        with one other this is exactly `DDArray.merge`.  The static parts
-        are combined by the first one (`LmmStatic.combine`), and only when
-        every part has one.
+        pass over their hi and lo words (`DDArray.sum_parts`, Sum2), so the
+        cost is a dozen array operations for any number of parts; alone,
+        self's accumulator comes back as its hi + lo rounded once.  The
+        static parts are combined by the first one (`LmmStatic.combine`),
+        and only when every part has one.
         """
         if any((o.p, o.q) != (self.p, self.q) for o in others):
             raise ValueError("incompatible statistic shapes")
         parts = (self, *others)
-        acc = _sum_accs([s._acc for s in parts])
+        acc = DDArray.sum_parts([s._acc for s in parts])
         static = None
         if all(s.static is not None for s in parts):
             static = self.static.combine(*(o.static for o in others))

@@ -156,11 +156,13 @@ def aggregate_stats(cache: dict, K: int) -> SuffStats:
     The cache must hold exactly one entry for every subset id 0..K-1; the
     M step must never run before every subset has reported once.  The
     payloads are combined in one call, `first.combine(*rest)`, in subset
-    order, which carries the total `n` and `loglik` and, for a model with
-    a static part (`ModelContract.static_stats`), the combined static
-    part.  A cache refilled from resident shards holds the same K static
-    parts at every iteration, so their total is summed once per run and
-    each later aggregate sums only the theta-dependent statistics.  The
+    order, so a model can sum all K in one pass (`LmmSuffStats.combine`
+    does, with one compensated Sum2 pass); the call carries the total `n`
+    and `loglik` and, for a model with a static part
+    (`ModelContract.static_stats`), the combined static part.  A cache
+    refilled from resident shards holds the same K static parts at every
+    iteration, so their total is summed once per run and each later
+    aggregate sums only the theta-dependent statistics.  The
     aggregate's header routes nothing (subset id and anchor tag -1) and
     lists every subset's anchor tag in `anchor_tags`.
     """

@@ -5,7 +5,8 @@ E-step results and keeps the latest copy of every worker's statistics for
 the rest.  One manager loop, `run_dem`, serves every algorithm.  A seeded
 permutation of the workers fixes each iteration's completion order, from
 which the manager lists the iteration's E-step requests before any of
-them runs; the transport pool serves the list as one batch, as it serves
+them runs (when ceil(gamma * K) = K every worker is accepted, and no
+permutation is drawn); the transport pool serves the list as one batch, as it serves
 each round of loglik requests, so every run is exactly reproducible on
 either transport.  ECME (`run_ecme0`) is the loop
 with one worker and gamma = 1, and the synchronous schemes (`run_scheme`)
@@ -132,10 +133,13 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
     head of the iteration-1 permutation).  Afterwards iteration t takes its
     fresh results in the order of `deterministic_schedule(seed, t, ...)`:
     stale deliveries first (completion "finish"), then E steps at the last
-    broadcast until ceil(gamma * K) are in.  That list needs no reply, so
-    it is sent to the pool as one batch (`pool.esteps`).  The manager then
-    reruns the conditional maximization on the combined cache and
-    broadcasts.
+    broadcast until ceil(gamma * K) are in.  When ceil(gamma * K) == K
+    (gamma = 1 and `run_ecme0` among others) every worker is accepted in
+    any order, and no permutation is drawn: the requests are listed in subset order, and
+    every result, accept set and message count is what a drawn order
+    gives.  That list needs no reply, so it is sent to the pool as one
+    batch (`pool.esteps`).  The manager then reruns the conditional
+    maximization on the combined cache (`aggregate_stats`) and broadcasts.
 
     Every E step the manager starts enters an M step.  After the loop one
     loglik round at the final parameter gives `final_loglik`.  In
@@ -155,6 +159,14 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
     trace = Trace(loglik_exact=exact, config=config.to_dict())
     in_flight: dict[int, int] = {}  # worker -> anchor tag of a pending E step
     pool = make_pool(config.transport, model, subsets)
+
+    def completion_order(t):
+        # at N == K every worker is accepted whatever the order, and each
+        # result depends on its own shard alone: no permutation is drawn
+        if N == K:
+            return range(K)
+        return deterministic_schedule(config.seed, t, K, config.forced_split)
+
     try:
         theta = theta0
         for t in range(config.max_iter + 1):
@@ -163,7 +175,7 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
                 cache = dict(enumerate(_esteps(pool, [(k, theta0, 0) for k in range(K)])))
             elif t == 1:
                 # the seeding messages are iteration 1's fresh results
-                accepted = deterministic_schedule(config.seed, 1, K, config.forced_split)[:N]
+                accepted = completion_order(1)[:N]
             else:
                 # (worker, theta, anchor tag) of every E step this iteration
                 # takes, fixed before any runs: no choice depends on a reply
@@ -175,7 +187,7 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
                     requests.append((k, trace.thetas[tag], tag))
                 # ordered like requests, and a dict so membership is O(1)
                 accepted = dict.fromkeys(k for k, _, _ in requests)
-                for k in deterministic_schedule(config.seed, t, K, config.forced_split):
+                for k in completion_order(t):
                     if k in accepted or k in in_flight:
                         continue
                     if len(accepted) < N:

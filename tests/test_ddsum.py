@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ def test_sum_rows_matches_fsum():
             assert acc.value()[j] == math.fsum(rows[:, j])
 
 
-def test_sum_rows_of_dd_parts_matches_merge_fold():
-    # rows given as hi and lo words sum to what merging them one by one gives
+def test_sum_parts_matches_merge_fold():
+    # double-double parts sum to the value merging them one by one gives
     rng = np.random.default_rng(5)
     for n in (1, 2, 3, 8, 20):
         parts = [
@@ -43,11 +44,47 @@ def test_sum_rows_of_dd_parts_matches_merge_fold():
         folded = DDArray._wrap(parts[0].hi.copy(), parts[0].lo.copy())
         for part in parts[1:]:
             folded.merge(part)
-        total = DDArray.sum_rows(np.array([a.hi for a in parts]), np.array([a.lo for a in parts]))
+        total = DDArray.sum_parts(parts)
+        assert total.hi.shape == total.lo.shape == (4,)
         np.testing.assert_array_equal(total.value(), folded.value())
-        if n <= 2:
-            np.testing.assert_array_equal(total.hi, folded.hi)
-            np.testing.assert_array_equal(total.lo, folded.lo)
+
+
+def dd_parts(rng, K, width, cancel):
+    """K normalised double-double parts of one width at exponents from 1e-6
+    to 1e6, as a renormalisation leaves them.  Same-sign parts unless
+    cancel, whose last part takes back all but about 1e-9 of the others'
+    sum, column by column."""
+    hi = rng.random((K, width)) * 10.0 ** rng.integers(-6, 7, size=(K, width))
+    if cancel:
+        hi *= rng.choice([-1.0, 1.0], size=(K, width))
+        rest = np.array([[math.fsum(col) for col in hi[:-1].T]])
+        hi[-1] = -rest * (1.0 + 1e-9 * rng.standard_normal(width))
+    s, e = _two_sum(hi, hi * 2.0 ** -60 * rng.standard_normal(hi.shape))
+    return [DDArray._wrap(a, b) for a, b in zip(s, e)]
+
+
+@pytest.mark.parametrize("cancel", [False, True], ids=["same_sign", "cancelling"])
+@pytest.mark.parametrize("K", [1, 2, 20, 100])
+def test_sum_parts_is_correctly_rounded(K, cancel):
+    """Every column of the sum of K parts is the exact sum of their hi and
+    lo words, as fractions, rounded once to the nearest double."""
+    rng = np.random.default_rng(1000 * K + cancel)
+    width = 16
+    for _ in range(20):
+        parts = dd_parts(rng, K, width, cancel and K > 1)
+        got = DDArray.sum_parts(parts).value()
+        for j in range(width):
+            exact = sum(Fraction(float(a.hi[j])) + Fraction(float(a.lo[j])) for a in parts)
+            assert got[j] == float(exact), (K, j)
+
+
+def test_sum_parts_of_one_part_is_its_value():
+    """One part sums to its hi + lo rounded once, the value it reads alone."""
+    rng = np.random.default_rng(6)
+    for part in dd_parts(rng, 50, 8, cancel=False):
+        total = DDArray.sum_parts([part])
+        assert as_bytes(total.value()) == as_bytes(part.value())
+        assert as_bytes(total.hi) == as_bytes(part.hi + part.lo)
 
 
 def test_matches_fsum():
@@ -84,22 +121,20 @@ def test_grouping_independence():
 
 
 
-def oracle_tree(hi_rows, lo_rows, width):
+def oracle_tree(rows, width):
     """The documented tree of one segment in plain Python floats.  A single
-    row is returned as it is and no rows sum to zero; otherwise the rows
-    are zero-padded to a power of two and row i is merged with row
-    i + size/2 by TwoSum then renormalisation, one level at a time.  Lo
-    words, when given, are added from the first level on; without them the
-    first level's errors are the first lo words, added from the second."""
-    if len(hi_rows) == 1:
-        return list(hi_rows[0]), list(lo_rows[0]) if lo_rows else [0.0] * width
-    if not hi_rows:
+    row is returned as it is, with zero lo words, and no rows sum to zero;
+    otherwise the rows are zero-padded to a power of two and row i is
+    merged with row i + size/2 by TwoSum then renormalisation, one level at
+    a time, the first level's errors becoming the first lo words."""
+    if len(rows) == 1:
+        return list(rows[0]), [0.0] * width
+    if not rows:
         return [0.0] * width, [0.0] * width
     size = 1
-    while size < len(hi_rows):
+    while size < len(rows):
         size *= 2
-    pad = [[0.0] * width] * (size - len(hi_rows))
-    hi, lo = hi_rows + pad, None if lo_rows is None else lo_rows + pad
+    hi, lo = rows + [[0.0] * width] * (size - len(rows)), None
     while size > 1:
         size //= 2
         new_hi, new_lo = [], []
@@ -128,24 +163,15 @@ def random_rows(rng, n, width):
     return rows
 
 
-def with_lo_words(rng, rows):
-    """rows as normalised hi and lo words, as a renormalisation leaves
-    them: the TwoSum of each entry and a tiny perturbation of it; zero
-    entries keep their sign and get a zero lo word."""
-    s, e = _two_sum(rows, rows * 2.0 ** -60 * rng.standard_normal(rows.shape))
-    return np.where(rows == 0, rows, s), np.where(rows == 0, 0.0, e)
-
-
 def as_bytes(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("lo_words", [False, True])
-def test_sum_segments_match_the_oracle_tree(lo_words):
+def test_sum_segments_match_the_oracle_tree():
     """Every segment of a batch comes back bitwise its own tree, however far
     past its own power of two the batch pads it: batches of 1-24 segments
     of 0-33 rows, each edge length (0, 1, 2^k, 2^k + 1) in some batch."""
-    rng = np.random.default_rng(11 + lo_words)
+    rng = np.random.default_rng(11)
     width = 3
     edges = [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33]
     for trial in range(60):
@@ -153,21 +179,18 @@ def test_sum_segments_match_the_oracle_tree(lo_words):
         lengths[int(rng.integers(len(lengths)))] = edges[trial % len(edges)]
         if trial % 3 == 0:
             lengths[0] = 1  # one-row segments beside longer ones
-        hi, lo = random_rows(rng, sum(lengths), width), None
-        if lo_words:
-            hi, lo = with_lo_words(rng, hi)
-        got = DDArray.sum_segments(hi, lengths, lo)
+        rows = random_rows(rng, sum(lengths), width)
+        got = DDArray.sum_segments(rows, lengths)
         assert got.hi.shape == got.lo.shape == (len(lengths), width)
         start = 0
         for k, n in enumerate(lengths):
-            seg_lo = None if lo is None else lo[start : start + n].tolist()
-            want = oracle_tree(hi[start : start + n].tolist(), seg_lo, width)
+            want = oracle_tree(rows[start : start + n].tolist(), width)
             start += n
             assert as_bytes(got.hi[k]) == as_bytes(want[0]), (trial, k, n)
             assert as_bytes(got.lo[k]) == as_bytes(want[1]), (trial, k, n)
         # sum_rows is the one-segment case of the same tree
         if lengths[-1]:
-            one = DDArray.sum_rows(hi[-lengths[-1]:], None if lo is None else lo[-lengths[-1]:])
+            one = DDArray.sum_rows(rows[-lengths[-1]:])
             assert as_bytes(one.hi) == as_bytes(got.hi[-1])
             assert as_bytes(one.lo) == as_bytes(got.lo[-1])
 
@@ -180,5 +203,5 @@ def test_one_row_segment_is_its_row():
     got = DDArray.sum_segments(rows, [1, 4])
     assert as_bytes(got.hi[0]) == as_bytes(row)
     assert as_bytes(got.lo[0]) == as_bytes([0.0] * 3)
-    padded = oracle_tree([row, [0.0] * 3], None, 3)
+    padded = oracle_tree([row, [0.0] * 3], 3)
     assert padded[0] == row and as_bytes(padded[0]) != as_bytes(row)

@@ -499,10 +499,10 @@ def test_shard_matches_samples_bitwise(monkeypatch):
     widths = []
     sum_segments = DDArray.sum_segments.__func__
 
-    def recording_sum_segments(cls, rows, lengths, lo=None):
+    def recording_sum_segments(cls, rows, lengths):
         # every compensated tree, sum_rows included, is a sum_segments call
         widths.append(rows.shape[1])
-        return sum_segments(cls, rows, lengths, lo)
+        return sum_segments(cls, rows, lengths)
 
     monkeypatch.setattr(DDArray, "sum_segments", classmethod(recording_sum_segments))
     # an empty subset, one sample, and all samples in one subset (K=1)
@@ -731,6 +731,34 @@ def test_theta_validation():
         Theta(np.zeros(1), np.ones((2, 3)), 1.0)
     with pytest.raises(NumericalDomainError):
         Theta.from_cov(np.zeros(1), np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
+
+
+@pytest.mark.parametrize("D", [
+    [[1.0, 2.0], [2.0, 1.0]],  # indefinite
+    [[1.0, 1.0], [1.0, 1.0]],  # singular
+    [[0.0, 0.0], [0.0, 0.0]],
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [np.nan, 1.0]],
+], ids=["indefinite", "singular", "zero", "nan_diagonal", "nan_below"])
+def test_from_cov_rejects_a_d_without_a_cholesky_factor(D):
+    with pytest.raises(NumericalDomainError):
+        Theta.from_cov(np.zeros(1), np.array(D), 1.0)
+
+
+def test_from_cov_factor_is_lower_triangular():
+    """The factor has a zero upper triangle, whatever D holds above its
+    diagonal, and D = L L' to rounding."""
+    rng = np.random.default_rng(28)
+    for q in (1, 2, 3, 6):
+        A = rng.standard_normal((q, q))
+        D = A @ A.T + q * np.eye(q)
+        theta = Theta.from_cov(np.zeros(2), D, 1.5)
+        assert not theta.L[np.triu_indices(q, 1)].any()
+        np.testing.assert_allclose(theta.D, D, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(theta.L, np.linalg.cholesky(D), rtol=1e-13, atol=1e-15)
+        upper = D.copy()
+        upper[np.triu_indices(q, 1)] = np.nan
+        assert Theta.from_cov(np.zeros(2), upper, 1.5).L.tobytes() == theta.L.tobytes()
 
 
 def test_theta_is_immutable():

@@ -111,6 +111,54 @@ def test_deterministic_schedule_properties():
                           np.arange(10))
 
 
+@pytest.mark.parametrize("transport", ["in_process", "socket"])
+@pytest.mark.parametrize("completion", ["restart", "finish"])
+@pytest.mark.parametrize("exact", [False, True])
+def test_no_schedule_is_drawn_when_every_worker_is_accepted(fitted_pieces, monkeypatch,
+                                                            transport, completion, exact):
+    """At ceil(gamma K) == K every worker is accepted whatever the order,
+    so neither run_dem nor run_ecme0 draws a permutation, and the run is
+    still the ecme0 run, bit for bit."""
+    samples, model, theta0 = fitted_pieces
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("deterministic_schedule called at N == K")
+
+    monkeypatch.setattr("demfit.runtime.deterministic_schedule", no_draw)
+    _, base = run_ecme0(RunConfig(K=1), model, samples, theta0)
+    K = 4
+    subsets = partition(samples, K, seed=0)
+    _, tr = run_dem(RunConfig(K=K, seed=2, transport=transport, completion=completion,
+                              exact_loglik_check=exact), model, subsets, theta0)
+    assert tr.converged
+    if exact:
+        assert len(tr.thetas) == len(base.thetas)
+        assert all(thetas_equal(a, b) for a, b in zip(tr.thetas, base.thetas))
+    else:
+        assert traces_equal(tr, base)
+    assert tr.accept_sets == [list(range(K))] * tr.n_iterations
+    assert tr.messages_sent == 2 * K * len(tr.thetas)
+
+
+@pytest.mark.parametrize("completion", ["restart", "finish"])
+def test_schedule_is_drawn_once_per_iteration_below_gamma_one(fitted_pieces, monkeypatch,
+                                                             completion):
+    samples, model, theta0 = fitted_pieces
+    subsets = partition(samples, 4, seed=0)
+    cfg = RunConfig(K=4, gamma=0.5, seed=2, completion=completion)
+    _, ref = run_dem(cfg, model, subsets, theta0)
+    drawn = []
+
+    def recording_schedule(seed, t, K, forced_split=False):
+        drawn.append(t)
+        return deterministic_schedule(seed, t, K, forced_split)
+
+    monkeypatch.setattr("demfit.runtime.deterministic_schedule", recording_schedule)
+    _, tr = run_dem(cfg, model, subsets, theta0)
+    assert traces_equal(tr, ref) and tr.accept_sets == ref.accept_sets
+    assert drawn == list(range(1, len(tr.thetas)))
+
+
 def test_gamma_one_equals_baseline(fitted_pieces):
     samples, model, theta0 = fitted_pieces
     _, tr_base = run_ecme0(RunConfig(K=1), model, samples, theta0)

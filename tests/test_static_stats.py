@@ -1,5 +1,5 @@
 """The data-only part of the mixed model's E-step statistics: summed once
-per shard and once per run, never packed, and bitwise what one tree over
+per shard and once per run, never packed, and bitwise what one pass over
 every column gives."""
 import numpy as np
 import pytest
@@ -29,17 +29,18 @@ def samples():
 
 
 def reference_values(model, subsets, results):
-    """The statistics of the subsets together, read from one tree over
+    """The statistics of the subsets together, read from one pass over
     every column: each subset's [const | theta] words, its const rows
-    summed on their own, in one DDArray.sum_rows over the subsets in order
+    summed on their own, in one DDArray.sum_parts over the subsets in order
     (133 columns at p=10, q=3)."""
     p, q = model.p, model.q
-    hi, lo = [], []
+    parts = []
     for subset, stats in zip(subsets, results):
         const = DDArray.sum_rows(model.prepare(subset).const)
-        hi.append(np.concatenate([const.hi, stats.payload._acc.hi]))
-        lo.append(np.concatenate([const.lo, stats.payload._acc.lo]))
-    v = DDArray.sum_rows(np.array(hi), np.array(lo)).value()
+        acc = stats.payload._acc
+        parts.append(DDArray._wrap(np.concatenate([const.hi, acc.hi]),
+                                   np.concatenate([const.lo, acc.lo])))
+    v = DDArray.sum_parts(parts).value()
     c = 1 + p + p * p
     return dict(
         S_xx=v[1 + p : c].reshape(p, p), S_xy=v[1:1 + p], S_xzb=v[c : c + p],
@@ -76,21 +77,26 @@ def test_static_total_is_summed_once_per_run(samples, transport, monkeypatch):
     K = 4
     subsets = partition(samples, K, seed=2)
     const_width, fresh_width = 1 + P + P * P, P + Q * Q + 3
-    calls = []  # (width, summing double-double parts) of each sum_rows call
-    sum_rows = DDArray.sum_rows.__func__
+    calls = []  # (pass, width) of each sum_rows and sum_parts call
+    sum_rows, sum_parts = DDArray.sum_rows.__func__, DDArray.sum_parts.__func__
 
-    def counting_sum_rows(cls, rows, lo=None):
-        calls.append((rows.shape[1], lo is not None))
-        return sum_rows(cls, rows, lo)
+    def counting_sum_rows(cls, rows):
+        calls.append(("rows", rows.shape[1]))
+        return sum_rows(cls, rows)
+
+    def counting_sum_parts(cls, parts):
+        calls.append(("parts", parts[0].hi.size))
+        return sum_parts(cls, parts)
 
     monkeypatch.setattr(DDArray, "sum_rows", classmethod(counting_sum_rows))
+    monkeypatch.setattr(DDArray, "sum_parts", classmethod(counting_sum_parts))
     _, trace = run_dem(RunConfig(K=K, gamma=0.5, seed=3, transport=transport), model,
                        subsets, Theta.default_start(P, Q))
     assert trace.n_iterations > 5
-    assert calls.count((const_width, False)) == K
-    assert calls.count((const_width, True)) == 1
+    assert calls.count(("rows", const_width)) == K
+    assert calls.count(("parts", const_width)) == 1
     # one aggregate per row of the trace
-    assert calls.count((fresh_width, True)) == len(trace.thetas)
+    assert calls.count(("parts", fresh_width)) == len(trace.thetas)
 
 
 def test_static_total_is_never_stale():
@@ -102,8 +108,7 @@ def test_static_total_is_never_stale():
              for n in (3, 1, 4, 2, 5)]
 
     def fresh(*statics):
-        return DDArray.sum_rows(np.array([s.acc.hi for s in statics]),
-                                np.array([s.acc.lo for s in statics])).value()
+        return DDArray.sum_parts([s.acc for s in statics]).value()
 
     first, rest = parts[0], parts[1:4]
     total = first.combine(*rest)
