@@ -13,10 +13,13 @@ values are summed in one pairwise tree, `DDArray.sum_segments`, which
 reduces any number of segments of rows together: an E-step batch sums
 every shard's rows in one pass, and each shard's words are bitwise those
 of the tree of its rows alone.  `DDArray.sum_rows` is its one-segment
-case.  The manager's K double-double parts, one per subset, are summed by
-`DDArray.sum_parts` in one compensated pass, Sum2 of Ogita, Rump & Oishi
-(2005, "Accurate sum and dot product", SIAM J. Sci. Comput. 26:1955),
-over their hi and then their lo words: a dozen array operations for any K.
+case.  The manager's K double-double parts, one per subset, are summed in
+one compensated pass, Sum2 of Ogita, Rump & Oishi (2005, "Accurate sum
+and dot product", SIAM J. Sci. Comput. 26:1955), over their hi and then
+their lo words: a dozen array operations for any K.  `DDArray.sum_words`
+runs it over a ready (2K, width) block of those words, which a caller
+holding its parts as rows of one array gathers in one copy;
+`DDArray.sum_parts` gathers the words of K separate parts first.
 """
 from __future__ import annotations
 
@@ -127,7 +130,13 @@ class DDArray:
         nearly a tie.  One part gives hi + lo rounded once, as value() of
         that part does.
         """
-        words = np.array([*(a.hi for a in parts), *(a.lo for a in parts)])
+        return cls.sum_words(np.array([*(a.hi for a in parts), *(a.lo for a in parts)]))
+
+    @classmethod
+    def sum_words(cls, words: np.ndarray) -> "DDArray":
+        """`sum_parts` over a ready (2K, width) block of words: the K parts'
+        hi words, then their lo words, in part order.  A caller whose parts
+        are rows of one array gathers them into such a block in one copy."""
         run = np.add.accumulate(words)
         prev, cur = run[:-1], run[1:]
         # TwoSum errors of cur = prev + words[1:], row by row

@@ -68,13 +68,40 @@ def _strict_upper(q: int) -> tuple:
     return out
 
 
+@lru_cache(maxsize=16)
+def _eye(q: int) -> np.ndarray:
+    """The q x q identity, read-only, since every caller shares it."""
+    out = np.eye(q)
+    out.setflags(write=False)
+    return out
+
+
+class _cached:
+    """An attribute computed on first access and kept in the instance's
+    __dict__, as `functools.cached_property` keeps it, without the lock
+    that Python 3.11's takes on every first access.  Two threads that
+    meet an uncomputed attribute at once both compute it, so it suits
+    values that are equal however often they are computed."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Theta:
     """Parameter point: fixed effects, Cholesky factor of D, error variance.
 
     beta and L are private read-only copies, so the terms derived from
     them (`Dinv`, `resid_coef`, `logdet_D`, `log_2pi_tau2`) are computed
-    once per point and cannot go stale.
+    once per point, on first use, and cannot go stale.
     """
 
     beta: np.ndarray
@@ -82,44 +109,46 @@ class Theta:
     tau2: float
 
     def __post_init__(self):
-        beta = np.array(self.beta, dtype=float)
-        L = np.array(self.L, dtype=float)
-        beta.setflags(write=False)
-        L.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "L", L)
+        # beta and L are views of one private copy of their values, so one
+        # check covers both; the views are read-only since the copy is
+        b, c = np.asarray(self.beta, dtype=float), np.asarray(self.L, dtype=float)
+        values = np.concatenate((b.ravel(), c.ravel()))
+        values.setflags(write=False)
+        beta, L = values[: b.size].reshape(b.shape), values[b.size :].reshape(c.shape)
         tau2 = float(self.tau2)
-        object.__setattr__(self, "tau2", tau2)
-        if not (np.isfinite(beta).all() and np.isfinite(L).all()):
+        self.__dict__.update(beta=beta, L=L, tau2=tau2)
+        if not np.logical_and.reduce(np.isfinite(values)):
             raise NumericalDomainError("non-finite parameter values")
         if tau2 <= 0 or not math.isfinite(tau2):
             raise NumericalDomainError(f"tau2 must be positive, got {tau2}")
         if L.ndim != 2 or L.shape[0] != L.shape[1]:
             raise NumericalDomainError("L must be square")
-        if L[_strict_upper(L.shape[0])].any():
+        if np.logical_or.reduce(L[_strict_upper(len(L))]):
             raise NumericalDomainError("L must be lower triangular")
-        if (L.diagonal() <= 0).any():
+        if not np.minimum.reduce(L.diagonal(), initial=np.inf) > 0:
             raise NumericalDomainError("L must have a positive diagonal")
 
-    @cached_property
+    @_cached
     def Dinv(self) -> np.ndarray:
         """D^{-1}, solved from the Cholesky factor L of D by LAPACK."""
-        out = _cho_solve(self.L, np.eye(self.q))
+        out = _cho_solve(self.L, _eye(len(self.L)))
         out.setflags(write=False)
         return out
 
-    @cached_property
+    @_cached
     def resid_coef(self) -> np.ndarray:
         """(-beta, 1): the factor R of [X y] times it gives the residual norm."""
-        out = np.append(-self.beta, 1.0)
+        out = np.empty(self.beta.size + 1)
+        np.negative(self.beta, out=out[:-1])
+        out[-1] = 1.0
         out.setflags(write=False)
         return out
 
-    @cached_property
+    @_cached
     def logdet_D(self) -> float:
-        return 2.0 * math.fsum(np.log(np.diag(self.L)))
+        return 2.0 * math.fsum(np.log(self.L.diagonal()).tolist())
 
-    @cached_property
+    @_cached
     def log_2pi_tau2(self) -> float:
         return math.log(2.0 * math.pi * self.tau2)
 
@@ -149,7 +178,7 @@ class Theta:
         L, info = _potrf(np.asarray(D, dtype=float), lower=True)
         if info != 0:
             raise NumericalDomainError("D is not positive definite")
-        return cls(np.asarray(beta, dtype=float), L, float(tau2))
+        return cls(beta, L, tau2)
 
     @classmethod
     def default_start(cls, p: int, q: int) -> "Theta":
@@ -323,29 +352,46 @@ class LmmStatic:
 class LmmSuffStats:
     """Additive subset aggregates for the mixed model.
 
-    Two compensated accumulators hold them.  The E step's own, the only
-    one packed for the wire, holds the statistics of the posterior at the
-    E step's theta: S_xzb (p) and s_yzb, which are G b_hat summed, S_bb
-    (q*q), s_bzzb and the loglik, p + q*q + 3 columns.  `static` holds
-    those of the data alone (an `LmmStatic`: s_yy, S_xy, S_xx), the same
-    object for every E step of a shard; it is None on a result just
-    unpacked, until its pool attaches the shard's part.  Together they are
-    enough to evaluate the expected residual sum at any beta, so the
-    maximization can move beta away from the anchor the E step was run at.
+    The statistics of the posterior at the E step's theta are one float64
+    row, the form `pack` writes and `LmmModel.unpack_stats` adopts: m and
+    n, then the hi and then the lo words of one compensated accumulator of
+    S_xzb (p) and s_yzb, which are G b_hat summed, S_bb (q*q), s_bzzb and
+    the loglik, 2 + 2(p + q*q + 3) values (46 at p=10, q=3).  An E-step
+    batch writes its results as the rows of one block, and a socket pool's
+    results are slices of the reply frame it read.  m, n and loglik, the
+    last word's hi + lo rounded once, are read off the row when the
+    result is built.  `static` holds the statistics of the data alone (an
+    `LmmStatic`: s_yy, S_xy, S_xx), the same object for every E step of a
+    shard; it is None on a result just unpacked, until its pool attaches
+    the shard's part.  Together they are enough to evaluate the expected
+    residual sum at any beta, so the maximization can move beta away from
+    the anchor the E step was run at.
     """
 
-    __slots__ = ("p", "q", "m", "n", "_acc", "static")
+    __slots__ = ("p", "q", "row", "m", "n", "loglik", "static")
 
-    def __init__(self, p: int, q: int, acc: DDArray, m: int, n: int,
-                 static: LmmStatic | None = None):
-        """Statistics of m samples with n observations: the theta-dependent
-        ones summed in acc, the data-only ones in static."""
+    def __init__(self, p: int, q: int, row: np.ndarray, static: LmmStatic | None = None,
+                 head: tuple | None = None):
+        """The statistics the row holds, with the data-only ones in static.
+        head, when given, is (m, n, loglik) as the row holds them, for a
+        caller that reads them for many rows at once."""
         self.p = p
         self.q = q
-        self.m = m
-        self.n = n
-        self._acc = acc
+        self.row = row
+        if head is None:
+            size = p + q * q + 3
+            # accumulated like the other statistics so the rounded total
+            # does not depend on how the samples were grouped across
+            # subsets; the last word alone rounds as values() reads it
+            head = int(row[0]), int(row[1]), float(row[1 + size] + row[-1])
+        self.m, self.n, self.loglik = head
         self.static = static
+
+    @property
+    def _acc(self) -> DDArray:
+        """The theta-dependent accumulator, views of the row's words."""
+        size = (len(self.row) - 2) // 2
+        return DDArray._wrap(self.row[2 : 2 + size], self.row[2 + size :])
 
     def values(self) -> _StatsValues:
         """Every statistic, read from one rounding of each accumulator.  A
@@ -361,42 +407,37 @@ class LmmSuffStats:
             s_bzzb=float(v[-2]), loglik=float(v[-1]),
         )
 
-    @property
-    def loglik(self) -> float:
-        # accumulated like the other statistics so the rounded total does
-        # not depend on how the samples were grouped across subsets; the
-        # last word alone rounds to the same value values() reads
-        return float(self._acc.hi[-1] + self._acc.lo[-1])
-
     # -- accumulation ------------------------------------------------------
     def combine(self, *others: "LmmSuffStats") -> "LmmSuffStats":
         """The statistics of self and others together.
 
-        The theta-dependent accumulators are summed in one compensated
-        pass over their hi and lo words (`DDArray.sum_parts`, Sum2), so the
-        cost is a dozen array operations for any number of parts; alone,
-        self's accumulator comes back as its hi + lo rounded once.  The
-        static parts are combined by the first one (`LmmStatic.combine`),
-        and only when every part has one.
+        The K rows are gathered into one block, and one compensated pass
+        sums every hi word and then every lo word, in part order
+        (`DDArray.sum_words`, Sum2), so the cost is a dozen array
+        operations for any number of parts; alone, self's accumulator
+        comes back as its hi + lo rounded once.  m and n are the sums of
+        the block's first two columns.  The static parts are combined by
+        the first one (`LmmStatic.combine`), and only when every part has
+        one.
         """
         if any((o.p, o.q) != (self.p, self.q) for o in others):
             raise ValueError("incompatible statistic shapes")
         parts = (self, *others)
-        acc = DDArray.sum_parts([s._acc for s in parts])
-        static = None
-        if all(s.static is not None for s in parts):
-            static = self.static.combine(*(o.static for o in others))
-        return LmmSuffStats(
-            self.p, self.q, acc, sum(s.m for s in parts), sum(s.n for s in parts), static
-        )
+        rows = np.array([s.row for s in parts])
+        K, size = len(parts), (rows.shape[1] - 2) // 2
+        # the hi words of every part, then the lo words
+        acc = DDArray.sum_words(rows[:, 2:].reshape(K, 2, size).swapaxes(0, 1)
+                                .reshape(2 * K, size))
+        statics = [s.static for s in parts]
+        static = None if None in statics else self.static.combine(*statics[1:])
+        return LmmSuffStats(self.p, self.q,
+                            np.concatenate((rows[:, :2].sum(axis=0), acc.hi, acc.lo)), static)
 
     # -- wire serialization ------------------------------------------------
     def pack(self) -> np.ndarray:
-        """m, n, then the hi and the lo words of the theta-dependent
-        accumulator: 2 + 2(p + q*q + 3) values."""
-        return np.concatenate(
-            [[float(self.m), float(self.n)], self._acc.hi, self._acc.lo]
-        )
+        """A private copy of the row: m, n, then the hi and the lo words of
+        the theta-dependent accumulator."""
+        return self.row.copy()
 
 
 class LmmShard:
@@ -657,13 +698,22 @@ class LmmModel(ModelContract):
         B += theta.tau2 * post.Ainv.reshape(m, q * q)
         np.sum(stacked.ZZ.reshape(m, q * q) * B, axis=1, out=rows[:, -2])
         rows[:, -1] = _finite_loglik(self._loglik(theta, stacked, post))
-        # one accumulator row per shard, all shards in one segmented tree;
-        # each result holds its shard's data-only part as it is cached
-        fresh = DDArray.sum_segments(rows, [len(shard) for shard in shards])
+        # one accumulator row per shard, all shards in one segmented tree,
+        # written with its m and n as one result row of a block; each
+        # result holds its shard's data-only part as it is cached
+        sizes = [len(shard) for shard in shards]
+        fresh = DDArray.sum_segments(rows, sizes)
+        size = rows.shape[1]
+        block = np.empty((len(shards), 2 + 2 * size))
+        n_obs = [shard.n_total for shard in shards]
+        block[:, 0] = sizes
+        block[:, 1] = n_obs
+        block[:, 2 : 2 + size] = fresh.hi
+        block[:, 2 + size :] = fresh.lo
+        logliks = (block[:, 1 + size] + block[:, -1]).tolist()
         return [
-            SuffStats(k, anchor_tag, LmmSuffStats(p, q, DDArray._wrap(fresh.hi[i], fresh.lo[i]),
-                                                  len(shard), shard.n_total, shard.const_sum))
-            for i, (shard, k) in enumerate(zip(shards, subset_ids))
+            SuffStats(k, anchor_tag, LmmSuffStats(p, q, row, shard.const_sum, head))
+            for row, shard, k, head in zip(block, shards, subset_ids, zip(sizes, n_obs, logliks))
         ]
 
     def static_stats(self, shard: SubsetData | LmmShard) -> LmmStatic:
@@ -829,11 +879,9 @@ class LmmModel(ModelContract):
             raise ProtocolError(f"subset {subset_id}: statistics payload of {len(arr)} "
                                 f"values, expected {2 + 2 * size}")
         # arr is the caller's private array (a socket pool's slice of the
-        # reply it read), so the accumulator keeps views of it; the static
+        # reply it read), so the result adopts it as its row; the static
         # part is the pool's to attach
-        acc = DDArray._wrap(arr[2 : 2 + size], arr[2 + size :])
-        return SuffStats(subset_id, anchor_tag,
-                         LmmSuffStats(p, q, acc, int(arr[0]), int(arr[1])))
+        return SuffStats(subset_id, anchor_tag, LmmSuffStats(p, q, arr))
 
 
 # -- information and speed matrices ---------------------------------------

@@ -102,7 +102,9 @@ class ModelContract(ABC):
     handles one parameter or one result: a share frame carries one packed
     parameter per distinct theta and one pack_stats payload per request.
     pack_theta(theta) and pack_stats(stats) flatten a parameter and an
-    E-step result into float64 arrays, and unpack_theta and
+    E-step result into float64 arrays; pack_stats returns a private array,
+    which its caller may write over without changing the result, its
+    loglik or any other result.  unpack_theta and
     unpack_stats(arr, subset_id, anchor_tag) invert them with bitwise the
     same effect on every later call; unpack_stats rebuilds the SuffStats
     header from its two arguments, which the share's request table
@@ -153,8 +155,10 @@ class ModelContract(ABC):
 def aggregate_stats(cache: dict, K: int) -> SuffStats:
     """Additively combine one cached E-step result per subset.
 
-    The cache must hold exactly one entry for every subset id 0..K-1; the
-    M step must never run before every subset has reported once.  The
+    The cache must hold exactly one entry for every subset id 0..K-1, and
+    no other: a missing subset, or a key outside 0..K-1, is a
+    ProtocolError naming them.  The M step must never run before every
+    subset has reported once.  The
     payloads are combined in one call, `first.combine(*rest)`, in subset
     order, so a model can sum all K in one pass (`LmmSuffStats.combine`
     does, with one compensated Sum2 pass); the call carries the total `n`
@@ -171,7 +175,10 @@ def aggregate_stats(cache: dict, K: int) -> SuffStats:
     missing = [k for k in range(K) if k not in cache]
     if missing:
         raise ProtocolError(f"missing E-step results for subsets {missing}")
-    parts = [cache[k] for k in sorted(cache)]
+    if len(cache) != K:
+        stray = [k for k in cache if k not in range(K)]
+        raise ProtocolError(f"E-step results for subsets {stray} outside 0..{K - 1}")
+    parts = [cache[k] for k in range(K)]
     first, rest = parts[0], parts[1:]
     payload = first.payload.combine(*(s.payload for s in rest))
     return SuffStats(

@@ -56,7 +56,11 @@ attaches it to every result it unpacks, so it adds no frame.  For the
 mixed model at p=10, q=3 an E-step result is 46 f64 values (m, n, and
 the hi and lo words of 22 statistics, 368 bytes), and a 20-subset
 E-step share replies with about 7.5 KB; the 111 data-only statistics
-would add 222 values to every result.
+would add 222 values to every result.  Those 46 values are the result's
+own row (`LmmSuffStats`): the endpoint's `pack_stats` copies it once
+into the reply, and the manager's `unpack_stats` adopts its slice of the
+payload that `read_frame` returns, an array over the frame's own buffer,
+so a result is not copied again between the frame and the aggregate.
 
 The manager waits at most REPLY_TIMEOUT_S seconds for each reply.  A
 share whose reply does not come in time, or whose endpoint's connection
@@ -98,6 +102,7 @@ REPLY_TIMEOUT_S = 120.0
 # endpoints that are processes.
 ENDPOINTS = 1
 _HEAD = struct.Struct("<BIQ")  # kind, count, extra
+_FRAME_HEAD = struct.Struct("<IBIQ")  # body length, then _HEAD
 # bytes a frame's body buffer starts at; it doubles as the body arrives
 _CHUNK = 1 << 20
 
@@ -111,8 +116,8 @@ _REPLY = {KIND_ESTEP_REQ: KIND_ESTEP_REP, KIND_LOGLIK_REQ: KIND_LOGLIK_REP}
 
 
 def write_frame(sock, kind: int, count: int, extra: int, payload: np.ndarray):
-    body = _HEAD.pack(kind, count, extra) + np.asarray(payload, dtype="<f8").tobytes()
-    sock.sendall(struct.pack("<I", len(body)) + body)
+    data = np.asarray(payload, dtype="<f8").tobytes()
+    sock.sendall(_FRAME_HEAD.pack(_HEAD.size + len(data), kind, count, extra) + data)
 
 
 def _recv_exact(sock, n: int, frame_start: bool = False) -> bytearray:
@@ -138,9 +143,10 @@ def _recv_exact(sock, n: int, frame_start: bool = False) -> bytearray:
 
 
 def read_frame(sock):
-    """(kind, count, extra, payload), the payload a private f64 array.  A
-    body shorter than the header or a payload that is not whole f64 values
-    is a ProtocolError.
+    """(kind, count, extra, payload), the payload an f64 array over the
+    frame's own buffer, which nothing else holds: the caller may keep
+    views of it.  A body shorter than the header or a payload that is not
+    whole f64 values is a ProtocolError.
 
     The u32 length word may ask for up to 4 GiB, and no bound is put on
     it: a share's reply grows with its requests (46 values per E step of
@@ -162,7 +168,7 @@ def read_frame(sock):
             "of float64 values"
         )
     kind, count, extra = _HEAD.unpack_from(body)
-    payload = np.frombuffer(body, dtype="<f8", offset=_HEAD.size).copy()
+    payload = np.frombuffer(body, dtype="<f8", offset=_HEAD.size)
     return kind, count, extra, payload
 
 

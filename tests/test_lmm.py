@@ -27,6 +27,7 @@ from demfit import (
 from demfit import lmm
 from demfit.ddsum import DDArray
 from demfit.lmm import LmmShard, theta_to_vec, vec_to_theta
+from demfit.transport import make_pool
 from conftest import local_kl, point_bytes, random_sample, random_theta, theta_bytes
 
 
@@ -569,6 +570,45 @@ def test_stats_pack_unpack_roundtrip():
     assert (rt.m, rt.n, rt.loglik) == (st.m, st.n, st.loglik)
 
 
+def test_packed_stats_are_private():
+    """Writing over what pack_stats returns changes nothing else: not the
+    result, its loglik, a second pack_stats of it or the results that
+    share its E-step batch."""
+    rng = np.random.default_rng(29)
+    model = LmmModel(4, 3)
+    shards = [model.prepare([random_sample(rng, 4, 3) for _ in range(m)]) for m in (3, 1, 4)]
+    batch = model.local_esteps(random_theta(rng, 4, 3), shards, [0, 1, 2], 0)
+    before = [(model.pack_stats(r).tobytes(), r.payload.loglik) for r in batch]
+    packed = model.pack_stats(batch[1])
+    packed[:] = np.nan
+    after = [(model.pack_stats(r).tobytes(), r.payload.loglik) for r in batch]
+    assert after == before
+    assert batch[1].payload.row.tobytes() == before[1][0]
+
+
+@pytest.mark.parametrize("transport", ["in_process", "socket"])
+def test_result_loglik_is_its_last_word_rounded(transport):
+    """Every result's loglik is its last hi + lo word rounded once, bitwise,
+    whether the batch's block or a reply frame holds the result."""
+    rng = np.random.default_rng(30)
+    p, q = 4, 3
+    model = LmmModel(p, q)
+    subsets = [[random_sample(rng, p, q) for _ in range(m)] for m in (1, 2, 5, 3, 8)]
+    pool = make_pool(transport, model, subsets)
+    try:
+        theta = random_theta(rng, p, q)
+        results = pool.esteps([(k, theta, 0) for k in range(len(subsets))])
+    finally:
+        pool.close()
+    for k, got in enumerate(results):
+        want = model.local_estep(theta, subsets[k]).payload
+        acc = got.payload._acc
+        assert np.float64(got.payload.loglik).tobytes() == \
+            np.float64(float(acc.hi[-1] + acc.lo[-1])).tobytes()
+        assert np.float64(got.payload.loglik).tobytes() == np.float64(want.loglik).tobytes()
+        assert (got.payload.m, got.payload.n) == (want.m, want.n)
+
+
 @pytest.mark.parametrize("extra", [2, -3], ids=["two_long", "three_short"])
 def test_unpack_stats_rejects_a_payload_of_the_wrong_length(extra):
     # p=q=3: 2 header values and the two 15-word halves of the
@@ -776,6 +816,51 @@ def test_theta_is_immutable():
     for arr in (theta.beta, theta.L, theta.Dinv, theta.resid_coef):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 6])
+def test_theta_derived_terms_match_their_formulas(q):
+    """Dinv, resid_coef, logdet_D and log_2pi_tau2 are bitwise what scipy's
+    cho_solve, np.append, np.diag and the math module give."""
+    rng = np.random.default_rng(31 + q)
+    for _ in range(20):
+        theta = random_theta(rng, 5, q)
+        fresh = Theta(theta.beta, theta.L, theta.tau2)
+        for t in (theta, fresh):
+            want_Dinv = sla.cho_solve((t.L, True), np.eye(q))
+            assert t.Dinv.tobytes() == want_Dinv.tobytes()
+            assert t.resid_coef.tobytes() == np.append(-t.beta, 1.0).tobytes()
+            want_logdet = 2.0 * math.fsum(np.log(np.diag(t.L)))
+            assert np.float64(t.logdet_D).tobytes() == np.float64(want_logdet).tobytes()
+            want_log = math.log(2.0 * math.pi * t.tau2)
+            assert np.float64(t.log_2pi_tau2).tobytes() == np.float64(want_log).tobytes()
+            # computed once: the same objects come back
+            assert t.Dinv is t.Dinv and t.resid_coef is t.resid_coef
+
+
+def test_theta_validation_order():
+    """A point with several faults is reported by the first check it
+    fails: finiteness, tau2, squareness, the upper triangle, the
+    diagonal.  An empty L, and lists, are accepted as read-only copies."""
+    upper_nan = np.eye(2)
+    upper_nan[0, 1] = np.nan
+    cases = [
+        ((np.array([np.nan]), np.ones((2, 3)), -1.0), "non-finite parameter values"),
+        ((np.zeros(1), upper_nan, 1.0), "non-finite parameter values"),
+        ((np.zeros(1), np.ones((2, 3)), -1.0), "tau2 must be positive"),
+        ((np.zeros(1), -np.ones((2, 3)), 1.0), "L must be square"),
+        ((np.zeros(1), -np.ones((2, 2)), 1.0), "lower triangular"),
+        ((np.zeros(1), np.zeros((0, 0)), 1.0), None),
+        (([0.5, 1.5], [[1.0, 0.0], [2.0, 3.0]], 2), None),
+    ]
+    for args, message in cases:
+        if message is None:
+            theta = Theta(*args)
+            assert theta.beta.flags.writeable is False and theta.L.flags.writeable is False
+            assert isinstance(theta.tau2, float)
+        else:
+            with pytest.raises(NumericalDomainError, match=message):
+                Theta(*args)
 
 
 def test_sample_validation():

@@ -40,6 +40,22 @@ def test_aggregate_requires_all_subsets():
         aggregate_stats({}, 0)
 
 
+def test_aggregate_rejects_subsets_outside_0_to_K():
+    # K=2 over a cache that also holds a third subset: its samples must
+    # not enter the aggregate, whatever its key
+    rng = np.random.default_rng(0)
+    model = LmmModel(2, 2)
+    theta = random_theta(rng, 2, 2)
+    subsets = [[random_sample(rng, 2, 2) for _ in range(n)] for n in (4, 5, 3)]
+    cache = _cache(model, theta, subsets)
+    assert aggregate_stats({0: cache[0], 1: cache[1]}, 2).payload.m == 9
+    with pytest.raises(ProtocolError, match=r"subsets \[2\] outside 0\.\.1$"):
+        aggregate_stats(cache, 2)
+    cache[-1] = cache.pop(2)
+    with pytest.raises(ProtocolError, match=r"subsets \[-1\] outside 0\.\.1$"):
+        aggregate_stats(cache, 2)
+
+
 def test_aggregate_matches_single_pass():
     # K=20 subsets of uneven size, one of them empty: the one-pass combine
     # equals the fold of binary combines and the single-pass E step

@@ -77,19 +77,22 @@ def test_static_total_is_summed_once_per_run(samples, transport, monkeypatch):
     K = 4
     subsets = partition(samples, K, seed=2)
     const_width, fresh_width = 1 + P + P * P, P + Q * Q + 3
-    calls = []  # (pass, width) of each sum_rows and sum_parts call
-    sum_rows, sum_parts = DDArray.sum_rows.__func__, DDArray.sum_parts.__func__
+    # (pass, width) of each sum_rows call and each Sum2 pass over K parts'
+    # words, which sum_parts and LmmSuffStats.combine both make through
+    # sum_words
+    calls = []
+    sum_rows, sum_words = DDArray.sum_rows.__func__, DDArray.sum_words.__func__
 
     def counting_sum_rows(cls, rows):
         calls.append(("rows", rows.shape[1]))
         return sum_rows(cls, rows)
 
-    def counting_sum_parts(cls, parts):
-        calls.append(("parts", parts[0].hi.size))
-        return sum_parts(cls, parts)
+    def counting_sum_words(cls, words):
+        calls.append(("parts", words.shape[1]))
+        return sum_words(cls, words)
 
     monkeypatch.setattr(DDArray, "sum_rows", classmethod(counting_sum_rows))
-    monkeypatch.setattr(DDArray, "sum_parts", classmethod(counting_sum_parts))
+    monkeypatch.setattr(DDArray, "sum_words", classmethod(counting_sum_words))
     _, trace = run_dem(RunConfig(K=K, gamma=0.5, seed=3, transport=transport), model,
                        subsets, Theta.default_start(P, Q))
     assert trace.n_iterations > 5
