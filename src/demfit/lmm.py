@@ -27,6 +27,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 from .ddsum import DDArray
 from .model import (
     ConvergenceMonitor,
+    EStepBatch,
     ModelContract,
     NumericalDomainError,
     ProtocolError,
@@ -357,34 +358,29 @@ class LmmSuffStats:
     n, then the hi and then the lo words of one compensated accumulator of
     S_xzb (p) and s_yzb, which are G b_hat summed, S_bb (q*q), s_bzzb and
     the loglik, 2 + 2(p + q*q + 3) values (46 at p=10, q=3).  An E-step
-    batch writes its results as the rows of one block, and a socket pool's
-    results are slices of the reply frame it read.  m, n and loglik, the
-    last word's hi + lo rounded once, are read off the row when the
-    result is built.  `static` holds the statistics of the data alone (an
-    `LmmStatic`: s_yy, S_xy, S_xx), the same object for every E step of a
-    shard; it is None on a result just unpacked, until its pool attaches
-    the shard's part.  Together they are enough to evaluate the expected
+    batch writes its results as the rows of one block (`EStepBatch`), and
+    a result taken from the batch holds a view of its row.  m, n and
+    loglik, the last word's hi + lo rounded once, are read off the row
+    when the result is built.  `static` holds the statistics of the data
+    alone (an `LmmStatic`: s_yy, S_xy, S_xx), the same object for every E
+    step of a shard; it is None on a result just unpacked, until its
+    batch attaches the shard's part.  Together they are enough to evaluate the expected
     residual sum at any beta, so the maximization can move beta away from
     the anchor the E step was run at.
     """
 
     __slots__ = ("p", "q", "row", "m", "n", "loglik", "static")
 
-    def __init__(self, p: int, q: int, row: np.ndarray, static: LmmStatic | None = None,
-                 head: tuple | None = None):
-        """The statistics the row holds, with the data-only ones in static.
-        head, when given, is (m, n, loglik) as the row holds them, for a
-        caller that reads them for many rows at once."""
+    def __init__(self, p: int, q: int, row: np.ndarray, static: LmmStatic | None = None):
+        """The statistics the row holds, with the data-only ones in static."""
         self.p = p
         self.q = q
         self.row = row
-        if head is None:
-            size = p + q * q + 3
-            # accumulated like the other statistics so the rounded total
-            # does not depend on how the samples were grouped across
-            # subsets; the last word alone rounds as values() reads it
-            head = int(row[0]), int(row[1]), float(row[1 + size] + row[-1])
-        self.m, self.n, self.loglik = head
+        size = p + q * q + 3
+        # accumulated like the other statistics so the rounded total does
+        # not depend on how the samples were grouped across subsets; the
+        # last word alone rounds as values() reads it
+        self.m, self.n, self.loglik = int(row[0]), int(row[1]), float(row[1 + size] + row[-1])
         self.static = static
 
     @property
@@ -408,30 +404,33 @@ class LmmSuffStats:
         )
 
     # -- accumulation ------------------------------------------------------
-    def combine(self, *others: "LmmSuffStats") -> "LmmSuffStats":
-        """The statistics of self and others together.
+    @classmethod
+    def total(cls, p: int, q: int, rows: np.ndarray, statics) -> "LmmSuffStats":
+        """The statistics of the K results whose rows are the rows of one
+        (K, width) block, with static parts statics.
 
-        The K rows are gathered into one block, and one compensated pass
-        sums every hi word and then every lo word, in part order
-        (`DDArray.sum_words`, Sum2), so the cost is a dozen array
-        operations for any number of parts; alone, self's accumulator
-        comes back as its hi + lo rounded once.  m and n are the sums of
-        the block's first two columns.  The static parts are combined by
-        the first one (`LmmStatic.combine`), and only when every part has
-        one.
+        One compensated pass sums every hi word and then every lo word, in
+        row order (`DDArray.sum_words`, Sum2), so the cost is a dozen array
+        operations for any K; one row's accumulator comes back as its hi +
+        lo rounded once.  m and n are the sums of the block's first two
+        columns.  The static parts are combined by the first one
+        (`LmmStatic.combine`), and only when every result has one.
         """
+        K, size = len(rows), (rows.shape[1] - 2) // 2
+        # the hi words of every row, then the lo words
+        acc = DDArray.sum_words(rows[:, 2:].reshape(K, 2, size).swapaxes(0, 1)
+                                .reshape(2 * K, size))
+        static = None if None in statics else statics[0].combine(*statics[1:])
+        return cls(p, q, np.concatenate((rows[:, :2].sum(axis=0), acc.hi, acc.lo)), static)
+
+    def combine(self, *others: "LmmSuffStats") -> "LmmSuffStats":
+        """The statistics of self and others together: their rows gathered
+        into one block, in part order, and summed by `total`."""
         if any((o.p, o.q) != (self.p, self.q) for o in others):
             raise ValueError("incompatible statistic shapes")
         parts = (self, *others)
-        rows = np.array([s.row for s in parts])
-        K, size = len(parts), (rows.shape[1] - 2) // 2
-        # the hi words of every part, then the lo words
-        acc = DDArray.sum_words(rows[:, 2:].reshape(K, 2, size).swapaxes(0, 1)
-                                .reshape(2 * K, size))
-        statics = [s.static for s in parts]
-        static = None if None in statics else self.static.combine(*statics[1:])
-        return LmmSuffStats(self.p, self.q,
-                            np.concatenate((rows[:, :2].sum(axis=0), acc.hi, acc.lo)), static)
+        return LmmSuffStats.total(self.p, self.q, np.array([s.row for s in parts]),
+                                  [s.static for s in parts])
 
     # -- wire serialization ------------------------------------------------
     def pack(self) -> np.ndarray:
@@ -675,14 +674,16 @@ class LmmModel(ModelContract):
         return self.local_esteps(theta, [self._shard(subset)], [subset_id], anchor_tag)[0]
 
     def local_esteps(self, theta: Theta, shards: Sequence[LmmShard], subset_ids: Sequence[int],
-                     anchor_tag: int) -> list:
+                     anchor_tag: int) -> EStepBatch:
         """E steps of several shards at one theta, in one pass over their
         samples stacked together: the posterior, the loglik and the rows of
         the theta-dependent statistics are computed once for the batch.
         Each sample's row comes from its own data alone, and one segmented
         compensated tree (`DDArray.sum_segments`) sums every shard's rows,
         each shard's words bitwise those of its own tree, so every result
-        is bitwise that of the shard on its own."""
+        is bitwise that of the shard on its own.  The batch is the block of
+        those result rows, with each shard's data-only part as it is
+        cached (`LmmShard.const_sum`)."""
         p, q = self.p, self.q
         stacked = self._stack(shards)
         m = len(stacked)
@@ -699,26 +700,54 @@ class LmmModel(ModelContract):
         np.sum(stacked.ZZ.reshape(m, q * q) * B, axis=1, out=rows[:, -2])
         rows[:, -1] = _finite_loglik(self._loglik(theta, stacked, post))
         # one accumulator row per shard, all shards in one segmented tree,
-        # written with its m and n as one result row of a block; each
-        # result holds its shard's data-only part as it is cached
+        # written with its m and n as one result row of the batch's block
         sizes = [len(shard) for shard in shards]
         fresh = DDArray.sum_segments(rows, sizes)
         size = rows.shape[1]
         block = np.empty((len(shards), 2 + 2 * size))
-        n_obs = [shard.n_total for shard in shards]
         block[:, 0] = sizes
-        block[:, 1] = n_obs
+        block[:, 1] = [shard.n_total for shard in shards]
         block[:, 2 : 2 + size] = fresh.hi
         block[:, 2 + size :] = fresh.lo
-        logliks = (block[:, 1 + size] + block[:, -1]).tolist()
-        return [
-            SuffStats(k, anchor_tag, LmmSuffStats(p, q, row, shard.const_sum, head))
-            for row, shard, k, head in zip(block, shards, subset_ids, zip(sizes, n_obs, logliks))
-        ]
+        return EStepBatch(self, block, subset_ids, [anchor_tag] * len(shards),
+                          [shard.const_sum for shard in shards])
 
     def static_stats(self, shard: SubsetData | LmmShard) -> LmmStatic:
         """The shard's data-only statistics, summed once per shard."""
         return self._shard(shard).const_sum
+
+    def static_parts(self, shards: Sequence[LmmShard]) -> list:
+        """The data-only statistics of several prepared shards, every
+        shard's const rows summed in one segmented compensated tree
+        (`DDArray.sum_segments`), each shard's words bitwise those of its
+        own tree (`LmmShard.const_sum`), which keeps them: a shard that has
+        its part already keeps that one."""
+        if not shards:
+            return []
+        acc = DDArray.sum_segments(np.concatenate([shard.const for shard in shards]),
+                                   [len(shard) for shard in shards])
+        return [vars(shard).setdefault("const_sum", LmmStatic(DDArray._wrap(hi, lo)))
+                for shard, hi, lo in zip(shards, acc.hi, acc.lo)]
+
+    def combine_packed(self, rows: np.ndarray, statics) -> LmmSuffStats:
+        """The statistics of the results whose rows are rows, summed in
+        place by `LmmSuffStats.total`."""
+        return LmmSuffStats.total(self.p, self.q, rows, statics)
+
+    def packed_logliks(self, rows: np.ndarray) -> list:
+        """Each row's loglik, its last hi + lo word rounded once."""
+        return (rows[:, rows.shape[1] // 2] + rows[:, -1]).tolist()
+
+    def check_packed(self, rows: np.ndarray, subset_ids) -> None:
+        self._check_width(rows.shape[1], subset_ids[0])
+
+    def _check_width(self, width: int, subset_id: int) -> None:
+        """A statistics payload of width values that is not the layout's is
+        a ProtocolError naming the subset."""
+        want = 2 + 2 * (self.p + self.q * self.q + 3)
+        if width != want:
+            raise ProtocolError(f"subset {subset_id}: statistics payload of {width} "
+                                f"values, expected {want}")
 
     def q_value(self, stats: LmmSuffStats, theta: Theta) -> float:
         """Expected complete-data log likelihood reconstructed from aggregates."""
@@ -873,15 +902,11 @@ class LmmModel(ModelContract):
         return stats.payload.pack()
 
     def unpack_stats(self, arr: np.ndarray, subset_id: int, anchor_tag: int) -> SuffStats:
-        p, q = self.p, self.q
-        size = p + q * q + 3
-        if len(arr) != 2 + 2 * size:
-            raise ProtocolError(f"subset {subset_id}: statistics payload of {len(arr)} "
-                                f"values, expected {2 + 2 * size}")
-        # arr is the caller's private array (a socket pool's slice of the
-        # reply it read), so the result adopts it as its row; the static
-        # part is the pool's to attach
-        return SuffStats(subset_id, anchor_tag, LmmSuffStats(p, q, arr))
+        self._check_width(len(arr), subset_id)
+        # arr is the caller's private array (a row of a batch's block), so
+        # the result adopts it as its row; the static part is the pool's
+        # to attach
+        return SuffStats(subset_id, anchor_tag, LmmSuffStats(self.p, self.q, arr))
 
 
 # -- information and speed matrices ---------------------------------------

@@ -10,8 +10,11 @@ import functools
 import math
 import operator
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
+
+import numpy as np
 
 
 class NumericalDomainError(ValueError):
@@ -43,6 +46,49 @@ class SuffStats:
     anchor_tags: Optional[list] = None  # filled on aggregates
 
 
+class EStepBatch(Sequence):
+    """The E-step results of one batch as one block: row i of `rows` is the
+    `pack_stats` array of the result for subset `subset_ids[i]` at anchor
+    tag `anchor_tags[i]`, and `statics[i]` its static part, or None (see
+    `ModelContract.static_stats`).  The ids and tags are int arrays.
+
+    A batch moves whole, from a model's `local_esteps` through a pool to
+    the manager, whose cache is the batch of the K subsets' latest results
+    in subset order, refreshed by assigning the rows and tags of each
+    later batch.  Indexing builds a result: `model.unpack_stats` of a view
+    of its row, with its static part attached, so a batch also reads as a
+    sequence of SuffStats, each bitwise the result `local_estep` gives.
+    The block is the batch's own: a result may keep views of it.
+    """
+
+    __slots__ = ("model", "rows", "subset_ids", "anchor_tags", "statics")
+
+    def __init__(self, model: "ModelContract", rows, subset_ids, anchor_tags, statics):
+        self.model = model
+        self.rows = rows
+        self.subset_ids = np.asarray(subset_ids, dtype=np.intp)
+        self.anchor_tags = np.asarray(anchor_tags, dtype=np.intp)
+        self.statics = statics
+
+    @classmethod
+    def from_results(cls, model: "ModelContract", results) -> "EStepBatch":
+        """The batch of SuffStats results: one `pack_stats` row each, and
+        each payload's static part."""
+        return cls(model, np.array([model.pack_stats(s) for s in results]),
+                   [s.subset_id for s in results], [s.anchor_tag for s in results],
+                   [getattr(s.payload, "static", None) for s in results])
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> SuffStats:
+        k, tag = int(self.subset_ids[i]), int(self.anchor_tags[i])
+        stats = self.model.unpack_stats(self.rows[i], k, tag)
+        if self.statics[i] is not None:
+            stats.payload.static = self.statics[i]
+        return stats
+
+
 class ModelContract(ABC):
     """Everything the manager loop, a transport pool and the audit call on
     a model; a subclass missing an abstract method cannot be instantiated.
@@ -62,28 +108,43 @@ class ModelContract(ABC):
     anchor tag it was given.  Its payload provides combine(*others), the
     statistics of it and the others together; n, the number of
     observations behind them; and loglik, their local log likelihood at
-    the anchor.  local_esteps(theta, shards, subset_ids, anchor_tag) gives
-    the E steps of several prepared subsets at one theta, one SuffStats per
-    shard in their order, each bitwise what local_estep gives for that
-    shard alone, and local_logliks(theta, shards) their local log
-    likelihoods, each bitwise local_loglik of its shard.  The pools group
-    the requests of a batch for them as `transport.answer` says.  The
-    defaults call local_estep or local_loglik once per shard; a model may
-    serve the batch in one pass instead.
+    the anchor.  local_logliks(theta, shards) gives the local log
+    likelihoods of several prepared subsets at one theta, each bitwise
+    local_loglik of its shard.  The pools group the requests of a batch
+    for them as `transport.answer` says.
+
+    An E-step batch is one block (`EStepBatch`): local_esteps(theta,
+    shards, subset_ids, anchor_tag) gives the E steps of several prepared
+    subsets at one theta as one batch, each row bitwise pack_stats of what
+    local_estep gives that shard alone, in a block the batch owns.  Every
+    pack_stats array of a model has one length, W, so a batch's rows fit
+    one (n, W) float64 array, and a batch's block is what a socket
+    endpoint writes and what the manager caches and sums, with no result
+    object in between.  The model reads such rows in three calls:
+    combine_packed(rows, statics) is the payload of the results rows[k]
+    with static parts statics[k] combined, bitwise what their unpacked
+    payloads' combine gives; packed_logliks(rows) is each row's loglik,
+    bitwise its unpacked payload's; check_packed(rows, subset_ids) raises
+    what unpack_stats raises for the first row when the rows are not ones
+    unpack_stats accepts.  The defaults call local_estep and pack_stats
+    once per shard, local_loglik once per shard, and unpack_stats once per
+    row; a model may serve the batch in one pass and read the rows of a
+    block in place instead.
 
     static_stats(shard) returns the static part of a prepared subset's
     E-step statistics, the part that depends on its data alone, or None
-    (the default) for a model whose statistics all depend on theta.  A
-    payload of a model with a static part holds it in its `static`
+    (the default) for a model whose statistics all depend on theta, and
+    static_parts(shards) the static parts of several shards, by default
+    one static_stats call each; a pool takes them once, when it is built.
+    A payload of a model with a static part holds it in its `static`
     attribute, the same object for every E step of a shard: local_estep
     and local_esteps set it, pack_stats leaves it out, so a reply carries
     only the theta-dependent part, and unpack_stats leaves it None, for
-    the socket pool to attach static_stats of the manager's own copy of
-    the shard.  A static part provides combine(*others) like a payload,
-    and a payload's combine combines the static parts through the first
-    one's; since no E step changes them, that combine may keep its last
-    total and return it while the same others come back, so a run sums
-    its static total once.
+    the pool to attach the static part of its own copy of the shard.  A
+    static part provides combine(*others) like a payload, and a payload's
+    combine combines the static parts through the first one's; since no E
+    step changes them, that combine may keep its last total and return it
+    while the same others come back, so a run sums its static total once.
 
     free_energy_path(thetas, anchor_tags, subsets) returns, for row j of
     anchor_tags and subset k, the local log likelihood at thetas[j] minus
@@ -100,7 +161,7 @@ class ModelContract(ABC):
 
     The wire methods are all a socket pool knows of the model, and each
     handles one parameter or one result: a share frame carries one packed
-    parameter per distinct theta and one pack_stats payload per request.
+    parameter per distinct theta and one pack_stats row per request.
     pack_theta(theta) and pack_stats(stats) flatten a parameter and an
     E-step result into float64 arrays; pack_stats returns a private array,
     which its caller may write over without changing the result, its
@@ -123,15 +184,30 @@ class ModelContract(ABC):
     @abstractmethod
     def local_estep(self, theta, subset, subset_id=0, anchor_tag=0) -> SuffStats: ...
 
-    def local_esteps(self, theta, shards, subset_ids, anchor_tag) -> list:
-        return [self.local_estep(theta, shard, k, anchor_tag)
-                for shard, k in zip(shards, subset_ids)]
+    def local_esteps(self, theta, shards, subset_ids, anchor_tag) -> EStepBatch:
+        return EStepBatch.from_results(self, [self.local_estep(theta, shard, k, anchor_tag)
+                                              for shard, k in zip(shards, subset_ids)])
 
     def local_logliks(self, theta, shards) -> list:
         return [self.local_loglik(theta, shard) for shard in shards]
 
     def static_stats(self, shard):
         return None
+
+    def static_parts(self, shards) -> list:
+        return [self.static_stats(shard) for shard in shards]
+
+    def combine_packed(self, rows, statics):
+        parts = EStepBatch(self, rows, range(len(rows)), [0] * len(rows), statics)
+        first, *rest = (s.payload for s in parts)
+        return first.combine(*rest)
+
+    def packed_logliks(self, rows) -> list:
+        return [self.unpack_stats(row, 0, 0).payload.loglik for row in rows]
+
+    def check_packed(self, rows, subset_ids) -> None:
+        for row, k in zip(rows, subset_ids):
+            self.unpack_stats(row, k, 0)
 
     @abstractmethod
     def cm_steps(self, agg, theta_current): ...
@@ -152,24 +228,34 @@ class ModelContract(ABC):
     def unpack_stats(self, arr, subset_id: int, anchor_tag: int) -> SuffStats: ...
 
 
-def aggregate_stats(cache: dict, K: int) -> SuffStats:
+def aggregate_stats(cache, K: int) -> SuffStats:
     """Additively combine one cached E-step result per subset.
 
-    The cache must hold exactly one entry for every subset id 0..K-1, and
-    no other: a missing subset, or a key outside 0..K-1, is a
+    The cache is a dict of SuffStats by subset id, or an `EStepBatch`
+    whose rows are the results of subsets 0..K-1 in order, as `run_dem`
+    keeps it.  It must hold exactly one result for every subset id
+    0..K-1, and no other: a missing subset, or a key outside 0..K-1, is a
     ProtocolError naming them.  The M step must never run before every
-    subset has reported once.  The
-    payloads are combined in one call, `first.combine(*rest)`, in subset
-    order, so a model can sum all K in one pass (`LmmSuffStats.combine`
-    does, with one compensated Sum2 pass); the call carries the total `n`
-    and `loglik` and, for a model with a static part
-    (`ModelContract.static_stats`), the combined static part.  A cache
-    refilled from resident shards holds the same K static parts at every
-    iteration, so their total is summed once per run and each later
-    aggregate sums only the theta-dependent statistics.  The
-    aggregate's header routes nothing (subset id and anchor tag -1) and
-    lists every subset's anchor tag in `anchor_tags`.
+    subset has reported once.  A batch is summed in one model call,
+    `combine_packed(rows, statics)`, over its block as it is; a dict's
+    payloads in one call, `first.combine(*rest)`, in subset order, which
+    for the mixed model gathers their rows into such a block and sums it
+    through the same pass (one compensated Sum2 pass,
+    `LmmSuffStats.combine`).  Either carries the total `n` and `loglik`
+    and, for a model with a static part (`ModelContract.static_stats`),
+    the combined static part.  A cache refilled from resident shards holds
+    the same K static parts at every iteration, so their total is summed
+    once per run and each later aggregate sums only the theta-dependent
+    statistics.  The aggregate's header routes nothing (subset id and
+    anchor tag -1) and lists every subset's anchor tag in `anchor_tags`.
     """
+    if isinstance(cache, EStepBatch):
+        if len(cache) != K or cache.subset_ids.tolist() != list(range(K)):
+            raise ProtocolError(f"E-step batch of subsets {cache.subset_ids.tolist()} "
+                                f"is not one result for each of 0..{K - 1}")
+        return SuffStats(subset_id=-1, anchor_tag=-1,
+                         payload=cache.model.combine_packed(cache.rows, cache.statics),
+                         anchor_tags=cache.anchor_tags.tolist())
     if not cache:
         raise ProtocolError("empty statistics cache")
     missing = [k for k in range(K) if k not in cache]

@@ -39,6 +39,7 @@ import numpy as np
 
 from .model import (
     ConvergenceMonitor,
+    EStepBatch,
     ModelContract,
     ProtocolError,
     Trace,
@@ -109,13 +110,14 @@ def deterministic_schedule(
     return rng.permutation(K)
 
 
-def _esteps(pool, requests) -> list:
-    """The pool's results for a batch of (k, theta, anchor_tag) E-step
+def _esteps(pool, model: ModelContract, requests) -> EStepBatch:
+    """The pool's batch of results for (k, theta, anchor_tag) E-step
     requests, in request order.  A pool with no batch surface is asked one
-    request at a time, which gives the same results."""
+    request at a time, and its results make the same batch."""
     if hasattr(pool, "esteps"):
         return pool.esteps(requests)
-    return [pool.estep(k, theta, anchor_tag=tag) for k, theta, tag in requests]
+    return EStepBatch.from_results(
+        model, [pool.estep(k, theta, anchor_tag=tag) for k, theta, tag in requests])
 
 
 def _logliks(pool, ks, theta) -> list:
@@ -138,8 +140,12 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
     any order, and no permutation is drawn: the requests are listed in subset order, and
     every result, accept set and message count is what a drawn order
     gives.  That list needs no reply, so it is sent to the pool as one
-    batch (`pool.esteps`).  The manager then reruns the conditional
-    maximization on the combined cache (`aggregate_stats`) and broadcasts.
+    batch (`pool.esteps`).  The cache is the batch of the K subsets' latest
+    results, in subset order: the seeding batch, into which each later
+    batch's rows and anchor tags are assigned, while the K static parts
+    stay those of the seeding round.  The manager then reruns the
+    conditional maximization on the combined cache (`aggregate_stats`,
+    one pass over the cached rows) and broadcasts.
 
     Every E step the manager starts enters an M step.  After the loop one
     loglik round at the final parameter gives `final_loglik`.  In
@@ -172,7 +178,7 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
         for t in range(config.max_iter + 1):
             t0 = time.perf_counter()
             if t == 0:
-                cache = dict(enumerate(_esteps(pool, [(k, theta0, 0) for k in range(K)])))
+                cache = _esteps(pool, model, [(k, theta0, 0) for k in range(K)])
             elif t == 1:
                 # the seeding messages are iteration 1's fresh results
                 accepted = completion_order(1)[:N]
@@ -195,7 +201,9 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
                         accepted[k] = None
                     elif config.completion == "finish":
                         in_flight[k] = t - 1
-                cache.update(zip(accepted, _esteps(pool, requests)))
+                fresh = _esteps(pool, model, requests)
+                cache.rows[fresh.subset_ids] = fresh.rows
+                cache.anchor_tags[fresh.subset_ids] = fresh.anchor_tags
             agg = aggregate_stats(cache, K)
             if not exact:
                 L = agg.payload.loglik
@@ -203,9 +211,9 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
                 L = None  # the closing round or iteration 1 fills row 0
             else:
                 # L(theta_{t-1}), for row t-1: fresh replies carry their term
-                stale = [k for k in range(K) if cache[k].anchor_tag != t - 1]
-                fresh = [cache[k].payload.loglik for k in range(K) if cache[k].anchor_tag == t - 1]
-                L = math.fsum(_logliks(pool, stale, theta) + fresh)
+                at = cache.anchor_tags == t - 1
+                L = math.fsum(_logliks(pool, np.flatnonzero(~at).tolist(), theta)
+                              + model.packed_logliks(cache.rows[at]))
             if t > 0:
                 theta = model.cm_steps(agg, theta)
                 trace.accept_sets.append(sorted(int(k) for k in accepted))

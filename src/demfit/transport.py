@@ -7,18 +7,24 @@ a round of loglik requests, and each returns the results in request
 order.  A lone request, `estep(k, theta, anchor_tag)` or `loglik(k,
 theta)`, is a batch of one; the manager falls back to those, one request
 at a time, for a pool that offers nothing else (a wrapper that times
-each request, say).  The pools differ in one hook, `_results(requests,
-loglik)`, which returns each request's result, or the exception it met,
-in request order: in process it is `answer` on the pool's shards, over
-sockets a round trip to endpoints that answer through `answer` too.  The
-surface then counts 2 messages (request out, reply back) per answered
-request in `messages_sent` and raises the failure of the earliest failed
-request, so a failure does not stop its batch.  `answer` makes the
-requests that share a parameter and an anchor tag one `local_esteps`
-call, a loglik round at one parameter one `local_logliks` call, and a
-lone request one `local_estep` or `local_loglik` call.  The manager loop
-builds every batch before sending it, so it fully determines what is
-computed, and the resulting traces are identical across transports.
+each request, say).  An E-step batch's results are one `EStepBatch`: the
+(n, W) block of their `pack_stats` rows, W values each, with their
+subset ids, anchor tags and static parts; indexing it gives a request's
+SuffStats, while the manager caches and sums the block as it is.  The
+pools differ in one hook, `_results(requests, loglik)`, which returns
+(block, errors): row i of the block is request i's result, unless errors
+maps i to the exception it met.  In process it is `answer` on the
+pool's shards, over sockets a round trip to endpoints that answer
+through `answer` too.  The surface then counts 2 messages (request out,
+reply back) per answered request in `messages_sent` and raises the
+failure of the earliest failed request, so a failure does not stop its
+batch.  `answer` makes the requests that share a parameter and an anchor
+tag one `local_esteps` call, whose block is the batch's own when it
+covers every request, a loglik round at one parameter one
+`local_logliks` call, and a lone request one `local_estep` or
+`local_loglik` call.  The manager loop builds every batch before sending
+it, so it fully determines what is computed, and the resulting traces
+are identical across transports.
 
 Socket wire format: the K subsets are served by E = min(K, ENDPOINTS)
 endpoints, each a thread holding a round-robin share of the prepared
@@ -37,7 +43,16 @@ and extra 0; its payload is a table of n int64 sizes, then each
 request's result in request order: a size s >= 0 is a result of s f64
 values (`pack_stats`, or one loglik), and s < 0 marks a failed request,
 whose slot holds the UTF-8 text "ExceptionType: message", -s bytes long,
-zero-padded to whole f64 words.  The int64 tables travel as the bits of
+zero-padded to whole f64 words.  So a share whose every request
+succeeded is its size table, every entry W, then the block of its
+results: the endpoint writes the block after the table in one copy, and
+the manager checks the table with one array comparison, reshapes the
+rest of the payload into the block, a view of the frame's buffer, and
+asks the model to check the block's width (`check_packed`).  A share
+with a failed request, or a reply that does not pass those checks, is
+read result by result (`_split_replies`, then `unpack_stats` on each
+result), with the errors of the per-result reading; the bytes on the
+wire are the same either way.  The int64 tables travel as the bits of
 f64 words.  An endpoint answers only after it has read its whole share,
 so it never writes while its manager may still be writing to it; it
 unpacks each parameter of its share once and answers the share through
@@ -51,16 +66,17 @@ unpacks the parameters of every batch and answers from those alone.
 A reply carries only the statistics that depend on the E step's
 parameter.  The part of a subset's statistics that depends on its data
 alone (`ModelContract.static_stats`) never crosses the wire: the pool
-takes it from the manager's copy of each shard when it is built and
-attaches it to every result it unpacks, so it adds no frame.  For the
+takes it from the manager's copy of each shard when it is built
+(`static_parts`) and attaches it to every batch it returns, so it adds
+no frame.  For the
 mixed model at p=10, q=3 an E-step result is 46 f64 values (m, n, and
 the hi and lo words of 22 statistics, 368 bytes), and a 20-subset
 E-step share replies with about 7.5 KB; the 111 data-only statistics
-would add 222 values to every result.  Those 46 values are the result's
-own row (`LmmSuffStats`): the endpoint's `pack_stats` copies it once
-into the reply, and the manager's `unpack_stats` adopts its slice of the
-payload that `read_frame` returns, an array over the frame's own buffer,
-so a result is not copied again between the frame and the aggregate.
+would add 222 values to every result.  Those 46 values are a row of the
+kernel's block, which goes into the reply once; the manager's block is
+a view of the payload that `read_frame` returns, an array over the
+frame's own buffer, so no result is copied or built as an object
+between the kernel and the manager's cache.
 
 The manager waits at most REPLY_TIMEOUT_S seconds for each reply.  A
 share whose reply does not come in time, or whose endpoint's connection
@@ -87,7 +103,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .model import ModelContract, ProtocolError
+from .model import EStepBatch, ModelContract, ProtocolError
 
 # seconds the manager waits for a reply, which comes once its endpoint
 # has answered its whole share of the batch: far above the E steps of a
@@ -214,6 +230,17 @@ def _join_replies(results) -> np.ndarray:
     return np.concatenate([_int_words(sizes), *parts])
 
 
+def _reply_payload(block: np.ndarray, errors: dict) -> np.ndarray:
+    """The payload of a reply share whose request i holds row i of block,
+    or errors[i] when it failed.  A share without a failure is its size
+    table, every entry the block's width, then the block, in one copy:
+    the bytes `_join_replies` writes for those rows."""
+    if errors:
+        return _join_replies([errors.get(i, row) for i, row in enumerate(block)])
+    n, width = block.shape
+    return np.concatenate([np.full(n, width, dtype="<i8").view("<f8"), block.ravel()])
+
+
 def _split_replies(ks, payload: np.ndarray, width) -> list:
     """The results of a reply share for subsets ks, in their order: an f64
     array (of width values, when width is given), or the ProtocolError
@@ -239,43 +266,76 @@ def _split_replies(ks, payload: np.ndarray, width) -> list:
     return out
 
 
-def answer(model: ModelContract, shards, requests, loglik: bool = False) -> list:
-    """The answer to each (k, theta, anchor_tag) request on shards[k], in
-    request order: its SuffStats, or with loglik its local log likelihood,
-    or the exception its work raised.  The requests that share a theta
-    (the same object) and an anchor tag are one `local_esteps` or
-    `local_logliks` call; a lone request is one `local_estep` or
-    `local_loglik` call.  A grouped call that raises is retried one
-    request at a time, so each failure is its own request's."""
-    groups = defaultdict(list)  # (theta, anchor tag) -> request positions
-    for i, (_, theta, tag) in enumerate(requests):
-        groups[id(theta), tag].append(i)
-    out = [None] * len(requests)
-    for idx in groups.values():
-        group = [requests[i] for i in idx]
-        for i, result in zip(idx, _answer_group(model, shards, group, loglik)):
-            out[i] = result
+def _reply_block(n: int, payload: np.ndarray, width):
+    """The (n, w) block of a reply share of n >= 1 results that all
+    succeeded with w values each (width, when given), a view of the
+    payload; None for any other reply, which `_split_replies` reads.  A
+    reply this accepts, `_split_replies` accepts with the same rows."""
+    if not n or len(payload) < n:
+        return None
+    sizes = payload[:n].view("<i8")
+    w = int(sizes[0])
+    if w < 0 or (width is not None and w != width) or n + n * w != len(payload):
+        return None
+    if not (sizes == w).all():
+        return None
+    return payload[n:].reshape(n, w)
+
+
+def _gather(n: int, parts) -> np.ndarray:
+    """One (n, w) block holding the rows of each (positions, rows) part at
+    its positions, which increase; a row at no position is left unset.
+    One part at every position is returned as it is."""
+    if len(parts) == 1 and len(parts[0][0]) == n:
+        return parts[0][1]
+    out = np.empty((n, parts[0][1].shape[1] if parts else 0))
+    for idx, rows in parts:
+        out[idx] = rows
     return out
 
 
-def _answer_group(model: ModelContract, shards, requests, loglik: bool) -> list:
-    """`answer` for requests that share one theta and anchor tag."""
+def answer(model: ModelContract, shards, requests, loglik: bool = False):
+    """(block, errors) for the (k, theta, anchor_tag) requests on shards[k]:
+    row i of the (n, w) block is request i's result, its `pack_stats` row,
+    or with loglik its local log likelihood as a row of one value, unless
+    errors maps i to the exception its work raised.  The requests that
+    share a theta (the same object) and an anchor tag are one
+    `local_esteps` or `local_logliks` call, whose block is the answer
+    itself when it covers every request; a lone request is one
+    `local_estep` or `local_loglik` call.  A grouped call that raises is
+    retried one request at a time, so each failure is its own request's."""
+    groups = defaultdict(list)  # (theta, anchor tag) -> request positions
+    for i, (_, theta, tag) in enumerate(requests):
+        groups[id(theta), tag].append(i)
+    parts, errors = [], {}
+    pending = list(groups.values())
+    while pending:
+        idx = pending.pop(0)
+        try:
+            parts.append((idx, _answer_group(model, shards, [requests[i] for i in idx], loglik)))
+        except Exception as exc:
+            if len(idx) == 1:
+                errors[idx[0]] = exc
+            else:
+                pending[:0] = [[i] for i in idx]
+    return _gather(len(requests), parts), errors
+
+
+def _answer_group(model: ModelContract, shards, requests, loglik: bool) -> np.ndarray:
+    """The block of results of requests that share one theta and anchor
+    tag; what the model raises propagates."""
     ks = [k for k, _, _ in requests]
     _, theta, tag = requests[0]
-    try:
-        # a lone request keeps the per-request call, which the benchmark's
-        # tracer times; it goes once that tracer times the batched calls
-        if len(ks) == 1:
-            if loglik:
-                return [model.local_loglik(theta, shards[ks[0]])]
-            return [model.local_estep(theta, shards[ks[0]], subset_id=ks[0], anchor_tag=tag)]
+    # a lone request keeps the per-request call, which the benchmark's
+    # tracer times; it goes once that tracer times the batched calls
+    if len(ks) == 1:
         if loglik:
-            return model.local_logliks(theta, [shards[k] for k in ks])
-        return model.local_esteps(theta, [shards[k] for k in ks], ks, tag)
-    except Exception as exc:
-        if len(ks) == 1:
-            return [exc]
-    return [_answer_group(model, shards, [r], loglik)[0] for r in requests]
+            return np.array([[model.local_loglik(theta, shards[ks[0]])]])
+        stats = model.local_estep(theta, shards[ks[0]], subset_id=ks[0], anchor_tag=tag)
+        return model.pack_stats(stats)[None]
+    if loglik:
+        return np.array(model.local_logliks(theta, [shards[k] for k in ks]))[:, None]
+    return model.local_esteps(theta, [shards[k] for k in ks], ks, tag).rows
 
 
 class InProcessPool:
@@ -283,37 +343,46 @@ class InProcessPool:
     and the batch surface every pool serves.
 
     Each worker's subset is prepared (`model.prepare`) once, when the pool
-    is built, and that shard is what every call on the worker passes.  The
-    surface asks `_results` for a batch's outcomes and hands them to
-    `_collect`; in process, `_results` is `answer` on the shards.
+    is built, and that shard is what every call on the worker passes; the
+    static parts of every shard's statistics (`model.static_parts`) are
+    taken then too, and every E-step result the pool returns holds its
+    subset's.  The surface asks `_results` for a batch's outcomes and
+    hands them to `_collect`; in process, `_results` is `answer` on the
+    shards.
     """
 
     def __init__(self, model: ModelContract, subsets):
         self.model = model
         self.shards = [model.prepare(subset) for subset in subsets]
+        self.statics = model.static_parts(self.shards)
         self.messages_sent = 0
 
-    def _results(self, requests, loglik: bool) -> list:
-        """Each (k, theta, anchor_tag) request's result, or the exception it
-        met, in request order."""
+    def _results(self, requests, loglik: bool):
+        """(block, errors) for the (k, theta, anchor_tag) requests: row i of
+        the block is request i's result, unless errors maps i to the
+        exception it met."""
         return answer(self.model, self.shards, requests, loglik)
 
-    def _collect(self, results) -> list:
-        """results, each answered request counted (request out, reply
-        back); then the failure of the earliest failed request is raised."""
-        failed = [r for r in results if isinstance(r, Exception)]
-        self.messages_sent += 2 * (len(results) - len(failed))
-        if failed:
-            raise failed[0]
-        return results
+    def _collect(self, requests, loglik: bool) -> np.ndarray:
+        """The block of the requests' results, each answered request
+        counted (request out, reply back); a failure raises that of the
+        earliest failed request."""
+        block, errors = self._results(requests, loglik)
+        self.messages_sent += 2 * (len(requests) - len(errors))
+        if errors:
+            raise errors[min(errors)]
+        return block
 
-    def esteps(self, requests) -> list:
-        """Results of the (k, theta, anchor_tag) requests, in their order."""
-        return self._collect(self._results(requests, loglik=False))
+    def esteps(self, requests) -> EStepBatch:
+        """The batch of the (k, theta, anchor_tag) requests' results, in
+        their order."""
+        ks = [k for k, _, _ in requests]
+        return EStepBatch(self.model, self._collect(requests, loglik=False), ks,
+                          [tag for _, _, tag in requests], [self.statics[k] for k in ks])
 
     def logliks(self, ks, theta) -> list:
         """Local log likelihoods of workers ks at theta, in their order."""
-        return self._collect(self._results([(k, theta, 0) for k in ks], loglik=True))
+        return self._collect([(k, theta, 0) for k in ks], loglik=True).ravel().tolist()
 
     def estep(self, k: int, theta, anchor_tag: int):
         return self.esteps([(k, theta, anchor_tag)])[0]
@@ -340,11 +409,10 @@ class SocketPool(InProcessPool):
     """
 
     def __init__(self, model: ModelContract, subsets):
-        super().__init__(model, subsets)
         # the data-only part of each subset's statistics, which no reply
-        # carries: taken from the manager's copy of the shard, before an
-        # endpoint that shares it exists
-        self._static = [model.static_stats(shard) for shard in self.shards]
+        # carries, is taken from the manager's copy of the shard, before
+        # an endpoint that shares it exists
+        super().__init__(model, subsets)
         E = min(len(self.shards), ENDPOINTS)
         self._endpoint = [k % E for k in range(len(self.shards))]  # serving subset k
         self._conns = []
@@ -375,55 +443,53 @@ class SocketPool(InProcessPool):
         try:
             while True:
                 kind, n, T, payload = read_frame(conn)
-                results = self._answer(kind, *_split_request(n, T, payload), shards)
-                write_frame(conn, _REPLY.get(kind, KIND_ERROR), n, 0, _join_replies(results))
+                block, errors = self._answer(kind, *_split_request(n, T, payload), shards)
+                write_frame(conn, _REPLY.get(kind, KIND_ERROR), n, 0,
+                            _reply_payload(block, errors))
         except (OSError, ProtocolError):
             return
         finally:
             conn.close()
 
-    def _answer(self, kind: int, rows, thetas, shards) -> list:
-        """One f64 result per (k, anchor tag, parameter index) row of a share
-        of the given kind, in their order, or the exception that request
-        raised; a failing request is reported to the manager, and the
-        endpoint stays up for the next batch."""
+    def _answer(self, kind: int, rows, thetas, shards):
+        """(block, errors) for the (k, anchor tag, parameter index) rows of a
+        share of the given kind: row i of the block is request i's f64
+        result, unless errors maps i to the exception it raised; a failing
+        request is reported to the manager, and the endpoint stays up for
+        the next batch."""
         model = self.model
         if kind not in _REPLY:
-            return [ProtocolError(f"unknown request kind {kind}")] * len(rows)
-        loglik = kind == KIND_LOGLIK_REQ
+            return np.empty((len(rows), 0)), dict.fromkeys(
+                range(len(rows)), ProtocolError(f"unknown request kind {kind}"))
         unpacked = []  # each parameter's Theta, or the exception unpacking raised
         for packed in thetas:
             try:
                 unpacked.append(model.unpack_theta(packed))
             except Exception as exc:
                 unpacked.append(exc)
-        out = [None] * len(rows)
-        asked = []  # (position, request)
+        errors, asked, at = {}, [], []  # at: the position of each asked request
         for i, (k, tag, j) in enumerate(rows):
             if isinstance(unpacked[j], Exception):
-                out[i] = unpacked[j]
+                errors[i] = unpacked[j]
             elif k not in shards:
-                out[i] = ProtocolError(f"subset {k} is not served by this endpoint")
+                errors[i] = ProtocolError(f"subset {k} is not served by this endpoint")
             else:
-                asked.append((i, (k, unpacked[j], tag)))
-        results = answer(model, shards, [request for _, request in asked], loglik)
-        for (i, _), result in zip(asked, results):
-            out[i] = result
-            if not isinstance(result, Exception):
-                try:
-                    out[i] = [result] if loglik else model.pack_stats(result)
-                except Exception as exc:
-                    out[i] = exc
-        return out
+                asked.append((k, unpacked[j], tag))
+                at.append(i)
+        block, failed = answer(model, shards, asked, kind == KIND_LOGLIK_REQ)
+        if not errors:
+            return block, failed
+        errors.update((at[i], exc) for i, exc in failed.items())
+        return _gather(len(rows), [(at, block)]), errors
 
-    def _results(self, requests, loglik: bool) -> list:
+    def _results(self, requests, loglik: bool):
         """Send every (k, theta, tag) request of a batch, one frame per
-        endpoint share, then read each share's reply: each request's
-        result, or the exception it met, in request order.  Each distinct
-        theta is packed once per batch.  A failure that meets a whole share
-        (a write or read that fails, a malformed reply) is the outcome of
-        every request of that share; the other replies are still read, so
-        none is left for a later request to find."""
+        endpoint share, then read each share's reply: (block, errors) as
+        `answer` gives them, each request's row in request order.  Each
+        distinct theta is packed once per batch.  A failure that meets a
+        whole share (a write or read that fails, a malformed reply) is the
+        outcome of every request of that share; the other replies are still
+        read, so none is left for a later request to find."""
         kind = KIND_LOGLIK_REQ if loglik else KIND_ESTEP_REQ
         packed = {}  # id(theta) -> its packed form
         shares = defaultdict(list)  # endpoint -> positions of its requests
@@ -431,7 +497,7 @@ class SocketPool(InProcessPool):
             if id(theta) not in packed:
                 packed[id(theta)] = self.model.pack_theta(theta)
             shares[self._endpoint[k]].append(i)
-        out, sent = [None] * len(requests), []
+        parts, errors, sent = [], {}, []
         for e, idx in shares.items():
             index, rows = {}, []  # id(theta) -> its position in this share
             for i in idx:
@@ -442,35 +508,34 @@ class SocketPool(InProcessPool):
                 write_frame(self._conns[e], kind, len(idx), len(index), payload)
                 sent.append((e, idx))
             except OSError as exc:
-                err = self._failure(e, rows[0][0], exc)
-                for i in idx:
-                    out[i] = err
+                errors.update(dict.fromkeys(idx, self._failure(e, rows[0][0], exc)))
         for e, idx in sent:
-            ks = [requests[i][0] for i in idx]
             try:
-                payloads = self._reply(e, _REPLY[kind], ks, 1 if loglik else None)
+                got = self._reply(e, _REPLY[kind], [requests[i] for i in idx], loglik)
             except ProtocolError as exc:
-                payloads = [exc] * len(idx)
-            for i, payload in zip(idx, payloads):
-                out[i] = self._unpacked(payload, requests[i], loglik)
-        return out
+                got = [exc] * len(idx)
+            if isinstance(got, np.ndarray):
+                parts.append((idx, got))
+                continue
+            for i, result in zip(idx, got):
+                if isinstance(result, Exception):
+                    errors[i] = result
+                else:
+                    parts.append(([i], result[None]))
+        return _gather(len(requests), parts), errors
 
-    def _unpacked(self, payload, request, loglik: bool):
-        """The result that a reply payload carries for request (k, theta,
-        tag), with subset k's static statistics attached, or the exception
-        unpacking it raised; an exception payload is returned as it is."""
-        if isinstance(payload, Exception):
+    def _checked(self, payload, request, loglik: bool):
+        """The result payload a reply carries for request (k, theta, tag),
+        or the exception unpacking it raised; an exception payload is
+        returned as it is."""
+        if isinstance(payload, Exception) or loglik:
             return payload
-        if loglik:
-            return float(payload[0])
         k, _, tag = request
         try:
-            stats = self.model.unpack_stats(payload, subset_id=k, anchor_tag=tag)
+            self.model.unpack_stats(payload, subset_id=k, anchor_tag=tag)
         except Exception as exc:  # the request's outcome: the batch's replies are still read
             return exc
-        if self._static[k] is not None:
-            stats.payload.static = self._static[k]
-        return stats
+        return payload
 
     def _failure(self, e: int, k: int, exc: Exception) -> ProtocolError:
         """exc, met on the connection of endpoint e, as a ProtocolError
@@ -488,10 +553,14 @@ class SocketPool(InProcessPool):
         err.__cause__ = exc
         return err
 
-    def _reply(self, e: int, reply_kind: int, ks, width) -> list:
-        """The result payloads of endpoint e's reply to the share of subsets
-        ks: it must carry the expected kind and count and a table that
-        covers its payload."""
+    def _reply(self, e: int, reply_kind: int, requests, loglik: bool):
+        """Endpoint e's reply to its share of requests (k, theta, tag): it
+        must carry the expected kind and count and a table that covers its
+        payload.  A reply whose every result succeeded, at one width the
+        model accepts (`check_packed`), is its (n, w) block, a view of the
+        frame; any other reply is each request's result payload, or the
+        exception it met, in request order."""
+        ks = [k for k, _, _ in requests]
         try:
             kind, n, _, payload = read_frame(self._conns[e])
         except (OSError, ProtocolError) as exc:
@@ -501,7 +570,17 @@ class SocketPool(InProcessPool):
                 f"worker {ks[0]}: expected reply (kind, count) = "
                 f"{(reply_kind, len(ks))}, got {(kind, n)}"
             )
-        return _split_replies(ks, payload, width)
+        width = 1 if loglik else None
+        block = _reply_block(n, payload, width)
+        if block is not None:
+            try:
+                if not loglik:
+                    self.model.check_packed(block, ks)
+                return block
+            except Exception:
+                pass  # each request's own outcome, below
+        return [self._checked(result, request, loglik)
+                for result, request in zip(_split_replies(ks, payload, width), requests)]
 
     def close(self):
         for conn in self._conns:

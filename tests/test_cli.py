@@ -334,10 +334,15 @@ def test_socket_worker_failure_is_an_error(workspace, tmp_path, capsys, monkeypa
 
 def test_socket_reply_of_the_wrong_length_is_an_error(workspace, tmp_path, capsys,
                                                        monkeypatch):
-    def long_reply(self, stats):
-        return np.concatenate([stats.payload.pack(), [0.0, 0.0]])
+    local_esteps = LmmModel.local_esteps
 
-    monkeypatch.setattr(LmmModel, "pack_stats", long_reply)
+    def long_reply(self, theta, shards, subset_ids, anchor_tag):
+        # an E-step batch's block goes out whole: each row two values long
+        batch = local_esteps(self, theta, shards, subset_ids, anchor_tag)
+        batch.rows = np.concatenate([batch.rows, np.zeros((len(batch), 2))], axis=1)
+        return batch
+
+    monkeypatch.setattr(LmmModel, "local_esteps", long_reply)
     assert run(["fit", "--data", workspace / "data", "--K", 2,
                 "--transport", "socket", "--out", tmp_path / "long"]) == 1
     assert "error: subset 0: statistics payload of 34 values" in capsys.readouterr().err

@@ -905,8 +905,11 @@ def test_socket_reply_of_the_wrong_length_is_an_error(fitted_pieces):
     samples, _, theta0 = fitted_pieces
 
     class LongReplyModel(LmmModel):
-        def pack_stats(self, stats):
-            return np.concatenate([super().pack_stats(stats), [0.0, 0.0]])
+        # an E-step batch's block goes out whole: each row two values long
+        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
+            batch = super().local_esteps(theta, shards, subset_ids, anchor_tag)
+            batch.rows = np.concatenate([batch.rows, np.zeros((len(batch), 2))], axis=1)
+            return batch
 
     with pytest.raises(ProtocolError, match="subset 0: statistics payload of 34 values, "
                                             "expected 32"):
@@ -921,8 +924,11 @@ def test_socket_reply_the_model_cannot_unpack_is_not_counted(fitted_pieces):
     samples, _, theta0 = fitted_pieces
 
     class LongReplyModel(LmmModel):
-        def pack_stats(self, stats):
-            return np.concatenate([super().pack_stats(stats), [0.0, 0.0]])
+        # an E-step batch's block goes out whole: each row two values long
+        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
+            batch = super().local_esteps(theta, shards, subset_ids, anchor_tag)
+            batch.rows = np.concatenate([batch.rows, np.zeros((len(batch), 2))], axis=1)
+            return batch
 
     pool = SocketPool(LongReplyModel(3, 3), partition(samples, 2, seed=0))
     try:

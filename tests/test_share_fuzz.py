@@ -20,6 +20,9 @@ from demfit.transport import (
     KIND_ESTEP_REQ,
     KIND_LOGLIK_REQ,
     SocketPool,
+    _join_replies,
+    _reply_block,
+    _reply_payload,
     _split_replies,
     _split_request,
     read_frame,
@@ -199,6 +202,63 @@ def test_malformed_reply_names_a_subset_of_its_share():
                 assert width is None or len(result) == width, case
                 outcomes.add("result")
     assert outcomes == {"raised", "failed request", "result"}
+
+
+def block_case(rng: random.Random, ks):
+    """(width, payload) of a reply share for subsets ks whose results all
+    have one size, then perhaps one size changed, one result failed, or
+    the payload cut short or run long."""
+    width = rng.choice([None, None, 1, 5])
+    w = width if width is not None and rng.random() < 0.8 else rng.choice([0, 1, 2, 5, 46])
+    sizes = [w] * len(ks)
+    parts = [np.arange(w, dtype=float) + 10 * i for i in range(len(ks))]
+    pick = rng.random()
+    if pick < 0.15:
+        sizes[rng.randrange(len(ks))] = rng.choice([w + 1, max(w - 1, 0), some_int(rng)])
+    elif pick < 0.3:
+        i = rng.randrange(len(ks))
+        text = rng.randbytes(rng.randrange(1, 30))
+        sizes[i] = -len(text)
+        parts[i] = np.frombuffer(text + bytes(-len(text) % 8), dtype="<f8")
+    payload = np.concatenate([words(sizes), *parts])
+    if rng.random() < 0.2:
+        cut = rng.randrange(-3, 4)
+        payload = payload[:cut] if cut < 0 else np.concatenate([payload, np.ones(cut)])
+    return width, payload
+
+
+def test_block_reply_path_agrees_with_split_replies():
+    """Every reply the manager takes as one block, _split_replies accepts
+    with the same rows, and a share without a failure writes exactly that
+    payload back.  A reply it refuses is one _split_replies refuses with a
+    ProtocolError naming ks[0], or one with a failed request or results
+    of different sizes, which _split_replies reads one by one."""
+    rng = random.Random(SEED + 4)
+    outcomes = set()
+    for case in range(CASES):
+        ks = [rng.randrange(50) for _ in range(rng.randrange(1, 6))]
+        width, payload = (block_case if rng.random() < 0.7 else reply_case)(rng, ks)
+        block = _reply_block(len(ks), payload, width)
+        try:
+            results = _split_replies(ks, payload, width)
+        except ProtocolError as exc:
+            assert block is None, case
+            assert str(exc).startswith(f"worker {ks[0]}: "), case
+            outcomes.add("refused, malformed")
+            continue
+        if block is not None:
+            assert block.shape[0] == len(ks), case
+            assert [r.tobytes() for r in results] == [row.tobytes() for row in block], case
+            assert _reply_payload(block, {}).tobytes() == payload.tobytes(), case
+            assert _join_replies(list(block)).tobytes() == payload.tobytes(), case
+            outcomes.add("block")
+        elif any(isinstance(r, Exception) for r in results):
+            outcomes.add("refused, failed request")
+        else:
+            assert len({len(r) for r in results}) > 1, case
+            outcomes.add("refused, ragged")
+    assert outcomes == {"block", "refused, malformed", "refused, failed request",
+                        "refused, ragged"}
 
 
 def test_read_frame_length_word_allocates_what_arrives():

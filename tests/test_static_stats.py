@@ -71,32 +71,43 @@ def test_aggregate_equals_one_tree_over_every_column(samples, transport, K):
 
 @pytest.mark.parametrize("transport", ["in_process", "socket"])
 def test_static_total_is_summed_once_per_run(samples, transport, monkeypatch):
-    """Each shard's data-only rows are summed once, and the K parts once;
-    every aggregate sums only the theta-dependent words after that."""
+    """Each shard's data-only rows are summed once, all K shards' in one
+    segmented pass, and the K parts once; every aggregate sums only the
+    theta-dependent words after that."""
     model = LmmModel(P, Q)
     K = 4
     subsets = partition(samples, K, seed=2)
     const_width, fresh_width = 1 + P + P * P, P + Q * Q + 3
-    # (pass, width) of each sum_rows call and each Sum2 pass over K parts'
-    # words, which sum_parts and LmmSuffStats.combine both make through
-    # sum_words
+    # (pass, width) of each sum_rows call, each segmented pass (sum_rows
+    # makes one too) and each Sum2 pass over K parts' words, which
+    # sum_parts and LmmSuffStats.total both make through sum_words
     calls = []
-    sum_rows, sum_words = DDArray.sum_rows.__func__, DDArray.sum_words.__func__
+    sum_rows, sum_segments, sum_words = (DDArray.sum_rows.__func__,
+                                         DDArray.sum_segments.__func__,
+                                         DDArray.sum_words.__func__)
 
     def counting_sum_rows(cls, rows):
         calls.append(("rows", rows.shape[1]))
         return sum_rows(cls, rows)
+
+    def counting_sum_segments(cls, rows, lengths):
+        calls.append(("segments", rows.shape[1], len(rows)))
+        return sum_segments(cls, rows, lengths)
 
     def counting_sum_words(cls, words):
         calls.append(("parts", words.shape[1]))
         return sum_words(cls, words)
 
     monkeypatch.setattr(DDArray, "sum_rows", classmethod(counting_sum_rows))
+    monkeypatch.setattr(DDArray, "sum_segments", classmethod(counting_sum_segments))
     monkeypatch.setattr(DDArray, "sum_words", classmethod(counting_sum_words))
     _, trace = run_dem(RunConfig(K=K, gamma=0.5, seed=3, transport=transport), model,
                        subsets, Theta.default_start(P, Q))
     assert trace.n_iterations > 5
-    assert calls.count(("rows", const_width)) == K
+    assert calls.count(("rows", const_width)) == 0
+    # one pass over every shard's const rows together
+    assert [c for c in calls if c[:2] == ("segments", const_width)] == [
+        ("segments", const_width, len(samples))]
     assert calls.count(("parts", const_width)) == 1
     # one aggregate per row of the trace
     assert calls.count(("parts", fresh_width)) == len(trace.thetas)
