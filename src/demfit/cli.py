@@ -229,6 +229,8 @@ def cmd_ingest(args) -> int:
         records = movielens.read_ratings_file(args.ratings)
     else:
         raise SystemExit("ingest needs --ratings or --ratings-dat/--movies-dat")
+    if not records:
+        raise ValueError(f"{args.ratings_dat or args.ratings}: no ratings")
     by_user = movielens.build_movielens_features(records)
     samples = [by_user[uid] for uid in sorted(by_user)]
     datagen.save_dataset(args.out, samples, meta={"source": "ratings"})

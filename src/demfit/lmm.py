@@ -321,7 +321,7 @@ class LmmStatic:
     """The statistics of a shard that depend on its data alone: s_yy, S_xy
     (p) and S_xx (p*p), the compensated sum of its `Sample.moments` columns
     y'y, X'y and X'X, in that order.  It is the static part of the shard's
-    E-step statistics (`LmmModel.static_stats`): no E step changes it, so
+    E-step statistics (`LmmModel.static_parts`): no E step changes it, so
     it is summed once per shard (`LmmShard.const_sum`) and never packed.
 
     combine(*others) sums the parts in one compensated pass over their hi
@@ -394,7 +394,7 @@ class LmmSuffStats:
         result without its static part is a ProtocolError."""
         if self.static is None:
             raise ProtocolError("statistics without their data-only part: an unpacked "
-                                "result needs its shard's static_stats")
+                                "result needs its shard's static part")
         p, q = self.p, self.q
         c, v = self.static.acc.value(), self._acc.value()
         return _StatsValues(
@@ -711,10 +711,6 @@ class LmmModel(ModelContract):
         block[:, 2 + size :] = fresh.lo
         return EStepBatch(self, block, subset_ids, [anchor_tag] * len(shards),
                           [shard.const_sum for shard in shards])
-
-    def static_stats(self, shard: SubsetData | LmmShard) -> LmmStatic:
-        """The shard's data-only statistics, summed once per shard."""
-        return self._shard(shard).const_sum
 
     def static_parts(self, shards: Sequence[LmmShard]) -> list:
         """The data-only statistics of several prepared shards, every

@@ -37,7 +37,7 @@ class SuffStats:
     of the parameter it was computed at.  The statistics themselves, the
     observation count `n` and the local log likelihood `loglik` live in
     the payload, and so does the static part of the statistics, for a
-    model that has one (`ModelContract.static_stats`).
+    model that has one (`ModelContract.static_parts`).
     """
 
     subset_id: int
@@ -50,7 +50,7 @@ class EStepBatch(Sequence):
     """The E-step results of one batch as one block: row i of `rows` is the
     `pack_stats` array of the result for subset `subset_ids[i]` at anchor
     tag `anchor_tags[i]`, and `statics[i]` its static part, or None (see
-    `ModelContract.static_stats`).  The ids and tags are int arrays.
+    `ModelContract.static_parts`).  The ids and tags are int arrays.
 
     A batch moves whole, from a model's `local_esteps` through a pool to
     the manager, whose cache is the batch of the K subsets' latest results
@@ -131,11 +131,10 @@ class ModelContract(ABC):
     row; a model may serve the batch in one pass and read the rows of a
     block in place instead.
 
-    static_stats(shard) returns the static part of a prepared subset's
-    E-step statistics, the part that depends on its data alone, or None
-    (the default) for a model whose statistics all depend on theta, and
-    static_parts(shards) the static parts of several shards, by default
-    one static_stats call each; a pool takes them once, when it is built.
+    static_parts(shards) returns the static part of each prepared
+    subset's E-step statistics, the part that depends on its data alone,
+    or None for each (the default) for a model whose statistics all depend
+    on theta; a pool takes them once, when it is built.
     A payload of a model with a static part holds it in its `static`
     attribute, the same object for every E step of a shard: local_estep
     and local_esteps set it, pack_stats leaves it out, so a reply carries
@@ -171,8 +170,8 @@ class ModelContract(ABC):
     header from its two arguments, which the share's request table
     carries, and raises a ProtocolError naming the subset for an array
     whose length is not one pack_stats writes.  The array unpack_stats is
-    given is private to it (a socket pool passes each result's slice of
-    the reply frame it read), so the SuffStats may keep views of it.
+    given is private to it (an `EStepBatch` passes a view of the row of
+    its own block), so the SuffStats may keep views of it.
     """
 
     def prepare(self, subset):
@@ -191,11 +190,8 @@ class ModelContract(ABC):
     def local_logliks(self, theta, shards) -> list:
         return [self.local_loglik(theta, shard) for shard in shards]
 
-    def static_stats(self, shard):
-        return None
-
     def static_parts(self, shards) -> list:
-        return [self.static_stats(shard) for shard in shards]
+        return [None] * len(shards)
 
     def combine_packed(self, rows, statics):
         parts = EStepBatch(self, rows, range(len(rows)), [0] * len(rows), statics)
@@ -242,7 +238,7 @@ def aggregate_stats(cache, K: int) -> SuffStats:
     for the mixed model gathers their rows into such a block and sums it
     through the same pass (one compensated Sum2 pass,
     `LmmSuffStats.combine`).  Either carries the total `n` and `loglik`
-    and, for a model with a static part (`ModelContract.static_stats`),
+    and, for a model with a static part (`ModelContract.static_parts`),
     the combined static part.  A cache refilled from resident shards holds
     the same K static parts at every iteration, so their total is summed
     once per run and each later aggregate sums only the theta-dependent

@@ -43,32 +43,35 @@ and extra 0; its payload is a table of n int64 sizes, then each
 request's result in request order: a size s >= 0 is a result of s f64
 values (`pack_stats`, or one loglik), and s < 0 marks a failed request,
 whose slot holds the UTF-8 text "ExceptionType: message", -s bytes long,
-zero-padded to whole f64 words.  So a share whose every request
-succeeded is its size table, every entry W, then the block of its
-results: the endpoint writes the block after the table in one copy, and
-the manager checks the table with one array comparison, reshapes the
-rest of the payload into the block, a view of the frame's buffer, and
-asks the model to check the block's width (`check_packed`).  A share
-with a failed request, or a reply that does not pass those checks, is
-read result by result (`_split_replies`, then `unpack_stats` on each
-result), with the errors of the per-result reading; the bytes on the
-wire are the same either way.  The int64 tables travel as the bits of
-f64 words.  An endpoint answers only after it has read its whole share,
-so it never writes while its manager may still be writing to it; it
-unpacks each parameter of its share once and answers the share through
-`answer`, and it goes on serving after a failed request.  A share of a
-kind the endpoint does not serve is answered with a KIND_ERROR frame in
-which every request holds that error.
+zero-padded to whole f64 words.  The int64 tables travel as the bits of
+f64 words.  One function writes every reply (`_reply_payload`) and one
+reads it (`_split_replies`), both as (block, errors), the form `answer`
+gives.  A share whose every request succeeded is its size table, every
+entry W, then the block of its results: the endpoint writes the block
+after the table in one copy, and the manager checks the table with one
+array comparison and reshapes the rest of the payload into the block, a
+view of the frame's buffer.  A share with a failed request is read
+request by request, and its results must all have one size: a ragged
+reply is malformed, as our endpoints, which write a rectangular block,
+never send.  The model then checks the rows that succeeded in one call
+(`check_packed`).  An endpoint answers only after it has read its whole
+share, so it never writes while its manager may still be writing to it;
+it unpacks each parameter of its share once and answers the share
+through `answer`, and it goes on serving after a failed request.  A
+request whose parameter does not unpack, or whose subset the endpoint
+does not serve, carries that exception to `answer` in place of its
+parameter, and fails there.  A share of a kind the endpoint does not
+serve is answered with a KIND_ERROR frame in which every request holds
+that error.
 
 An endpoint keeps nothing between batches but its prepared shards: it
 unpacks the parameters of every batch and answers from those alone.
 
 A reply carries only the statistics that depend on the E step's
 parameter.  The part of a subset's statistics that depends on its data
-alone (`ModelContract.static_stats`) never crosses the wire: the pool
-takes it from the manager's copy of each shard when it is built
-(`static_parts`) and attaches it to every batch it returns, so it adds
-no frame.  For the
+alone never crosses the wire: the pool takes it from the manager's copy
+of each shard when it is built (`ModelContract.static_parts`) and
+attaches it to every batch it returns, so it adds no frame.  For the
 mixed model at p=10, q=3 an E-step result is 46 f64 values (m, n, and
 the hi and lo words of 22 statistics, 368 bytes), and a 20-subset
 E-step share replies with about 7.5 KB; the 111 data-only statistics
@@ -83,11 +86,12 @@ share whose reply does not come in time, or whose endpoint's connection
 drops, is a ProtocolError naming the share's first subset, "worker k",
 and every request on that endpoint holds it; after a timeout the manager
 closes that endpoint's connection, so a late reply cannot answer a later
-request.  A reply of the wrong kind or count, or whose size table does
-not cover its payload, is a ProtocolError naming the share's first
-subset, held by every request of the share.  A failed request holds a
-ProtocolError naming its own subset, "worker k failed: ...", and a
-result the model cannot unpack the exception unpacking raised.  Every
+request.  A reply of the wrong kind or count, whose size table does not
+cover its payload, or whose results are ragged, is a ProtocolError
+naming the share's first subset, held by every request of the share.  A
+failed request holds a ProtocolError naming its own subset, "worker k
+failed: ...", and each request whose rows the model rejects the
+exception `check_packed` raised.  Every
 reply of a batch is read before the surface raises, so no connection is
 left holding a reply that a later request would read.  Endpoints block
 on their reads without a limit, because they sit idle between
@@ -215,71 +219,61 @@ def _split_request(n: int, T: int, payload: np.ndarray):
     return rows, payload[3 * n :].reshape(T, width)
 
 
-def _join_replies(results) -> np.ndarray:
-    """The payload of a reply share: the size table, then each result, an
-    f64 array or the text of the exception its request raised."""
+def _reply_payload(block: np.ndarray, errors: dict) -> np.ndarray:
+    """The payload of a reply share whose request i holds row i of block,
+    or errors[i], the exception it raised, when it failed: the size table,
+    then each result.  A share without a failure is its size table, every
+    entry the block's width, then the block, in one copy."""
+    n, width = block.shape
+    if not errors:
+        return np.concatenate([np.full(n, width, dtype="<i8").view("<f8"), block.ravel()])
     sizes, parts = [], []
-    for result in results:
-        if isinstance(result, Exception):
-            text = f"{type(result).__name__}: {result}".encode("utf-8")
+    for i, row in enumerate(block):
+        if i in errors:
+            text = f"{type(errors[i]).__name__}: {errors[i]}".encode("utf-8")
             sizes.append(-len(text))
             parts.append(np.frombuffer(text + bytes(-len(text) % 8), dtype="<f8"))
         else:
-            sizes.append(len(result))
-            parts.append(result)
+            sizes.append(width)
+            parts.append(row)
     return np.concatenate([_int_words(sizes), *parts])
 
 
-def _reply_payload(block: np.ndarray, errors: dict) -> np.ndarray:
-    """The payload of a reply share whose request i holds row i of block,
-    or errors[i] when it failed.  A share without a failure is its size
-    table, every entry the block's width, then the block, in one copy:
-    the bytes `_join_replies` writes for those rows."""
-    if errors:
-        return _join_replies([errors.get(i, row) for i, row in enumerate(block)])
-    n, width = block.shape
-    return np.concatenate([np.full(n, width, dtype="<i8").view("<f8"), block.ravel()])
-
-
-def _split_replies(ks, payload: np.ndarray, width) -> list:
-    """The results of a reply share for subsets ks, in their order: an f64
-    array (of width values, when width is given), or the ProtocolError
-    that names a failed request's subset and carries its text.  A table
-    that does not cover the payload exactly is a ProtocolError naming
-    ks[0]."""
+def _split_replies(ks, payload: np.ndarray, width):
+    """(block, errors) of a reply share for the subsets ks (at least one):
+    row i of the (n, w) block is request i's result, unless errors maps i
+    to the ProtocolError that names its subset and carries its text.  A
+    share without a failure, every size w (width, when given), is read
+    with one comparison of its table, and its block is a view of the
+    payload.  A share with a failure is read request by request, and its
+    results must all have one size (width, when given).  A table that
+    does not cover the payload exactly, or ragged results, is a
+    ProtocolError naming ks[0]."""
     n = len(ks)
     if len(payload) < n:
         raise ProtocolError(f"worker {ks[0]}: reply table of {n} sizes is longer than "
                             f"its {len(payload)}-value payload")
-    out, start = [], n
-    for k, size in zip(ks, payload[:n].view("<i8").tolist()):
+    sizes = payload[:n].view("<i8")
+    w = int(sizes[0]) if width is None else width
+    if w >= 0 and n + n * w == len(payload) and (sizes == w).all():
+        return payload[n:].reshape(n, w), {}
+    parts, errors, start = [], {}, n  # parts: ([position], its result as a row)
+    for i, (k, size) in enumerate(zip(ks, sizes.tolist())):
         end = start + (size if size >= 0 else -(size // 8))
-        if end > len(payload) or (width is not None and 0 <= size != width):
+        if end > len(payload):
             break
         chunk = payload[start:end]
-        out.append(chunk if size >= 0 else ProtocolError(
-            f"worker {k} failed: {chunk.tobytes()[:-size].decode('utf-8', 'replace')}"))
+        if size >= 0:
+            parts.append(([i], chunk[None]))
+        else:
+            errors[i] = ProtocolError(
+                f"worker {k} failed: {chunk.tobytes()[:-size].decode('utf-8', 'replace')}")
         start = end
-    if len(out) < n or start != len(payload):
+    widths = {width, *(row.size for _, row in parts)} - {None}
+    if len(parts) + len(errors) < n or start != len(payload) or len(widths) > 1:
         raise ProtocolError(f"worker {ks[0]}: reply sizes do not match its "
                             f"{len(payload)}-value payload")
-    return out
-
-
-def _reply_block(n: int, payload: np.ndarray, width):
-    """The (n, w) block of a reply share of n >= 1 results that all
-    succeeded with w values each (width, when given), a view of the
-    payload; None for any other reply, which `_split_replies` reads.  A
-    reply this accepts, `_split_replies` accepts with the same rows."""
-    if not n or len(payload) < n:
-        return None
-    sizes = payload[:n].view("<i8")
-    w = int(sizes[0])
-    if w < 0 or (width is not None and w != width) or n + n * w != len(payload):
-        return None
-    if not (sizes == w).all():
-        return None
-    return payload[n:].reshape(n, w)
+    return _gather(n, parts), errors
 
 
 def _gather(n: int, parts) -> np.ndarray:
@@ -298,16 +292,21 @@ def answer(model: ModelContract, shards, requests, loglik: bool = False):
     """(block, errors) for the (k, theta, anchor_tag) requests on shards[k]:
     row i of the (n, w) block is request i's result, its `pack_stats` row,
     or with loglik its local log likelihood as a row of one value, unless
-    errors maps i to the exception its work raised.  The requests that
-    share a theta (the same object) and an anchor tag are one
-    `local_esteps` or `local_logliks` call, whose block is the answer
-    itself when it covers every request; a lone request is one
-    `local_estep` or `local_loglik` call.  A grouped call that raises is
-    retried one request at a time, so each failure is its own request's."""
+    errors maps i to the exception its work raised.  A request whose theta
+    is an exception (a parameter its endpoint could not unpack, say) fails
+    with it, before any work.  The requests that share a theta (the same
+    object) and an anchor tag are one `local_esteps` or `local_logliks`
+    call, whose block is the answer itself when it covers every request; a
+    lone request is one `local_estep` or `local_loglik` call.  A grouped
+    call that raises is retried one request at a time, so each failure is
+    its own request's."""
     groups = defaultdict(list)  # (theta, anchor tag) -> request positions
-    for i, (_, theta, tag) in enumerate(requests):
-        groups[id(theta), tag].append(i)
     parts, errors = [], {}
+    for i, (_, theta, tag) in enumerate(requests):
+        if isinstance(theta, Exception):
+            errors[i] = theta
+        else:
+            groups[id(theta), tag].append(i)
     pending = list(groups.values())
     while pending:
         idx = pending.pop(0)
@@ -453,34 +452,27 @@ class SocketPool(InProcessPool):
 
     def _answer(self, kind: int, rows, thetas, shards):
         """(block, errors) for the (k, anchor tag, parameter index) rows of a
-        share of the given kind: row i of the block is request i's f64
-        result, unless errors maps i to the exception it raised; a failing
-        request is reported to the manager, and the endpoint stays up for
-        the next batch."""
-        model = self.model
-        if kind not in _REPLY:
-            return np.empty((len(rows), 0)), dict.fromkeys(
-                range(len(rows)), ProtocolError(f"unknown request kind {kind}"))
-        unpacked = []  # each parameter's Theta, or the exception unpacking raised
-        for packed in thetas:
-            try:
-                unpacked.append(model.unpack_theta(packed))
-            except Exception as exc:
-                unpacked.append(exc)
-        errors, asked, at = {}, [], []  # at: the position of each asked request
-        for i, (k, tag, j) in enumerate(rows):
-            if isinstance(unpacked[j], Exception):
-                errors[i] = unpacked[j]
-            elif k not in shards:
-                errors[i] = ProtocolError(f"subset {k} is not served by this endpoint")
-            else:
-                asked.append((k, unpacked[j], tag))
-                at.append(i)
-        block, failed = answer(model, shards, asked, kind == KIND_LOGLIK_REQ)
-        if not errors:
-            return block, failed
-        errors.update((at[i], exc) for i, exc in failed.items())
-        return _gather(len(rows), [(at, block)]), errors
+        share of the given kind, as `answer` gives them.  A request whose
+        parameter does not unpack, whose subset this endpoint does not
+        serve or whose kind it does not know carries that exception in
+        place of its theta, so `answer` fails it: the failure is reported
+        to the manager, and the endpoint stays up for the next batch."""
+        if kind in _REPLY:
+            unpacked = []  # each parameter's Theta, or the exception unpacking raised
+            for packed in thetas:
+                try:
+                    unpacked.append(self.model.unpack_theta(packed))
+                except Exception as exc:
+                    unpacked.append(exc)
+        else:
+            unpacked = [ProtocolError(f"unknown request kind {kind}")] * len(thetas)
+        requests = []
+        for k, tag, j in rows:
+            theta = unpacked[j]
+            if k not in shards and not isinstance(theta, Exception):
+                theta = ProtocolError(f"subset {k} is not served by this endpoint")
+            requests.append((k, theta, tag))
+        return answer(self.model, shards, requests, kind == KIND_LOGLIK_REQ)
 
     def _results(self, requests, loglik: bool):
         """Send every (k, theta, tag) request of a batch, one frame per
@@ -511,31 +503,15 @@ class SocketPool(InProcessPool):
                 errors.update(dict.fromkeys(idx, self._failure(e, rows[0][0], exc)))
         for e, idx in sent:
             try:
-                got = self._reply(e, _REPLY[kind], [requests[i] for i in idx], loglik)
+                block, failed = self._reply(e, _REPLY[kind], [requests[i][0] for i in idx],
+                                            loglik)
             except ProtocolError as exc:
-                got = [exc] * len(idx)
-            if isinstance(got, np.ndarray):
-                parts.append((idx, got))
+                errors.update(dict.fromkeys(idx, exc))
                 continue
-            for i, result in zip(idx, got):
-                if isinstance(result, Exception):
-                    errors[i] = result
-                else:
-                    parts.append(([i], result[None]))
+            errors.update((idx[i], exc) for i, exc in failed.items())
+            if len(failed) < len(idx):  # a share that failed whole has no rows
+                parts.append((idx, block))
         return _gather(len(requests), parts), errors
-
-    def _checked(self, payload, request, loglik: bool):
-        """The result payload a reply carries for request (k, theta, tag),
-        or the exception unpacking it raised; an exception payload is
-        returned as it is."""
-        if isinstance(payload, Exception) or loglik:
-            return payload
-        k, _, tag = request
-        try:
-            self.model.unpack_stats(payload, subset_id=k, anchor_tag=tag)
-        except Exception as exc:  # the request's outcome: the batch's replies are still read
-            return exc
-        return payload
 
     def _failure(self, e: int, k: int, exc: Exception) -> ProtocolError:
         """exc, met on the connection of endpoint e, as a ProtocolError
@@ -553,14 +529,13 @@ class SocketPool(InProcessPool):
         err.__cause__ = exc
         return err
 
-    def _reply(self, e: int, reply_kind: int, requests, loglik: bool):
-        """Endpoint e's reply to its share of requests (k, theta, tag): it
-        must carry the expected kind and count and a table that covers its
-        payload.  A reply whose every result succeeded, at one width the
-        model accepts (`check_packed`), is its (n, w) block, a view of the
-        frame; any other reply is each request's result payload, or the
-        exception it met, in request order."""
-        ks = [k for k, _, _ in requests]
+    def _reply(self, e: int, reply_kind: int, ks, loglik: bool):
+        """(block, errors) of endpoint e's reply to its share of requests for
+        the subsets ks, read by `_split_replies`: the reply must carry the
+        expected kind and count and a table that covers its payload.  The
+        model checks the E-step rows that succeeded in one call
+        (`check_packed`); when it raises, each of their requests holds its
+        error."""
         try:
             kind, n, _, payload = read_frame(self._conns[e])
         except (OSError, ProtocolError) as exc:
@@ -570,17 +545,14 @@ class SocketPool(InProcessPool):
                 f"worker {ks[0]}: expected reply (kind, count) = "
                 f"{(reply_kind, len(ks))}, got {(kind, n)}"
             )
-        width = 1 if loglik else None
-        block = _reply_block(n, payload, width)
-        if block is not None:
+        block, errors = _split_replies(ks, payload, 1 if loglik else None)
+        ok = [i for i in range(n) if i not in errors]
+        if ok and not loglik:
             try:
-                if not loglik:
-                    self.model.check_packed(block, ks)
-                return block
-            except Exception:
-                pass  # each request's own outcome, below
-        return [self._checked(result, request, loglik)
-                for result, request in zip(_split_replies(ks, payload, width), requests)]
+                self.model.check_packed(block[ok] if errors else block, [ks[i] for i in ok])
+            except Exception as exc:  # each request's outcome: the batch's replies are still read
+                errors.update(dict.fromkeys(ok, exc))
+        return block, errors
 
     def close(self):
         for conn in self._conns:

@@ -311,6 +311,20 @@ def test_ingest_malformed_line_names_file_and_line(tmp_path, capsys, bad_file, b
     assert f"error: {tmp_path / bad_file}:3: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["csv", "dat"])
+def test_ingest_of_no_ratings_is_an_error(tmp_path, capsys, source):
+    """A ratings file without a rating, blank lines only, names itself."""
+    ratings = tmp_path / f"ratings.{source}"
+    ratings.write_text("\n\n")
+    movies = tmp_path / "movies.dat"
+    movies.write_text("1::Some Film (1999)::Action\n")
+    flags = (["--ratings", ratings] if source == "csv"
+             else ["--ratings-dat", ratings, "--movies-dat", movies])
+    assert run(["ingest", *flags, "--out", tmp_path / "ml"]) == 1
+    assert capsys.readouterr().err == f"error: {ratings}: no ratings\n"
+    assert not (tmp_path / "ml.npz").exists()
+
+
 def test_scheduler_option_removed(workspace, tmp_path):
     with pytest.raises(SystemExit):
         run(["fit", "--data", workspace / "data", "--K", 2,

@@ -1019,11 +1019,15 @@ def test_worker_closes_connection_on_malformed_frame(fitted_pieces, monkeypatch)
     # the table claims n whole results, the payload ends one value short
     (lambda sock, n, stats: write_frame(sock, KIND_ESTEP_REP, n, 0, np.concatenate(
         [int_words([len(stats)] * n), *[stats] * n])[:-1]), "reply sizes do not match"),
-], ids=["short_count", "long_count", "ragged_result"])
+    # results of 32 and 34 values, each covered by its size
+    (lambda sock, n, stats: write_share_reply(
+        sock, KIND_ESTEP_REP, [stats, np.append(stats, [0.0, 0.0])][:n]),
+     "reply sizes do not match"),
+], ids=["short_count", "long_count", "ragged_result", "ragged_sizes"])
 def test_malformed_reply_share_is_protocol_error(fitted_pieces, reply, match):
-    """A reply share with the wrong count, or whose table does not cover its
-    payload, is a ProtocolError naming the share's first subset, and no
-    request of it is counted."""
+    """A reply share with the wrong count, whose table does not cover its
+    payload, or whose results differ in size, is a ProtocolError naming
+    the share's first subset, and no request of it is counted."""
     samples, model, theta0 = fitted_pieces
     pool = SocketPool(model, partition(samples, 2, seed=0))
     stats = model.pack_stats(model.local_estep(theta0, samples))
@@ -1052,6 +1056,37 @@ def test_loglik_reply_of_more_than_one_value_is_an_error(fitted_pieces):
         with pytest.raises(ProtocolError, match="^worker 0: reply sizes do not match"):
             pool.logliks([0, 1], theta0)
         assert pool.messages_sent == 0
+
+
+def test_endpoint_fails_the_requests_of_a_parameter_it_cannot_unpack(fitted_pieces):
+    """A share at two parameters whose second unpacks one value short: the
+    requests at the first are answered bitwise as in process, each request
+    at the second holds the unpacking error, and the endpoint serves the
+    next share."""
+    samples, model, theta0 = fitted_pieces
+    theta1 = Theta(np.ones(3), 2.0 * np.eye(3), 3.0)
+    subsets = partition(samples, 3, seed=0)
+    shards = {k: model.prepare(s) for k, s in enumerate(subsets)}
+    thetas = [model.pack_theta(theta0), model.pack_theta(theta1)]
+
+    class ShortModel(LmmModel):
+        # a frame's parameters are all one length: the second is cut here
+        def unpack_theta(self, arr):
+            return super().unpack_theta(arr[:-1] if arr.tobytes() == thetas[1].tobytes()
+                                        else arr)
+
+    with raw_worker(ShortModel(3, 3), shards) as client:
+        write_share(client, KIND_ESTEP_REQ, [(2, 3, 1), (0, 1, 0), (1, 3, 1), (2, 1, 0)],
+                    thetas)
+        kind, got = read_share_reply(client)
+        write_share(client, KIND_LOGLIK_REQ, [(1, 0, 0)], thetas[:1])
+        next_kind, (ll,) = read_share_reply(client)
+    assert (kind, next_kind) == (KIND_ESTEP_REP, KIND_LOGLIK_REP)
+    assert ll.tolist() == [model.local_loglik(theta0, subsets[1])]
+    short = f"ProtocolError: parameter of {len(thetas[1]) - 1} values, expected {len(thetas[1])}"
+    assert [got[0], got[2]] == [short, short]
+    want = InProcessPool(model, subsets).esteps([(0, theta0, 1), (2, theta0, 1)])
+    assert [got[1].tobytes(), got[3].tobytes()] == [model.pack_stats(w).tobytes() for w in want]
 
 
 @pytest.mark.parametrize("endpoints", [1, 2, 3])

@@ -1,8 +1,9 @@
-"""Seeded fuzzing of the socket share parsers and of read_frame's length
-word, with stdlib `random` only.
+"""Seeded fuzzing of the socket share parsers, of the reply codec and of
+read_frame's length word, with stdlib `random` only.
 
 A malformed request share ends in the endpoint's quiet close, a malformed
-reply share in a ProtocolError naming a subset of the share, and a frame
+reply share in a ProtocolError naming a subset of the share, every reply
+an endpoint writes reads back as itself, and a frame
 whose length word overstates its body in the ConnectionError of a peer
 that closed mid-frame, without allocating that length.  No other
 exception escapes, and nothing waits on a peer that has closed.
@@ -20,8 +21,6 @@ from demfit.transport import (
     KIND_ESTEP_REQ,
     KIND_LOGLIK_REQ,
     SocketPool,
-    _join_replies,
-    _reply_block,
     _reply_payload,
     _split_replies,
     _split_request,
@@ -182,83 +181,68 @@ def reply_case(rng: random.Random, ks):
 
 
 def test_malformed_reply_names_a_subset_of_its_share():
+    """Any reply payload parses into one outcome per request, a result row
+    or a failure naming its own subset, or raises a ProtocolError naming
+    the share's first subset; no other exception escapes."""
     rng = random.Random(SEED + 2)
     outcomes = set()
     for case in range(CASES):
         ks = [rng.randrange(50) for _ in range(rng.randrange(1, 6))]
         width, payload = reply_case(rng, ks)
         try:
-            results = _split_replies(ks, payload, width)
+            block, errors = _split_replies(ks, payload, width)
         except ProtocolError as exc:
             assert str(exc).startswith(f"worker {ks[0]}: "), case
             outcomes.add("raised")
             continue
-        assert len(results) == len(ks), case
-        for k, result in zip(ks, results):
-            if isinstance(result, ProtocolError):
-                assert str(result).startswith(f"worker {k} failed: "), case
+        assert block.shape[0] == len(ks) and set(errors) <= set(range(len(ks))), case
+        for i, k in enumerate(ks):
+            if i in errors:
+                assert isinstance(errors[i], ProtocolError), case
+                assert str(errors[i]).startswith(f"worker {k} failed: "), case
                 outcomes.add("failed request")
             else:
-                assert width is None or len(result) == width, case
+                assert width is None or block.shape[1] == width, case
                 outcomes.add("result")
     assert outcomes == {"raised", "failed request", "result"}
 
 
-def block_case(rng: random.Random, ks):
-    """(width, payload) of a reply share for subsets ks whose results all
-    have one size, then perhaps one size changed, one result failed, or
-    the payload cut short or run long."""
-    width = rng.choice([None, None, 1, 5])
-    w = width if width is not None and rng.random() < 0.8 else rng.choice([0, 1, 2, 5, 46])
-    sizes = [w] * len(ks)
-    parts = [np.arange(w, dtype=float) + 10 * i for i in range(len(ks))]
-    pick = rng.random()
-    if pick < 0.15:
-        sizes[rng.randrange(len(ks))] = rng.choice([w + 1, max(w - 1, 0), some_int(rng)])
-    elif pick < 0.3:
-        i = rng.randrange(len(ks))
-        text = rng.randbytes(rng.randrange(1, 30))
-        sizes[i] = -len(text)
-        parts[i] = np.frombuffer(text + bytes(-len(text) % 8), dtype="<f8")
-    payload = np.concatenate([words(sizes), *parts])
-    if rng.random() < 0.2:
-        cut = rng.randrange(-3, 4)
-        payload = payload[:cut] if cut < 0 else np.concatenate([payload, np.ones(cut)])
-    return width, payload
+ERRORS = [RuntimeError, ValueError, ProtocolError, KeyError]
+MESSAGES = ["", "boom", "na\u00efve \u2203x", "a\x00b", "x" * 37]
 
 
-def test_block_reply_path_agrees_with_split_replies():
-    """Every reply the manager takes as one block, _split_replies accepts
-    with the same rows, and a share without a failure writes exactly that
-    payload back.  A reply it refuses is one _split_replies refuses with a
-    ProtocolError naming ks[0], or one with a failed request or results
-    of different sizes, which _split_replies reads one by one."""
+def test_reply_codec_round_trips():
+    """Every (block, errors) an endpoint writes reads back as itself: each
+    successful row bitwise, NaN payloads included, and each failure as a
+    ProtocolError "worker k failed: Type: message".  A share without a
+    failure is its size table and then the block, which the reader
+    returns as a view of the payload."""
     rng = random.Random(SEED + 4)
     outcomes = set()
     for case in range(CASES):
-        ks = [rng.randrange(50) for _ in range(rng.randrange(1, 6))]
-        width, payload = (block_case if rng.random() < 0.7 else reply_case)(rng, ks)
-        block = _reply_block(len(ks), payload, width)
-        try:
-            results = _split_replies(ks, payload, width)
-        except ProtocolError as exc:
-            assert block is None, case
-            assert str(exc).startswith(f"worker {ks[0]}: "), case
-            outcomes.add("refused, malformed")
-            continue
-        if block is not None:
-            assert block.shape[0] == len(ks), case
-            assert [r.tobytes() for r in results] == [row.tobytes() for row in block], case
-            assert _reply_payload(block, {}).tobytes() == payload.tobytes(), case
-            assert _join_replies(list(block)).tobytes() == payload.tobytes(), case
+        n = rng.randrange(1, 6)
+        ks = [rng.randrange(50) for _ in range(n)]
+        width = rng.choice([None, None, 1, 5])
+        w = width if width is not None else rng.choice([0, 1, 2, 5, 46])
+        block = np.frombuffer(rng.randbytes(8 * n * w), dtype="<f8").reshape(n, w)
+        errors = {i: rng.choice(ERRORS)(rng.choice(MESSAGES))
+                  for i in range(n) if rng.random() < 0.3}
+        payload = _reply_payload(block, errors)
+        got, failed = _split_replies(ks, payload, width)
+        assert sorted(failed) == sorted(errors), case
+        for i, exc in errors.items():
+            assert isinstance(failed[i], ProtocolError), case
+            assert str(failed[i]) == f"worker {ks[i]} failed: {type(exc).__name__}: {exc}", case
+        ok = [i for i in range(n) if i not in errors]
+        assert [got[i].tobytes() for i in ok] == [block[i].tobytes() for i in ok], case
+        if not errors:
+            assert payload.tobytes() == words([w] * n).tobytes() + block.tobytes(), case
+            assert got.shape == (n, w), case
+            assert w == 0 or np.shares_memory(got, payload), case
             outcomes.add("block")
-        elif any(isinstance(r, Exception) for r in results):
-            outcomes.add("refused, failed request")
         else:
-            assert len({len(r) for r in results}) > 1, case
-            outcomes.add("refused, ragged")
-    assert outcomes == {"block", "refused, malformed", "refused, failed request",
-                        "refused, ragged"}
+            outcomes.add("all failed" if not ok else "mixed")
+    assert outcomes == {"block", "mixed", "all failed"}
 
 
 def test_read_frame_length_word_allocates_what_arrives():

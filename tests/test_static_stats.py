@@ -118,7 +118,7 @@ def test_static_total_is_never_stale():
     other set of parts gives their fresh sum."""
     rng = np.random.default_rng(3)
     model = LmmModel(P, Q)
-    parts = [model.static_stats([random_sample(rng, P, Q) for _ in range(n)])
+    parts = [model.static_parts([model.prepare([random_sample(rng, P, Q) for _ in range(n)])])[0]
              for n in (3, 1, 4, 2, 5)]
 
     def fresh(*statics):
