@@ -27,7 +27,6 @@ from scipy.linalg.lapack import get_lapack_funcs
 from .ddsum import DDArray
 from .model import (
     ConvergenceMonitor,
-    EStepBatch,
     ModelContract,
     NumericalDomainError,
     ProtocolError,
@@ -322,7 +321,8 @@ class LmmStatic:
     (p) and S_xx (p*p), the compensated sum of its `Sample.moments` columns
     y'y, X'y and X'X, in that order.  It is the static part of the shard's
     E-step statistics (`LmmModel.static_parts`): no E step changes it, so
-    it is summed once per shard (`LmmShard.const_sum`) and never packed.
+    it is summed once per shard, kept in the shard (`LmmShard.static`) and
+    never packed.
 
     combine(*others) sums the parts in one compensated pass over their hi
     and lo words (`DDArray.sum_parts`), as `LmmSuffStats.combine` sums the
@@ -451,14 +451,17 @@ class LmmShard:
     The compensated tree (`DDArray.sum_segments`) reduces every column on
     its own, and each shard's words depend only on its own rows, whether it
     is summed alone or as one segment of an E-step batch.  So the sum of
-    the data-only statistics (`const_sum`, the static part of the shard's
-    statistics) is computed once, on first use, and every E step's result
-    holds that one object, bitwise as if the E step had summed those
-    columns again; a manager combines it with the other shards' parts once
-    per run (`LmmStatic.combine`).  Apart from that cache, and the last
-    total the cached part keeps, a shard never changes after `prepare`:
-    each E step or loglik computes its posterior afresh.
+    the data-only statistics (`static`, the static part of the shard's
+    statistics, None until `LmmModel.static_parts` sums it) is computed
+    once, and every E step's result holds that one object, bitwise as if
+    the E step had summed those columns again; a manager combines it with
+    the other shards' parts once per run (`LmmStatic.combine`).  Apart
+    from that cache, and the last total the cached part keeps, a shard
+    never changes after `prepare`: each E step or loglik computes its
+    posterior afresh.
     """
+
+    static: LmmStatic | None = None
 
     def __init__(self, rec: np.ndarray, p: int, q: int, n_total: int | None = None):
         c = _record_layout(p, q)
@@ -473,11 +476,6 @@ class LmmShard:
 
     def __len__(self) -> int:
         return len(self.rec)
-
-    @cached_property
-    def const_sum(self) -> LmmStatic:
-        """Compensated sum of the const rows: s_yy, S_xy and S_xx."""
-        return LmmStatic(DDArray.sum_rows(self.const))
 
 
 class _Posterior(NamedTuple):
@@ -522,19 +520,21 @@ class LmmModel(ModelContract):
     def __init__(self, p: int, q: int):
         self.p = p
         self.q = q
+        # m, n, then the hi and lo words of S_xzb, s_yzb, S_bb, s_bzzb, loglik
+        self.stats_width = 2 + 2 * (p + q * q + 3)
 
     # -- resident subsets ---------------------------------------------------
-    def prepare(self, subset: SubsetData) -> LmmShard:
-        """The subset's `Sample.moments` stacked once into a shard."""
+    def prepare(self, subset: SubsetData | LmmShard) -> LmmShard:
+        """The subset's `Sample.moments` stacked once into a shard; a shard
+        prepares to itself."""
+        if isinstance(subset, LmmShard):
+            return subset
         p, q = self.p, self.q
         width = _record_layout(p, q)["width"]
         rec = np.array([s.moments for s in subset]) if subset else np.empty((0, width))
         if rec.shape[1:] != (width,):
             raise ValueError(f"samples do not match the model's p={p}, q={q}")
         return LmmShard(rec, p, q, int(rec[:, 0].sum()))
-
-    def _shard(self, subset: SubsetData | LmmShard) -> LmmShard:
-        return subset if isinstance(subset, LmmShard) else self.prepare(subset)
 
     # -- per-sample conditional Gaussian -----------------------------------
     def _posterior(self, theta: Theta | _Thetas, shard: LmmShard) -> _Posterior:
@@ -652,9 +652,6 @@ class LmmModel(ModelContract):
             return shards[0]
         return LmmShard(np.concatenate([s.rec for s in shards]), self.p, self.q)
 
-    def local_loglik(self, theta: Theta, subset: SubsetData | LmmShard) -> float:
-        return self.local_logliks(theta, [self._shard(subset)])[0]
-
     def local_logliks(self, theta: Theta, shards: Sequence[LmmShard]) -> list:
         """Local log likelihoods of several shards at one theta, from one
         posterior and loglik pass over their samples stacked together.
@@ -669,21 +666,15 @@ class LmmModel(ModelContract):
         ends = list(itertools.accumulate(len(shard) for shard in shards))
         return [math.fsum(terms[end - len(shard) : end]) for shard, end in zip(shards, ends)]
 
-    def local_estep(self, theta: Theta, subset: SubsetData | LmmShard, subset_id: int = 0,
-                    anchor_tag: int = 0) -> SuffStats:
-        return self.local_esteps(theta, [self._shard(subset)], [subset_id], anchor_tag)[0]
-
-    def local_esteps(self, theta: Theta, shards: Sequence[LmmShard], subset_ids: Sequence[int],
-                     anchor_tag: int) -> EStepBatch:
+    def local_esteps(self, theta: Theta, shards: Sequence[LmmShard]) -> np.ndarray:
         """E steps of several shards at one theta, in one pass over their
         samples stacked together: the posterior, the loglik and the rows of
         the theta-dependent statistics are computed once for the batch.
         Each sample's row comes from its own data alone, and one segmented
         compensated tree (`DDArray.sum_segments`) sums every shard's rows,
         each shard's words bitwise those of its own tree, so every result
-        is bitwise that of the shard on its own.  The batch is the block of
-        those result rows, with each shard's data-only part as it is
-        cached (`LmmShard.const_sum`)."""
+        is bitwise that of the shard on its own.  The block holds one
+        result row per shard, written in place."""
         p, q = self.p, self.q
         stacked = self._stack(shards)
         m = len(stacked)
@@ -709,21 +700,25 @@ class LmmModel(ModelContract):
         block[:, 1] = [shard.n_total for shard in shards]
         block[:, 2 : 2 + size] = fresh.hi
         block[:, 2 + size :] = fresh.lo
-        return EStepBatch(self, block, subset_ids, [anchor_tag] * len(shards),
-                          [shard.const_sum for shard in shards])
+        return block
 
     def static_parts(self, shards: Sequence[LmmShard]) -> list:
-        """The data-only statistics of several prepared shards, every
-        shard's const rows summed in one segmented compensated tree
-        (`DDArray.sum_segments`), each shard's words bitwise those of its
-        own tree (`LmmShard.const_sum`), which keeps them: a shard that has
-        its part already keeps that one."""
-        if not shards:
-            return []
-        acc = DDArray.sum_segments(np.concatenate([shard.const for shard in shards]),
-                                   [len(shard) for shard in shards])
-        return [vars(shard).setdefault("const_sum", LmmStatic(DDArray._wrap(hi, lo)))
-                for shard, hi, lo in zip(shards, acc.hi, acc.lo)]
+        """The data-only statistics of several prepared shards.  The const
+        rows of every shard that holds no part yet are summed in one
+        segmented compensated tree (`DDArray.sum_segments`), each shard's
+        words bitwise those of its own tree, and each keeps its part
+        (`LmmShard.static`); a shard that has its part already keeps that
+        one, and a call whose shards all have theirs sums nothing.  Two
+        threads that meet a shard without its part at once may both sum
+        it, to bitwise the same words; a pool takes every part before its
+        endpoints start."""
+        todo = [shard for shard in shards if shard.static is None]
+        if todo:
+            acc = DDArray.sum_segments(np.concatenate([shard.const for shard in todo]),
+                                       [len(shard) for shard in todo])
+            for shard, hi, lo in zip(todo, acc.hi, acc.lo):
+                shard.static = LmmStatic(DDArray._wrap(hi, lo))
+        return [shard.static for shard in shards]
 
     def combine_packed(self, rows: np.ndarray, statics) -> LmmSuffStats:
         """The statistics of the results whose rows are rows, summed in
@@ -733,17 +728,6 @@ class LmmModel(ModelContract):
     def packed_logliks(self, rows: np.ndarray) -> list:
         """Each row's loglik, its last hi + lo word rounded once."""
         return (rows[:, rows.shape[1] // 2] + rows[:, -1]).tolist()
-
-    def check_packed(self, rows: np.ndarray, subset_ids) -> None:
-        self._check_width(rows.shape[1], subset_ids[0])
-
-    def _check_width(self, width: int, subset_id: int) -> None:
-        """A statistics payload of width values that is not the layout's is
-        a ProtocolError naming the subset."""
-        want = 2 + 2 * (self.p + self.q * self.q + 3)
-        if width != want:
-            raise ProtocolError(f"subset {subset_id}: statistics payload of {width} "
-                                f"values, expected {want}")
 
     def q_value(self, stats: LmmSuffStats, theta: Theta) -> float:
         """Expected complete-data log likelihood reconstructed from aggregates."""
@@ -898,7 +882,7 @@ class LmmModel(ModelContract):
         return stats.payload.pack()
 
     def unpack_stats(self, arr: np.ndarray, subset_id: int, anchor_tag: int) -> SuffStats:
-        self._check_width(len(arr), subset_id)
+        self.check_width(len(arr), subset_id)
         # arr is the caller's private array (a row of a batch's block), so
         # the result adopts it as its row; the static part is the pool's
         # to attach

@@ -48,17 +48,18 @@ class SuffStats:
 
 class EStepBatch(Sequence):
     """The E-step results of one batch as one block: row i of `rows` is the
-    `pack_stats` array of the result for subset `subset_ids[i]` at anchor
-    tag `anchor_tags[i]`, and `statics[i]` its static part, or None (see
+    result for subset `subset_ids[i]` at anchor tag `anchor_tags[i]`, its
+    `pack_stats` array, and `statics[i]` its static part, or None (see
     `ModelContract.static_parts`).  The ids and tags are int arrays.
 
-    A batch moves whole, from a model's `local_esteps` through a pool to
+    A model's `local_esteps` gives the bare block; the pool that asked for
+    it adds the ids, tags and static parts, and the batch moves whole to
     the manager, whose cache is the batch of the K subsets' latest results
     in subset order, refreshed by assigning the rows and tags of each
     later batch.  Indexing builds a result: `model.unpack_stats` of a view
     of its row, with its static part attached, so a batch also reads as a
-    sequence of SuffStats, each bitwise the result `local_estep` gives.
-    The block is the batch's own: a result may keep views of it.
+    sequence of SuffStats.  The block is the batch's own: a result may
+    keep views of it.
     """
 
     __slots__ = ("model", "rows", "subset_ids", "anchor_tags", "statics")
@@ -93,57 +94,60 @@ class ModelContract(ABC):
     """Everything the manager loop, a transport pool and the audit call on
     a model; a subclass missing an abstract method cannot be instantiated.
 
-    prepare(subset) turns a worker's subset into the form the model keeps
-    resident for a run: the transport pools call it once per worker, when
-    they are built, and pass what it returns as the shard or subset of
-    every later local_estep, local_esteps and local_loglik call on that
-    worker.
-    local_estep and local_loglik must accept both a prepared and a plain
-    subset and give the same results.
-    The default keeps the subset as it is.  A prepared subset holds data
-    only: no call leaves state in it that a later call reads, apart from
-    caches of the data alone.
+    A model serves batches.  An E-step result is one row of stats_width
+    (W) float64 values, the form pack_stats writes, which the model
+    declares once; the statistics of disjoint subsets combine additively,
+    so a block of rows and one combine is all the runtime needs:
 
-    local_estep returns a SuffStats whose header names the subset and
-    anchor tag it was given.  Its payload provides combine(*others), the
-    statistics of it and the others together; n, the number of
-    observations behind them; and loglik, their local log likelihood at
-    the anchor.  local_logliks(theta, shards) gives the local log
-    likelihoods of several prepared subsets at one theta, each bitwise
-    local_loglik of its shard.  The pools group the requests of a batch
-    for them as `transport.answer` says.
+    - prepare(subset) turns a worker's subset into the shard the model
+      keeps resident for a run.  The transport pools call it once per
+      worker, when they are built, and pass the shard to every later call
+      on that worker.  It must be idempotent: a shard prepares to itself.
+      The default keeps the subset as it is.  A shard holds data only: no
+      call leaves state in it that a later call reads, apart from caches
+      of the data alone.
+    - local_esteps(theta, shards) is the (n, W) float64 block of the E
+      steps of n shards at one theta, row i that of shards[i], each row
+      bitwise what shards[i] gives alone.  The block is the caller's own:
+      a socket endpoint writes it into its reply, and the manager caches
+      and sums it, with no result object in between.
+    - local_logliks(theta, shards) is the local log likelihood of each
+      shard at theta, a sequence of floats, each bitwise that of the shard
+      alone.
+    - static_parts(shards) is the static part of each shard's statistics,
+      the part that depends on its data alone, or None for each (the
+      default) for a model whose statistics all depend on theta.  A pool
+      takes them once, when it is built.  A model with static parts sums
+      a shard's once and keeps it in the shard, so a later call sums only
+      the shards that hold none yet.
+    - combine_packed(rows, statics) is the payload of the results whose
+      rows are rows and whose static parts are statics, combined.  The
+      payload provides combine(*others), as a per-result payload does; n,
+      the number of observations behind it; and loglik, its local log
+      likelihood at the anchors.
+    - packed_logliks(rows) is each row's loglik, a sequence of floats
+      (a list or a 1-d array), bitwise local_logliks of its shard at its
+      anchor.
+    - cm_steps(agg, theta) is the M step on an aggregate.
 
-    An E-step batch is one block (`EStepBatch`): local_esteps(theta,
-    shards, subset_ids, anchor_tag) gives the E steps of several prepared
-    subsets at one theta as one batch, each row bitwise pack_stats of what
-    local_estep gives that shard alone, in a block the batch owns.  Every
-    pack_stats array of a model has one length, W, so a batch's rows fit
-    one (n, W) float64 array, and a batch's block is what a socket
-    endpoint writes and what the manager caches and sums, with no result
-    object in between.  The model reads such rows in three calls:
-    combine_packed(rows, statics) is the payload of the results rows[k]
-    with static parts statics[k] combined, bitwise what their unpacked
-    payloads' combine gives; packed_logliks(rows) is each row's loglik,
-    bitwise its unpacked payload's; check_packed(rows, subset_ids) raises
-    what unpack_stats raises for the first row when the rows are not ones
-    unpack_stats accepts.  The defaults call local_estep and pack_stats
-    once per shard, local_loglik once per shard, and unpack_stats once per
-    row; a model may serve the batch in one pass and read the rows of a
-    block in place instead.
+    The pools group the requests of a batch for local_esteps and
+    local_logliks as `transport.answer` says.  check_width is the one test
+    of a result's width, against stats_width.
 
-    static_parts(shards) returns the static part of each prepared
-    subset's E-step statistics, the part that depends on its data alone,
-    or None for each (the default) for a model whose statistics all depend
-    on theta; a pool takes them once, when it is built.
+    local_estep(theta, subset, subset_id, anchor_tag) and
+    local_loglik(theta, subset) are the batch of one, on the subset
+    prepared: a SuffStats with the given header, its row unpacked and its
+    static part attached, and a float.  A model need not define them.
+
     A payload of a model with a static part holds it in its `static`
-    attribute, the same object for every E step of a shard: local_estep
-    and local_esteps set it, pack_stats leaves it out, so a reply carries
-    only the theta-dependent part, and unpack_stats leaves it None, for
-    the pool to attach the static part of its own copy of the shard.  A
-    static part provides combine(*others) like a payload, and a payload's
-    combine combines the static parts through the first one's; since no E
-    step changes them, that combine may keep its last total and return it
-    while the same others come back, so a run sums its static total once.
+    attribute, the same object for every E step of a shard: pack_stats
+    leaves it out, so a reply carries only the theta-dependent part, and
+    unpack_stats leaves it None, for the pool to attach the static part of
+    its own copy of the shard.  A static part provides combine(*others)
+    like a payload, and a payload's combine combines the static parts
+    through the first one's; since no E step changes them, that combine
+    may keep its last total and return it while the same others come
+    back, so a run sums its static total once.
 
     free_energy_path(thetas, anchor_tags, subsets) returns, for row j of
     anchor_tags and subset k, the local log likelihood at thetas[j] minus
@@ -158,52 +162,54 @@ class ModelContract(ABC):
     NumericalDomainError, raised by the model naming the first such row
     and subset, or by evaluate_F and check_monotone_F naming the subset.
 
-    The wire methods are all a socket pool knows of the model, and each
-    handles one parameter or one result: a share frame carries one packed
-    parameter per distinct theta and one pack_stats row per request.
-    pack_theta(theta) and pack_stats(stats) flatten a parameter and an
-    E-step result into float64 arrays; pack_stats returns a private array,
-    which its caller may write over without changing the result, its
-    loglik or any other result.  unpack_theta and
+    The wire methods each handle one parameter or one result: a share
+    frame carries one packed parameter per distinct theta and one row per
+    request.  pack_theta(theta) and pack_stats(stats) flatten a parameter
+    and an E-step result into float64 arrays; pack_stats returns a private
+    array, which its caller may write over without changing the result,
+    its loglik or any other result.  unpack_theta and
     unpack_stats(arr, subset_id, anchor_tag) invert them with bitwise the
     same effect on every later call; unpack_stats rebuilds the SuffStats
     header from its two arguments, which the share's request table
-    carries, and raises a ProtocolError naming the subset for an array
-    whose length is not one pack_stats writes.  The array unpack_stats is
-    given is private to it (an `EStepBatch` passes a view of the row of
-    its own block), so the SuffStats may keep views of it.
+    carries.  The array unpack_stats is given is private to it (an
+    `EStepBatch` passes a view of the row of its own block), so the
+    SuffStats may keep views of it.
     """
+
+    stats_width: int  # W, the length of every result row
 
     def prepare(self, subset):
         return subset
 
     @abstractmethod
-    def local_loglik(self, theta, subset) -> float: ...
+    def local_esteps(self, theta, shards) -> np.ndarray: ...
 
     @abstractmethod
-    def local_estep(self, theta, subset, subset_id=0, anchor_tag=0) -> SuffStats: ...
-
-    def local_esteps(self, theta, shards, subset_ids, anchor_tag) -> EStepBatch:
-        return EStepBatch.from_results(self, [self.local_estep(theta, shard, k, anchor_tag)
-                                              for shard, k in zip(shards, subset_ids)])
-
-    def local_logliks(self, theta, shards) -> list:
-        return [self.local_loglik(theta, shard) for shard in shards]
+    def local_logliks(self, theta, shards) -> Sequence[float]: ...
 
     def static_parts(self, shards) -> list:
         return [None] * len(shards)
 
-    def combine_packed(self, rows, statics):
-        parts = EStepBatch(self, rows, range(len(rows)), [0] * len(rows), statics)
-        first, *rest = (s.payload for s in parts)
-        return first.combine(*rest)
+    @abstractmethod
+    def combine_packed(self, rows, statics): ...
 
-    def packed_logliks(self, rows) -> list:
-        return [self.unpack_stats(row, 0, 0).payload.loglik for row in rows]
+    @abstractmethod
+    def packed_logliks(self, rows) -> Sequence[float]: ...
 
-    def check_packed(self, rows, subset_ids) -> None:
-        for row, k in zip(rows, subset_ids):
-            self.unpack_stats(row, k, 0)
+    def check_width(self, width: int, subset_id: int) -> None:
+        """A result of width values that is not stats_width is a
+        ProtocolError naming the subset."""
+        if width != self.stats_width:
+            raise ProtocolError(f"subset {subset_id}: statistics payload of {width} "
+                                f"values, expected {self.stats_width}")
+
+    def local_estep(self, theta, subset, subset_id=0, anchor_tag=0) -> SuffStats:
+        shard = self.prepare(subset)
+        return EStepBatch(self, self.local_esteps(theta, [shard]), [subset_id], [anchor_tag],
+                          self.static_parts([shard]))[0]
+
+    def local_loglik(self, theta, subset) -> float:
+        return self.local_logliks(theta, [self.prepare(subset)])[0]
 
     @abstractmethod
     def cm_steps(self, agg, theta_current): ...

@@ -212,8 +212,8 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
             else:
                 # L(theta_{t-1}), for row t-1: fresh replies carry their term
                 at = cache.anchor_tags == t - 1
-                L = math.fsum(_logliks(pool, np.flatnonzero(~at).tolist(), theta)
-                              + model.packed_logliks(cache.rows[at]))
+                L = math.fsum([*_logliks(pool, np.flatnonzero(~at).tolist(), theta),
+                               *model.packed_logliks(cache.rows[at])])
             if t > 0:
                 theta = model.cm_steps(agg, theta)
                 trace.accept_sets.append(sorted(int(k) for k in accepted))

@@ -18,13 +18,14 @@ pool's shards, over sockets a round trip to endpoints that answer
 through `answer` too.  The surface then counts 2 messages (request out,
 reply back) per answered request in `messages_sent` and raises the
 failure of the earliest failed request, so a failure does not stop its
-batch.  `answer` makes the requests that share a parameter and an anchor
-tag one `local_esteps` call, whose block is the batch's own when it
-covers every request, a loglik round at one parameter one
-`local_logliks` call, and a lone request one `local_estep` or
-`local_loglik` call.  The manager loop builds every batch before sending
-it, so it fully determines what is computed, and the resulting traces
-are identical across transports.
+batch.  `answer` makes the E-step requests that share a parameter one
+`local_esteps` call, whose block is the batch's own when it covers every
+request, a loglik round at one parameter one `local_logliks` call, and
+a lone request one `local_estep` or `local_loglik` call, the batch of
+one; the anchor tag routes a result, and no model call sees it.  The
+manager loop builds every batch before sending it, so it fully
+determines what is computed, and the resulting traces are identical
+across transports.
 
 Socket wire format: the K subsets are served by E = min(K, ENDPOINTS)
 endpoints, each a thread holding a round-robin share of the prepared
@@ -53,14 +54,14 @@ array comparison and reshapes the rest of the payload into the block, a
 view of the frame's buffer.  A share with a failed request is read
 request by request, and its results must all have one size: a ragged
 reply is malformed, as our endpoints, which write a rectangular block,
-never send.  The model then checks the rows that succeeded in one call
-(`check_packed`).  An endpoint answers only after it has read its whole
-share, so it never writes while its manager may still be writing to it;
-it unpacks each parameter of its share once and answers the share
-through `answer`, and it goes on serving after a failed request.  A
-request whose parameter does not unpack, or whose subset the endpoint
-does not serve, carries that exception to `answer` in place of its
-parameter, and fails there.  A share of a kind the endpoint does not
+never send.  The model then checks the width of the rows that succeeded
+in one call (`check_width`).  An endpoint answers only after it has read
+its whole share, so it never writes while its manager may still be
+writing to it; it unpacks each parameter of its share once and answers
+the share through `answer`, and it goes on serving after a failed
+request.  A request whose parameter does not unpack, or whose subset the
+endpoint does not serve, carries that exception to `answer` in place of
+its parameter, and fails there.  A share of a kind the endpoint does not
 serve is answered with a KIND_ERROR frame in which every request holds
 that error.
 
@@ -91,7 +92,7 @@ cover its payload, or whose results are ragged, is a ProtocolError
 naming the share's first subset, held by every request of the share.  A
 failed request holds a ProtocolError naming its own subset, "worker k
 failed: ...", and each request whose rows the model rejects the
-exception `check_packed` raised.  Every
+exception `check_width` raised.  Every
 reply of a batch is read before the surface raises, so no connection is
 left holding a reply that a later request would read.  Endpoints block
 on their reads without a limit, because they sit idle between
@@ -295,18 +296,17 @@ def answer(model: ModelContract, shards, requests, loglik: bool = False):
     errors maps i to the exception its work raised.  A request whose theta
     is an exception (a parameter its endpoint could not unpack, say) fails
     with it, before any work.  The requests that share a theta (the same
-    object) and an anchor tag are one `local_esteps` or `local_logliks`
-    call, whose block is the answer itself when it covers every request; a
-    lone request is one `local_estep` or `local_loglik` call.  A grouped
-    call that raises is retried one request at a time, so each failure is
-    its own request's."""
-    groups = defaultdict(list)  # (theta, anchor tag) -> request positions
+    object) are one `local_esteps` or `local_logliks` call, whose block is
+    the answer itself when it covers every request; a lone request is one
+    `local_estep` or `local_loglik` call.  A grouped call that raises is
+    retried one request at a time, so each failure is its own request's."""
+    groups = defaultdict(list)  # id(theta) -> request positions
     parts, errors = [], {}
-    for i, (_, theta, tag) in enumerate(requests):
+    for i, (_, theta, _) in enumerate(requests):
         if isinstance(theta, Exception):
             errors[i] = theta
         else:
-            groups[id(theta), tag].append(i)
+            groups[id(theta)].append(i)
     pending = list(groups.values())
     while pending:
         idx = pending.pop(0)
@@ -321,8 +321,8 @@ def answer(model: ModelContract, shards, requests, loglik: bool = False):
 
 
 def _answer_group(model: ModelContract, shards, requests, loglik: bool) -> np.ndarray:
-    """The block of results of requests that share one theta and anchor
-    tag; what the model raises propagates."""
+    """The block of results of requests that share one theta; what the
+    model raises propagates."""
     ks = [k for k, _, _ in requests]
     _, theta, tag = requests[0]
     # a lone request keeps the per-request call, which the benchmark's
@@ -334,7 +334,7 @@ def _answer_group(model: ModelContract, shards, requests, loglik: bool) -> np.nd
         return model.pack_stats(stats)[None]
     if loglik:
         return np.array(model.local_logliks(theta, [shards[k] for k in ks]))[:, None]
-    return model.local_esteps(theta, [shards[k] for k in ks], ks, tag).rows
+    return model.local_esteps(theta, [shards[k] for k in ks])
 
 
 class InProcessPool:
@@ -533,8 +533,8 @@ class SocketPool(InProcessPool):
         """(block, errors) of endpoint e's reply to its share of requests for
         the subsets ks, read by `_split_replies`: the reply must carry the
         expected kind and count and a table that covers its payload.  The
-        model checks the E-step rows that succeeded in one call
-        (`check_packed`); when it raises, each of their requests holds its
+        model checks the width of the E-step rows that succeeded
+        (`check_width`); when it raises, each of their requests holds its
         error."""
         try:
             kind, n, _, payload = read_frame(self._conns[e])
@@ -549,7 +549,7 @@ class SocketPool(InProcessPool):
         ok = [i for i in range(n) if i not in errors]
         if ok and not loglik:
             try:
-                self.model.check_packed(block[ok] if errors else block, [ks[i] for i in ok])
+                self.model.check_width(block.shape[1], ks[ok[0]])
             except Exception as exc:  # each request's outcome: the batch's replies are still read
                 errors.update(dict.fromkeys(ok, exc))
         return block, errors

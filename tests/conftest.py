@@ -26,7 +26,7 @@ def local_kl(model, theta_eval, theta_anchor, subset):
     """Sum over a subset's samples of the Gaussian KL(posterior at
     theta_anchor || posterior at theta_eval), from the kernels the
     free-energy audit runs."""
-    shard = model._shard(subset)
+    shard = model.prepare(subset)
     post = model._posterior(theta_eval, shard)
     anchor = model._posterior(theta_anchor, shard)
     log_ratio = model.q * math.log(theta_eval.tau2 / theta_anchor.tau2)

@@ -164,7 +164,8 @@ def test_block_cache_must_hold_every_subset_in_order():
     rng = np.random.default_rng(5)
     model = LmmModel(P, Q)
     shards = [model.prepare([random_sample(rng, P, Q)]) for _ in range(3)]
-    batch = model.local_esteps(Theta.default_start(P, Q), shards, [0, 1, 2], 0)
+    batch = EStepBatch(model, model.local_esteps(Theta.default_start(P, Q), shards),
+                       [0, 1, 2], [0, 0, 0], model.static_parts(shards))
     assert aggregate_stats(batch, 3).anchor_tags == [0, 0, 0]
     for K, ids in ((4, [0, 1, 2]), (3, [0, 2, 1])):
         batch.subset_ids = np.array(ids)
@@ -184,12 +185,67 @@ def test_static_parts_are_each_shards_own_tree(q):
     sizes = (0, 1, 2, 3, 5, 8, 16, 17)
     shards = [model.prepare([random_sample(rng, p, q) for _ in range(m)]) for m in sizes]
     want = [DDArray.sum_rows(shard.const) for shard in shards]
-    kept = shards[3].const_sum
+    kept = model.static_parts([shards[3]])[0]
     parts = model.static_parts(shards)
     assert len(parts) == len(sizes) and parts[3] is kept
     for shard, part, ref in zip(shards, parts, want):
-        assert shard.const_sum is part
+        assert shard.static is part
         assert part.acc.hi.tobytes() == ref.hi.tobytes()
         assert part.acc.lo.tobytes() == ref.lo.tobytes()
     assert model.static_parts([]) == []
 
+
+
+def test_static_parts_sum_each_shard_once(monkeypatch):
+    """static_parts sums only the shards that hold no part yet, in one
+    segmented pass: a second call over the same shards makes no
+    DDArray.sum_segments pass and returns the same parts, and an E step on
+    a shard that holds its part sums only its theta-dependent rows."""
+    rng = np.random.default_rng(71)
+    model = LmmModel(P, Q)
+    shards = [model.prepare([random_sample(rng, P, Q) for _ in range(m)]) for m in (2, 0, 3)]
+    passes = []
+    sum_segments = DDArray.sum_segments.__func__
+
+    def recording_sum_segments(cls, rows, lengths):
+        passes.append(list(lengths))
+        return sum_segments(cls, rows, lengths)
+
+    monkeypatch.setattr(DDArray, "sum_segments", classmethod(recording_sum_segments))
+    first = model.static_parts(shards[1:])
+    assert passes == [[0, 3]]
+    parts = model.static_parts(shards)
+    assert passes == [[0, 3], [2]] and parts[1:] == first
+    passes.clear()
+    assert model.static_parts(shards) == parts
+    assert passes == []
+    model.local_estep(Theta.default_start(P, Q), shards[0])
+    assert passes == [[2]]  # the theta-dependent rows of its 2 samples
+
+
+@pytest.mark.parametrize("which", ["lmm", "normal_means"])
+def test_per_result_calls_are_the_batch_of_one(samples, groups, which):
+    """local_estep and local_loglik, on a plain subset and on its prepared
+    shard, are bitwise the batch of one: local_estep the block's one row
+    under the header it is given, with the shard's static part, and
+    local_loglik local_logliks' one value.  A shard prepares to itself."""
+    if which == "lmm":
+        rng = np.random.default_rng(72)
+        model, subset = LmmModel(P, Q), samples[:5]
+        theta = Theta.from_cov(rng.standard_normal(P), 2.0 * np.eye(Q), 1.5)
+    else:
+        model, subset, theta = NormalMeans(), groups[:5], (1.0, 2.0, 0.5)
+    shard = model.prepare(subset)
+    assert model.prepare(shard) is shard
+    rows = model.local_esteps(theta, [shard])
+    assert rows.shape == (1, model.stats_width) and rows.dtype == np.float64
+    (static,) = model.static_parts([shard])
+    (loglik,) = model.local_logliks(theta, [shard])
+    want = rows.tobytes() + (static.acc.hi.tobytes() + static.acc.lo.tobytes() if static else b"")
+    for data in (subset, shard):
+        stats = model.local_estep(theta, data, 7, 3)
+        assert (stats.subset_id, stats.anchor_tag) == (7, 3)
+        assert payload_bytes(model, stats) == want
+        assert np.float64(model.local_loglik(theta, data)).tobytes() == \
+            np.float64(loglik).tobytes()
+    assert getattr(model.local_estep(theta, shard).payload, "static", None) is static

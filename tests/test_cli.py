@@ -337,24 +337,23 @@ def test_scheduler_option_removed(workspace, tmp_path):
 
 
 def test_socket_worker_failure_is_an_error(workspace, tmp_path, capsys, monkeypatch):
-    def failing_esteps(self, theta, shards, subset_ids, anchor_tag):
-        raise RuntimeError(f"boom in {subset_ids[0]}")
+    def failing_esteps(self, theta, shards):
+        raise RuntimeError("boom")
 
     monkeypatch.setattr(LmmModel, "local_esteps", failing_esteps)
     assert run(["fit", "--data", workspace / "data", "--K", 2,
                 "--transport", "socket", "--out", tmp_path / "sock"]) == 1
-    assert "error: worker 0 failed: RuntimeError: boom in 0" in capsys.readouterr().err
+    assert "error: worker 0 failed: RuntimeError: boom\n" in capsys.readouterr().err
 
 
 def test_socket_reply_of_the_wrong_length_is_an_error(workspace, tmp_path, capsys,
                                                        monkeypatch):
     local_esteps = LmmModel.local_esteps
 
-    def long_reply(self, theta, shards, subset_ids, anchor_tag):
+    def long_reply(self, theta, shards):
         # an E-step batch's block goes out whole: each row two values long
-        batch = local_esteps(self, theta, shards, subset_ids, anchor_tag)
-        batch.rows = np.concatenate([batch.rows, np.zeros((len(batch), 2))], axis=1)
-        return batch
+        rows = local_esteps(self, theta, shards)
+        return np.concatenate([rows, np.zeros((len(rows), 2))], axis=1)
 
     monkeypatch.setattr(LmmModel, "local_esteps", long_reply)
     assert run(["fit", "--data", workspace / "data", "--K", 2,

@@ -27,6 +27,7 @@ from demfit import (
 from demfit import lmm
 from demfit.ddsum import DDArray
 from demfit.lmm import LmmShard, theta_to_vec, vec_to_theta
+from demfit.model import EStepBatch
 from demfit.transport import make_pool
 from conftest import local_kl, point_bytes, random_sample, random_theta, theta_bytes
 
@@ -261,7 +262,8 @@ def test_stacked_esteps_match_one_shard_each(q):
     shards = [model.prepare([random_sample(rng, p, q) for _ in range(m)]) for m in sizes]
     ids = [7 * k + 1 for k in range(len(sizes))]
     for theta in (random_theta(rng, p, q), random_theta(rng, p, q)):
-        batch = model.local_esteps(theta, shards, ids, 5)
+        batch = EStepBatch(model, model.local_esteps(theta, shards), ids, [5] * len(shards),
+                           model.static_parts(shards))
         assert len(batch) == len(sizes)
         for shard, k, got in zip(shards, ids, batch):
             want = model.local_estep(theta, shard, k, 5)
@@ -388,7 +390,7 @@ def test_posterior_rejects_a_precision_not_positive_definite(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalDomainError, match=message):
-                model.local_esteps(thetas[0], shards, [0, 1], 0)
+                model.local_esteps(thetas[0], shards)
             with pytest.raises(NumericalDomainError, match=message):
                 model.local_logliks(thetas[0], shards)
             for rows in (None, 1, 2, 3):
@@ -408,14 +410,14 @@ def test_model_keeps_no_per_call_state(small_dataset):
                     Theta.default_start(4, 3))
     assert check_monotone_F(tr, model, subsets) == []
     assert vars(model) == before
-    # a shard holds its data and, once summed, const_sum; E steps and
-    # logliks leave nothing else in it
+    # a shard holds its data and, once summed, its static part; E steps
+    # and logliks leave nothing else in it
     shard = model.prepare(subsets[0])
     data = dict(vars(shard))
     for theta in tr.thetas:
         model.local_loglik(theta, shard)
         model.local_estep(theta, shard)
-    assert set(vars(shard)) == set(data) | {"const_sum"}
+    assert set(vars(shard)) == set(data) | {"static"}
     assert all(vars(shard)[name] is value for name, value in data.items())
 
 
@@ -577,7 +579,8 @@ def test_packed_stats_are_private():
     rng = np.random.default_rng(29)
     model = LmmModel(4, 3)
     shards = [model.prepare([random_sample(rng, 4, 3) for _ in range(m)]) for m in (3, 1, 4)]
-    batch = model.local_esteps(random_theta(rng, 4, 3), shards, [0, 1, 2], 0)
+    batch = EStepBatch(model, model.local_esteps(random_theta(rng, 4, 3), shards), [0, 1, 2],
+                       [0, 0, 0], model.static_parts(shards))
     before = [(model.pack_stats(r).tobytes(), r.payload.loglik) for r in batch]
     packed = model.pack_stats(batch[1])
     packed[:] = np.nan

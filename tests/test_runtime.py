@@ -60,6 +60,50 @@ def traces_equal(tr_a, tr_b) -> bool:
     )
 
 
+class NamingModel(LmmModel):
+    """An LmmModel that names what the batch methods are not passed: the
+    subset of each shard it prepared from `subsets`, and the anchor tag of
+    a parameter point.  A point's tag is the one `tags` gives it ({tag:
+    theta}), by value, or else the number of points met before it: in a
+    run_dem fit the E steps meet thetas[t] t-th, so that is its anchor
+    tag."""
+
+    def __init__(self, p, q, subsets=(), tags=None):
+        super().__init__(p, q)
+        self.subsets = subsets
+        self.names = {}  # id(shard) -> its subset's position in subsets
+        self.tags = {self.pack_theta(theta).tobytes(): tag
+                     for tag, theta in (tags or {}).items()}
+
+    def prepare(self, subset):
+        shard = super().prepare(subset)
+        for k, s in enumerate(self.subsets):
+            if s is subset:
+                self.names[id(shard)] = k
+        return shard
+
+    def subset_ids(self, shards) -> list:
+        return [self.names[id(shard)] for shard in shards]
+
+    def tag_of(self, theta) -> int:
+        return self.tags.setdefault(self.pack_theta(theta).tobytes(), len(self.tags))
+
+
+class LateFailingModel(NamingModel):
+    """Fails every E step at an anchor tag of 2 or more."""
+
+    def local_esteps(self, theta, shards):
+        if self.tag_of(theta) >= 2:
+            raise RuntimeError(f"boom at {self.tag_of(theta)}")
+        return super().local_esteps(theta, shards)
+
+
+def points(theta, tags) -> dict:
+    """{tag: a parameter point of its own} for each tag, theta's beta and L
+    with a tau2 of tag + 1."""
+    return {tag: Theta(theta.beta, theta.L, tag + 1.0) for tag in tags}
+
+
 @pytest.fixture(scope="module")
 def fitted_pieces(small_dataset_module=None):
     from demfit import SimDesign, simulate
@@ -450,9 +494,9 @@ def test_pools_prepare_once_per_worker(fitted_pieces, transport):
             self.prepared += 1
             return super().prepare(subset)
 
-        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
+        def local_esteps(self, theta, shards):
             self.received.extend(map(type, shards))
-            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
+            return super().local_esteps(theta, shards)
 
         # LmmModel answers a lone E step or loglik through these as well
         def local_logliks(self, theta, shards):
@@ -631,24 +675,19 @@ def test_socket_worker_error_reaches_manager(fitted_pieces):
     worker and carries the exception's text; the worker keeps serving."""
     samples, _, theta0 = fitted_pieces
 
-    class FailingModel(LmmModel):
-        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
-            if anchor_tag >= 2:
-                raise RuntimeError(f"boom at {anchor_tag}")
-            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
-
-    model = FailingModel(3, 3)
+    at = points(theta0, (1, 2))
+    model = LateFailingModel(3, 3, tags=at)
     subsets = partition(samples, 2, seed=0)
     pool = SocketPool(model, subsets)
     try:
         with pytest.raises(ProtocolError, match="worker 1 failed: RuntimeError: boom at 2"):
-            pool.esteps([(1, theta0, 2)])
+            pool.esteps([(1, at[2], 2)])
         assert pool.logliks([1], theta0) == [model.local_loglik(theta0, subsets[1])]
-        assert pool.esteps([(1, theta0, 1)])[0].anchor_tag == 1
+        assert pool.esteps([(1, at[1], 1)])[0].anchor_tag == 1
     finally:
         pool.close()
     with pytest.raises(ProtocolError, match="RuntimeError: boom at 2"):
-        run_dem(RunConfig(K=2, transport="socket"), model, subsets, theta0)
+        run_dem(RunConfig(K=2, transport="socket"), LateFailingModel(3, 3), subsets, theta0)
 
 
 @pytest.mark.parametrize("transport", ["in_process", "socket"])
@@ -658,25 +697,20 @@ def test_pools_count_answered_requests(fitted_pieces, transport):
     its batch is."""
     samples, _, theta0 = fitted_pieces
 
-    class FailingModel(LmmModel):
-        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
-            if anchor_tag >= 2:
-                raise RuntimeError(f"boom at {anchor_tag}")
-            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
-
-    pool = make_pool(transport, FailingModel(3, 3), partition(samples, 2, seed=0))
+    at = points(theta0, (1, 2, 3))
+    pool = make_pool(transport, LateFailingModel(3, 3, tags=at), partition(samples, 2, seed=0))
     try:
         with pytest.raises(RuntimeError, match="boom at 2"):
-            pool.esteps([(0, theta0, 1), (1, theta0, 2)])
+            pool.esteps([(0, at[1], 1), (1, at[2], 2)])
         assert pool.messages_sent == 2
         with pytest.raises(RuntimeError, match="boom at 3"):
-            pool.esteps([(1, theta0, 3)])
+            pool.esteps([(1, at[3], 3)])
         assert pool.messages_sent == 2
         pool.logliks([0, 1], theta0)
         assert pool.messages_sent == 6
         # the per-request surface counts the same way
         with pytest.raises(RuntimeError, match="boom at 3"):
-            pool.estep(1, theta0, 3)
+            pool.estep(1, at[3], 3)
         pool.loglik(0, theta0)
         assert pool.messages_sent == 8
     finally:
@@ -692,15 +726,15 @@ def test_socket_batch_reads_every_reply_past_a_failure(fitted_pieces, failure, m
     samples, _, theta0 = fitted_pieces
     pin_endpoints(monkeypatch, 2)
 
-    class FailingModel(LmmModel):
+    class FailingModel(NamingModel):
         # fails whenever subset 0 is among the shards, alone or grouped
-        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
-            if 0 in subset_ids:
+        def local_esteps(self, theta, shards):
+            if 0 in self.subset_ids(shards):
                 raise RuntimeError("boom in 0")
-            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
+            return super().local_esteps(theta, shards)
 
-    model = FailingModel(3, 3)
     subsets = partition(samples, 2, seed=0)
+    model = FailingModel(3, 3, subsets)
     theta1 = Theta(np.ones(3), 2.0 * np.eye(3), 3.0)
     pool = SocketPool(model, subsets)
 
@@ -712,15 +746,17 @@ def test_socket_batch_reads_every_reply_past_a_failure(fitted_pieces, failure, m
         match, worker_0 = "worker 0: connection lost", socketpair_worker(pool, dropping_worker)
     else:
         match, worker_0 = "worker 0 failed: RuntimeError: boom in 0", nullcontext()
-    with worker_0:
-        try:
+    # the pool closes once endpoint 0's own connection is back in it, so
+    # closing it ends that endpoint at once
+    try:
+        with worker_0:
             with pytest.raises(ProtocolError, match=match):
                 pool.esteps([(0, theta0, 1), (1, theta0, 1)])
             assert pool.messages_sent == 2
             (stats,) = pool.esteps([(1, theta1, 2)])
             assert pool.messages_sent == 4
-        finally:
-            pool.close()
+    finally:
+        pool.close()
     want = model.local_estep(theta1, model.prepare(subsets[1]), 1, 2)
     assert (stats.subset_id, stats.anchor_tag) == (1, 2)
     assert model.pack_stats(stats).tobytes() == model.pack_stats(want).tobytes()
@@ -729,19 +765,19 @@ def test_socket_batch_reads_every_reply_past_a_failure(fitted_pieces, failure, m
 def test_in_process_batch_mixing_anchor_tags(fitted_pieces):
     """A "finish" iteration's batch, stale deliveries at an older tag beside
     fresh E steps at the newest, is served by one local_esteps call per
-    tag; each result, in request order, is bitwise local_estep on its own
-    shard at its own theta."""
+    tag, that is per parameter; each result, in request order, is bitwise
+    local_estep on its own shard at its own theta."""
     samples, _, theta0 = fitted_pieces
     calls = []
 
-    class CallModel(LmmModel):
-        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
-            calls.append((anchor_tag, list(subset_ids)))
-            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
+    class CallModel(NamingModel):
+        def local_esteps(self, theta, shards):
+            calls.append((self.tag_of(theta), self.subset_ids(shards)))
+            return super().local_esteps(theta, shards)
 
-    model = CallModel(3, 3)
     subsets = partition(samples, 5, seed=0)
     theta1 = Theta(np.ones(3), 2.0 * np.eye(3), 3.0)
+    model = CallModel(3, 3, subsets, tags={1: theta0, 3: theta1})
     requests = [(3, theta0, 1), (0, theta0, 1), (4, theta1, 3), (1, theta1, 3)]
     pool = InProcessPool(model, subsets)
     got = pool.esteps(requests)
@@ -760,14 +796,15 @@ def test_in_process_batch_retries_a_failing_group_per_request(fitted_pieces):
     samples, _, theta0 = fitted_pieces
     calls = []
 
-    class FailingModel(LmmModel):
-        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
-            calls.append(list(subset_ids))
-            if 0 in subset_ids:
+    class FailingModel(NamingModel):
+        def local_esteps(self, theta, shards):
+            calls.append(self.subset_ids(shards))
+            if 0 in calls[-1]:
                 raise RuntimeError("boom in 0")
-            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
+            return super().local_esteps(theta, shards)
 
-    pool = InProcessPool(FailingModel(3, 3), partition(samples, 3, seed=0))
+    subsets = partition(samples, 3, seed=0)
+    pool = InProcessPool(FailingModel(3, 3, subsets), subsets)
     with pytest.raises(RuntimeError, match="^boom in 0$"):
         pool.esteps([(2, theta0, 1), (0, theta0, 1), (1, theta0, 1)])
     assert calls == [[2, 0, 1], [2], [0], [1]]
@@ -828,9 +865,9 @@ def test_worker_whose_manager_timed_out_exits_quietly(fitted_pieces, monkeypatch
     monkeypatch.setattr(threading, "excepthook", unhandled.append)
 
     class SlowModel(LmmModel):
-        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
+        def local_esteps(self, theta, shards):
             time.sleep(0.5)
-            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
+            return super().local_esteps(theta, shards)
 
     pool = SocketPool(SlowModel(3, 3), partition(samples, 2, seed=0))
     try:
@@ -906,10 +943,9 @@ def test_socket_reply_of_the_wrong_length_is_an_error(fitted_pieces):
 
     class LongReplyModel(LmmModel):
         # an E-step batch's block goes out whole: each row two values long
-        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
-            batch = super().local_esteps(theta, shards, subset_ids, anchor_tag)
-            batch.rows = np.concatenate([batch.rows, np.zeros((len(batch), 2))], axis=1)
-            return batch
+        def local_esteps(self, theta, shards):
+            rows = super().local_esteps(theta, shards)
+            return np.concatenate([rows, np.zeros((len(rows), 2))], axis=1)
 
     with pytest.raises(ProtocolError, match="subset 0: statistics payload of 34 values, "
                                             "expected 32"):
@@ -925,10 +961,9 @@ def test_socket_reply_the_model_cannot_unpack_is_not_counted(fitted_pieces):
 
     class LongReplyModel(LmmModel):
         # an E-step batch's block goes out whole: each row two values long
-        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
-            batch = super().local_esteps(theta, shards, subset_ids, anchor_tag)
-            batch.rows = np.concatenate([batch.rows, np.zeros((len(batch), 2))], axis=1)
-            return batch
+        def local_esteps(self, theta, shards):
+            rows = super().local_esteps(theta, shards)
+            return np.concatenate([rows, np.zeros((len(rows), 2))], axis=1)
 
     pool = SocketPool(LongReplyModel(3, 3), partition(samples, 2, seed=0))
     try:
@@ -1260,11 +1295,11 @@ def test_failing_subset_named_while_its_endpoint_answers_the_rest(
 
     class FailingModel(LmmModel):
         # fails whenever subset 0 is among the shards, alone or grouped
-        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
+        def local_esteps(self, theta, shards):
             grouped.append(len(shards))
-            if 0 in subset_ids:
+            if any(s is self.zero for s in shards):
                 raise RuntimeError("boom in 0")
-            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
+            return super().local_esteps(theta, shards)
 
         def local_logliks(self, theta, shards):
             grouped.append(len(shards))
@@ -1392,19 +1427,19 @@ def test_endpoint_unpacks_each_theta_of_a_batch_once(fitted_pieces, monkeypatch)
     pin_endpoints(monkeypatch, 2)
     unpacked, calls = [], []
 
-    class CountingModel(LmmModel):
+    class CountingModel(NamingModel):
         def unpack_theta(self, arr):
             unpacked.append((threading.get_ident(), arr.tobytes()))
             return super().unpack_theta(arr)
 
-        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
-            calls.append((anchor_tag, sorted(subset_ids)))
-            return super().local_esteps(theta, shards, subset_ids, anchor_tag)
+        def local_esteps(self, theta, shards):
+            calls.append((self.tag_of(theta), sorted(self.subset_ids(shards))))
+            return super().local_esteps(theta, shards)
 
     theta1 = Theta(np.ones(3), 2.0 * np.eye(3), 3.0)
     subsets = partition(samples, 8, seed=0)
     requests = [(k, theta0, 1) for k in (0, 1, 2, 3)] + [(k, theta1, 2) for k in (4, 5, 6, 7)]
-    model = CountingModel(3, 3)
+    model = CountingModel(3, 3, subsets, tags={1: theta0, 2: theta1})
     pool = SocketPool(model, subsets)
     try:
         got = pool.esteps(requests)
@@ -1513,20 +1548,15 @@ def test_schemes_agree_with_gamma_one(fitted_pieces):
 def test_ecme0_asserts_ascent(fitted_pieces):
     samples, _, theta0 = fitted_pieces
 
-    class DroppingModel(LmmModel):
+    class DroppingModel(NamingModel):
         """The E-step loglik header (and payload total) drops at iteration 2."""
 
-        def local_esteps(self, theta, shards, subset_ids, anchor_tag):
-            out = super().local_esteps(theta, shards, subset_ids, anchor_tag)
-            if anchor_tag != 1:
-                return out
-            (stats,) = out  # ecme0 has one worker
-            packed = self.pack_stats(stats)
-            # layout: m, n, then the hi and lo words; the last hi word is the loglik
-            packed[1 + (packed.size - 2) // 2] -= 1e3
-            dropped = self.unpack_stats(packed, stats.subset_id, anchor_tag)
-            dropped.payload.static = stats.payload.static
-            return [dropped]
+        def local_esteps(self, theta, shards):
+            rows = super().local_esteps(theta, shards)
+            if self.tag_of(theta) == 1:
+                # layout: m, n, then the hi and lo words; the last hi word is the loglik
+                rows[:, 1 + (rows.shape[1] - 2) // 2] -= 1e3
+            return rows
 
     with pytest.raises(AssertionError, match="log likelihood decreased at iteration 2"):
         run_ecme0(RunConfig(K=1), DroppingModel(3, 3), samples, theta0)

@@ -13,6 +13,7 @@ import pytest
 
 from demfit.model import ModelContract, SuffStats, check_monotone_F
 from demfit.runtime import RunConfig, run_dem, run_ecme0
+from test_runtime import pin_endpoints
 
 
 class MeansStats:
@@ -35,6 +36,12 @@ class MeansStats:
 
 
 class NormalMeans(ModelContract):
+    """The batch contract only: an E-step batch is the (n, 9) block of the
+    shards' MeansStats rows, summed per shard over the per-sample terms of
+    all shards stacked."""
+
+    stats_width = 9
+
     @staticmethod
     def _posterior(theta, subset):
         mu, vb, ve = theta
@@ -42,19 +49,37 @@ class NormalMeans(ModelContract):
         var = 1.0 / (1.0 / vb + n / ve)
         return n, s, ss, var * (s - n * mu) / ve, var
 
-    def local_loglik(self, theta, subset):
-        mu, vb, ve = theta
-        n, s, ss, _, _ = self._posterior(theta, subset)
-        r, rr, tot = s - n * mu, ss - 2 * mu * s + n * mu * mu, ve + n * vb
-        return math.fsum(-0.5 * (n * math.log(2 * math.pi) + (n - 1) * math.log(ve)
-                                 + np.log(tot) + (rr - vb * r * r / tot) / ve))
+    @staticmethod
+    def _segments(shards):
+        """Each shard's slice of the shards' samples stacked."""
+        ends = np.cumsum([len(shard) for shard in shards], dtype=int).tolist()
+        return [slice(end - len(shard), end) for shard, end in zip(shards, ends)]
 
-    def local_estep(self, theta, subset, subset_id=0, anchor_tag=0):
-        n, s, ss, b, var = self._posterior(theta, subset)
+    def _loglik_terms(self, theta, samples):
+        mu, vb, ve = theta
+        n, s, ss, _, _ = self._posterior(theta, samples)
+        r, rr, tot = s - n * mu, ss - 2 * mu * s + n * mu * mu, ve + n * vb
+        return -0.5 * (n * math.log(2 * math.pi) + (n - 1) * math.log(ve)
+                       + np.log(tot) + (rr - vb * r * r / tot) / ve)
+
+    def local_logliks(self, theta, shards):
+        terms = self._loglik_terms(theta, [g for shard in shards for g in shard])
+        return [math.fsum(terms[at]) for at in self._segments(shards)]
+
+    def local_esteps(self, theta, shards):
+        samples = [g for shard in shards for g in shard]
+        n, s, ss, b, var = self._posterior(theta, samples)
         e2 = b * b + var
-        cols = [np.ones_like(n), n, s, ss, n * b, e2, s * b, n * e2]
-        v = np.array([math.fsum(c) for c in cols] + [self.local_loglik(theta, subset)])
-        return SuffStats(subset_id, anchor_tag, MeansStats(v))
+        cols = np.array([np.ones_like(n), n, s, ss, n * b, e2, s * b, n * e2,
+                         self._loglik_terms(theta, samples)])
+        return np.array([[math.fsum(c) for c in cols[:, at]] for at in self._segments(shards)],
+                        dtype=float).reshape(len(shards), self.stats_width)
+
+    def combine_packed(self, rows, statics):
+        return MeansStats(np.sum(rows, axis=0))
+
+    def packed_logliks(self, rows):
+        return rows[:, -1]
 
     def cm_steps(self, agg, theta_current):
         count, n, s, ss, nb, e2, sb, ne2, _ = agg.payload.v
@@ -83,13 +108,17 @@ class NormalMeans(ModelContract):
         return tuple(arr.tolist())
 
     def pack_stats(self, stats):
-        return stats.payload.v
+        return stats.payload.v.copy()
 
     def unpack_stats(self, arr, subset_id, anchor_tag):
-        return SuffStats(subset_id, anchor_tag, MeansStats(np.array(arr)))
+        return SuffStats(subset_id, anchor_tag, MeansStats(arr))
 
 
 WIRE_METHODS = ("pack_theta", "unpack_theta", "pack_stats", "unpack_stats")
+# every abstract method of the contract: the batch methods, the M step, the
+# audit's path and the wire methods
+CONTRACT = ("local_esteps", "local_logliks", "combine_packed", "packed_logliks",
+            "cm_steps", "free_energy_path") + WIRE_METHODS
 THETA0 = (0.0, 1.0, 1.0)
 
 
@@ -104,10 +133,9 @@ def groups():
     return out
 
 
-@pytest.mark.parametrize("exact", [False, True])
-@pytest.mark.parametrize("completion", ["restart", "finish"])
-@pytest.mark.parametrize("gamma", [0.5, 1.0])
-def test_second_model_runs_on_both_transports(groups, gamma, completion, exact):
+def runs_on_both_transports(groups, gamma, completion, exact):
+    """Runs of the normal-means model in process and over sockets that
+    converge, pass the audit and give one trace."""
     K = 4
     subsets = [groups[k::K] for k in range(K)]
     model = NormalMeans()
@@ -126,6 +154,23 @@ def test_second_model_runs_on_both_transports(groups, gamma, completion, exact):
         assert mem.max_staleness >= 1
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("completion", ["restart", "finish"])
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+def test_second_model_runs_on_both_transports(groups, gamma, completion, exact):
+    runs_on_both_transports(groups, gamma, completion, exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("completion", ["restart", "finish"])
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+def test_second_model_runs_on_two_endpoints(groups, monkeypatch, gamma, completion, exact):
+    """The same over two socket endpoints, subsets 0 and 2 on one and 1 and
+    3 on the other."""
+    pin_endpoints(monkeypatch, 2)
+    runs_on_both_transports(groups, gamma, completion, exact)
+
+
 def test_second_model_ecme0_ascends(groups):
     model = NormalMeans()
     # run_ecme0 raises if the log likelihood ever decreases
@@ -134,10 +179,10 @@ def test_second_model_ecme0_ascends(groups):
     assert tr.final_loglik == model.local_loglik(theta, groups) > tr.logliks[0]
 
 
-@pytest.mark.parametrize("missing", WIRE_METHODS)
+@pytest.mark.parametrize("missing", CONTRACT)
 def test_contract_requires_every_wire_method(missing):
-    names = ("local_loglik", "local_estep", "cm_steps", "free_energy_path") + WIRE_METHODS
-    methods = {name: getattr(NormalMeans, name) for name in names if name != missing}
+    assert ModelContract.__abstractmethods__ == frozenset(CONTRACT)
+    methods = {name: getattr(NormalMeans, name) for name in CONTRACT if name != missing}
     with pytest.raises(TypeError, match=missing):
         type("Partial", (ModelContract,), methods)()
     assert isinstance(type("Whole", (ModelContract,), methods | {
