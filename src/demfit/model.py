@@ -132,7 +132,8 @@ class ModelContract(ABC):
 
     The pools group the requests of a batch for local_esteps and
     local_logliks as `transport.answer` says.  check_width is the one test
-    of a result's width, against stats_width.
+    of a result's width, against stats_width, which a pool requires to be
+    a positive int when it is built (a TypeError otherwise).
 
     local_estep(theta, subset, subset_id, anchor_tag) and
     local_loglik(theta, subset) are the batch of one, on the subset

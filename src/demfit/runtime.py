@@ -2,13 +2,14 @@
 
 A single manager gates the M step on a gamma-fraction of fresh worker
 E-step results and keeps the latest copy of every worker's statistics for
-the rest.  One manager loop, `run_dem`, serves every algorithm.  A seeded
-permutation of the workers fixes each iteration's completion order, from
-which the manager lists the iteration's E-step requests before any of
-them runs (when ceil(gamma * K) = K every worker is accepted, and no
-permutation is drawn); the transport pool serves the list as one batch, as it serves
-each round of loglik requests, so every run is exactly reproducible on
-either transport.  ECME (`run_ecme0`) is the loop
+the rest.  One manager loop, `run_dem`, serves every algorithm.  Each
+iteration's completion order is the next permutation of the workers drawn
+from one generator per run, seeded from (seed, K); from it the manager
+lists the iteration's E-step requests before any of them runs (when
+ceil(gamma * K) = K every worker is accepted, and no generator is built).
+The transport pool serves the list as one batch, as it serves each round
+of loglik requests, so every run is exactly reproducible on either
+transport.  ECME (`run_ecme0`) is the loop
 with one worker and gamma = 1, and the synchronous schemes (`run_scheme`)
 are gamma = 1 over K workers.
 
@@ -30,6 +31,7 @@ closing loglik round that every run makes at its final parameter.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -96,18 +98,36 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
+SCHEDULE_BLOCK = 64  # completion orders drawn at once
+
+
+def _completion_orders(seed: int, K: int):
+    """The completion orders of iterations 1, 2, ... as lists: the
+    successive `permutation(K)` draws of one generator seeded from
+    (seed, K).  `Generator.permuted` draws them SCHEDULE_BLOCK rows at a
+    time, row by row from the same stream, so a row does not depend on the
+    block it falls in."""
+    rng = np.random.default_rng([seed, K])
+    identity = np.broadcast_to(np.arange(K), (SCHEDULE_BLOCK, K))
+    while True:
+        yield from rng.permuted(identity, axis=1).tolist()
+
+
 def deterministic_schedule(
     seed: int, t: int, K: int, forced_split: bool = False
 ) -> np.ndarray:
-    """Seeded completion permutation of the workers at iteration t.
+    """The completion permutation of the workers that `run_dem` takes at
+    iteration t >= 1 of a run with this seed and K, replayed from the
+    run's stream.
 
     In forced-split mode the permutation is the identity, pinning the
     accept set to the first ceil(gamma*K) workers at every iteration.
     """
+    if t < 1 or K < 1:
+        raise ValueError(f"a completion order needs t >= 1 and K >= 1, got t={t}, K={K}")
     if forced_split:
         return np.arange(K)
-    rng = np.random.default_rng([int(seed), int(t)])
-    return rng.permutation(K)
+    return np.array(next(itertools.islice(_completion_orders(seed, K), t - 1, None)))
 
 
 def _esteps(pool, model: ModelContract, requests) -> EStepBatch:
@@ -132,29 +152,33 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
 
     A synchronous seeding round fills the cache at theta0 so the very first
     M step already has one E-step result per subset (its accept set is the
-    head of the iteration-1 permutation).  Afterwards iteration t takes its
-    fresh results in the order of `deterministic_schedule(seed, t, ...)`:
-    stale deliveries first (completion "finish"), then E steps at the last
-    broadcast until ceil(gamma * K) are in.  When ceil(gamma * K) == K
-    (gamma = 1 and `run_ecme0` among others) every worker is accepted in
-    any order, and no permutation is drawn: the requests are listed in subset order, and
-    every result, accept set and message count is what a drawn order
-    gives.  That list needs no reply, so it is sent to the pool as one
-    batch (`pool.esteps`).  The cache is the batch of the K subsets' latest
-    results, in subset order: the seeding batch, into which each later
-    batch's rows and anchor tags are assigned, while the K static parts
-    stay those of the seeding round.  The manager then reruns the
-    conditional maximization on the combined cache (`aggregate_stats`,
-    one pass over the cached rows) and broadcasts.
+    head of the iteration-1 order).  Afterwards iteration t takes its fresh
+    results in the t-th completion order of the run, the next permutation
+    of one generator seeded from (seed, K) when the run starts, which
+    `deterministic_schedule(seed, t, K)` replays: stale deliveries first
+    (completion "finish"), then E steps at the last broadcast until
+    ceil(gamma * K) are in; with "restart" nothing is in flight, and the
+    head of the order is accepted.  When ceil(gamma * K) == K (gamma = 1
+    and `run_ecme0` among others) every worker is accepted in any order,
+    and no generator is built: the requests are listed in subset order,
+    and every result, accept set and message count is what a drawn order
+    gives; `forced_split` draws nothing either.  That list needs no reply,
+    so it is sent to the pool as one batch (`pool.esteps`).  The cache is
+    the batch of the K subsets' latest results, in subset order: the
+    seeding batch, into which each later batch's rows and anchor tags are
+    assigned, while the K static parts stay those of the seeding round.
+    The manager then reruns the conditional maximization on the combined
+    cache (`aggregate_stats`, one pass over the cached rows) and
+    broadcasts.
 
     Every E step the manager starts enters an M step.  After the loop one
     loglik round at the final parameter gives `final_loglik`.  In
     exact-loglik mode iteration t >= 1 first computes L(theta_{t-1}) from
     the cached results fresh at theta_{t-1} plus one batch of loglik
-    requests to the other workers (none at gamma = 1 with "restart"), and
-    the closing round fills the last row; so the run stops at the same
-    iteration as a default-mode one and sends 2K + sum(|accept_sets[1:]|)
-    round trips plus those loglik requests.
+    requests to the other workers (at gamma = 1 none is stale, and the
+    pool is not asked), and the closing round fills the last row; so the
+    run stops at the same iteration as a default-mode one and sends
+    2K + sum(|accept_sets[1:]|) round trips plus those loglik requests.
     """
     K = len(subsets)
     if K != config.K:
@@ -166,12 +190,13 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
     in_flight: dict[int, int] = {}  # worker -> anchor tag of a pending E step
     pool = make_pool(config.transport, model, subsets)
 
-    def completion_order(t):
-        # at N == K every worker is accepted whatever the order, and each
-        # result depends on its own shard alone: no permutation is drawn
-        if N == K:
-            return range(K)
-        return deterministic_schedule(config.seed, t, K, config.forced_split)
+    # at N == K every worker is accepted whatever the order, and each
+    # result depends on its own shard alone; forced_split fixes the
+    # identity: neither draws a permutation
+    if N == K or config.forced_split:
+        orders = itertools.repeat(range(K))
+    else:
+        orders = _completion_orders(config.seed, K)
 
     try:
         theta = theta0
@@ -181,26 +206,32 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
                 cache = _esteps(pool, model, [(k, theta0, 0) for k in range(K)])
             elif t == 1:
                 # the seeding messages are iteration 1's fresh results
-                accepted = completion_order(1)[:N]
+                accepted = next(orders)[:N]
             else:
                 # (worker, theta, anchor tag) of every E step this iteration
                 # takes, fixed before any runs: no choice depends on a reply
-                requests = []
-                for k in sorted(in_flight):
-                    if len(requests) >= N:
-                        break
-                    tag = in_flight.pop(k)
-                    requests.append((k, trace.thetas[tag], tag))
-                # ordered like requests, and a dict so membership is O(1)
-                accepted = dict.fromkeys(k for k, _, _ in requests)
-                for k in completion_order(t):
-                    if k in accepted or k in in_flight:
-                        continue
-                    if len(accepted) < N:
-                        requests.append((k, theta, t - 1))
-                        accepted[k] = None
-                    elif config.completion == "finish":
-                        in_flight[k] = t - 1
+                order = next(orders)
+                if config.completion == "restart":
+                    # nothing is in flight: the head of the order is taken
+                    accepted = order[:N]
+                    requests = [(k, theta, t - 1) for k in accepted]
+                else:
+                    requests = []
+                    for k in sorted(in_flight):
+                        if len(requests) >= N:
+                            break
+                        tag = in_flight.pop(k)
+                        requests.append((k, trace.thetas[tag], tag))
+                    # ordered like requests, and a dict so membership is O(1)
+                    accepted = dict.fromkeys(k for k, _, _ in requests)
+                    for k in order:
+                        if k in accepted or k in in_flight:
+                            continue
+                        if len(accepted) < N:
+                            requests.append((k, theta, t - 1))
+                            accepted[k] = None
+                        else:
+                            in_flight[k] = t - 1
                 fresh = _esteps(pool, model, requests)
                 cache.rows[fresh.subset_ids] = fresh.rows
                 cache.anchor_tags[fresh.subset_ids] = fresh.anchor_tags
@@ -211,12 +242,14 @@ def run_dem(config: RunConfig, model: ModelContract, subsets: Sequence, theta0):
                 L = None  # the closing round or iteration 1 fills row 0
             else:
                 # L(theta_{t-1}), for row t-1: fresh replies carry their term
+                # and the others are asked; at gamma = 1 none is stale
                 at = cache.anchor_tags == t - 1
-                L = math.fsum([*_logliks(pool, np.flatnonzero(~at).tolist(), theta),
+                stale = np.flatnonzero(~at).tolist()
+                L = math.fsum([*(_logliks(pool, stale, theta) if stale else ()),
                                *model.packed_logliks(cache.rows[at])])
             if t > 0:
                 theta = model.cm_steps(agg, theta)
-                trace.accept_sets.append(sorted(int(k) for k in accepted))
+                trace.accept_sets.append(sorted(accepted))
             trace.thetas.append(theta)
             trace.anchor_tags.append(agg.anchor_tags)
             trace.wall_times.append(time.perf_counter() - t0)

@@ -351,6 +351,12 @@ class InProcessPool:
     """
 
     def __init__(self, model: ModelContract, subsets):
+        # every reply is checked against the model's row width: a model
+        # without one fails here, not at its first E step
+        width = getattr(model, "stats_width", None)
+        if isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1:
+            raise TypeError(f"{type(model).__name__}.stats_width must be a positive int, "
+                            f"got {width!r}")
         self.model = model
         self.shards = [model.prepare(subset) for subset in subsets]
         self.statics = model.static_parts(self.shards)

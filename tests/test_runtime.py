@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import socket
 from collections import Counter, defaultdict
@@ -22,6 +24,7 @@ from demfit import (
     run_ecme0,
     run_scheme,
 )
+import demfit.runtime as runtime_mod
 import demfit.transport as transport_mod
 from demfit.lmm import LmmShard
 from demfit.transport import (
@@ -155,25 +158,60 @@ def test_deterministic_schedule_properties():
                           np.arange(10))
 
 
+def test_deterministic_schedule_rejects_t_and_K_outside_the_domain():
+    """Iterations count from 1 and a run has a worker: anything else is an
+    error, with or without forced_split, not a row read from the end."""
+    for t, K in [(0, 4), (-1, 4), (-64, 4), (1, 0), (3, -2)]:
+        for forced_split in (False, True):
+            with pytest.raises(ValueError, match="t >= 1 and K >= 1"):
+                deterministic_schedule(0, t, K, forced_split)
+
+
+@pytest.mark.parametrize("block", [1, 7, runtime_mod.SCHEDULE_BLOCK])
+@pytest.mark.parametrize("K", [1, 5, 20])
+def test_schedule_row_is_the_streams_t_th_permutation(monkeypatch, K, block):
+    """Row t is the t-th permutation(K) of the generator seeded from
+    (seed, K), however many rows were drawn before it and whatever block
+    of rows it was drawn in."""
+    stream = np.random.default_rng([3, K])
+    rows = [stream.permutation(K) for _ in range(2 * runtime_mod.SCHEDULE_BLOCK + 2)]
+    monkeypatch.setattr(runtime_mod, "SCHEDULE_BLOCK", block)
+    for t in [1, 2, block, block + 1, runtime_mod.SCHEDULE_BLOCK + 1, len(rows)]:
+        assert np.array_equal(deterministic_schedule(3, t, K), rows[t - 1])
+    assert [list(row) for row in rows] == list(
+        itertools.islice(runtime_mod._completion_orders(3, K), len(rows)))
+
+
+@pytest.fixture()
+def generators_built(monkeypatch):
+    """The seeds of every numpy generator built while the fixture lives."""
+    built = []
+    make = np.random.default_rng
+
+    def recording_rng(*args, **kwargs):
+        built.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    return built
+
+
 @pytest.mark.parametrize("transport", ["in_process", "socket"])
 @pytest.mark.parametrize("completion", ["restart", "finish"])
 @pytest.mark.parametrize("exact", [False, True])
-def test_no_schedule_is_drawn_when_every_worker_is_accepted(fitted_pieces, monkeypatch,
+def test_no_schedule_is_drawn_when_every_worker_is_accepted(fitted_pieces, generators_built,
                                                             transport, completion, exact):
     """At ceil(gamma K) == K every worker is accepted whatever the order,
-    so neither run_dem nor run_ecme0 draws a permutation, and the run is
+    so neither run_dem nor run_ecme0 builds a generator, and the run is
     still the ecme0 run, bit for bit."""
     samples, model, theta0 = fitted_pieces
-
-    def no_draw(*args, **kwargs):
-        raise AssertionError("deterministic_schedule called at N == K")
-
-    monkeypatch.setattr("demfit.runtime.deterministic_schedule", no_draw)
-    _, base = run_ecme0(RunConfig(K=1), model, samples, theta0)
     K = 4
     subsets = partition(samples, K, seed=0)
+    generators_built.clear()
+    _, base = run_ecme0(RunConfig(K=1), model, samples, theta0)
     _, tr = run_dem(RunConfig(K=K, seed=2, transport=transport, completion=completion,
                               exact_loglik_check=exact), model, subsets, theta0)
+    assert generators_built == []
     assert tr.converged
     if exact:
         assert len(tr.thetas) == len(base.thetas)
@@ -185,22 +223,31 @@ def test_no_schedule_is_drawn_when_every_worker_is_accepted(fitted_pieces, monke
 
 
 @pytest.mark.parametrize("completion", ["restart", "finish"])
-def test_schedule_is_drawn_once_per_iteration_below_gamma_one(fitted_pieces, monkeypatch,
+def test_schedule_is_drawn_once_per_iteration_below_gamma_one(fitted_pieces, generators_built,
                                                              completion):
+    """A gamma < 1 run builds one generator, seeded from (seed, K), and
+    draws iteration t's order from it: the order deterministic_schedule
+    replays, whose head is the accept set of a "restart" run and of any
+    run's iteration 1.  A run at N == K, or with forced_split, builds
+    none, and a same-seed rerun is the same trace."""
     samples, model, theta0 = fitted_pieces
-    subsets = partition(samples, 4, seed=0)
-    cfg = RunConfig(K=4, gamma=0.5, seed=2, completion=completion)
+    K, seed = 4, 2
+    subsets = partition(samples, K, seed=0)
+    cfg = RunConfig(K=K, gamma=0.5, seed=seed, completion=completion)
+    generators_built.clear()
     _, ref = run_dem(cfg, model, subsets, theta0)
-    drawn = []
-
-    def recording_schedule(seed, t, K, forced_split=False):
-        drawn.append(t)
-        return deterministic_schedule(seed, t, K, forced_split)
-
-    monkeypatch.setattr("demfit.runtime.deterministic_schedule", recording_schedule)
+    assert generators_built == [([seed, K],)]
+    generators_built.clear()
+    for other in (dataclasses.replace(cfg, gamma=1.0), dataclasses.replace(cfg, forced_split=True)):
+        run_dem(other, model, subsets, theta0)
+    assert generators_built == []
+    N = cfg.accept_threshold
+    steps = range(1, len(ref.accept_sets) + 1) if completion == "restart" else [1]
+    for t in steps:
+        assert ref.accept_sets[t - 1] == sorted(deterministic_schedule(seed, t, K)[:N].tolist())
     _, tr = run_dem(cfg, model, subsets, theta0)
     assert traces_equal(tr, ref) and tr.accept_sets == ref.accept_sets
-    assert drawn == list(range(1, len(tr.thetas)))
+    assert tr.anchor_tags == ref.anchor_tags and tr.messages_sent == ref.messages_sent
 
 
 def test_gamma_one_equals_baseline(fitted_pieces):
@@ -344,6 +391,44 @@ def test_exact_run_reports_its_last_loglik(fitted_pieces, transport):
         assert refreshes > 0
         assert tr.messages_sent / 2 == (K + sum(len(a) for a in tr.accept_sets[1:])
                                         + refreshes + K)
+
+
+@pytest.mark.parametrize("transport", ["in_process", "socket"])
+@pytest.mark.parametrize("completion", ["restart", "finish"])
+@pytest.mark.parametrize("gamma", [0.4, 1.0])
+def test_exact_run_asks_no_empty_loglik_round(fitted_pieces, monkeypatch, transport,
+                                              completion, gamma):
+    """An exact-loglik iteration whose cached results are all fresh (every
+    one at gamma = 1) asks the pool for no loglik round: each round the
+    pool sees names a worker, the last is the closing round, and the
+    round trips are the seeding, accepted, refresh and closing ones."""
+    samples, model, theta0 = fitted_pieces
+    K = 5
+    subsets = partition(samples, K, seed=0)
+    asked = []
+    make = make_pool
+
+    def counting_pool(*args):
+        pool = make(*args)
+        logliks = pool.logliks
+
+        def counted(ks, theta):
+            asked.append(list(ks))
+            return logliks(ks, theta)
+
+        pool.logliks = counted
+        return pool
+
+    monkeypatch.setattr("demfit.runtime.make_pool", counting_pool)
+    _, tr = run_dem(RunConfig(K=K, gamma=gamma, seed=9, transport=transport,
+                              completion=completion, exact_loglik_check=True),
+                    model, subsets, theta0)
+    assert tr.converged
+    assert all(asked) and asked[-1] == list(range(K))
+    if gamma == 1.0:
+        assert asked == [list(range(K))]
+    assert tr.messages_sent / 2 == (K + sum(len(a) for a in tr.accept_sets[1:])
+                                    + sum(map(len, asked)))
 
 
 @pytest.mark.parametrize("transport", ["in_process", "socket"])

@@ -7,12 +7,14 @@ transports and pass the free-energy audit show that the runtime needs
 nothing of the mixed model beyond the contract.
 """
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from demfit.model import ModelContract, SuffStats, check_monotone_F
 from demfit.runtime import RunConfig, run_dem, run_ecme0
+from demfit.transport import make_pool
 from test_runtime import pin_endpoints
 
 
@@ -187,3 +189,21 @@ def test_contract_requires_every_wire_method(missing):
         type("Partial", (ModelContract,), methods)()
     assert isinstance(type("Whole", (ModelContract,), methods | {
         missing: getattr(NormalMeans, missing)})(), ModelContract)
+
+
+@pytest.mark.parametrize("width", ["missing", 0, -9, 9.0, True, "9"])
+@pytest.mark.parametrize("transport", ["in_process", "socket"])
+def test_pool_requires_a_positive_int_row_width(groups, monkeypatch, transport, width):
+    """A model without a positive int stats_width is a TypeError naming its
+    class when the pool is built, before any socket or endpoint thread."""
+    if width == "missing":
+        monkeypatch.delattr(NormalMeans, "stats_width")
+    else:
+        monkeypatch.setattr(NormalMeans, "stats_width", width)
+    subsets = [groups[k::2] for k in range(2)]
+    threads = threading.active_count()
+    with pytest.raises(TypeError, match="NormalMeans.stats_width must be a positive int"):
+        make_pool(transport, NormalMeans(), subsets)
+    with pytest.raises(TypeError, match="NormalMeans.stats_width must be a positive int"):
+        run_dem(RunConfig(K=2, transport=transport), NormalMeans(), subsets, THETA0)
+    assert threading.active_count() == threads
