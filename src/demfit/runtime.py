@@ -98,19 +98,12 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-SCHEDULE_BLOCK = 64  # completion orders drawn at once
-
-
 def _completion_orders(seed: int, K: int):
     """The completion orders of iterations 1, 2, ... as lists: the
     successive `permutation(K)` draws of one generator seeded from
-    (seed, K).  `Generator.permuted` draws them SCHEDULE_BLOCK rows at a
-    time, row by row from the same stream, so a row does not depend on the
-    block it falls in."""
+    (seed, K)."""
     rng = np.random.default_rng([seed, K])
-    identity = np.broadcast_to(np.arange(K), (SCHEDULE_BLOCK, K))
-    while True:
-        yield from rng.permuted(identity, axis=1).tolist()
+    return (rng.permutation(K).tolist() for _ in itertools.count())
 
 
 def deterministic_schedule(

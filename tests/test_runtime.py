@@ -167,16 +167,13 @@ def test_deterministic_schedule_rejects_t_and_K_outside_the_domain():
                 deterministic_schedule(0, t, K, forced_split)
 
 
-@pytest.mark.parametrize("block", [1, 7, runtime_mod.SCHEDULE_BLOCK])
 @pytest.mark.parametrize("K", [1, 5, 20])
-def test_schedule_row_is_the_streams_t_th_permutation(monkeypatch, K, block):
+def test_schedule_row_is_the_streams_t_th_permutation(K):
     """Row t is the t-th permutation(K) of the generator seeded from
-    (seed, K), however many rows were drawn before it and whatever block
-    of rows it was drawn in."""
+    (seed, K), however many rows were drawn before it."""
     stream = np.random.default_rng([3, K])
-    rows = [stream.permutation(K) for _ in range(2 * runtime_mod.SCHEDULE_BLOCK + 2)]
-    monkeypatch.setattr(runtime_mod, "SCHEDULE_BLOCK", block)
-    for t in [1, 2, block, block + 1, runtime_mod.SCHEDULE_BLOCK + 1, len(rows)]:
+    rows = [stream.permutation(K) for _ in range(40)]
+    for t in [1, 2, 17, len(rows)]:
         assert np.array_equal(deterministic_schedule(3, t, K), rows[t - 1])
     assert [list(row) for row in rows] == list(
         itertools.islice(runtime_mod._completion_orders(3, K), len(rows)))
@@ -224,28 +221,45 @@ def test_no_schedule_is_drawn_when_every_worker_is_accepted(fitted_pieces, gener
 
 @pytest.mark.parametrize("completion", ["restart", "finish"])
 def test_schedule_is_drawn_once_per_iteration_below_gamma_one(fitted_pieces, generators_built,
-                                                             completion):
+                                                             monkeypatch, completion):
     """A gamma < 1 run builds one generator, seeded from (seed, K), and
-    draws iteration t's order from it: the order deterministic_schedule
-    replays, whose head is the accept set of a "restart" run and of any
-    run's iteration 1.  A run at N == K, or with forced_split, builds
-    none, and a same-seed rerun is the same trace."""
+    draws one order from it per iteration, with either completion policy:
+    iteration t's is the order deterministic_schedule replays, whose head
+    is the accept set of a "restart" run and of any run's iteration 1.  A
+    run at N == K, or with forced_split, builds none and draws nothing,
+    and a same-seed rerun draws the same orders into the same trace."""
     samples, model, theta0 = fitted_pieces
     K, seed = 4, 2
     subsets = partition(samples, K, seed=0)
     cfg = RunConfig(K=K, gamma=0.5, seed=seed, completion=completion)
+    drawn = []
+    orders = runtime_mod._completion_orders
+
+    def recording_orders(seed, K):
+        for order in orders(seed, K):
+            drawn.append(order)
+            yield order
+
+    monkeypatch.setattr(runtime_mod, "_completion_orders", recording_orders)
     generators_built.clear()
     _, ref = run_dem(cfg, model, subsets, theta0)
     assert generators_built == [([seed, K],)]
+    ref_drawn = drawn.copy()
     generators_built.clear()
+    drawn.clear()
     for other in (dataclasses.replace(cfg, gamma=1.0), dataclasses.replace(cfg, forced_split=True)):
         run_dem(other, model, subsets, theta0)
-    assert generators_built == []
+    assert generators_built == [] and drawn == []
+    assert len(ref_drawn) == len(ref.thetas) - 1 > 2
+    assert ref_drawn == [deterministic_schedule(seed, t, K).tolist()
+                         for t in range(1, len(ref.thetas))]
     N = cfg.accept_threshold
     steps = range(1, len(ref.accept_sets) + 1) if completion == "restart" else [1]
     for t in steps:
-        assert ref.accept_sets[t - 1] == sorted(deterministic_schedule(seed, t, K)[:N].tolist())
+        assert ref.accept_sets[t - 1] == sorted(ref_drawn[t - 1][:N])
+    drawn.clear()
     _, tr = run_dem(cfg, model, subsets, theta0)
+    assert drawn == ref_drawn
     assert traces_equal(tr, ref) and tr.accept_sets == ref.accept_sets
     assert tr.anchor_tags == ref.anchor_tags and tr.messages_sent == ref.messages_sent
 
