@@ -13,8 +13,11 @@ values are summed in one pairwise tree, `DDArray.sum_segments`, which
 reduces any number of segments of rows together: an E-step batch sums
 every shard's rows in one pass, and each shard's words are bitwise those
 of the tree of its rows alone.  `DDArray.sum_rows` is its one-segment
-case.  The manager's K double-double parts, one per subset, are summed in
-one compensated pass, Sum2 of Ogita, Rump & Oishi (2005, "Accurate sum
+case.  Segments whose lengths repeat from call to call (a worker's whole
+set of shards) give their lengths as a `Segments`, which places every
+row in the padded tree once, so a call fills it with one scatter.  The
+manager's K double-double parts, one per subset, are summed in one
+compensated pass, Sum2 of Ogita, Rump & Oishi (2005, "Accurate sum
 and dot product", SIAM J. Sci. Comput. 26:1955), over their hi and then
 their lo words: a dozen array operations for any K.  `DDArray.sum_words`
 runs it over a ready (2K, width) block of those words, which a caller
@@ -41,6 +44,25 @@ def _renorm(s, e):
     hi = s + e
     lo = e - (hi - s)
     return hi, lo
+
+
+class Segments(tuple):
+    """Segment lengths, with their place in `DDArray.sum_segments`' padded
+    buffer computed once: `index` is each row's position in the buffer's
+    (size * segments) rows, and `ones` the (segments, first rows) of the
+    one-row segments.  It is the tuple of its lengths, and it pays for
+    itself when one set of lengths is summed again and again."""
+
+    def __new__(cls, lengths):
+        self = super().__new__(cls, lengths)
+        n_seg = len(self)
+        sizes = np.array(self, dtype=np.intp)
+        starts = np.cumsum(sizes) - sizes
+        self.index = ((np.arange(sizes.sum()) - np.repeat(starts, sizes)) * n_seg
+                      + np.repeat(np.arange(n_seg), sizes))
+        ones = np.flatnonzero(sizes == 1)
+        self.ones = (ones.tolist(), starts[ones].tolist())
+        return self
 
 
 class DDArray:
@@ -82,13 +104,19 @@ class DDArray:
         segment's words are bitwise those of its tree alone.  A one-row
         segment is returned as its row, untouched (a -0.0 stays -0.0), and
         an empty one as zeros.  When every segment has S rows the buffer is
-        a view of rows, and the result may share memory with them.
+        a view of rows, and the result may share memory with them.  Lengths
+        given as `Segments` fill the buffer with one scatter of every row,
+        a one-row segment's too, whose words are then set as above.
         """
         width, n_seg = rows.shape[1], len(lengths)
         size = 1 << max(max(lengths, default=0) - 1, 0).bit_length()
-        ones = []
+        ones = ([], [])  # the (segments, first rows) of the one-row segments
         if len(rows) == n_seg * size:
             hi = rows.reshape(n_seg, size, width).swapaxes(0, 1)
+        elif isinstance(lengths, Segments):
+            hi = np.zeros((size, n_seg, width))
+            hi.reshape(size * n_seg, width)[lengths.index] = rows
+            ones = lengths.ones
         else:
             # one slice copy per segment; a one-row segment stays zero in
             # the tree and gets its row back at the end
@@ -97,7 +125,8 @@ class DDArray:
             for k, n in enumerate(lengths):
                 start, end = end, end + n
                 if n == 1:
-                    ones.append((k, start))
+                    ones[0].append(k)
+                    ones[1].append(start)
                 elif n:
                     hi[:n, k] = rows[start:end]
         if size == 1:
@@ -110,9 +139,10 @@ class DDArray:
             s, e = _two_sum(hi[:size], hi[size:])
             hi, lo = _renorm(s, e + (lo[:size] + lo[size:]))
         hi, lo = hi[0], lo[0]
-        if ones:
-            k, start = map(list, zip(*ones))
+        k, start = ones
+        if k:
             hi[k] = rows[start]
+            lo[k] = 0.0
         return cls._wrap(hi, lo)
 
     @classmethod

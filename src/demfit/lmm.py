@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .ddsum import DDArray
+from .ddsum import DDArray, Segments
 from .model import (
     ConvergenceMonitor,
     ModelContract,
@@ -220,8 +220,9 @@ class Sample:
     @cached_property
     def moments(self) -> np.ndarray:
         """Flat record of the data moments, in the order `_record_layout`
-        names: n_i, y'y, X'y, X'X, then G = [X y]'Z (X'Z over y'Z), Z'Z and
-        the triangular factor R of [X y], zero-padded to (p+1) x (p+1).
+        names: the data-only statistics y'y, X'y and X'X, then the columns
+        the kernel reads, n_i, G = [X y]'Z (X'Z over y'Z), Z'Z and the
+        triangular factor R of [X y], zero-padded to (p+1) x (p+1).
 
         Computed on first use rather than at construction, so loading a
         dataset stays cheap; every later E step needs only these.
@@ -234,9 +235,10 @@ class Sample:
         R[: r.shape[0]] = r
         return np.concatenate(
             [
-                [y.size, y @ y],
+                [y @ y],
                 X.T @ y,
                 (X.T @ X).ravel(),
+                [y.size],
                 (W.T @ Z).ravel(),
                 (Z.T @ Z).ravel(),
                 R.ravel(),
@@ -256,22 +258,29 @@ def _slices(widths) -> dict:
     return out
 
 
+def _kernel_widths(p: int, q: int) -> list:
+    """(name, width) of the moments the kernel reads, in record order."""
+    return [("n", 1), ("G", (p + 1) * q), ("ZZ", q * q), ("R", (p + 1) * (p + 1))]
+
+
 @lru_cache(maxsize=16)
 def _record_layout(p: int, q: int) -> MappingProxyType:
     """Column slices of the stacked `Sample.moments` records, read-only,
-    since every caller shares them."""
-    out = _slices([
-        ("n", 1),
-        ("yy", 1),
-        ("Xy", p),
-        ("XX", p * p),
-        ("G", (p + 1) * q),
-        ("ZZ", q * q),
-        ("R", (p + 1) * (p + 1)),
-    ])
+    since every caller shares them: the data-only statistics (`const`, in
+    accumulator order), then the kernel's columns (`kernel`)."""
+    out = _slices([("yy", 1), ("Xy", p), ("XX", p * p), *_kernel_widths(p, q)])
     out["width"] = out["R"].stop
-    # the moments that are statistics as they are, in accumulator order
-    out["const"] = slice(out["yy"].start, out["XX"].stop)
+    out["const"] = slice(0, out["XX"].stop)
+    out["kernel"] = slice(out["XX"].stop, out["width"])
+    return MappingProxyType(out)
+
+
+@lru_cache(maxsize=16)
+def _kernel_layout(p: int, q: int) -> MappingProxyType:
+    """Column slices of a shard's kernel rows (`LmmShard.rows`), the
+    record's `kernel` columns: n, G, ZZ and R, 164 at p=10, q=3."""
+    out = _slices(_kernel_widths(p, q))
+    out["width"] = out["R"].stop
     return MappingProxyType(out)
 
 
@@ -441,12 +450,22 @@ class LmmSuffStats:
 
 class LmmShard:
     """A worker's subset held resident for a run (`LmmModel.prepare`): one
-    row per sample of its data moments (`Sample.moments`), and views of
-    those rows in the shapes the kernel reads.  It keeps no reference to
-    the samples.  X'Z and Z'y are the rows of one array G = [X y]'Z, so
-    Z'r = (-beta, 1) G and the E step's (X'Z b_hat, Z'y . b_hat) = G b_hat
-    are one batched product each.  Shards stack into one by stacking their
-    rows (`LmmModel._stack`).
+    kernel row per sample of its data moments (the `kernel` columns of
+    `Sample.moments`), and views of those rows in the shapes the kernel
+    reads.  It keeps no reference to the samples.  X'Z and Z'y are the rows
+    of one array G = [X y]'Z, so Z'r = (-beta, 1) G and the E step's
+    (X'Z b_hat, Z'y . b_hat) = G b_hat are one batched product each.
+    Shards stack into one by stacking their rows (`LmmModel._stack`).
+
+    A prepared shard also holds its data-only columns (`const`: y'y, X'y,
+    X'X), until a pool makes it resident (`LmmModel.reside`).  The shards
+    of one endpoint then become row ranges of one read-only block: the
+    shard is shard number `slot` of `block`, an `LmmShard` over the whole
+    block, its `rows` are a view of the block's, and `const` is None, its
+    sums kept in `static`.  The block's `segments` are the lengths of its
+    shards, laid out once (`Segments`) for the compensated tree of a batch
+    of all of them.  A shard refers to its block, and a block to none of
+    its shards, so the block dies with the last of them.
 
     The compensated tree (`DDArray.sum_segments`) reduces every column on
     its own, and each shard's words depend only on its own rows, whether it
@@ -456,26 +475,35 @@ class LmmShard:
     once, and every E step's result holds that one object, bitwise as if
     the E step had summed those columns again; a manager combines it with
     the other shards' parts once per run (`LmmStatic.combine`).  Apart
-    from that cache, and the last total the cached part keeps, a shard
-    never changes after `prepare`: each E step or loglik computes its
-    posterior afresh.
+    from that cache, the last total the cached part keeps and the move
+    into a block, a shard never changes after `prepare`: each E step or
+    loglik computes its posterior afresh.
     """
 
     static: LmmStatic | None = None
+    block: "LmmShard | None" = None  # the resident block this shard is a range of
+    slot = 0  # its place among the block's shards
+    segments: Segments | None = None  # of a block: its shards' lengths
 
-    def __init__(self, rec: np.ndarray, p: int, q: int, n_total: int | None = None):
-        c = _record_layout(p, q)
-        m = len(rec)
-        self.rec = rec  # (m, width) rows of Sample.moments
-        self.n = rec[:, 0]  # (m,) observations per sample
-        self.G = rec[:, c["G"]].reshape(m, p + 1, q)  # X'Z over the row Z'y
-        self.ZZ = rec[:, c["ZZ"]].reshape(m, q, q)
-        self.R = rec[:, c["R"]].reshape(m, p + 1, p + 1)  # triangular factor of [X y]
-        self.const = rec[:, c["const"]]  # (m, 1 + p + p*p) rows of y'y, X'y, X'X
+    def __init__(self, rows: np.ndarray, p: int, q: int, n_total: int | None = None,
+                 const: np.ndarray | None = None):
+        self._view(rows, p, q)
+        self.const = const  # (m, 1 + p + p*p) rows of y'y, X'y, X'X, or None
         self.n_total = n_total  # observations in all; None for a stack of shards
 
+    def _view(self, rows: np.ndarray, p: int, q: int) -> None:
+        """Take rows, (m, kernel width) in `_kernel_layout` order, as the
+        shard's kernel rows, with the kernel's views of them."""
+        c = _kernel_layout(p, q)
+        m = len(rows)
+        self.rows = rows
+        self.n = rows[:, 0]  # (m,) observations per sample
+        self.G = rows[:, c["G"]].reshape(m, p + 1, q)  # X'Z over the row Z'y
+        self.ZZ = rows[:, c["ZZ"]].reshape(m, q, q)
+        self.R = rows[:, c["R"]].reshape(m, p + 1, p + 1)  # triangular factor of [X y]
+
     def __len__(self) -> int:
-        return len(self.rec)
+        return len(self.rows)
 
 
 class _Posterior(NamedTuple):
@@ -525,16 +553,50 @@ class LmmModel(ModelContract):
 
     # -- resident subsets ---------------------------------------------------
     def prepare(self, subset: SubsetData | LmmShard) -> LmmShard:
-        """The subset's `Sample.moments` stacked once into a shard; a shard
+        """The subset's `Sample.moments` stacked once into a shard, whose
+        kernel rows and const rows are views of that one array; a shard
         prepares to itself."""
         if isinstance(subset, LmmShard):
             return subset
         p, q = self.p, self.q
-        width = _record_layout(p, q)["width"]
-        rec = np.array([s.moments for s in subset]) if subset else np.empty((0, width))
-        if rec.shape[1:] != (width,):
+        c = _record_layout(p, q)
+        rec = np.array([s.moments for s in subset]) if subset else np.empty((0, c["width"]))
+        if rec.shape[1:] != (c["width"],):
             raise ValueError(f"samples do not match the model's p={p}, q={q}")
-        return LmmShard(rec, p, q, int(rec[:, 0].sum()))
+        rows = rec[:, c["kernel"]]
+        return LmmShard(rows, p, q, int(rows[:, 0].sum()), rec[:, c["const"]])
+
+    def reside(self, shards: Sequence[LmmShard]) -> list:
+        """Keep the prepared shards of one endpoint resident as row ranges
+        of one read-only block, in the order given, and return their static
+        parts (`static_parts`), which are summed first.  The block holds the
+        kernel rows alone; each shard keeps its identity, its rows become a
+        view of the block, and its const rows are dropped.  A batch of all
+        the shards, in that order, then runs on the block itself (`_stack`).
+        A shard that resides already stays in its block, so building a
+        pool never moves a shard that another pool may be serving."""
+        statics = self.static_parts(shards)
+        shards = [shard for shard in shards if shard.block is None]
+        if not shards:
+            return statics
+        p, q = self.p, self.q
+        lengths = [len(shard) for shard in shards]
+        rows = np.empty((sum(lengths), _kernel_layout(p, q)["width"]))
+        # the block and its shards see the rows read-only from the start,
+        # and each shard's record is freed as soon as its rows are copied
+        frozen = rows.view()
+        frozen.setflags(write=False)
+        block = LmmShard(frozen, p, q)
+        block.segments = Segments(lengths)
+        start = 0
+        for slot, shard in enumerate(shards):
+            end = start + len(shard)
+            rows[start:end] = shard.rows
+            shard._view(frozen[start:end], p, q)
+            shard.const, shard.block, shard.slot = None, block, slot
+            start = end
+        rows.setflags(write=False)
+        return statics
 
     # -- per-sample conditional Gaussian -----------------------------------
     def _posterior(self, theta: Theta | _Thetas, shard: LmmShard) -> _Posterior:
@@ -645,12 +707,19 @@ class LmmModel(ModelContract):
 
     # -- ModelContract operations -------------------------------------------
     def _stack(self, shards: Sequence[LmmShard]) -> LmmShard:
-        """The samples of several shards as one shard, by one stacking of
-        their records; each shard's data-only sums and n_total are read
-        off the shard itself."""
+        """The samples of several shards as one shard; each shard's
+        data-only sums and n_total are read off the shard itself.  All the
+        shards of one resident block (`reside`), in its order, are the
+        block itself; any other shards are stacked by one copy of their
+        rows."""
         if len(shards) == 1:
             return shards[0]
-        return LmmShard(np.concatenate([s.rec for s in shards]), self.p, self.q)
+        block = shards[0].block
+        if (block is not None and len(shards) == len(block.segments)
+                and all(shard.block is block and shard.slot == slot
+                        for slot, shard in enumerate(shards))):
+            return block
+        return LmmShard(np.concatenate([s.rows for s in shards]), self.p, self.q)
 
     def local_logliks(self, theta: Theta, shards: Sequence[LmmShard]) -> list:
         """Local log likelihoods of several shards at one theta, from one
@@ -691,8 +760,9 @@ class LmmModel(ModelContract):
         np.sum(stacked.ZZ.reshape(m, q * q) * B, axis=1, out=rows[:, -2])
         rows[:, -1] = _finite_loglik(self._loglik(theta, stacked, post))
         # one accumulator row per shard, all shards in one segmented tree,
-        # written with its m and n as one result row of the batch's block
-        sizes = [len(shard) for shard in shards]
+        # written with its m and n as one result row of the batch's block;
+        # a resident block laid out the tree of a batch of all its shards
+        sizes = stacked.segments or [len(shard) for shard in shards]
         fresh = DDArray.sum_segments(rows, sizes)
         size = rows.shape[1]
         block = np.empty((len(shards), 2 + 2 * size))
@@ -710,8 +780,8 @@ class LmmModel(ModelContract):
         (`LmmShard.static`); a shard that has its part already keeps that
         one, and a call whose shards all have theirs sums nothing.  Two
         threads that meet a shard without its part at once may both sum
-        it, to bitwise the same words; a pool takes every part before its
-        endpoints start."""
+        it, to bitwise the same words; a pool takes every part (`reside`)
+        before its endpoints start."""
         todo = [shard for shard in shards if shard.static is None]
         if todo:
             acc = DDArray.sum_segments(np.concatenate([shard.const for shard in todo]),

@@ -105,7 +105,7 @@ class ModelContract(ABC):
       on that worker.  It must be idempotent: a shard prepares to itself.
       The default keeps the subset as it is.  A shard holds data only: no
       call leaves state in it that a later call reads, apart from caches
-      of the data alone.
+      of the data alone and the layout `reside` gives it.
     - local_esteps(theta, shards) is the (n, W) float64 block of the E
       steps of n shards at one theta, row i that of shards[i], each row
       bitwise what shards[i] gives alone.  The block is the caller's own:
@@ -116,10 +116,17 @@ class ModelContract(ABC):
       alone.
     - static_parts(shards) is the static part of each shard's statistics,
       the part that depends on its data alone, or None for each (the
-      default) for a model whose statistics all depend on theta.  A pool
-      takes them once, when it is built.  A model with static parts sums
-      a shard's once and keeps it in the shard, so a later call sums only
-      the shards that hold none yet.
+      default) for a model whose statistics all depend on theta.  A model
+      with static parts sums a shard's once and keeps it in the shard, so
+      a later call sums only the shards that hold none yet.
+    - reside(shards) keeps the prepared shards of one endpoint resident
+      together and returns their static parts.  A pool calls it once per
+      endpoint, when it is built, with that endpoint's shards in subset
+      order (the in-process pool is one endpoint), and passes the same
+      shard objects to every later call.  The default returns
+      static_parts(shards); `LmmModel` makes each shard a row range of
+      one read-only block of the columns its kernel reads, so a batch of
+      all of them, in that order, runs on that block.
     - combine_packed(rows, statics) is the payload of the results whose
       rows are rows and whose static parts are statics, combined.  The
       payload provides combine(*others), as a per-result payload does; n,
@@ -190,6 +197,9 @@ class ModelContract(ABC):
 
     def static_parts(self, shards) -> list:
         return [None] * len(shards)
+
+    def reside(self, shards) -> list:
+        return self.static_parts(shards)
 
     @abstractmethod
     def combine_packed(self, rows, statics): ...

@@ -65,14 +65,19 @@ its parameter, and fails there.  A share of a kind the endpoint does not
 serve is answered with a KIND_ERROR frame in which every request holds
 that error.
 
-An endpoint keeps nothing between batches but its prepared shards: it
-unpacks the parameters of every batch and answers from those alone.
+An endpoint keeps nothing between batches but its shards, which the pool
+made resident together when it was built (`ModelContract.reside`, with
+the endpoint's shards in subset order; for the mixed model, row ranges
+of one read-only kernel block, so a share of all of them, in subset
+order, runs on the block itself): it unpacks the parameters of every
+batch and answers from those alone.
 
 A reply carries only the statistics that depend on the E step's
 parameter.  The part of a subset's statistics that depends on its data
 alone never crosses the wire: the pool takes it from the manager's copy
-of each shard when it is built (`ModelContract.static_parts`) and
-attaches it to every batch it returns, so it adds no frame.  For the
+of each shard when it is built (`ModelContract.reside`, which returns
+the static parts) and attaches it to every batch it returns, so it adds
+no frame.  For the
 mixed model at p=10, q=3 an E-step result is 46 f64 values (m, n, and
 the hi and lo words of 22 statistics, 368 bytes), and a 20-subset
 E-step share replies with about 7.5 KB; the 111 data-only statistics
@@ -342,12 +347,13 @@ class InProcessPool:
     and the batch surface every pool serves.
 
     Each worker's subset is prepared (`model.prepare`) once, when the pool
-    is built, and that shard is what every call on the worker passes; the
-    static parts of every shard's statistics (`model.static_parts`) are
-    taken then too, and every E-step result the pool returns holds its
-    subset's.  The surface asks `_results` for a batch's outcomes and
-    hands them to `_collect`; in process, `_results` is `answer` on the
-    shards.
+    is built, and that shard is what every call on the worker passes.  The
+    shards of each endpoint (subset k on endpoint k mod E, E = 1 in
+    process) are then made resident together (`model.reside`), in subset
+    order, which also gives the static parts of their statistics; every
+    E-step result the pool returns holds its subset's.  The surface asks
+    `_results` for a batch's outcomes and hands them to `_collect`; in
+    process, `_results` is `answer` on the shards.
     """
 
     def __init__(self, model: ModelContract, subsets):
@@ -359,8 +365,17 @@ class InProcessPool:
                             f"got {width!r}")
         self.model = model
         self.shards = [model.prepare(subset) for subset in subsets]
-        self.statics = model.static_parts(self.shards)
+        K = len(self.shards)
+        E = min(K, self._endpoints())
+        self._endpoint = [k % E for k in range(K)]  # serving subset k
+        self.statics = [None] * K
+        for e in range(E):
+            self.statics[e::E] = model.reside(self.shards[e::E])
         self.messages_sent = 0
+
+    def _endpoints(self) -> int:
+        """The endpoints the pool serves its subsets from, at most."""
+        return 1
 
     def _results(self, requests, loglik: bool):
         """(block, errors) for the (k, theta, anchor_tag) requests: row i of
@@ -418,12 +433,10 @@ class SocketPool(InProcessPool):
         # carries, is taken from the manager's copy of the shard, before
         # an endpoint that shares it exists
         super().__init__(model, subsets)
-        E = min(len(self.shards), ENDPOINTS)
-        self._endpoint = [k % E for k in range(len(self.shards))]  # serving subset k
         self._conns = []
         self._threads = []
         try:
-            for e in range(E):
+            for e in sorted(set(self._endpoint)):
                 conn, endpoint_end = socket.socketpair()
                 self._conns.append(conn)
                 conn.settimeout(REPLY_TIMEOUT_S)
@@ -438,6 +451,9 @@ class SocketPool(InProcessPool):
                 endpoint_end.close()
             self.close()
             raise
+
+    def _endpoints(self) -> int:
+        return ENDPOINTS
 
     def _serve(self, conn, shards: dict):
         """Answer the request shares for the subsets of shards ({k: shard})

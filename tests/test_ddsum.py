@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from demfit.ddsum import DDArray, _two_sum
+from demfit.ddsum import DDArray, Segments, _two_sum
 
 
 def test_two_sum_exact_residual():
@@ -195,13 +195,35 @@ def test_sum_segments_match_the_oracle_tree():
             assert as_bytes(one.lo) == as_bytes(got.lo[-1])
 
 
+def test_laid_out_segments_give_the_slice_copies_bitwise():
+    """Lengths laid out once as Segments, reused on fresh rows, give every
+    segment bitwise the words its lengths give, a one-row segment's -0.0
+    and zero lo words included, with the one-row segments now inside the
+    scattered tree."""
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        lengths = [int(n) for n in rng.integers(0, 20, size=int(rng.integers(1, 25)))]
+        lengths[trial % len(lengths)] = 1
+        if trial % 4 == 0:
+            lengths[0] = 0
+        segments = Segments(lengths)
+        assert segments == tuple(lengths)
+        for _ in range(2):
+            rows = random_rows(rng, sum(lengths), 3)
+            got = DDArray.sum_segments(rows, segments)
+            want = DDArray.sum_segments(rows, lengths)
+            assert as_bytes(got.hi) == as_bytes(want.hi), trial
+            assert as_bytes(got.lo) == as_bytes(want.lo), trial
+
+
 def test_one_row_segment_is_its_row():
     """A one-row segment keeps its -0.0 entries; merging it with a padding
     row, as a batch whose longest segment has 4 rows would, loses them."""
     row = [-0.0, 1.5, -0.0]
     rows = np.array([row] + [[1.0, 2.0, 3.0]] * 4)
-    got = DDArray.sum_segments(rows, [1, 4])
-    assert as_bytes(got.hi[0]) == as_bytes(row)
-    assert as_bytes(got.lo[0]) == as_bytes([0.0] * 3)
+    for lengths in ([1, 4], Segments([1, 4])):
+        got = DDArray.sum_segments(rows, lengths)
+        assert as_bytes(got.hi[0]) == as_bytes(row)
+        assert as_bytes(got.lo[0]) == as_bytes([0.0] * 3)
     padded = oracle_tree([row, [0.0] * 3], 3)
     assert padded[0] == row and as_bytes(padded[0]) != as_bytes(row)

@@ -320,9 +320,9 @@ def test_posterior_rows_bitwise_alone_stacked_and_in_a_block(q):
 
 def _with_precisions(model, shard, ZZ):
     """A hand-built copy of shard whose Z'Z blocks are ZZ."""
-    rec = shard.rec.copy()
-    rec[:, lmm._record_layout(model.p, model.q)["ZZ"]] = np.reshape(ZZ, (len(ZZ), -1))
-    return LmmShard(rec, model.p, model.q, shard.n_total)
+    rows = shard.rows.copy()
+    rows[:, lmm._kernel_layout(model.p, model.q)["ZZ"]] = np.reshape(ZZ, (len(ZZ), -1))
+    return LmmShard(rows, model.p, model.q, shard.n_total, shard.const)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 6])
