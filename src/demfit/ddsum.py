@@ -46,6 +46,12 @@ def _renorm(s, e):
     return hi, lo
 
 
+def padded(n: int) -> int:
+    """The rows `DDArray.sum_segments` pads a segment of n rows to: the
+    least power of two at or above n, and 1 for an empty segment."""
+    return 1 << max(n - 1, 0).bit_length()
+
+
 class Segments(tuple):
     """Segment lengths, with their place in `DDArray.sum_segments`' padded
     buffer computed once: `index` is each row's position in the buffer's
@@ -109,7 +115,7 @@ class DDArray:
         a one-row segment's too, whose words are then set as above.
         """
         width, n_seg = rows.shape[1], len(lengths)
-        size = 1 << max(max(lengths, default=0) - 1, 0).bit_length()
+        size = padded(max(lengths, default=0))
         ones = ([], [])  # the (segments, first rows) of the one-row segments
         if len(rows) == n_seg * size:
             hi = rows.reshape(n_seg, size, width).swapaxes(0, 1)

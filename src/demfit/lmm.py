@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .ddsum import DDArray, Segments
+from .ddsum import DDArray, Segments, padded
 from .model import (
     ConvergenceMonitor,
     ModelContract,
@@ -540,6 +540,106 @@ def _finite_loglik(loglik: np.ndarray) -> np.ndarray:
 
 # (row, sample) pairs per block of `LmmModel.free_energy_path`
 BLOCK = 1024
+# values in one padded compensated tree of `LmmModel.static_parts`
+STATIC_BUDGET = 1 << 20
+
+
+def _tree_groups(lengths: Sequence[int], width: int) -> list:
+    """Groups of the indices of segments with these lengths, each summed in
+    one padded tree of at most STATIC_BUDGET values: all of them when their
+    one tree fits, else the segments of one padded length together, split
+    where their tree would not fit (a segment too long for the budget alone
+    still gets a tree)."""
+    if padded(max(lengths, default=0)) * len(lengths) * width <= STATIC_BUDGET:
+        return [range(len(lengths))]
+    by_size = defaultdict(list)
+    for i, n in enumerate(lengths):
+        by_size[padded(n)].append(i)
+    groups = []
+    for size, members in sorted(by_size.items()):
+        per = max(1, STATIC_BUDGET // (size * width))
+        groups.extend(members[a : a + per] for a in range(0, len(members), per))
+    return groups
+
+
+def _tag_array(anchor_tags: Sequence[Sequence[int]], K: int) -> np.ndarray:
+    """The anchor tags as one (rows, K) int array.  The first row with
+    other than K tags or with a tag outside 0..row is a ValueError naming
+    it, and the first such tag of its row."""
+    counts = [len(tags) for tags in anchor_tags]
+    R = next((j for j, n in enumerate(counts) if n != K), len(counts))
+    tags = np.fromiter(itertools.chain.from_iterable(anchor_tags[:R]), np.intp, R * K)
+    tags = tags.reshape(R, K)
+    bad = (tags < 0) | (tags > np.arange(R)[:, None])
+    if bad.any():
+        j, k = np.argwhere(bad)[0]
+        raise ValueError(f"row {j}: anchor tag {tags[j, k]} is not a row up to {j}")
+    if R < len(counts):
+        raise ValueError(f"row {R}: need one anchor tag per subset, got {counts[R]}")
+    return tags
+
+
+def _log_ratios(tau2: np.ndarray, tags: np.ndarray) -> np.ndarray:
+    """log(tau2[j] / tau2[tags[j, k]]) for each row j and subset k, by
+    `math.log` once per distinct (row, tag) pair."""
+    R = len(tags)
+    pairs, at = np.unique(np.arange(0, R * R, R)[:, None] + tags, return_inverse=True)
+    j, t = divmod(pairs, R)
+    return np.array(list(map(math.log, (tau2[j] / tau2[t]).tolist())))[at].reshape(tags.shape)
+
+
+class _AnchorPlan(NamedTuple):
+    """Where `LmmModel.free_energy_path` reads each (row, subset) anchor,
+    for (R, K) tags walked in blocks of `rows` rows over m samples, in
+    subsets with these starts and sizes.
+
+    A block stacks the anchors carried from the row before it (m), its
+    own posteriors (n m, row by row) and the copies it reads; `base` is
+    where each (row, subset) pair's anchors start in that stack.  The
+    anchor of row j for subset k is the posterior at thetas[t], t its tag:
+    the block's own when t is in j's block, and the carried one when t is
+    the tag of the row before the block.  Any other t is older than the
+    block, and each block reads one copy per such (t, k): subset k's
+    anchors, gathered out of the posterior of t's block together with the
+    other copies saved there, and dropped once read.  The copies are
+    numbered block by block, in (t, k) order within a block."""
+
+    base: np.ndarray  # (R, K) start of each pair's anchors in its block's stack
+    saves: list  # per block: (its posterior's flat rows to gather, copies, ends) or None
+    reads: list  # the copies block b reads are reads[b] up to reads[b + 1]
+
+    @classmethod
+    def build(cls, tags: np.ndarray, rows: int, starts: np.ndarray, sizes: np.ndarray,
+              m: int) -> "_AnchorPlan":
+        R, K = tags.shape
+        blocks = -(-R // rows)
+        first = np.arange(R) // rows * rows  # the first row of each row's block
+        base = np.where(tags >= first[:, None], (tags - first[:, None] + 1) * m + starts, starts)
+        j, k = np.nonzero((tags < first[:, None]) & (tags != tags[first - 1]))
+        # the copies: distinct (block, t * K + k), in block and then key order
+        copies, copy = np.unique(j // rows * (R * K) + tags[j, k] * K + k, return_inverse=True)
+        reader, key = np.divmod(copies, max(R * K, 1))
+        t, subset = np.divmod(key, max(K, 1))
+        size = sizes[subset]
+        begin = np.cumsum(size) - size
+        begin -= begin[np.searchsorted(reader, reader)]
+        base[j, k] = (np.minimum(rows, R - first[j]) + 1) * m + begin[copy]
+        reads = np.searchsorted(reader, np.arange(blocks + 1)).tolist()
+        # gathered at their home blocks, in home order
+        order = np.argsort(t, kind="stable")
+        t, subset, size = t[order], subset[order], size[order]
+        home = t // rows
+        ends = np.cumsum(size)
+        begin = ends - size
+        flat = np.repeat((t - home * rows) * m + starts[subset] - begin, size)
+        flat += np.arange(len(flat))
+        saves = [None] * blocks
+        bounds = np.searchsorted(home, np.arange(blocks + 1)).tolist()
+        for h, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if hi > lo:
+                saves[h] = (flat[begin[lo] : ends[hi - 1]], order[lo:hi].tolist(),
+                            (ends[lo:hi] - begin[lo]).tolist())
+        return cls(base, saves, reads)
 
 
 class LmmModel(ModelContract):
@@ -724,16 +824,20 @@ class LmmModel(ModelContract):
     def local_logliks(self, theta: Theta, shards: Sequence[LmmShard]) -> list:
         """Local log likelihoods of several shards at one theta, from one
         posterior and loglik pass over their samples stacked together.
-        Each sample's term comes from its own data alone, and each shard's
-        terms are summed on their own by `math.fsum`, so every value is
-        bitwise that of the shard on its own."""
+        Each sample's term comes from its own data alone, and one segmented
+        compensated tree (`DDArray.sum_segments`, over the block's laid-out
+        `segments` for a batch of a whole resident block) sums every
+        shard's terms, each rounded once from its hi + lo words.  So every
+        value is bitwise that of the shard on its own, and bitwise the
+        loglik word of its E step (`packed_logliks`), which the same tree
+        sums as one of its columns."""
         if not shards:
             return []
         stacked = self._stack(shards)
         post = self._posterior(theta, stacked)
-        terms = _finite_loglik(self._loglik(theta, stacked, post)).tolist()
-        ends = list(itertools.accumulate(len(shard) for shard in shards))
-        return [math.fsum(terms[end - len(shard) : end]) for shard, end in zip(shards, ends)]
+        terms = _finite_loglik(self._loglik(theta, stacked, post))
+        sizes = stacked.segments or [len(shard) for shard in shards]
+        return DDArray.sum_segments(terms[:, None], sizes).value()[:, 0].tolist()
 
     def local_esteps(self, theta: Theta, shards: Sequence[LmmShard]) -> np.ndarray:
         """E steps of several shards at one theta, in one pass over their
@@ -778,16 +882,23 @@ class LmmModel(ModelContract):
         segmented compensated tree (`DDArray.sum_segments`), each shard's
         words bitwise those of its own tree, and each keeps its part
         (`LmmShard.static`); a shard that has its part already keeps that
-        one, and a call whose shards all have theirs sums nothing.  Two
-        threads that meet a shard without its part at once may both sum
-        it, to bitwise the same words; a pool takes every part (`reside`)
-        before its endpoints start."""
+        one, and a call whose shards all have theirs sums nothing.  Where
+        that one tree, every shard padded to the longest one's power of
+        two, would exceed STATIC_BUDGET values, the shards are summed in
+        groups of one padded length, split where a group's tree would
+        still exceed it (`_tree_groups`), to the same words.  Two threads
+        that meet a shard without its part at once may both sum it, to
+        bitwise the same words; a pool takes every part (`reside`) before
+        its endpoints start."""
         todo = [shard for shard in shards if shard.static is None]
         if todo:
-            acc = DDArray.sum_segments(np.concatenate([shard.const for shard in todo]),
-                                       [len(shard) for shard in todo])
-            for shard, hi, lo in zip(todo, acc.hi, acc.lo):
-                shard.static = LmmStatic(DDArray._wrap(hi, lo))
+            lengths = [len(shard) for shard in todo]
+            for group in _tree_groups(lengths, todo[0].const.shape[1]):
+                part = [todo[i] for i in group]
+                acc = DDArray.sum_segments(np.concatenate([shard.const for shard in part]),
+                                           [lengths[i] for i in group])
+                for shard, hi, lo in zip(part, acc.hi, acc.lo):
+                    shard.static = LmmStatic(DDArray._wrap(hi, lo))
         return [shard.static for shard in shards]
 
     def combine_packed(self, rows: np.ndarray, statics) -> LmmSuffStats:
@@ -827,98 +938,69 @@ class LmmModel(ModelContract):
         summed Gaussian KL(posterior at thetas[anchor_tags[j][k]] ||
         posterior at thetas[j]) over its samples, in one pass.  A row
         without its point in thetas, with the wrong number of tags or with
-        a tag outside 0..j is a ValueError, raised before any posterior is
-        computed; a term that is not finite is a NumericalDomainError
-        naming the first such row and subset.
+        a tag outside 0..j is a ValueError naming the first such row,
+        raised before any posterior is computed; a term that is not finite
+        is a NumericalDomainError naming the first such row and subset.
 
-        The samples are stacked once, and the rows run in blocks of
-        max(1, BLOCK // m) over all m samples: one posterior call gives
-        every row of a block its posterior, one loglik call and one KL call
-        every term.  Each (row, sample) anchor is gathered from the
-        posterior at the row its tag names: the block's own, the anchors
-        carried from the row before the block, or a copy.  The samples of
-        the posterior at thetas[t] that a row after t's block switches to
-        are copied out at t's block, so the pass holds one block's arrays
-        beside those copies, never an array per row.  It computes
-        q log(tau2 / tau2_a) once per distinct tag of a row.  The kernels
-        treat each row and sample on its own, so every term is bitwise what
-        a call per row and subset gives.
+        The samples are stacked once, the tags are one (rows, K) int array
+        and the rows' points one `_Thetas` stack, and q log(tau2 / tau2_a)
+        is computed once per distinct (row, tag) pair.  The rows run in
+        blocks of max(1, BLOCK // m) over all m samples: one posterior call
+        gives every row of a block its posterior, one loglik call and one
+        KL call every term.  Each (row, sample) anchor is gathered from
+        the block's own posteriors, the anchors carried from the row
+        before the block, or a copy that an earlier block saved for the
+        (t, k) pairs a later block reads (`_AnchorPlan`), so the pass holds
+        one block's arrays beside those copies, never an array per row.
+        One segmented compensated tree (`DDArray.sum_segments`) sums every
+        (row, subset) loglik and KL term of a block, over the subsets'
+        lengths laid out once (`Segments`), and each sum is its hi + lo
+        rounded once, as `local_logliks` and the E step's loglik word
+        round theirs.  The kernels and the tree treat each row, sample and
+        subset on its own, so every term is bitwise what a call per row
+        and subset gives.
         """
         q, K, R = self.q, len(subsets), len(anchor_tags)
         if len(thetas) < R:
             raise ValueError(f"row {len(thetas)}: no point in thetas, which has "
                              f"{len(thetas)} for {R} rows")
-        sizes = [len(subset) for subset in subsets]
+        tags = _tag_array(anchor_tags, K)
         shard = self.prepare([s for subset in subsets for s in subset])
         m = len(shard)
-        ends = list(itertools.accumulate(sizes))
-        starts = [end - size for end, size in zip(ends, sizes)]
-        members = [np.arange(a, b) for a, b in zip(starts, ends)]
+        segments = Segments(len(subset) for subset in subsets)
+        sizes = np.array(segments, dtype=np.intp)
+        starts = np.cumsum(sizes) - sizes
         group = np.repeat(np.arange(K), sizes)
-        # switches[t]: (row, subsets) for each row where subsets take tag t
-        switches = defaultdict(list)
-        prev = [None] * K
-        for j, tags in enumerate(anchor_tags):
-            if len(tags) != K:
-                raise ValueError(f"row {j}: need one anchor tag per subset, got {len(tags)}")
-            changed = defaultdict(list)
-            for k, (tag, old) in enumerate(zip(tags, prev)):
-                if tag != old:
-                    if not 0 <= tag <= j:
-                        raise ValueError(f"row {j}: anchor tag {tag} is not a row up to {j}")
-                    changed[tag].append(k)
-            for tag, ks in changed.items():
-                switches[tag].append((j, ks))
-            prev = tags
-
+        within = np.arange(m) - starts[group]  # each sample's place in its subset
         rows = max(1, BLOCK // max(m, 1))
-        tau2 = [theta.tau2 for theta in thetas[:R]]
-        tau2_rows = np.array(tau2)
-        within = np.arange(m) - np.repeat(starts, sizes)  # each sample's place in its subset
+        plan = _AnchorPlan.build(tags, rows, starts, sizes, m)
+        tau2 = np.array([theta.tau2 for theta in thetas[:R]])
+        log_ratio = q * _log_ratios(tau2, tags)
+        stack = _Thetas.stack(thetas[:R])
         fields = ("b_hat", "Ainv", "logdet_A")  # what a KL reads of an anchor
         # the anchors of the row before the block; no row reads them at row 0
         carry = [np.empty((m, q)), np.empty((m, q, q)), np.empty(m)]
-        pending = defaultdict(list)  # row -> (subsets, their anchors) it switches to
+        copies = {}  # the saved copies not yet read, by number
         out = []
-        for j0 in range(0, R, rows):
+        for b, j0 in enumerate(range(0, R, rows)):
             j1 = min(j0 + rows, R)
             n = j1 - j0
-            block = _Thetas.stack(thetas[j0:j1])
+            block = _Thetas(*(f[j0:j1] for f in stack))
             post = self._posterior(block, shard)
-            here = defaultdict(list)  # row -> (tag, subsets) for tags in the block
-            for t in range(j0, j1):
-                for row, ks in switches.pop(t, ()):
-                    if row < j1:
-                        here[row].append((t, ks))
-                    else:
-                        idx = np.concatenate([members[k] for k in ks])
-                        pending[row].append((ks, [getattr(post, f)[t - j0, idx] for f in fields]))
-            # a row's anchors are gathered from the carried ones, the block's
-            # posteriors and the copies pending holds for the block's rows,
-            # stacked in that order; base[k] is where subset k's anchors start
-            base, size = list(starts), (n + 1) * m
-            bases, copied, log_ratio = [], [], []
-            for j in range(j0, j1):
-                for t, ks in here.pop(j, ()):
-                    for k in ks:
-                        base[k] = (1 + t - j0) * m + starts[k]
-                for ks, copies in pending.pop(j, ()):
-                    for k in ks:
-                        base[k], size = size, size + sizes[k]
-                    copied.append(copies)
-                bases.append(list(base))
-                tags = anchor_tags[j]
-                ratio = {t: q * math.log(tau2[j] / tau2[t]) for t in set(tags)}
-                log_ratio.append([ratio[t] for t in tags])
-            at = np.array(bases, dtype=np.intp).reshape(n, K)[:, group] + within
+            if plan.saves[b] is not None:
+                flat, saved, ends = plan.saves[b]
+                got = [getattr(post, f).reshape(n * m, *c.shape[1:])[flat]
+                       for c, f in zip(carry, fields)]
+                for copy, a, e in zip(saved, [0, *ends], ends):
+                    copies[copy] = [g[a:e] for g in got]
+            reads = range(plan.reads[b], plan.reads[b + 1])
+            at = plan.base[j0:j1, group] + within
             b_hat, Ainv, logdet_A = (
                 np.concatenate([c, getattr(post, f).reshape(n * m, *c.shape[1:]),
-                                *(copies[i] for copies in copied)])[at]
+                                *(copies[copy][i] for copy in reads)])[at]
                 for i, (c, f) in enumerate(zip(carry, fields)))
-            tag_rows = np.array(anchor_tags[j0:j1], dtype=np.intp).reshape(n, K)
             kl = self._kl(block, post, _Posterior(b_hat, None, None, Ainv, logdet_A),
-                          tau2_rows[tag_rows[:, group]],
-                          np.array(log_ratio).reshape(n, K)[:, group])
+                          tau2[tags[j0:j1]][:, group], log_ratio[j0:j1, group])
             loglik = self._loglik(block, shard, post)
             finite = np.isfinite(kl) & np.isfinite(loglik)
             if not finite.all():
@@ -926,10 +1008,12 @@ class LmmModel(ModelContract):
                 raise NumericalDomainError(
                     f"row {j0 + r}, subset {group[i]}: non-finite free-energy term")
             carry = [a[-1].copy() for a in (b_hat, Ainv, logdet_A)]
-            out.extend([math.fsum(ll[a:b]) - math.fsum(kk[a:b]) for a, b in zip(starts, ends)]
-                       for ll, kk in zip(loglik.tolist(), kl.tolist()))
+            for copy in reads:
+                del copies[copy]
+            terms = DDArray.sum_segments(np.concatenate((loglik, kl)).T, segments).value()
+            out.extend((terms[:, :n] - terms[:, n:]).T.tolist())
             # so the next block's arrays replace this block's, not join them
-            del post, b_hat, Ainv, logdet_A, kl, loglik
+            del post, at, b_hat, Ainv, logdet_A, kl, loglik, finite, terms
         return out
 
     # -- wire serialization --------------------------------------------------

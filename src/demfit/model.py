@@ -113,7 +113,7 @@ class ModelContract(ABC):
       and sums it, with no result object in between.
     - local_logliks(theta, shards) is the local log likelihood of each
       shard at theta, a sequence of floats, each bitwise that of the shard
-      alone.
+      alone, and bitwise the loglik of its E step at theta.
     - static_parts(shards) is the static part of each shard's statistics,
       the part that depends on its data alone, or None for each (the
       default) for a model whose statistics all depend on theta.  A model
@@ -134,7 +134,11 @@ class ModelContract(ABC):
       likelihood at the anchors.
     - packed_logliks(rows) is each row's loglik, a sequence of floats
       (a list or a 1-d array), bitwise local_logliks of its shard at its
-      anchor.
+      anchor.  These equalities hold by construction when every sum of a
+      shard's per-sample terms is one and the same summation: `LmmModel`
+      sums them in one compensated tree per shard (`DDArray.sum_segments`)
+      in its E step, its local_logliks and its free_energy_path, each sum
+      its hi + lo words rounded once.
     - cm_steps(agg, theta) is the M step on an aggregate.
 
     The pools group the requests of a batch for local_esteps and

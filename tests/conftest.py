@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from demfit import LmmModel, Sample, SimDesign, Theta, simulate
+from demfit.ddsum import DDArray
 
 
 def random_sample(rng, p, q, n_i=None):
@@ -24,13 +25,14 @@ def random_theta(rng, p, q):
 
 def local_kl(model, theta_eval, theta_anchor, subset):
     """Sum over a subset's samples of the Gaussian KL(posterior at
-    theta_anchor || posterior at theta_eval), from the kernels the
-    free-energy audit runs."""
+    theta_anchor || posterior at theta_eval), from the kernels and the
+    compensated tree the free-energy audit runs."""
     shard = model.prepare(subset)
     post = model._posterior(theta_eval, shard)
     anchor = model._posterior(theta_anchor, shard)
     log_ratio = model.q * math.log(theta_eval.tau2 / theta_anchor.tau2)
-    return math.fsum(model._kl(theta_eval, post, anchor, theta_anchor.tau2, log_ratio))
+    terms = model._kl(theta_eval, post, anchor, theta_anchor.tau2, log_ratio)
+    return float(DDArray.sum_rows(terms[:, None]).value()[0])
 
 
 def theta_bytes(theta):

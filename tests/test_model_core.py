@@ -320,30 +320,44 @@ def test_path_blocks_match_subset_definition(small_dataset, monkeypatch):
     """Blocks of 1, 2 and 3 rows, and the default, give every row and
     subset bitwise its per-subset definition, on a trace and on the rows
     of evaluate_F, whose last row takes the subsets back to earlier
-    points."""
+    points.  Besides the trace's tags, random ones move each subset to its
+    previous row, to itself or to any earlier row, and back.  Besides the
+    trace's partition, subsets of 0, 1, 2 and 17 samples take the tags of
+    four of its subsets: the block's tree pads them to 32 rows, returns
+    the one-row subset's terms untouched and sums the empty one to 0."""
     samples = small_dataset[0]
     model, subsets, tr, tags = _finish_run(samples)
-    mixed = [t for t, row in enumerate(tr.anchor_tags) if len(set(row)) > 2]
-    assert mixed
-    for per_block in (1, 2, 3, None):
-        if per_block:
-            monkeypatch.setattr(lmm, "BLOCK", per_block * len(samples))
-        else:
-            monkeypatch.undo()
-        rows = model.free_energy_path(tr.thetas, tags, subsets)
-        assert len(rows) == len(tr.thetas)
-        for theta, row, terms in zip(tr.thetas, tags, rows):
-            assert terms == [model.local_loglik(theta, subset)
-                             - local_kl(model, theta, tr.thetas[t], subset)
-                             for t, subset in zip(row, subsets)]
-        for t in mixed:
-            theta = tr.thetas[t]
-            anchors = [tr.thetas[tag] for tag in tags[t]]
-            expected = 0.0
-            for anchor, subset in zip(anchors, subsets):
-                expected += -local_kl(model, theta, anchor, subset) + model.local_loglik(
-                    theta, subset)
-            assert evaluate_F(theta, anchors, model, subsets) == expected
+    rng = np.random.default_rng(35)
+    random_tags = [[0] * len(subsets)]
+    for j in range(1, len(tr.thetas)):
+        random_tags.append([int(rng.choice([t, j - 1, j, rng.integers(j)]))
+                            for t in random_tags[-1]])
+    unequal = [[], samples[:1], samples[1:3], samples[3:20]]
+    unequal_tags = [[row[k] for k in (4, 0, 1, 3)] for row in tags]
+    for parts, part_tags in ((subsets, tags), (subsets, random_tags),
+                             (unequal, unequal_tags)):
+        m = sum(map(len, parts))
+        mixed = [t for t, row in enumerate(part_tags) if len(set(row)) > 2]
+        assert mixed
+        for per_block in (1, 2, 3, None):
+            if per_block:
+                monkeypatch.setattr(lmm, "BLOCK", per_block * m)
+            else:
+                monkeypatch.undo()
+            rows = model.free_energy_path(tr.thetas, part_tags, parts)
+            assert len(rows) == len(tr.thetas)
+            for theta, row, terms in zip(tr.thetas, part_tags, rows):
+                assert terms == [model.local_loglik(theta, subset)
+                                 - local_kl(model, theta, tr.thetas[t], subset)
+                                 for t, subset in zip(row, parts)]
+            for t in mixed:
+                theta = tr.thetas[t]
+                anchors = [tr.thetas[tag] for tag in part_tags[t]]
+                expected = 0.0
+                for anchor, subset in zip(anchors, parts):
+                    expected += -local_kl(model, theta, anchor, subset) + model.local_loglik(
+                        theta, subset)
+                assert evaluate_F(theta, anchors, model, parts) == expected
 
 
 def test_path_memory_does_not_grow_with_rows(small_dataset):

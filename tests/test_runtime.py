@@ -39,7 +39,7 @@ from demfit.transport import (
     read_frame,
     write_frame,
 )
-from conftest import point_bytes, theta_bytes
+from conftest import point_bytes, random_sample, theta_bytes
 
 
 def pin_endpoints(monkeypatch, n: int):
@@ -481,6 +481,46 @@ def test_fresh_estep_loglik_is_local_loglik(fitted_pieces, K):
             shard = model.prepare(subset)
             fresh = model.local_estep(theta, shard).payload.loglik
             assert fresh == model.local_loglik(theta, model.prepare(subset))
+
+
+class FixedTermsModel(LmmModel):
+    """The mixed model with each sample's loglik term fixed by its number of
+    observations: a subset of samples with 1, 2 and 3 of them sums TERMS,
+    whose exact sum lies so near a rounding tie that a compensated tree and
+    math.fsum round it to neighbouring doubles."""
+
+    TERMS = np.array([8.020612738383506e-16, -6.5027558551801496e16, 1.4499608635164387e17])
+
+    def _loglik(self, theta, shard, post):
+        shape = super()._loglik(theta, shard, post).shape
+        return np.broadcast_to(self.TERMS[shard.n.astype(np.intp) - 1], shape).copy()
+
+
+@pytest.mark.parametrize("transport", ["in_process", "socket"])
+def test_every_shard_loglik_is_one_tree(transport):
+    """A shard's loglik is one compensated tree of its terms wherever it is
+    summed: its E step's loglik word, local_logliks and a free-energy row
+    whose tags all name that row agree bitwise, where math.fsum would give
+    another double.  So an exact-loglik run records at every row the sum
+    of local_loglik over the subsets, whichever of them were fresh."""
+    rng = np.random.default_rng(35)
+    subsets = [[random_sample(rng, 2, 1, n_i) for n_i in (1, 2, 3)] for _ in range(4)]
+    model = FixedTermsModel(2, 1)
+    theta = Theta.default_start(2, 1)
+    shard = model.prepare(subsets[0])
+    (packed,) = model.packed_logliks(model.local_esteps(theta, [shard]))
+    (local,) = model.local_logliks(theta, [shard])
+    ((path,),) = model.free_energy_path([theta], [[0]], [subsets[0]])
+    assert packed == local == path == model.local_loglik(theta, subsets[0])
+    assert local != math.fsum(FixedTermsModel.TERMS)
+    _, tr = run_dem(RunConfig(K=4, gamma=0.5, seed=2, transport=transport,
+                              exact_loglik_check=True),
+                    model, subsets, Theta.default_start(2, 1))
+    # some row mixes fresh loglik words with loglik replies
+    assert any(0 < sum(tag == t - 1 for tag in tags) < 4
+               for t, tags in enumerate(tr.anchor_tags[1:], 1))
+    assert tr.logliks == [math.fsum(model.local_loglik(theta, s) for s in subsets)
+                          for theta in tr.thetas]
 
 
 class PosteriorCountingModel(LmmModel):

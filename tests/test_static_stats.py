@@ -1,6 +1,8 @@
 """The data-only part of the mixed model's E-step statistics: summed once
 per shard and once per run, never packed, and bitwise what one pass over
 every column gives."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from demfit import (
     run_dem,
     simulate,
 )
+from demfit import lmm
 from demfit.ddsum import DDArray
+from demfit.lmm import LmmShard
 from demfit.transport import make_pool
 from conftest import random_sample, random_theta
 
@@ -153,3 +157,42 @@ def test_packed_estep_result_holds_the_theta_dependent_words(p, q):
     back.payload.static = stats.payload.static
     for got, want in zip(back.payload.values(), stats.payload.values()):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_static_parts_tree_stays_within_its_budget(monkeypatch):
+    """One 1024-sample shard beside 38 two-sample ones, at p=10: a single
+    padded tree would pad every shard to 1024 rows of 111 columns, 35 MB
+    per array of the tree where the rows hold 1 MB.  static_parts sums the
+    shards in groups of one padded length instead, so its traced peak
+    stays within a few trees of STATIC_BUDGET values, and each part is
+    bitwise its shard's own sum_rows.  Shards whose one tree fits the
+    budget, as 20 five-sample ones do, are still summed in one tree."""
+    p, q = 10, 3
+    model = LmmModel(p, q)
+    rng = np.random.default_rng(35)
+    width = lmm._kernel_layout(p, q)["width"]
+
+    def shard(n):
+        return LmmShard(np.zeros((n, width)), p, q, n, rng.standard_normal((n, 1 + p + p * p)))
+
+    shards = [shard(1024)] + [shard(2) for _ in range(38)]
+    tracemalloc.start()
+    try:
+        statics = model.static_parts(shards)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * lmm.STATIC_BUDGET
+    for one, static in zip(shards, statics):
+        ref = DDArray.sum_rows(one.const)
+        assert np.array_equal(static.acc.hi, ref.hi) and np.array_equal(static.acc.lo, ref.lo)
+    trees = []
+    sum_segments = DDArray.sum_segments.__func__
+
+    def recording_sum_segments(cls, rows, lengths):
+        trees.append(len(lengths))
+        return sum_segments(cls, rows, lengths)
+
+    monkeypatch.setattr(DDArray, "sum_segments", classmethod(recording_sum_segments))
+    model.static_parts([shard(5) for _ in range(20)])
+    assert trees == [20]
