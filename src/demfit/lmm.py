@@ -69,6 +69,18 @@ def _strict_upper(q: int) -> tuple:
 
 
 @lru_cache(maxsize=16)
+def _unpack_plan(p: int, q: int) -> tuple:
+    """Where a packed parameter's words go and what `unpack_theta` checks:
+    the position in the p + q*q buffer of beta and then L (row-major) of
+    each word but tau2, and the positions in the packed array (a tuple)
+    of the diagonal of L and of tau2, the words that must be positive."""
+    rows, cols, diag = _tril(q)
+    dest = np.concatenate((np.arange(p), p + rows * q + cols))
+    dest.setflags(write=False)
+    return dest, (*(p + np.flatnonzero(diag)).tolist(), p + rows.size)
+
+
+@lru_cache(maxsize=16)
 def _eye(q: int) -> np.ndarray:
     """The q x q identity, read-only, since every caller shares it."""
     out = np.eye(q)
@@ -127,6 +139,16 @@ class Theta:
             raise NumericalDomainError("L must be lower triangular")
         if not np.minimum.reduce(L.diagonal(), initial=np.inf) > 0:
             raise NumericalDomainError("L must have a positive diagonal")
+
+    @classmethod
+    def _adopt(cls, beta: np.ndarray, L: np.ndarray, tau2: float) -> "Theta":
+        """The point of fields that already pass `__post_init__`'s checks,
+        taken as they are: beta and L must be read-only views of one
+        private float64 buffer, L square and C-contiguous, and tau2 a
+        float."""
+        theta = object.__new__(cls)
+        theta.__dict__.update(beta=beta, L=L, tau2=tau2)
+        return theta
 
     @_cached
     def Dinv(self) -> np.ndarray:
@@ -1022,15 +1044,30 @@ class LmmModel(ModelContract):
         return np.concatenate([theta.beta, theta.L[rows, cols], [theta.tau2]])
 
     def unpack_theta(self, arr: np.ndarray) -> Theta:
-        """The Theta pack_theta packed; an array of another length is a
-        ProtocolError."""
+        """The Theta pack_theta packed.  An array of another length is a
+        ProtocolError.  Otherwise the words are scattered once into one
+        private buffer, beta and then L row-major, the upper triangle of L
+        zero, and beta and L are read-only views of it, as `Theta` makes
+        them.  One test of the packed words passes a valid point: all
+        finite, and the diagonal of L and tau2 positive.  Any other point
+        goes to `Theta` itself, which raises the exception and message it
+        raises for those values, its checks in their order; so the fields,
+        and the terms derived from them, are bitwise those of
+        `Theta(beta, L, tau2)` built from the same values."""
         p, q = self.p, self.q
-        rows, cols, _ = _tril(q)
-        if len(arr) != p + rows.size + 1:
-            raise ProtocolError(f"parameter of {len(arr)} values, expected {p + rows.size + 1}")
-        L = np.zeros((q, q))
-        L[rows, cols] = arr[p : p + rows.size]
-        return Theta(arr[:p], L, float(arr[-1]))
+        dest, positive = _unpack_plan(p, q)
+        if len(arr) != dest.size + 1:
+            raise ProtocolError(f"parameter of {len(arr)} values, expected {dest.size + 1}")
+        values = np.zeros(p + q * q)
+        values[dest] = arr[:-1]
+        words = arr.tolist()
+        tau2 = float(words[-1])
+        # a sum that is finite has no NaN or inf among its terms; finite
+        # terms whose sum overflows go to Theta, which accepts them
+        if not (math.isfinite(sum(words)) and min(map(words.__getitem__, positive)) > 0):
+            return Theta(values[:p], values[p:].reshape(q, q), tau2)
+        values.setflags(write=False)
+        return Theta._adopt(values[:p], values[p:].reshape(q, q), tau2)
 
     def pack_stats(self, stats: SuffStats) -> np.ndarray:
         return stats.payload.pack()

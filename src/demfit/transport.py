@@ -10,22 +10,29 @@ at a time, for a pool that offers nothing else (a wrapper that times
 each request, say).  An E-step batch's results are one `EStepBatch`: the
 (n, W) block of their `pack_stats` rows, W values each, with their
 subset ids, anchor tags and static parts; indexing it gives a request's
-SuffStats, while the manager caches and sums the block as it is.  The
-pools differ in one hook, `_results(requests, loglik)`, which returns
-(block, errors): row i of the block is request i's result, unless errors
-maps i to the exception it met.  In process it is `answer` on the
-pool's shards, over sockets a round trip to endpoints that answer
+SuffStats, while the manager caches and sums the block as it is.
+
+Inside the surface a batch has one form, arrays, on both pools and on
+both ends of the wire: its distinct parameters, each listed once in the
+order it first appears, and an (n, 3) int64 table of each request's
+(subset, anchor tag, parameter index).  The pool converts the manager's
+request list to it once (`_batch`); a loglik round is that form from the
+start.  The pools differ in one hook, `_results(thetas, table, loglik)`,
+which returns (block, errors): row i of the block is request i's result,
+unless errors maps i to the exception it met.  In process it is `answer`
+on the pool's shards, over sockets a round trip to endpoints that answer
 through `answer` too.  The surface then counts 2 messages (request out,
 reply back) per answered request in `messages_sent` and raises the
 failure of the earliest failed request, so a failure does not stop its
-batch.  `answer` makes the E-step requests that share a parameter one
-`local_esteps` call, whose block is the batch's own when it covers every
-request, a loglik round at one parameter one `local_logliks` call, and
-a lone request one `local_estep` or `local_loglik` call, the batch of
-one; the anchor tag routes a result, and no model call sees it.  The
-manager loop builds every batch before sending it, so it fully
-determines what is computed, and the resulting traces are identical
-across transports.
+batch.  `answer` groups the requests by parameter index with array
+operations, and the requests at one parameter are one `local_esteps` or
+`local_logliks` call on their shards, gathered with no Python step per
+request; that call's block is the batch's own when it covers every
+request.  A lone request is one `local_estep` or `local_loglik` call,
+the batch of one.  The anchor tag routes a result, and no model call
+sees it.  The manager loop builds every batch before sending it, so it
+fully determines what is computed, and the resulting traces are
+identical across transports.
 
 Socket wire format: the K subsets are served by E = min(K, ENDPOINTS)
 endpoints, each a thread holding a round-robin share of the prepared
@@ -57,13 +64,20 @@ reply is malformed, as our endpoints, which write a rectangular block,
 never send.  The model then checks the width of the rows that succeeded
 in one call (`check_width`).  An endpoint answers only after it has read
 its whole share, so it never writes while its manager may still be
-writing to it; it unpacks each parameter of its share once and answers
-the share through `answer`, and it goes on serving after a failed
-request.  A request whose parameter does not unpack, or whose subset the
-endpoint does not serve, carries that exception to `answer` in place of
-its parameter, and fails there.  A share of a kind the endpoint does not
-serve is answered with a KIND_ERROR frame in which every request holds
-that error.
+writing to it.  It reads the share's table in place, a view of the
+frame checked with one array test of its parameter indices
+(`_split_request`), unpacks each parameter of the share once, and
+answers the share through `answer`: a share at one parameter on subsets
+the endpoint serves is one model call.  The batch's table is laid out
+row by row as a frame holds it, so a share of the whole batch sends that
+table as it is, and a share of part of it sends a copy of its rows, each
+parameter index renumbered with array operations in the order the share
+first names it.  A request whose parameter does not unpack fails with
+that exception, and one whose subset the endpoint does not serve with
+the ProtocolError its shard lookup raises; the endpoint goes on serving
+after a failed request.  A share of a kind the endpoint does not serve
+is answered with a KIND_ERROR frame in which every request holds that
+error.
 
 An endpoint keeps nothing between batches but its shards, which the pool
 made resident together when it was built (`ModelContract.reside`, with
@@ -106,10 +120,10 @@ a malformed frame or request share, closes it and exits quietly.
 """
 from __future__ import annotations
 
+import itertools
 import socket
 import struct
 import threading
-from collections import defaultdict
 
 import numpy as np
 
@@ -157,10 +171,13 @@ def _recv_exact(sock, n: int, frame_start: bool = False) -> bytearray:
     buf = bytearray(min(n, _CHUNK))
     got = 0
     while got < n:
-        if got == len(buf):
-            buf.extend(bytes(min(got, n - got)))
-        with memoryview(buf) as view, view[got:] as rest:
-            k = sock.recv_into(rest)
+        if not got:
+            k = sock.recv_into(buf)  # most frames arrive whole
+        else:
+            if got == len(buf):
+                buf.extend(bytes(min(got, n - got)))
+            with memoryview(buf) as view, view[got:] as rest:
+                k = sock.recv_into(rest)
         if not k:
             where = "" if frame_start and not got else " mid-frame"
             raise ConnectionError(f"peer closed connection{where}")
@@ -204,7 +221,8 @@ def _int_words(values) -> np.ndarray:
 
 
 def _split_request(n: int, T: int, payload: np.ndarray):
-    """The n (subset, anchor tag, parameter index) rows of a request share
+    """The (n, 3) int64 table of a request share's (subset, anchor tag,
+    parameter index) rows, a view of the payload as it lies in the frame,
     and its T packed parameters.  A share of n >= 1 rows holds 1 <= T <= n
     parameters of at least one value each, and a share of no rows none.
     Any other T, a table longer than the payload, a parameter section that
@@ -219,10 +237,11 @@ def _split_request(n: int, T: int, payload: np.ndarray):
     width, extra = divmod(rest, T) if T else (0, rest)
     if extra or (T and not width):
         raise ProtocolError(f"{rest} parameter values do not split into {T} parameters")
-    rows = payload[: 3 * n].view("<i8").reshape(n, 3).tolist()
-    if any(not 0 <= j < T for _, _, j in rows):
+    table = payload[: 3 * n].view("<i8").reshape(n, 3)
+    # a negative index reads as an unsigned one past any T
+    if np.logical_or.reduce(table[:, 2].view("<u8") >= T):
         raise ProtocolError(f"request table names a parameter outside 0..{T - 1}")
-    return rows, payload[3 * n :].reshape(T, width)
+    return table, payload[3 * n :].reshape(T, width)
 
 
 def _reply_payload(block: np.ndarray, errors: dict) -> np.ndarray:
@@ -294,52 +313,113 @@ def _gather(n: int, parts) -> np.ndarray:
     return out
 
 
-def answer(model: ModelContract, shards, requests, loglik: bool = False):
-    """(block, errors) for the (k, theta, anchor_tag) requests on shards[k]:
-    row i of the (n, w) block is request i's result, its `pack_stats` row,
-    or with loglik its local log likelihood as a row of one value, unless
-    errors maps i to the exception its work raised.  A request whose theta
-    is an exception (a parameter its endpoint could not unpack, say) fails
-    with it, before any work.  The requests that share a theta (the same
-    object) are one `local_esteps` or `local_logliks` call, whose block is
+def _batch(requests):
+    """The array form of (k, theta, anchor_tag) requests: their distinct
+    thetas, each listed once in the order it first appears, and the (n, 3)
+    int64 table of each request's (subset, anchor tag, theta index), laid
+    out row by row as a request frame holds it."""
+    n = len(requests)
+    table = np.zeros((n, 3), dtype="<i8")
+    if not n:
+        return [], table
+    ks, thetas, tags = zip(*requests)
+    table[:, 0] = ks
+    table[:, 1] = tags
+    ids = list(map(id, thetas))
+    if ids.count(ids[0]) == n:
+        return [thetas[0]], table
+    distinct = dict(zip(ids, thetas))  # keyed in first-appearance order
+    index = {key: j for j, key in enumerate(distinct)}
+    table[:, 2] = list(map(index.__getitem__, ids))
+    return list(distinct.values()), table
+
+
+def _request_payload(table: np.ndarray, packed, whole: bool):
+    """(payload, T) of the request share whose (n, 3) table is a batch's
+    or, unless whole, a private copy of some of its rows: the table as it
+    is, then the T packed parameters it names.  The batch's parameter
+    indices count in the order the batch first names each, and so do a
+    whole share's; a part's are renumbered in place, in the order the
+    share first names each, and it holds only those."""
+    order = range(len(packed))
+    if not whole and len(packed) > 1:
+        js = table[:, 2]
+        order = list(dict.fromkeys(js.tolist()))
+        rank = np.empty(len(packed), dtype="<i8")
+        rank[order] = np.arange(len(order))
+        table[:, 2] = rank[js]
+    share = [packed[j] for j in order]
+    return np.concatenate([table.view("<f8").ravel(), *share]), len(share)
+
+
+def _groups(table: np.ndarray, T: int) -> list:
+    """(theta index, positions of its requests) of each theta index 0..T-1
+    that has any, in index order, the positions an increasing int array."""
+    if T == 1:
+        return [(0, np.arange(len(table)))]
+    js = table[:, 2]
+    order = np.argsort(js, kind="stable")
+    ends = list(itertools.accumulate(np.bincount(js, minlength=T).tolist()))
+    return [(j, order[a:b]) for j, (a, b) in enumerate(zip([0, *ends], ends)) if a < b]
+
+
+def answer(model: ModelContract, shards, thetas, table: np.ndarray, loglik: bool = False):
+    """(block, errors) for a batch in array form: thetas, and the (n, 3)
+    table of each request's (subset k, anchor tag, index into thetas), on
+    shards[k].  Row i of the (n, w) block is request i's result, its
+    `pack_stats` row, or with loglik its local log likelihood as a row of
+    one value, unless errors maps i to the exception its work raised.  A
+    request whose theta is an exception (a parameter its endpoint could
+    not unpack, say) fails with it, before any work.  The requests at one
+    theta are one `local_esteps` or `local_logliks` call on their shards,
+    gathered without a Python step per request, and that call's block is
     the answer itself when it covers every request; a lone request is one
     `local_estep` or `local_loglik` call.  A grouped call that raises is
     retried one request at a time, so each failure is its own request's."""
-    groups = defaultdict(list)  # id(theta) -> request positions
-    parts, errors = [], {}
-    for i, (_, theta, _) in enumerate(requests):
+    n = len(table)
+    parts, errors, pending = [], {}, []
+    for j, idx in _groups(table, len(thetas)) if n else ():
+        theta = thetas[j]
         if isinstance(theta, Exception):
-            errors[i] = theta
+            errors.update(dict.fromkeys(idx.tolist(), theta))
         else:
-            groups[id(theta)].append(i)
-    pending = list(groups.values())
+            pending.append((idx, theta))
     while pending:
-        idx = pending.pop(0)
+        idx, theta = pending.pop(0)
+        rows = table if len(idx) == n else table[idx]
         try:
-            parts.append((idx, _answer_group(model, shards, [requests[i] for i in idx], loglik)))
+            parts.append((idx, _answer_group(model, shards, theta, rows, loglik)))
         except Exception as exc:
             if len(idx) == 1:
-                errors[idx[0]] = exc
+                errors[int(idx[0])] = exc
             else:
-                pending[:0] = [[i] for i in idx]
-    return _gather(len(requests), parts), errors
+                pending[:0] = [(idx[i : i + 1], theta) for i in range(len(idx))]
+    return _gather(n, parts), errors
 
 
-def _answer_group(model: ModelContract, shards, requests, loglik: bool) -> np.ndarray:
-    """The block of results of requests that share one theta; what the
-    model raises propagates."""
-    ks = [k for k, _, _ in requests]
-    _, theta, tag = requests[0]
+def _answer_group(model: ModelContract, shards, theta, rows: np.ndarray, loglik: bool):
+    """The block of results of the requests of table rows that share one
+    theta; what the model raises propagates."""
     # a lone request keeps the per-request call, which the benchmark's
     # tracer times; it goes once that tracer times the batched calls
-    if len(ks) == 1:
+    if len(rows) == 1:
+        k, tag, _ = rows[0].tolist()
         if loglik:
-            return np.array([[model.local_loglik(theta, shards[ks[0]])]])
-        stats = model.local_estep(theta, shards[ks[0]], subset_id=ks[0], anchor_tag=tag)
+            return np.array([[model.local_loglik(theta, shards[k])]])
+        stats = model.local_estep(theta, shards[k], subset_id=k, anchor_tag=tag)
         return model.pack_stats(stats)[None]
+    group = list(map(shards.__getitem__, rows[:, 0].tolist()))
     if loglik:
-        return np.array(model.local_logliks(theta, [shards[k] for k in ks]))[:, None]
-    return model.local_esteps(theta, [shards[k] for k in ks])
+        return np.array(model.local_logliks(theta, group))[:, None]
+    return model.local_esteps(theta, group)
+
+
+class _Served(dict):
+    """An endpoint's shards by subset, where a subset it does not serve is
+    a ProtocolError saying so, raised by the lookup."""
+
+    def __missing__(self, k):
+        raise ProtocolError(f"subset {k} is not served by this endpoint")
 
 
 class InProcessPool:
@@ -367,7 +447,7 @@ class InProcessPool:
         self.shards = [model.prepare(subset) for subset in subsets]
         K = len(self.shards)
         E = min(K, self._endpoints())
-        self._endpoint = [k % E for k in range(K)]  # serving subset k
+        self._endpoint = np.arange(K) % max(E, 1)  # serving subset k
         self.statics = [None] * K
         for e in range(E):
             self.statics[e::E] = model.reside(self.shards[e::E])
@@ -377,18 +457,19 @@ class InProcessPool:
         """The endpoints the pool serves its subsets from, at most."""
         return 1
 
-    def _results(self, requests, loglik: bool):
-        """(block, errors) for the (k, theta, anchor_tag) requests: row i of
-        the block is request i's result, unless errors maps i to the
-        exception it met."""
-        return answer(self.model, self.shards, requests, loglik)
+    def _results(self, thetas, table: np.ndarray, loglik: bool):
+        """(block, errors) for a batch in array form, thetas and its (n, 3)
+        table of (subset, anchor tag, theta index) rows: row i of the block
+        is request i's result, unless errors maps i to the exception it
+        met."""
+        return answer(self.model, self.shards, thetas, table, loglik)
 
-    def _collect(self, requests, loglik: bool) -> np.ndarray:
-        """The block of the requests' results, each answered request
-        counted (request out, reply back); a failure raises that of the
-        earliest failed request."""
-        block, errors = self._results(requests, loglik)
-        self.messages_sent += 2 * (len(requests) - len(errors))
+    def _collect(self, thetas, table: np.ndarray, loglik: bool) -> np.ndarray:
+        """The block of the batch's results, each answered request counted
+        (request out, reply back); a failure raises that of the earliest
+        failed request."""
+        block, errors = self._results(thetas, table, loglik)
+        self.messages_sent += 2 * (len(table) - len(errors))
         if errors:
             raise errors[min(errors)]
         return block
@@ -396,13 +477,17 @@ class InProcessPool:
     def esteps(self, requests) -> EStepBatch:
         """The batch of the (k, theta, anchor_tag) requests' results, in
         their order."""
-        ks = [k for k, _, _ in requests]
-        return EStepBatch(self.model, self._collect(requests, loglik=False), ks,
-                          [tag for _, _, tag in requests], [self.statics[k] for k in ks])
+        thetas, table = _batch(requests)
+        block = self._collect(thetas, table, loglik=False)
+        ks = table[:, 0]
+        return EStepBatch(self.model, block, ks, table[:, 1],
+                          list(map(self.statics.__getitem__, ks.tolist())))
 
     def logliks(self, ks, theta) -> list:
         """Local log likelihoods of workers ks at theta, in their order."""
-        return self._collect([(k, theta, 0) for k in ks], loglik=True).ravel().tolist()
+        table = np.zeros((len(ks), 3), dtype="<i8")
+        table[:, 0] = ks
+        return self._collect([theta], table, loglik=True).ravel().tolist()
 
     def estep(self, k: int, theta, anchor_tag: int):
         return self.esteps([(k, theta, anchor_tag)])[0]
@@ -461,6 +546,7 @@ class SocketPool(InProcessPool):
         end.  A connection that carries a malformed frame, or fails because
         its manager has gone, is closed and the endpoint returns quietly:
         there is no one left to report to."""
+        shards = _Served(shards)
         try:
             while True:
                 kind, n, T, payload = read_frame(conn)
@@ -472,68 +558,70 @@ class SocketPool(InProcessPool):
         finally:
             conn.close()
 
-    def _answer(self, kind: int, rows, thetas, shards):
-        """(block, errors) for the (k, anchor tag, parameter index) rows of a
-        share of the given kind, as `answer` gives them.  A request whose
-        parameter does not unpack, whose subset this endpoint does not
-        serve or whose kind it does not know carries that exception in
-        place of its theta, so `answer` fails it: the failure is reported
+    def _answer(self, kind: int, table: np.ndarray, packed, shards: _Served):
+        """(block, errors) for a share of the given kind, its table of (k,
+        anchor tag, parameter index) rows and its packed parameters, as
+        `answer` gives them.  Each parameter is unpacked once.  A parameter
+        that does not unpack, or a kind the endpoint does not know, is that
+        exception in place of the theta, so `answer` fails its requests,
+        and a request whose subset this endpoint does not serve fails with
+        the error that looking its shard up raises: the failure is reported
         to the manager, and the endpoint stays up for the next batch."""
-        if kind in _REPLY:
-            unpacked = []  # each parameter's Theta, or the exception unpacking raised
-            for packed in thetas:
-                try:
-                    unpacked.append(self.model.unpack_theta(packed))
-                except Exception as exc:
-                    unpacked.append(exc)
-        else:
-            unpacked = [ProtocolError(f"unknown request kind {kind}")] * len(thetas)
-        requests = []
-        for k, tag, j in rows:
-            theta = unpacked[j]
-            if k not in shards and not isinstance(theta, Exception):
-                theta = ProtocolError(f"subset {k} is not served by this endpoint")
-            requests.append((k, theta, tag))
-        return answer(self.model, shards, requests, kind == KIND_LOGLIK_REQ)
+        if kind not in _REPLY:
+            return answer(self.model, shards,
+                          [ProtocolError(f"unknown request kind {kind}")] * len(packed), table)
+        thetas = []  # each parameter's Theta, or the exception unpacking raised
+        for words in packed:
+            try:
+                thetas.append(self.model.unpack_theta(words))
+            except Exception as exc:
+                thetas.append(exc)
+        return answer(self.model, shards, thetas, table, kind == KIND_LOGLIK_REQ)
 
-    def _results(self, requests, loglik: bool):
-        """Send every (k, theta, tag) request of a batch, one frame per
+    def _shares(self, table: np.ndarray) -> list:
+        """(endpoint, positions of its requests) of each endpoint that the
+        batch's table has requests for, in the order of its first."""
+        ends = self._endpoint[table[:, 0]]  # a subset past K is an IndexError
+        if len(self._conns) == 1:
+            return [(0, np.arange(len(table)))]
+        es, first = np.unique(ends, return_index=True)
+        return [(e, np.flatnonzero(ends == e)) for e in es[np.argsort(first)].tolist()]
+
+    def _results(self, thetas, table: np.ndarray, loglik: bool):
+        """Send every request of a batch in array form, one frame per
         endpoint share, then read each share's reply: (block, errors) as
         `answer` gives them, each request's row in request order.  Each
-        distinct theta is packed once per batch.  A failure that meets a
-        whole share (a write or read that fails, a malformed reply) is the
-        outcome of every request of that share; the other replies are still
-        read, so none is left for a later request to find."""
+        theta is packed once per batch, and a share's table is its rows of
+        the batch's, each theta index renumbered in the order the share
+        first names it.  A failure that meets a whole share (a write or
+        read that fails, a malformed reply) is the outcome of every request
+        of that share; the other replies are still read, so none is left
+        for a later request to find."""
+        if not len(table):
+            return _gather(0, []), {}
         kind = KIND_LOGLIK_REQ if loglik else KIND_ESTEP_REQ
-        packed = {}  # id(theta) -> its packed form
-        shares = defaultdict(list)  # endpoint -> positions of its requests
-        for i, (k, theta, _) in enumerate(requests):
-            if id(theta) not in packed:
-                packed[id(theta)] = self.model.pack_theta(theta)
-            shares[self._endpoint[k]].append(i)
+        packed = [self.model.pack_theta(theta) for theta in thetas]
         parts, errors, sent = [], {}, []
-        for e, idx in shares.items():
-            index, rows = {}, []  # id(theta) -> its position in this share
-            for i in idx:
-                k, theta, tag = requests[i]
-                rows.append((k, tag, index.setdefault(id(theta), len(index))))
-            payload = np.concatenate([_int_words(rows), *(packed[t] for t in index)])
+        for e, idx in self._shares(table):
+            whole = len(idx) == len(table)
+            rows = table if whole else table[idx]
+            payload, T = _request_payload(rows, packed, whole)
+            ks = rows[:, 0].tolist()
             try:
-                write_frame(self._conns[e], kind, len(idx), len(index), payload)
-                sent.append((e, idx))
+                write_frame(self._conns[e], kind, len(rows), T, payload)
+                sent.append((e, idx, ks))
             except OSError as exc:
-                errors.update(dict.fromkeys(idx, self._failure(e, rows[0][0], exc)))
-        for e, idx in sent:
+                errors.update(dict.fromkeys(idx.tolist(), self._failure(e, ks[0], exc)))
+        for e, idx, ks in sent:
             try:
-                block, failed = self._reply(e, _REPLY[kind], [requests[i][0] for i in idx],
-                                            loglik)
+                block, failed = self._reply(e, _REPLY[kind], ks, loglik)
             except ProtocolError as exc:
-                errors.update(dict.fromkeys(idx, exc))
+                errors.update(dict.fromkeys(idx.tolist(), exc))
                 continue
-            errors.update((idx[i], exc) for i, exc in failed.items())
+            errors.update((int(idx[i]), exc) for i, exc in failed.items())
             if len(failed) < len(idx):  # a share that failed whole has no rows
                 parts.append((idx, block))
-        return _gather(len(requests), parts), errors
+        return _gather(len(table), parts), errors
 
     def _failure(self, e: int, k: int, exc: Exception) -> ProtocolError:
         """exc, met on the connection of endpoint e, as a ProtocolError
@@ -568,7 +656,7 @@ class SocketPool(InProcessPool):
                 f"{(reply_kind, len(ks))}, got {(kind, n)}"
             )
         block, errors = _split_replies(ks, payload, 1 if loglik else None)
-        ok = [i for i in range(n) if i not in errors]
+        ok = [i for i in range(n) if i not in errors] if errors else range(n)
         if ok and not loglik:
             try:
                 self.model.check_width(block.shape[1], ks[ok[0]])

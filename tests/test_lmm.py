@@ -749,6 +749,93 @@ def test_theta_wire_roundtrip():
             model.unpack_theta(arr)
 
 
+def theta_of_words(p, q, words):
+    """Theta(beta, L, tau2) of the values a packed point holds."""
+    rows, cols = np.tril_indices(q)
+    L = np.zeros((q, q))
+    L[rows, cols] = words[p:-1]
+    return Theta(words[:p], L, float(words[-1]))
+
+
+def malformed_points(p, q, packed):
+    """(label, words) of packed points that Theta rejects."""
+    rows, cols = np.tril_indices(q)
+    diag = p + np.flatnonzero(rows == cols)
+    below = p + np.flatnonzero(rows != cols)
+    edits = {
+        "nan_beta": [(0, np.nan)],
+        "inf_L": [(below[0] if below.size else diag[0], np.inf)],
+        "tau2_zero": [(-1, 0.0)],
+        "tau2_negative": [(-1, -1.0)],
+        "tau2_nan": [(-1, np.nan)],
+        "tau2_inf": [(-1, np.inf)],
+        "zero_diagonal": [(diag[-1], 0.0)],
+        "negative_diagonal": [(diag[0], -0.5)],
+        # several faults: the first check Theta makes names the point
+        "nan_beta_and_tau2": [(0, np.nan), (-1, -1.0)],
+        "tau2_and_diagonal": [(-1, 0.0), (diag[0], -1.0)],
+        "inf_diagonal": [(diag[0], -np.inf)],
+    }
+    for label, changes in edits.items():
+        words = packed.copy()
+        for i, value in changes:
+            words[i] = value
+        yield label, words
+
+
+def unaligned(words: np.ndarray) -> np.ndarray:
+    """The words as a frame holds them: a view one byte off alignment."""
+    return np.frombuffer(bytes(1) + words.tobytes(), dtype="<f8", offset=1)
+
+
+@pytest.mark.parametrize("p, q", [(3, 2), (10, 3), (2, 1), (1, 6)])
+def test_unpack_theta_checks_as_theta_does(p, q):
+    """unpack_theta raises, for each malformed packed point, the exception
+    type and message that Theta(beta, L, tau2) raises for the same values,
+    and the ProtocolError of its length for a point one value short or
+    long.  On valid points, read as they lie in a frame, beta, L, tau2 and
+    the derived terms are bitwise those of Theta, beta and L are read-only
+    views of one private buffer, and pack_theta gives the words back."""
+    model = LmmModel(p, q)
+    rng = np.random.default_rng(40 + 7 * q + p)
+    packed = model.pack_theta(random_theta(rng, p, q))
+    for label, words in malformed_points(p, q, packed):
+        with pytest.raises(NumericalDomainError) as want:
+            theta_of_words(p, q, words)
+        for arr in (words, unaligned(words)):
+            with pytest.raises(NumericalDomainError) as got:
+                model.unpack_theta(arr)
+            assert type(got.value) is type(want.value), label
+            assert str(got.value) == str(want.value), label
+    for arr in (packed[:-1], np.append(packed, 1.0)):
+        with pytest.raises(ProtocolError, match=f"^parameter of {len(arr)} values, "
+                                                f"expected {len(packed)}$"):
+            model.unpack_theta(arr)
+    huge = packed.copy()
+    huge[:p] = 1e308  # finite values whose sum overflows
+    tiny = packed.copy()
+    tiny[0] = -0.0
+    tiny[-1] = 5e-324
+    points = [model.pack_theta(random_theta(rng, p, q)) for _ in range(20)] + [huge, tiny]
+    for words in points:
+        want = theta_of_words(p, q, words)
+        for arr in (words, unaligned(words)):
+            got = model.unpack_theta(arr)
+            assert got.beta.tobytes() == want.beta.tobytes()
+            assert got.L.tobytes() == want.L.tobytes()
+            assert np.float64(got.tau2).tobytes() == np.float64(want.tau2).tobytes()
+            assert isinstance(got.tau2, float)
+            for name in ("Dinv", "resid_coef", "logdet_D", "log_2pi_tau2"):
+                assert (np.asarray(getattr(got, name)).tobytes()
+                        == np.asarray(getattr(want, name)).tobytes()), name
+            for a in (got.beta, got.L, got.Dinv, got.resid_coef):
+                assert not a.flags.writeable
+            assert got.L.flags.c_contiguous and got.L.shape == (q, q)
+            assert got.beta.base is got.L.base is not None
+            assert not np.shares_memory(got.beta.base, arr)
+            assert model.pack_theta(got).tobytes() == words.tobytes()
+
+
 def test_theta_validation():
     with pytest.raises(NumericalDomainError, match="tau2 must be positive, got -1.0"):
         Theta(np.zeros(1), np.eye(1), -1.0)
