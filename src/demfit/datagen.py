@@ -120,7 +120,7 @@ def partition(samples: Sequence[Sample], K: int, seed: int = 0) -> list[list[Sam
     assign = np.concatenate([rng.permutation(K), rng.integers(0, K, size=m - K)])
     assign = assign[rng.permutation(m)]
     subsets: list[list[Sample]] = [[] for _ in range(K)]
-    for s, k in zip(samples, assign):
+    for s, k in zip(samples, assign.tolist()):
         subsets[k].append(s)
     return subsets
 
@@ -154,24 +154,46 @@ def save_dataset(path, samples: Sequence[Sample], meta: Optional[dict] = None,
 
 
 def load_dataset(path) -> tuple[list[Sample], dict]:
+    """Read <path>.npz and its sidecar <path>.json (or {} when absent).
+
+    The columns are checked once: y, X, Z and sample_id must all be there,
+    y is raveled to float64, X and Z must be 2-D and become C-contiguous
+    float64, each with one row per sample_id entry, and there must be at
+    least one row.  Each sample is then its row range of those columns,
+    taken as views (`Sample._adopt`).  A file that fails a check is a
+    ValueError that names it.
+    """
     path = Path(path)
-    with np.load(path.with_suffix(".npz")) as arc:
+    npz = path.with_suffix(".npz")
+    with np.load(npz) as arc:
+        missing = [name for name in ("y", "X", "Z", "sample_id") if name not in arc.files]
+        if missing:
+            raise ValueError(f"{npz}: missing array {', '.join(missing)}; a dataset "
+                             f"holds y, X, Z and sample_id")
         y, X, Z, sample_id = arc["y"], arc["X"], arc["Z"], arc["sample_id"]
     sidecar_path = path.with_suffix(".json")
     meta = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
+    y = np.asarray(y, dtype=float).ravel()
+    for name, a in (("X", X), ("Z", Z)):
+        if a.ndim != 2:
+            raise ValueError(f"{npz}: {name} has shape {a.shape}; it must be 2-D, "
+                             f"one row per observation")
+    X, Z = np.ascontiguousarray(X, dtype=float), np.ascontiguousarray(Z, dtype=float)
     # sample ids are contiguous blocks, one id per row, as save_dataset
     # writes them; anything else would split or merge samples silently
     rows = {y.shape[0], X.shape[0], Z.shape[0]}
     if sample_id.ndim != 1 or rows != {sample_id.size}:
-        raise ValueError(f"{path.with_suffix('.npz')}: sample_id has shape "
+        raise ValueError(f"{npz}: sample_id has shape "
                          f"{sample_id.shape}, not one entry per row of y, X and Z "
                          f"({', '.join(map(str, sorted(rows)))} rows)")
+    if not sample_id.size:
+        raise ValueError(f"{npz}: y, X, Z and sample_id have no rows; a dataset "
+                         f"needs at least one observation")
     steps = np.diff(sample_id)
     if (steps < 0).any():
-        raise ValueError(f"{path.with_suffix('.npz')}: sample_id decreases at row "
+        raise ValueError(f"{npz}: sample_id decreases at row "
                          f"{int(np.argmax(steps < 0)) + 1}; it must be non-decreasing")
-    samples = []
     bounds = np.flatnonzero(steps) + 1
-    for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, sample_id.size]):
-        samples.append(Sample(y=y[lo:hi], X=X[lo:hi], Z=Z[lo:hi]))
+    starts, ends = np.r_[0, bounds].tolist(), np.r_[bounds, sample_id.size].tolist()
+    samples = [Sample._adopt(y[lo:hi], X[lo:hi], Z[lo:hi]) for lo, hi in zip(starts, ends)]
     return samples, meta

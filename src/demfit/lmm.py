@@ -16,7 +16,7 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
@@ -213,8 +213,11 @@ class Sample:
     """One sample's observations: response y (n_i), fixed-effects design X
     (n_i x p) and random-effects design Z (n_i x q).
 
-    The arrays must not be mutated after the sample's first use: the model
-    computes their data moments once (`moments`) and keeps them.
+    `Sample(...)` converts and checks its arrays; `_adopt` takes arrays
+    that are checked already, as `load_dataset` does for each sample's row
+    range of a file's columns.  The arrays must not be mutated after the
+    sample's first use: the model computes their data moments once
+    (`moments`, by n_i group when a shard is prepared) and keeps them.
     """
 
     y: np.ndarray
@@ -235,11 +238,20 @@ class Sample:
                 f"row mismatch: y has {y.size}, X has {X.shape[0]}, Z has {Z.shape[0]}"
             )
 
+    @classmethod
+    def _adopt(cls, y: np.ndarray, X: np.ndarray, Z: np.ndarray) -> "Sample":
+        """The sample of arrays that already pass `__post_init__`'s checks,
+        taken as they are, without a copy: y 1-D float64, X and Z 2-D
+        float64 with y.size >= 1 rows each."""
+        sample = object.__new__(cls)
+        sample.__dict__.update(y=y, X=X, Z=Z)
+        return sample
+
     @property
     def n_obs(self) -> int:
         return self.y.size
 
-    @cached_property
+    @_cached
     def moments(self) -> np.ndarray:
         """Flat record of the data moments, in the order `_record_layout`
         names: the data-only statistics y'y, X'y and X'X, then the columns
@@ -247,25 +259,55 @@ class Sample:
         triangular factor R of [X y], zero-padded to (p+1) x (p+1).
 
         Computed on first use rather than at construction, so loading a
-        dataset stays cheap; every later E step needs only these.
+        dataset stays cheap, as the group of one of `_moment_records`, which
+        `LmmModel.prepare` runs on a whole subset; every later E step needs
+        only these.
         """
-        y, X, Z = self.y, self.X, self.Z
-        p = X.shape[1]
-        W = np.column_stack([X, y])
-        R = np.zeros((p + 1, p + 1))
-        r = np.linalg.qr(W, mode="r")
-        R[: r.shape[0]] = r
-        return np.concatenate(
-            [
-                [y @ y],
-                X.T @ y,
-                (X.T @ X).ravel(),
-                [y.size],
-                (W.T @ Z).ravel(),
-                (Z.T @ Z).ravel(),
-                R.ravel(),
-            ]
-        )
+        return _moment_records([self])[0]
+
+
+def _group_records(group: Sequence[Sample]) -> np.ndarray:
+    """The (len(group), width) records of samples that share one (n_i, p,
+    q): one stacked QR of [X y] and one stacked product per moment.  numpy
+    runs these as one LAPACK or BLAS call per matrix, the call that matrix
+    gets alone, so a record does not depend on the group it is computed in
+    (`tests/test_lmm.py` checks it against the per-sample formula)."""
+    (n, p), q, g = group[0].X.shape, group[0].Z.shape[1], len(group)
+    c = _record_layout(p, q)
+    X = np.stack([s.X for s in group])
+    Z = np.stack([s.Z for s in group])
+    y = np.stack([s.y for s in group])
+    W = np.concatenate((X, y[:, :, None]), axis=2)
+    Xt, Wt = X.transpose(0, 2, 1), W.transpose(0, 2, 1)
+    rec = np.empty((g, c["width"]))
+    rec[:, c["yy"]] = (y[:, None, :] @ y[:, :, None])[:, 0]
+    rec[:, c["Xy"]] = (Xt @ y[:, :, None])[:, :, 0]
+    rec[:, c["XX"]] = (Xt @ X).reshape(g, -1)
+    rec[:, c["n"]] = n
+    rec[:, c["G"]] = (Wt @ Z).reshape(g, -1)
+    rec[:, c["ZZ"]] = (Z.transpose(0, 2, 1) @ Z).reshape(g, -1)
+    R = np.zeros((g, p + 1, p + 1))  # zero-padded below r when n_i < p + 1
+    r = np.linalg.qr(W, mode="r")
+    R[:, : r.shape[1]] = r
+    rec[:, c["R"]] = R.reshape(g, -1)
+    return rec
+
+
+def _moment_records(samples: Sequence[Sample]) -> list:
+    """Each sample's `Sample.moments` record.  The samples that have none
+    are grouped by (n_i, p, q) and each group's records computed in one
+    `_group_records` call, one group's stacks alive at a time; each record
+    is kept in its sample's cache as a row of its group's array.  A sample
+    that holds a record keeps it, also when another thread stores one
+    first."""
+    groups = defaultdict(list)
+    for s in samples:
+        if "moments" not in s.__dict__:
+            groups[s.X.shape, s.Z.shape[1]].append(s)
+    for group in groups.values():
+        for s, row in zip(group, _group_records(group)):
+            s.__dict__.setdefault("moments", row)
+    return [s.__dict__["moments"] for s in samples]
 
 
 SubsetData = Sequence[Sample]
@@ -677,12 +719,13 @@ class LmmModel(ModelContract):
     def prepare(self, subset: SubsetData | LmmShard) -> LmmShard:
         """The subset's `Sample.moments` stacked once into a shard, whose
         kernel rows and const rows are views of that one array; a shard
-        prepares to itself."""
+        prepares to itself.  The samples that hold no record yet get theirs
+        by n_i group (`_moment_records`), not one sample at a time."""
         if isinstance(subset, LmmShard):
             return subset
         p, q = self.p, self.q
         c = _record_layout(p, q)
-        rec = np.array([s.moments for s in subset]) if subset else np.empty((0, c["width"]))
+        rec = np.array(_moment_records(subset)) if subset else np.empty((0, c["width"]))
         if rec.shape[1:] != (c["width"],):
             raise ValueError(f"samples do not match the model's p={p}, q={q}")
         rows = rec[:, c["kernel"]]

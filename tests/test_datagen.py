@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +121,10 @@ def test_partition_loglik_additivity():
     assert total == pytest.approx(model.local_loglik(truth, samples), rel=1e-12)
 
 
+def address(a):
+    return a.__array_interface__["data"][0]
+
+
 def test_dataset_roundtrip(tmp_path):
     samples, truth = simulate(SimDesign(m=12, n=80, p=3, q=3, seed=7))
     path = tmp_path / "ds"
@@ -131,26 +137,89 @@ def test_dataset_roundtrip(tmp_path):
         np.testing.assert_array_equal(s.y, t.y)
         np.testing.assert_array_equal(s.X, t.X)
         np.testing.assert_array_equal(s.Z, t.Z)
+    # each loaded array is a float64 view of its file column, the samples'
+    # row ranges laid end to end in it
+    for name in ("y", "X", "Z"):
+        arrays = [getattr(t, name) for t in back]
+        assert all(a.dtype == np.float64 and not a.flags.owndata
+                   and a.flags.c_contiguous for a in arrays)
+        assert [address(a) for a in arrays[1:]] == [
+            address(a) + a.nbytes for a in arrays[:-1]]
+    # an (n, 1) y column and an int64 X load as float64 samples equal to
+    # the saved ones, as they did when each sample converted its own rows
+    with np.load(path.with_suffix(".npz")) as arc:
+        cols = dict(arc)
+    cols["y"] = cols["y"][:, None]
+    cols["X"] = cols["X"].astype(np.int64)  # the simulated entries are +-1
+    np.savez(path.with_suffix(".npz"), **cols)
+    back, _ = load_dataset(path)
+    for s, t in zip(samples, back):
+        for name in ("y", "X", "Z"):
+            got, want = getattr(t, name), getattr(s, name)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("sample_id", [[0, 0, 1, 0, 1, 1], [0, 0, 1, 1]],
-                         ids=["decreasing", "short"])
-def test_bad_sample_id_column_is_an_error(tmp_path, capsys, sample_id):
+def write_samples(path, **replace):
+    """Two 3-row samples saved at path, with the arrays in replace (None
+    to drop one) swapped into the .npz."""
+    rng = np.random.default_rng(0)
+    samples = [Sample(y=rng.standard_normal(3), X=rng.standard_normal((3, 2)),
+                      Z=rng.standard_normal((3, 1))) for _ in range(2)]
+    save_dataset(path, samples)
+    with np.load(path.with_suffix(".npz")) as arc:
+        cols = dict(arc)
+    for name, value in replace.items():
+        if value is None:
+            del cols[name]
+        else:
+            cols[name] = value
+    np.savez(path.with_suffix(".npz"), **cols)
+
+
+@pytest.mark.parametrize("sample_id, message", [
+    ([0, 0, 1, 0, 1, 1], "sample_id decreases at row 3; it must be non-decreasing"),
+    ([0, 0, 1, 1], "sample_id has shape (4,), not one entry per row of y, X and Z "
+                   "(6 rows)"),
+], ids=["decreasing", "short"])
+def test_bad_sample_id_column_is_an_error(tmp_path, capsys, sample_id, message):
     """A sample_id column that decreases, or that has not one entry per
     row, would load as the wrong samples: load_dataset names the file, and
     dem fit reports it as an error."""
     from demfit.cli import main
 
-    rng = np.random.default_rng(0)
-    samples = [Sample(y=rng.standard_normal(3), X=rng.standard_normal((3, 2)),
-                      Z=rng.standard_normal((3, 1))) for _ in range(2)]
     path = tmp_path / "ds"
-    save_dataset(path, samples)
-    with np.load(path.with_suffix(".npz")) as arc:
-        cols = dict(arc)
-    cols["sample_id"] = np.array(sample_id, dtype=np.int64)
-    np.savez(path.with_suffix(".npz"), **cols)
-    with pytest.raises(ValueError, match="ds.npz: sample_id"):
+    write_samples(path, sample_id=np.array(sample_id, dtype=np.int64))
+    with pytest.raises(ValueError) as err:
         load_dataset(path)
+    assert str(err.value) == f"{path.with_suffix('.npz')}: {message}"
     assert main(["fit", "--data", str(path), "--out", str(tmp_path / "fit")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("replace, message", [
+    ({"Z": None}, "ds.npz: missing array Z"),
+    ({"y": np.empty(0), "X": np.empty((0, 2)), "Z": np.empty((0, 1)),
+      "sample_id": np.empty(0, dtype=np.int64)}, "ds.npz: y, X, Z and sample_id have no rows"),
+    ({"X": np.ones(6)}, "ds.npz: X has shape (6,); it must be 2-D"),
+], ids=["no Z", "no rows", "1-D X"])
+def test_malformed_dataset_is_an_error(tmp_path, capsys, replace, message):
+    """A file without one of its arrays, without rows or with a 1-D design
+    is a ValueError that names the file and the array, and dem fit and dem
+    diagnose print it as their error line and exit 1."""
+    from demfit.cli import main
+    from demfit.diagnostics import theta_to_json
+
+    path = tmp_path / "ds"
+    write_samples(path, **replace)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_dataset(path)
+    theta = tmp_path / "start.theta.json"
+    theta.write_text(json.dumps(theta_to_json(Theta.default_start(2, 1))))
+    for argv in (["fit", "--data", str(path), "--out", str(tmp_path / "fit")],
+                 ["diagnose", "--data", str(path), "--theta", str(theta), "--K", "1",
+                  "--split", "0", "--out", str(tmp_path / "diag.json")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path.with_suffix('.npz')}: ")
+        assert message in err

@@ -488,6 +488,43 @@ def test_moments_computed_concurrently():
     assert results == [expected] * 8
 
 
+def per_sample_record(s):
+    """A sample's data-moment record by the formula each sample once ran
+    alone: one QR and six products of its own arrays."""
+    y, X, Z = s.y, s.X, s.Z
+    p = X.shape[1]
+    W = np.column_stack([X, y])
+    R = np.zeros((p + 1, p + 1))
+    r = np.linalg.qr(W, mode="r")
+    R[: r.shape[0]] = r
+    return np.concatenate([[y @ y], X.T @ y, (X.T @ X).ravel(), [y.size],
+                           (W.T @ Z).ravel(), (Z.T @ Z).ravel(), R.ravel()])
+
+
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("p", [1, 3, 10])
+def test_grouped_records_match_per_sample_records(p, q):
+    """The records `prepare` computes by n_i group are bitwise those each
+    sample gets alone and those of the per-sample formula, for n_i of 1,
+    below p + 1 (R zero-padded) and above it; a sample that already holds a
+    record keeps that array."""
+    rng = np.random.default_rng(100 * p + q)
+    sizes = [1, 1, max(p, 1), p + 1, p + 1, p + 2, 2 * p + 5, 2 * p + 5,
+             *rng.integers(1, 2 * p + 6, size=20).tolist()]
+    samples = [random_sample(rng, p, q, n_i=n) for n in sizes]
+    kept = {id(s): s.moments for s in samples[::5]}
+    shard = LmmModel(p, q).prepare(samples)
+    for s in samples[::5]:
+        assert s.moments is kept[id(s)]
+    c = lmm._record_layout(p, q)
+    for j, s in enumerate(samples):
+        want = per_sample_record(s).tobytes()
+        assert s.moments.tobytes() == want
+        assert Sample(y=s.y, X=s.X, Z=s.Z).moments.tobytes() == want
+        assert shard.rows[j].tobytes() == s.moments[c["kernel"]].tobytes()
+        assert shard.const[j].tobytes() == s.moments[c["const"]].tobytes()
+
+
 def test_shard_matches_samples_bitwise(monkeypatch):
     """A shard gives bitwise what the plain list it was prepared from gives.
     Its E step sums the data-only columns once per shard, and only the E
